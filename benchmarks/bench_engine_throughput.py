@@ -35,28 +35,14 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine_throughput.j
 #: (tracker, engine) cells measured, documentation order. Hydra on the
 #: fast engine is the headline; the others give context (baseline =
 #: controller-only cost, graphene/cra = other tracker families, the
-#: queued cell = scheduler overhead, the vector cells = the numpy
-#: window-batched engine on the same workload).
+#: queued cell = scheduler overhead).
 DEFAULT_CELLS = (
     ("baseline", "fast"),
     ("hydra", "fast"),
     ("graphene", "fast"),
     ("cra", "fast"),
     ("hydra", "queued"),
-    ("baseline", "vector"),
-    ("hydra", "vector"),
 )
-
-
-def cells_for_engines(engines) -> tuple:
-    """Restrict DEFAULT_CELLS to the requested engines, keeping order."""
-    wanted = set(engines)
-    cells = tuple(c for c in DEFAULT_CELLS if c[1] in wanted)
-    if not cells:
-        raise SystemExit(
-            f"no benchmark cells for engines {sorted(wanted)!r}"
-        )
-    return cells
 
 
 def measure_cell(config, tracker: str, engine: str, workload: str, reps: int):
@@ -79,7 +65,7 @@ def measure_cell(config, tracker: str, engine: str, workload: str, reps: int):
     }
 
 
-def run(label: str, workload: str, reps: int, cells=DEFAULT_CELLS) -> dict:
+def run(label: str, workload: str, reps: int) -> dict:
     config = bench_config()
     entry = {
         "label": label,
@@ -91,7 +77,7 @@ def run(label: str, workload: str, reps: int, cells=DEFAULT_CELLS) -> dict:
         "cache_key": config.cache_key(),
         "cells": {},
     }
-    for tracker, engine in cells:
+    for tracker, engine in DEFAULT_CELLS:
         key = f"{tracker}/{engine}"
         entry["cells"][key] = measure_cell(config, tracker, engine, workload, reps)
         cell = entry["cells"][key]
@@ -131,22 +117,8 @@ def main(argv=None) -> int:
         "--no-record", action="store_true",
         help="print only; do not touch BENCH_engine_throughput.json",
     )
-    parser.add_argument(
-        "--engines",
-        nargs="+",
-        default=None,
-        metavar="ENGINE",
-        help="measure only cells on these engines (default: all"
-        " DEFAULT_CELLS); e.g. --engines vector, or --engines fast"
-        " vector to compare the batched engine against the scalar one",
-    )
     args = parser.parse_args(argv)
-    cells = (
-        cells_for_engines(args.engines)
-        if args.engines is not None
-        else DEFAULT_CELLS
-    )
-    entry = run(args.label, args.workload, args.reps, cells=cells)
+    entry = run(args.label, args.workload, args.reps)
     if not args.no_record:
         append_entry(entry)
     return 0

@@ -30,11 +30,10 @@ compiled program alongside the workload as attacker traffic, and
 programs (battery aliases ``single``/``many``/``random`` still
 work there).
 
-``--engine {fast,queued,vector}`` selects the memory-controller
-engine for ``run``/``sweep``/``experiment``/``profile`` (default: the
-fast in-order model; ``vector`` is the numpy window-batched model,
-bit-identical to fast — DESIGN.md §14); ``engine=`` inside a spec
-string overrides it per tracker column
+``--engine {fast,queued}`` selects the memory-controller engine for
+``run``/``sweep``/``experiment``/``profile`` (default: the fast
+in-order model); ``engine=`` inside a spec string overrides it per
+tracker column
 (``--tracker hydra@engine=queued``).
 
 ``--stream-chunk N`` streams traces through on-disk chunks of N
@@ -88,8 +87,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=ENGINES,
         default="fast",
         help="memory-controller engine: 'fast' (in-order resolution, the"
-        " sweep default), 'queued' (FR-FCFS + write-queue drain), or"
-        " 'vector' (numpy window-batched, bit-identical to fast);"
+        " sweep default) or 'queued' (FR-FCFS + write-queue drain);"
         " per-spec override: --tracker 'hydra@engine=queued'",
     )
     parser.add_argument(

@@ -1,14 +1,12 @@
 """Memory-controller layer: scheduling engines, tracker hook, mitigation.
 
-Three scheduling *engines* share one design
+Two scheduling *engines* share one design
 (:class:`~repro.memctrl.base.BaseMemoryController`: construction,
 tracker feedback, reporting): the fast in-order
 :class:`MemoryController` (``engine="fast"``, used for the large
-sweeps), the discrete-event :class:`QueuedMemoryController`
+sweeps) and the discrete-event :class:`QueuedMemoryController`
 (``engine="queued"``) with FR-FCFS read queues and a
-watermark-drained write queue, and the numpy-batched
-:class:`VectorMemoryController` (``engine="vector"``), bit-identical
-to ``fast`` but batching the hot path into array ops.
+watermark-drained write queue.
 :func:`build_controller` selects one by name; every downstream
 consumer (``simulate``, sweeps, the result cache, benchmarks) is
 engine-agnostic.
@@ -30,13 +28,11 @@ from repro.memctrl.controller import MemoryController
 from repro.memctrl.mitigation import MitigationStats, VictimRefreshPolicy
 from repro.memctrl.queued import QueuedMemoryController, QueuedStats
 from repro.memctrl.rowswap import RowIndirectionTable, RowSwapController
-from repro.memctrl.vector import VectorMemoryController
 
 #: Engine name -> controller class (the selectable-engine registry).
 ENGINE_CLASSES = {
     "fast": MemoryController,
     "queued": QueuedMemoryController,
-    "vector": VectorMemoryController,
 }
 
 
@@ -75,7 +71,6 @@ __all__ = [
     "QueuedStats",
     "RowIndirectionTable",
     "RowSwapController",
-    "VectorMemoryController",
     "VictimRefreshPolicy",
     "build_controller",
     "drive_in_order",

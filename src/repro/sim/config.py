@@ -111,8 +111,7 @@ class SystemConfig:
     seed: int = 2022
     #: Memory-controller scheduling engine: ``"fast"`` (in-order
     #: resolution, the sweep default), ``"queued"`` (FR-FCFS read
-    #: queues + watermark-drained write queue), or ``"vector"`` (numpy
-    #: window-batched, bit-identical to fast; DESIGN.md §14). See
+    #: queues + watermark-drained write queue). See
     #: :data:`repro.memctrl.ENGINES`.
     engine: str = "fast"
     #: Streaming chunk size in requests: ``0`` (default) materializes
@@ -267,12 +266,11 @@ class SystemConfig:
         """Stable identifier for result caching.
 
         The engine is part of the key, so cached results from one
-        engine are never served for another (fast, queued, and vector
-        each key separately — even though vector results are
-        bit-identical to fast by contract). The
-        streaming axis (``stream_chunk``/``trace_file``) participates
-        whenever it is non-default; replayed trace files are keyed by
-        path — clear the cache if a file's contents change in place.
+        engine are never served for another (fast and queued each key
+        separately). The streaming axis (``stream_chunk``/
+        ``trace_file``) participates whenever it is non-default;
+        replayed trace files are keyed by path — clear the cache if a
+        file's contents change in place.
         """
         return (
             f"s{self.scale:.6f}-t{self.trh}-g{self.gct_entries_full}"
@@ -287,7 +285,7 @@ class SystemConfig:
         """Identity of the generated trace (engine/tracker agnostic).
 
         Only the fields trace construction consumes participate, so
-        e.g. fast, queued, and vector runs of one system share a
+        e.g. fast and queued runs of one system share a
         memoized trace instead of regenerating it per engine. The
         streaming axis is
         part of trace identity: a chunked spool and a materialized

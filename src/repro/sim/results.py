@@ -101,9 +101,9 @@ class RunResult:
     activations: int
     bus_utilization: float
     dram_power_w: float
-    #: Scheduling engine that produced the run (``fast`` | ``queued``
-    #: | ``vector``). Defaults to ``fast`` so pre-engine cached
-    #: payloads still load.
+    #: Scheduling engine that produced the run (``fast`` |
+    #: ``queued``). Defaults to ``fast`` so pre-engine cached payloads
+    #: still load.
     engine: str = "fast"
     #: Tracker- and engine-specific extras (e.g. Hydra's Figure 6
     #: distribution, the queued engine's scheduler counters). See

@@ -46,7 +46,7 @@ from repro.dram.timing import (
     DramTiming,
 )
 from repro.interfaces import ActivationTracker, NullTracker
-from repro.memctrl.base import ENGINES
+from repro.memctrl.base import normalize_engine
 
 #: Modules whose import populates the registry (all built-in trackers
 #: live in one of these). Imported lazily so the registry module stays
@@ -144,15 +144,16 @@ class Param:
     """One typed, documented tracker parameter.
 
     ``default=None`` means the value is derived from the
-    :class:`TrackerContext` when not given explicitly. ``choices``
-    restricts the value to an enumerated set (validated at parse
-    time).
+    :class:`TrackerContext` when not given explicitly. ``check``, when
+    set, validates the coerced value at parse time and returns it
+    (possibly normalized); its ``ValueError`` is reported with the
+    spec for context.
     """
 
     type: type
     default: Any = None
     help: str = ""
-    choices: Optional[Tuple[Any, ...]] = None
+    check: Optional[Callable[[Any], Any]] = None
 
 
 #: Security classes a tracker may declare. The arena's oracle verdicts
@@ -201,7 +202,7 @@ UNIVERSAL_PARAMS: Dict[str, Param] = {
     ),
     "engine": Param(
         str,
-        choices=ENGINES,
+        check=normalize_engine,
         help="memory-controller engine the simulation runs on"
         " (overrides SystemConfig.engine)",
     ),
@@ -361,11 +362,13 @@ def _coerce(spec: str, name: str, param: Param, raw: str) -> Any:
             f"bad value for {name!r} in spec {spec!r}: {raw!r} is not"
             f" {param.type.__name__}"
         ) from None
-    if param.choices is not None and value not in param.choices:
-        raise ValueError(
-            f"bad value for {name!r} in spec {spec!r}: {raw!r} is not one"
-            " of " + ", ".join(str(choice) for choice in param.choices)
-        )
+    if param.check is not None:
+        try:
+            value = param.check(value)
+        except ValueError as exc:
+            raise ValueError(
+                f"bad value for {name!r} in spec {spec!r}: {exc}"
+            ) from None
     return value
 
 

@@ -1,4 +1,4 @@
-"""Cross-engine parity: fast, queued, and vector behind one axis.
+"""Cross-engine parity: fast and queued behind one axis.
 
 The tentpole guarantee of the engine refactor: all memory-controller
 engines run through one ``simulate()`` path, emit one ``RunResult``
@@ -7,6 +7,7 @@ change it, and never share cache entries.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from repro.memctrl import (
     ENGINES,
     MemoryController,
     QueuedMemoryController,
-    VectorMemoryController,
     build_controller,
     normalize_engine,
 )
+from repro.service import SweepBroker
+from repro.service.http import SweepService
 from repro.sim import SystemConfig, cell_key, simulate, simulate_workload
+from repro.sim.grid import GridSpec
 from repro.sim.results import RunResult
 from repro.trackers.registry import canonical_spec, parse_spec, spec_engine
 from repro.workloads.trace import Trace
@@ -53,7 +56,7 @@ def distinct_row_trace(config, n=400, gap=50.0):
 
 class TestEngineSelection:
     def test_engines_catalogue(self):
-        assert ENGINES == ("fast", "queued", "vector")
+        assert ENGINES == ("fast", "queued")
         for engine in ENGINES:
             assert normalize_engine(engine) == engine
 
@@ -66,12 +69,9 @@ class TestEngineSelection:
     def test_build_controller_classes(self):
         fast = build_controller("fast", CONFIG.geometry, CONFIG.timing)
         queued = build_controller("queued", CONFIG.geometry, CONFIG.timing)
-        vector = build_controller("vector", CONFIG.geometry, CONFIG.timing)
         assert isinstance(fast, MemoryController)
         assert isinstance(queued, QueuedMemoryController)
-        assert isinstance(vector, VectorMemoryController)
         assert fast.engine == "fast" and queued.engine == "queued"
-        assert vector.engine == "vector"
 
     def test_with_engine(self):
         queued = CONFIG.with_engine("queued")
@@ -115,7 +115,6 @@ class TestRunResultParity:
             counts[engine] = result.activations
             assert result.requests == len(trace)
         assert counts["fast"] == counts["queued"] > 0
-        assert counts["vector"] == counts["fast"]
 
     def test_dcbf_delay_visible_on_both_engines(self):
         # Long double-sided hammer: FR-FCFS row-hit batching legitimately
@@ -145,9 +144,12 @@ class TestEngineCacheKeys:
             for engine in ENGINES
         }
         assert len(keys) == len(ENGINES)
-        assert cell_key(CONFIG.with_engine("vector"), "hydra", "xz") != (
-            cell_key(CONFIG, "hydra", "xz")
-        )
+        # The retired vector engine cannot mint a cache key of its own,
+        # neither through a spec override nor through the config.
+        with pytest.raises(ValueError, match="removed"):
+            cell_key(CONFIG, "hydra@engine=vector", "xz")
+        with pytest.raises(ValueError, match="removed"):
+            CONFIG.with_engine("vector")
 
     def test_trace_key_engine_agnostic(self):
         assert CONFIG.trace_key() == CONFIG.with_engine("queued").trace_key()
@@ -197,10 +199,10 @@ class TestSpecEngineAxis:
             == "hydra@engine=queued,trh=250"
         )
         assert (
-            canonical_spec("hydra@trh=250, engine=vector")
-            == "hydra@engine=vector,trh=250"
+            canonical_spec("hydra@trh=250, engine=fast")
+            == "hydra@engine=fast,trh=250"
         )
-        assert spec_engine("hydra@engine=vector") == "vector"
+        assert spec_engine("hydra@engine=fast") == "fast"
 
     def test_bad_engine_value_rejected(self):
         with pytest.raises(ValueError, match="not one of"):
@@ -223,3 +225,56 @@ class TestSpecEngineAxis:
             trace, CONFIG, "baseline@engine=queued", engine="queued"
         )
         assert result.engine == "queued"
+
+
+def _http_submit_error(tmp_path, grid: dict) -> str:
+    """POST ``grid`` to ``/jobs`` (socket-free); the 400's error text."""
+    broker = SweepBroker(
+        state_dir=tmp_path / "state",
+        cache_dir=tmp_path / "cache",
+        pool="inline",
+    )
+    try:
+        body = json.dumps({"grid": grid}).encode()
+        status, payload = SweepService(broker).dispatch("POST", "/jobs", body)
+    finally:
+        broker.shutdown(wait=False)
+    assert status == 400
+    return payload["error"]
+
+
+def _raised(build) -> str:
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+REMOVED_MESSAGE = (
+    "engine 'vector' was removed (it was bit-identical to 'fast' and"
+    " slower); use engine='fast'"
+)
+
+_VECTOR_GRID = GridSpec.coerce(["hydra"], ["xz"], config=CONFIG).to_dict()
+
+#: Every boundary an engine name crosses, each returning its error text.
+REMOVED_ENGINE_ENTRY_POINTS = {
+    "normalize_engine": lambda tmp: _raised(lambda: normalize_engine("vector")),
+    "SystemConfig": lambda tmp: _raised(lambda: SystemConfig(engine="vector")),
+    "with_engine": lambda tmp: _raised(lambda: CONFIG.with_engine("vector")),
+    "spec_string": lambda tmp: _raised(
+        lambda: parse_spec("hydra@engine=vector")
+    ),
+    "http_spec": lambda tmp: _http_submit_error(
+        tmp, {**_VECTOR_GRID, "trackers": ["hydra@engine=vector"]}
+    ),
+    "http_config": lambda tmp: _http_submit_error(
+        tmp,
+        {**_VECTOR_GRID, "config": {**CONFIG.to_dict(), "engine": "vector"}},
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REMOVED_ENGINE_ENTRY_POINTS))
+def test_removed_vector_engine_rejected(entry, tmp_path):
+    """One message names the removal and the replacement everywhere."""
+    assert REMOVED_MESSAGE in REMOVED_ENGINE_ENTRY_POINTS[entry](tmp_path)

@@ -13,11 +13,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 
 from _common import all_slowdown  # noqa: E402
-from bench_engine_throughput import (  # noqa: E402
-    DEFAULT_CELLS,
-    cells_for_engines,
-)
+from bench_engine_throughput import DEFAULT_CELLS  # noqa: E402
 
+from repro.memctrl import ENGINES  # noqa: E402
 from repro.sim.results import Comparison  # noqa: E402
 from repro.workloads.characteristics import all_names  # noqa: E402
 
@@ -53,19 +51,5 @@ class TestAllSlowdown:
 
 
 class TestEngineCellSelection:
-    def test_default_cells_cover_all_three_engines(self):
-        assert {engine for _, engine in DEFAULT_CELLS} == {
-            "fast", "queued", "vector",
-        }
-
-    def test_engines_filter_keeps_order(self):
-        cells = cells_for_engines(["vector"])
-        assert cells == (("baseline", "vector"), ("hydra", "vector"))
-        both = cells_for_engines(["fast", "vector"])
-        assert both == tuple(
-            c for c in DEFAULT_CELLS if c[1] in ("fast", "vector")
-        )
-
-    def test_unknown_engine_filter_exits(self):
-        with pytest.raises(SystemExit, match="no benchmark cells"):
-            cells_for_engines(["warp"])
+    def test_default_cells_cover_every_engine(self):
+        assert {engine for _, engine in DEFAULT_CELLS} == set(ENGINES)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.memctrl import ENGINES
 
 
 @pytest.fixture(autouse=True)
@@ -127,24 +128,23 @@ class TestRunCommand:
 
 class TestProfileCommand:
     def test_engine_flag_parses_all_engines(self):
-        for engine in ("fast", "queued", "vector"):
+        for engine in ENGINES:
             args = build_parser().parse_args(
                 ["profile", "leela", "--engine", engine]
             )
             assert args.engine == engine
 
-    def test_profile_vector_engine_passthrough(self, capsys):
+    def test_profile_queued_engine_passthrough(self, capsys):
         code = main(
             ["profile", "leela", "--tracker", "hydra",
-             "--scale-denominator", "256", "--engine", "vector",
+             "--scale-denominator", "256", "--engine", "queued",
              "--limit", "5"]
         )
         assert code == 0
         out = capsys.readouterr().out
         # The profiled cell ran on the requested engine...
-        assert "hydra/vector" in out
-        # ...and the report shows the vector hot path, not the
-        # scalar per-request pipeline.
+        assert "hydra/queued" in out
+        # ...and the cProfile report follows.
         assert "tottime" in out
 
 
