@@ -23,6 +23,13 @@ into filled result-cache entries. Design invariants (DESIGN.md §15):
 - **Preemption.** :meth:`cancel` stops a job between cells; cells
   already dispatched run to completion (their cache entries are kept
   — cancelling a job never poisons another job's cells).
+- **Batched records.** A recorded cell goes to an in-memory buffer
+  on its job; the live :class:`JobStatus` advances per cell, but the
+  manifest and ``status.json`` are written once per *flush* (before
+  blocking on an unfinished cell, when a ``step`` budget is spent,
+  and when the job ends). A cell is buffered only once its payload
+  is in the cache, so a kill between flushes loses bookkeeping, never
+  a simulation: :meth:`resume` serves those cells as cache hits.
 
 Execution pools: ``"process"`` (default — one OS process per worker,
 the same isolation the parallel sweep uses), ``"thread"`` (shared
@@ -45,12 +52,17 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from repro.obs.manifest import ManifestWriter, make_record, read_manifest
+from repro.obs.manifest import (
+    ManifestRecord,
+    ManifestWriter,
+    make_record,
+    read_manifest,
+)
 from repro.sim.cache import DEFAULT_LEASE_TTL_S, ResultCache
 from repro.sim.config import default_cache_dir, resolve_jobs
 from repro.sim.grid import GridCell, GridSpec
 from repro.sim.results import GridResult, RunResult
-from repro.sim.sweep import _validated_payload
+from repro.sim.sweep import _validated_entry
 from repro.service.jobs import (
     ACTIVE_STATES,
     CANCELLED,
@@ -104,7 +116,7 @@ class _CellTask:
         self.cell = cell
         self.attempts = 0
         self.future: Optional["Future[Any]"] = None
-        self.payload: Optional[Dict[str, Any]] = None
+        self.result: Optional[RunResult] = None
         self.from_cache = False
         self.wall_s = 0.0
         self.error: Optional[BaseException] = None
@@ -125,6 +137,8 @@ class _Job:
         self.thread: Optional[threading.Thread] = None
         #: Cache keys already recorded for this job (skip on re-entry).
         self.done_keys: set = set()
+        #: Recorded cells not yet in the manifest (see ``_flush``).
+        self.pending: List[ManifestRecord] = []
 
 
 class SweepBroker:
@@ -209,7 +223,16 @@ class SweepBroker:
             status = self.store.load_status(job_id)
             if status is None or status.state not in ACTIVE_STATES:
                 continue
-            spec = self.store.load_spec(job_id)
+            try:
+                spec = self.store.load_spec(job_id)
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                # One unreadable job (say, a spec naming a removed
+                # engine) must not keep the others from resuming.
+                status.state = FAILED
+                status.error = f"cannot resume: {exc}"
+                status.updated_at = self._clock()
+                self.store.write_status(status)
+                continue
             job = _Job(job_id, spec, status)
             self._reload_done(job)
             with self._lock:
@@ -220,20 +243,25 @@ class SweepBroker:
         return resumed
 
     def _reload_done(self, job: _Job) -> None:
-        """Rebuild a resumed job's recorded-cell set from its manifest.
+        """Rebuild a resumed job's recorded cells and counters.
 
         The manifest — appended before the status snapshot — is the
-        truth of which cells were already recorded; without this, a
-        resumed job would re-append (and re-count) every cell.
+        truth of which cells were already recorded; ``status.json``
+        may lag it by a whole flush. Without this, a resumed job would
+        re-append (and re-count) cells, or under-count its hits.
         """
         path = self.store.manifest_path(job.job_id)
         if not path.is_file():
             return
         records, _ = read_manifest(path)
-        job.done_keys = {
-            r.cache_key for r in records if r.job_id == job.job_id
+        from_cache = {
+            r.cache_key: r.from_cache
+            for r in records
+            if r.job_id == job.job_id
         }
-        job.status.completed_cells = len(job.done_keys)
+        job.done_keys = set(from_cache)
+        job.status.completed_cells = len(from_cache)
+        job.status.cache_hits = sum(from_cache.values())
 
     def cancel(self, job_id: str) -> JobStatus:
         """Preempt a job: no further cells are dispatched for it."""
@@ -305,27 +333,25 @@ class SweepBroker:
         with self._lock:
             job = self._jobs.get(job_id)
         if job is not None:
-            status, spec = job.status, job.spec
+            status = job.status
         else:
             status = self.store.load_status(job_id)
             if status is None:
                 raise BrokerError(f"unknown job {job_id!r}")
-            spec = self.store.load_spec(job_id)
         if status.state != COMPLETED:
             raise BrokerError(
                 f"job {job_id} is {status.state}, not completed"
             )
+        spec = job.spec if job is not None else self.store.load_spec(job_id)
         grid: Dict[str, Dict[str, RunResult]] = {}
         for cell in spec.cells():
-            payload = _validated_payload(self.cache, cell.key)
-            if payload is None:
+            entry = _validated_entry(self.cache, cell.key)
+            if entry is None:
                 raise BrokerError(
                     f"cache entry for cell ({cell.tracker},"
                     f" {cell.workload}) vanished; re-run the job"
                 )
-            grid.setdefault(cell.tracker, {})[cell.workload] = (
-                RunResult.from_dict(payload)
-            )
+            grid.setdefault(cell.tracker, {})[cell.workload] = entry[1]
         return GridResult(grid)
 
     def handle(self, job_id: str) -> "LocalJobHandle":
@@ -350,7 +376,7 @@ class SweepBroker:
 
     def _start(self, job: _Job) -> None:
         thread = threading.Thread(
-            target=self._advance,
+            target=self._run,
             args=(job,),
             name=f"sweep-job-{job.job_id}",
             daemon=True,
@@ -358,12 +384,29 @@ class SweepBroker:
         job.thread = thread
         thread.start()
 
+    def _run(self, job: _Job) -> None:
+        """Job-thread body: a failed flush fails the job, in memory.
+
+        ``status.json`` keeps its last flushed (active) state, so a
+        restarted broker resumes the job; clients stop waiting now.
+        """
+        try:
+            self._advance(job)
+        except Exception as exc:
+            if not job.status.done:
+                job.status.error = f"could not record progress: {exc}"
+                job.status.state = FAILED
+
     def _advance(self, job: _Job, limit: Optional[int] = None) -> None:
         """Walk the job's grid: cache first, then dispatched tasks.
 
-        Dispatch runs ahead of collection by a bounded window so the
-        pool stays busy, while cells are *recorded* in deterministic
-        grid order (events and progress counts are reproducible).
+        Dispatch runs ahead of collection by a bounded window (never
+        past the ``limit`` budget) so the pool stays busy, while cells
+        are *recorded* in deterministic grid order (events and
+        progress counts are reproducible). Records are flushed only
+        before blocking on an unfinished task, when the budget is
+        spent, and when the job ends — a fully cached job writes its
+        manifest and status once.
         """
         if job.status.state == PENDING:
             self._set_state(job, RUNNING)
@@ -372,18 +415,18 @@ class SweepBroker:
             if cell.key not in job.done_keys
         )
         window = max(2 * self.workers, 2)
-        dispatched: "deque[tuple[GridCell, Optional[_CellTask]]]" = deque()
+        dispatched: "deque[tuple[GridCell, _CellTask]]" = deque()
         recorded = 0
-        writer = ManifestWriter(self.store.manifest_path(job.job_id))
 
         def top_up() -> None:
-            while remaining and len(dispatched) < window:
+            ahead = window if limit is None else min(window, limit - recorded)
+            while remaining and len(dispatched) < ahead:
                 cell = remaining.popleft()
                 started = time.perf_counter()
-                payload = _validated_payload(self.cache, cell.key)
-                if payload is not None:
+                entry = _validated_entry(self.cache, cell.key)
+                if entry is not None:
                     task = _CellTask(cell)
-                    task.payload = payload
+                    task.result = entry[1]
                     task.from_cache = True
                     task.wall_s = time.perf_counter() - started
                     task._done.set()
@@ -396,12 +439,15 @@ class SweepBroker:
                 self._finalize(job, CANCELLED)
                 return
             if limit is not None and recorded >= limit:
+                self._flush(job)
                 return  # budget spent; job stays RUNNING on disk
             top_up()
             if not dispatched:
                 break
             cell, task = dispatched.popleft()
-            self._wait(task)
+            if not task._done.is_set():
+                self._flush(job)
+                self._wait(task)
             if task.error is not None:
                 job.status.error = (
                     f"cell ({cell.tracker}, {cell.workload}) failed"
@@ -409,30 +455,33 @@ class SweepBroker:
                 )
                 self._finalize(job, FAILED)
                 return
-            job.done_keys.add(cell.key)
-            job.status.completed_cells += 1
-            if task.from_cache:
-                job.status.cache_hits += 1
-            job.status.retries += max(task.attempts - 1, 0)
+            self._record(job, cell, task)
             recorded += 1
-            result = RunResult.from_dict(task.payload)
-            writer.append(
-                [
-                    make_record(
-                        cache_key=cell.key,
-                        spec=canonical_spec(cell.tracker),
-                        workload=cell.workload,
-                        engine=result.engine,
-                        from_cache=task.from_cache,
-                        wall_time_s=task.wall_s,
-                        requests=result.requests,
-                        end_time_ns=result.end_time_ns,
-                        job_id=job.job_id,
-                    )
-                ]
-            )
-            self._touch(job)
         self._finalize(job, COMPLETED)
+
+    def _record(self, job: _Job, cell: GridCell, task: _CellTask) -> None:
+        """Count a cached cell on the live status and buffer its record."""
+        job.done_keys.add(cell.key)
+        status = job.status
+        status.completed_cells += 1
+        if task.from_cache:
+            status.cache_hits += 1
+        status.retries += max(task.attempts - 1, 0)
+        status.updated_at = self._clock()
+        result = task.result
+        job.pending.append(
+            make_record(
+                cache_key=cell.key,
+                spec=canonical_spec(cell.tracker),
+                workload=cell.workload,
+                engine=result.engine,
+                from_cache=task.from_cache,
+                wall_time_s=task.wall_s,
+                requests=result.requests,
+                end_time_ns=result.end_time_ns,
+                job_id=job.job_id,
+            )
+        )
 
     # -- in-flight task management -------------------------------------
 
@@ -476,7 +525,7 @@ class SweepBroker:
                 try:
                     task.attempts += 1
                     payload, from_cache, wall_s = task.future.result()
-                    task.payload = payload
+                    task.result = RunResult.from_dict(payload)
                     task.from_cache = from_cache
                     task.wall_s = wall_s
                     task.error = None
@@ -533,14 +582,31 @@ class SweepBroker:
 
     def _set_state(self, job: _Job, state: str) -> None:
         job.status.state = state
-        self._touch(job)
-
-    def _finalize(self, job: _Job, state: str) -> None:
-        self._set_state(job, state)
-
-    def _touch(self, job: _Job) -> None:
         job.status.updated_at = self._clock()
         self.store.write_status(job.status)
+
+    def _finalize(self, job: _Job, state: str) -> None:
+        # Records land before the terminal state is visible, so an
+        # event reader's final drain after ``done`` misses none.
+        self._append_pending(job)
+        self._set_state(job, state)
+
+    def _flush(self, job: _Job) -> None:
+        """Persist buffered records: one manifest append, then status.
+
+        In that order, because resume trusts the manifest; a failed
+        append keeps the buffer for the next flush.
+        """
+        if job.pending:
+            self._append_pending(job)
+            self.store.write_status(job.status)
+
+    def _append_pending(self, job: _Job) -> None:
+        if job.pending:
+            ManifestWriter(self.store.manifest_path(job.job_id)).append(
+                job.pending
+            )
+            job.pending = []
 
 
 class LocalJobHandle(JobHandle):

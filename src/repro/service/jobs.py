@@ -5,7 +5,7 @@ durable footprint is a directory under the broker's state dir::
 
     <state_dir>/jobs/<job_id>/
         spec.json       # the GridSpec, canonical JSON (written once)
-        status.json     # JobStatus snapshot (atomic replace per update)
+        status.json     # JobStatus snapshot (atomic replace per flush)
         manifest.jsonl  # one ManifestRecord per produced cell (events)
 
 The *result cache* — not this directory — is the system of record for
@@ -172,6 +172,8 @@ class JobHandle:
     def events(self) -> Iterator[Dict[str, Any]]:
         """Per-cell manifest records, yielded as they land.
 
+        The broker writes them in batches (DESIGN.md §15), so events
+        arrive in bursts; a fully cached job's all land at completion.
         The iterator finishes once the job reaches a terminal state
         and every already-written event has been delivered.
         """

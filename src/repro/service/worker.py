@@ -62,7 +62,7 @@ def run_cell(
     process pools pass only ``cache_dir`` (picklable) and each worker
     builds its own view.
     """
-    from repro.sim.sweep import _validated_payload, cell_key
+    from repro.sim.sweep import _validated_entry, cell_key
 
     started = time.perf_counter()
     if cache_dir is None and cache is None:
@@ -74,9 +74,9 @@ def run_cell(
     key = cell_key(config, tracker, workload)
     owner = worker_identity()
     while True:
-        payload = _validated_payload(cache, key)
-        if payload is not None:
-            return payload, True, time.perf_counter() - started
+        entry = _validated_entry(cache, key)
+        if entry is not None:
+            return entry[0], True, time.perf_counter() - started
         if cache.lease(key, owner, ttl_s=lease_ttl_s):
             try:
                 result = simulate_workload(config, tracker, workload)

@@ -91,7 +91,9 @@ TrackerFactory = Callable[[SystemConfig], ActivationTracker]
 #: full 36-workload single-config sweep entirely resident (so pool
 #: workers hit exactly as before), while a long multi-config sweep in
 #: one process evicts least-recently-replayed traces instead of
-#: growing without limit.
+#: growing without limit. An in-RAM entry holds numpy arrays only;
+#: the Python columns replay iterates live on one trace per process
+#: (see :class:`~repro.workloads.trace.Trace`).
 #:
 #: Entries are *sources*, not necessarily arrays: a streamed workload
 #: (``stream_chunk > 0``) memoizes a :class:`ChunkedTrace` whose

@@ -111,9 +111,9 @@ def _run_cell(
     cache = ResultCache(Path(cache_dir)) if cache_dir else None
     key = cell_key(config, tracker_name, workload_name)
     if cache is not None:
-        payload = _validated_payload(cache, key)
-        if payload is not None:
-            return payload, True, time.perf_counter() - started
+        entry = _validated_entry(cache, key)
+        if entry is not None:
+            return entry[0], True, time.perf_counter() - started
     result = simulate_workload(config, tracker_name, workload_name)
     payload = result.to_dict()
     if cache is not None:
@@ -121,19 +121,23 @@ def _run_cell(
     return payload, False, time.perf_counter() - started
 
 
-def _validated_payload(
+def _validated_entry(
     cache: ResultCache, key: str
-) -> Optional[Dict[str, Any]]:
-    """Load a payload that round-trips into a RunResult, else evict."""
+) -> Optional[Tuple[Dict[str, Any], RunResult]]:
+    """Load ``(payload, parsed RunResult)`` for a key, else evict.
+
+    The parse is the validation, so callers take the result from here
+    instead of parsing the payload a second time.
+    """
     payload = cache.load(key)
     if payload is None:
         return None
     try:
-        RunResult.from_dict(payload)
+        result = RunResult.from_dict(payload)
     except (TypeError, KeyError):
         cache._evict(cache.path_for(key))
         return None
-    return payload
+    return payload, result
 
 
 class SweepProgress:
@@ -468,10 +472,8 @@ class ExperimentRunner:
     def _load(self, key: str) -> Optional[RunResult]:
         if not self.use_disk_cache:
             return None
-        payload = _validated_payload(self.cache, key)
-        if payload is None:
-            return None
-        return RunResult.from_dict(payload)
+        entry = _validated_entry(self.cache, key)
+        return None if entry is None else entry[1]
 
     def _store(self, key: str, result: RunResult) -> None:
         if not self.use_disk_cache:

@@ -13,6 +13,7 @@ paper's workload descriptions.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
@@ -30,8 +31,25 @@ class TraceStatistics:
     line_transfers: int
 
 
+#: The one trace per process that keeps its Python-scalar columns:
+#: the most recently replayed (see :class:`Trace`). Pool threads replay
+#: traces concurrently, so the swap and the store share one lock.
+_column_holder: Optional["Trace"] = None
+_column_lock = threading.Lock()
+
+
 class Trace:
-    """Immutable sequence of (gap_ns, row_id, n_lines, is_write)."""
+    """Immutable sequence of (gap_ns, row_id, n_lines, is_write).
+
+    Replay iterates Python-scalar columns built from the numpy arrays
+    (``tolist`` plus the topology div/mod of :meth:`resolved_stream`).
+    They cost ~150 B per request against ~21 B of numpy, so only one
+    trace per process keeps them: the most recently replayed. When
+    another trace builds its columns, the previous holder's are
+    dropped. Back-to-back replays of one trace (every tracker of a
+    serial comparison) convert once; switching traces re-converts,
+    which costs a few percent of a replay.
+    """
 
     __slots__ = ("gaps_ns", "rows", "lines", "writes", "name", "_columns", "_resolved")
 
@@ -51,16 +69,37 @@ class Trace:
         self.lines = np.asarray(lines, dtype=np.int32)
         self.writes = np.asarray(writes, dtype=bool)
         self.name = name
-        #: Lazily materialized Python-scalar columns. Traces are
-        #: immutable by contract, and memoized traces are replayed many
-        #: times (once per tracker column of a sweep grid), so the
-        #: ``tolist`` conversions are paid once, not per replay.
+        #: Lazily materialized Python-scalar columns, kept while this
+        #: trace is the process's column holder.
         self._columns: Optional[Tuple[list, list, list, list]] = None
         #: Lazily resolved per-request topology columns, keyed by
         #: ``(rows_per_bank, banks_per_channel)`` (one geometry per
         #: simulated system, but attack mixes reuse traces across
-        #: scaled geometries).
+        #: scaled geometries). Dropped with ``_columns``.
         self._resolved: Dict[Tuple[int, int], tuple] = {}
+
+    def _keep(
+        self,
+        columns: Optional[Tuple[list, list, list, list]] = None,
+        geometry: Optional[Tuple[int, int]] = None,
+        resolved: Optional[tuple] = None,
+    ) -> None:
+        """Store built columns, becoming the process's column holder.
+
+        The previous holder's columns are dropped in the same step.
+        """
+        global _column_holder
+        with _column_lock:
+            holder = _column_holder
+            if holder is not self:
+                if holder is not None:
+                    holder._columns = None
+                    holder._resolved = {}
+                _column_holder = self
+            if columns is not None:
+                self._columns = columns
+            if resolved is not None:
+                self._resolved[geometry] = resolved
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -74,7 +113,7 @@ class Trace:
                 self.lines.tolist(),
                 self.writes.tolist(),
             )
-            self._columns = columns
+            self._keep(columns=columns)
         return columns
 
     def __iter__(self) -> Iterator[Tuple[float, int, int, bool]]:
@@ -105,7 +144,7 @@ class Trace:
                 bank_index.tolist(),
                 (bank_index // banks_per_channel).tolist(),
             )
-            self._resolved[key] = resolved
+            self._keep(geometry=key, resolved=resolved)
         gaps, rows, lines, writes = self._column_lists()
         local_rows, bank_indices, channels = resolved
         return zip(gaps, rows, local_rows, bank_indices, channels, lines, writes)

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.obs.manifest import ManifestWriter
 from repro.service.broker import BrokerError, SweepBroker
 from repro.service.jobs import (
     CANCELLED,
@@ -12,6 +13,8 @@ from repro.service.jobs import (
     FAILED,
     PENDING,
     RUNNING,
+    JobStatus,
+    JobStore,
 )
 from repro.sim.config import SystemConfig
 from repro.sim.grid import GridSpec
@@ -276,3 +279,202 @@ class TestClockInjection:
         now["t"] = 2000.0
         broker.step(job_id)
         assert broker.status(job_id).updated_at == 2000.0
+
+
+def counters(status):
+    return (status.completed_cells, status.cache_hits, status.retries)
+
+
+def manifest_keys(broker, job_id):
+    return [e["cache_key"] for e in broker.events(job_id)]
+
+
+class TestBatchedRecords:
+    """Cells are recorded in memory and flushed in batches."""
+
+    def test_warm_job_writes_manifest_once(self, tmp_path, monkeypatch):
+        broker = make_broker(tmp_path)
+        broker.step(broker.submit(GRID, start=False))  # fill the cache
+        appends, writes = [], []
+        append, write_status = ManifestWriter.append, JobStore.write_status
+
+        def counting_append(self, records):
+            records = list(records)
+            appends.append(len(records))
+            return append(self, records)
+
+        def counting_write(self, status):
+            writes.append(status.state)
+            return write_status(self, status)
+
+        monkeypatch.setattr(ManifestWriter, "append", counting_append)
+        monkeypatch.setattr(JobStore, "write_status", counting_write)
+        job_id = broker.submit(GRID, start=False)
+        writes.clear()  # count what step() does, not submit()
+        broker.step(job_id)
+        assert broker.status(job_id).cache_hits == 4
+        assert appends == [4]
+        assert 1 <= len(writes) <= 3
+        assert writes[-1] == COMPLETED
+
+    def test_live_status_advances_per_cell(self, tmp_path, monkeypatch):
+        """In-memory progress moves every cell even though status.json
+        is written only when a batch is flushed."""
+        broker = make_broker(tmp_path)
+        broker.step(broker.submit(GRID, start=False))
+        job_id = broker.submit(GRID, start=False)
+        seen = []
+        append = ManifestWriter.append
+
+        def spying_append(self, records):
+            seen.append(broker.status(job_id).completed_cells)
+            return append(self, records)
+
+        monkeypatch.setattr(ManifestWriter, "append", spying_append)
+        broker.step(job_id, max_cells=3)
+        # One flush, when the budget ran out, with all three counted.
+        assert seen == [3]
+        on_disk = broker.store.load_status(job_id)
+        assert counters(on_disk) == counters(broker.status(job_id))
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
+    def test_failed_flush_then_resume(self, tmp_path, monkeypatch, fail_at):
+        """A manifest append that raises at any flush point of a cold
+        job leaves a resumable job: the resumed broker re-simulates
+        nothing, records every cell once and serves the same bytes."""
+        broker = make_broker(tmp_path, workers=1)
+        job_id = broker.submit(GRID, start=False)
+        calls = {"n": 0}
+        append = ManifestWriter.append
+
+        def faulty_append(self, records):
+            calls["n"] += 1
+            if calls["n"] == fail_at:
+                raise OSError("disk full")
+            return append(self, records)
+
+        monkeypatch.setattr(ManifestWriter, "append", faulty_append)
+        with pytest.raises(OSError, match="disk full"):
+            broker.step(job_id)
+        monkeypatch.setattr(ManifestWriter, "append", append)
+        assert broker.store.load_status(job_id).state == RUNNING
+        stores = broker.cache.stores
+        del broker
+
+        revived = make_broker(tmp_path, workers=1)
+        assert revived.resume(start=False) == [job_id]
+        revived.step(job_id)
+        status = revived.status(job_id)
+        assert status.state == COMPLETED
+        assert status.completed_cells == 4
+        # Every unique cell was simulated exactly once across both
+        # broker lifetimes: nothing cached before the fault re-ran.
+        assert stores + revived.cache.stores == 4
+        keys = manifest_keys(revived, job_id)
+        assert len(keys) == len(set(keys)) == 4
+
+        fresh = make_broker(tmp_path / "uninterrupted")
+        ref_id = fresh.submit(GRID, start=False)
+        fresh.step(ref_id)
+        assert payload_bytes(revived.result(job_id)) == payload_bytes(
+            fresh.result(ref_id)
+        )
+
+    def test_failed_flush_fails_threaded_job(self, tmp_path, monkeypatch):
+        """A job thread whose flush raises fails the job in memory (so
+        waiters return) but leaves it resumable on disk."""
+
+        def broken_append(self, records):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ManifestWriter, "append", broken_append)
+        broker = make_broker(tmp_path, pool="thread", workers=2)
+        job_id = broker.submit(GRID)
+        with pytest.raises(BrokerError, match="could not record progress"):
+            broker.handle(job_id).result(timeout=120)
+        broker.shutdown()
+        assert broker.store.load_status(job_id).state == RUNNING
+
+
+def _prefilled_broker(directory, **kwargs):
+    """A broker whose cache already holds GRID's baseline column."""
+    broker = make_broker(directory, **kwargs)
+    broker.step(
+        broker.submit(
+            GridSpec.coerce(["baseline"], ["leela", "gcc"], config=CONFIG),
+            start=False,
+        )
+    )
+    return broker
+
+
+class TestResumeCounters:
+    def test_counters_rebuilt_from_manifest(self, tmp_path):
+        """status.json may lag the manifest by a whole batch; resume
+        recounts from the manifest, so the finished job's counters
+        equal an uninterrupted run's."""
+        reference = _prefilled_broker(tmp_path / "reference")
+        ref_id = reference.submit(GRID, start=False)
+        reference.step(ref_id)
+        expected = counters(reference.status(ref_id))
+        assert expected == (4, 2, 0)
+
+        broker = _prefilled_broker(tmp_path)
+        job_id = broker.submit(GRID, start=False)
+        stale = broker.store.status_path(job_id).read_text()
+        broker.step(job_id, max_cells=3)
+        assert broker.status(job_id).completed_cells == 3
+        # The kill lands after the manifest append, before status.json.
+        broker.store.status_path(job_id).write_text(stale)
+        del broker
+
+        revived = make_broker(tmp_path)
+        assert revived.resume(start=False) == [job_id]
+        assert counters(revived.status(job_id))[:2] == (3, 2)
+        revived.step(job_id)
+        assert counters(revived.status(job_id)) == expected
+
+    def test_step_budget_caps_dispatch(self, tmp_path):
+        """``step(max_cells=k)`` simulates no cell beyond its budget."""
+        broker = make_broker(tmp_path, workers=4)
+        job_id = broker.submit(GRID, start=False)
+        broker.step(job_id, max_cells=1)
+        assert broker.cache.stores == 1
+
+
+class TestResumeUnreadableSpec:
+    def test_removed_engine_job_fails_others_resume(self, tmp_path):
+        """A persisted, interrupted job whose spec names the removed
+        ``vector`` engine is marked FAILED; other jobs still resume."""
+        broker = make_broker(tmp_path)
+        good = broker.submit(GRID, start=False)
+        del broker
+
+        store = JobStore(tmp_path / "state")
+        bad = "deadbeef-00000000"
+        spec = GRID.to_dict()
+        spec["config"]["engine"] = "vector"
+        store.job_dir(bad).mkdir(parents=True)
+        store.spec_path(bad).write_text(json.dumps(spec))
+        store.write_status(
+            JobStatus(
+                job_id=bad,
+                state=RUNNING,
+                grid_key="deadbeef",
+                total_cells=4,
+                completed_cells=1,
+            )
+        )
+
+        revived = make_broker(tmp_path)
+        assert revived.resume(start=False) == [good]
+        status = revived.status(bad)
+        assert status.state == FAILED
+        assert "engine 'vector' was removed" in status.error
+        assert store.load_status(bad).state == FAILED
+        with pytest.raises(BrokerError, match="failed, not completed"):
+            revived.result(bad)
+        revived.step(good)
+        assert revived.status(good).state == COMPLETED
+        # A second restart leaves the failed job alone.
+        assert make_broker(tmp_path).resume(start=False) == []

@@ -1,5 +1,8 @@
 """Tests for the Trace container and Table-3 characterization."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -31,16 +34,16 @@ class TestTraceContainer:
             Trace.concatenate([])
 
     def test_concatenate_drops_caches_but_resolves_identically(self):
-        """Regression for the documented cache-drop contract: inputs
-        with warm ``_columns``/``_resolved`` caches produce a
+        """Regression for the documented cache-drop contract: an input
+        with warm ``_columns``/``_resolved`` caches produces a
         cold-cache concatenation whose rebuilt topology is
         bit-identical to streaming the parts back-to-back."""
         a = Trace.from_rows([1, 130, 257], gap_ns=5.0)
         b = Trace.from_rows([384, 2, 511], gap_ns=7.0)
-        # Warm both inputs' lazy caches before concatenating.
+        # Replay both inputs; the last one replayed holds warm caches.
         list(a.resolved_stream(128, 2))
         list(b.resolved_stream(128, 2))
-        assert a._columns is not None and a._resolved
+        assert b._columns is not None and b._resolved
         combined = Trace.concatenate([a, b])
         assert combined._columns is None
         assert combined._resolved == {}
@@ -49,6 +52,64 @@ class TestTraceContainer:
         )
         assert list(combined.resolved_stream(128, 2)) == expected
         assert list(combined) == list(a) + list(b)
+
+    def test_only_the_last_replayed_trace_keeps_columns(self):
+        """One trace per process holds Python columns: replaying B
+        drops A's, and both still stream bit-identically."""
+        a = Trace.from_rows([1, 130, 257, 1], gap_ns=5.0)
+        b = Trace.from_rows([384, 2, 511], gap_ns=7.0)
+        a_stream, a_plain = list(a.resolved_stream(128, 2)), list(a)
+        b_stream, b_plain = list(b.resolved_stream(128, 2)), list(b)
+        assert a._columns is None and a._resolved == {}
+        assert b._columns is not None and b._resolved
+        fresh_a = Trace(a.gaps_ns, a.rows, a.lines, a.writes)
+        fresh_b = Trace(b.gaps_ns, b.rows, b.lines, b.writes)
+        assert a_stream == list(fresh_a.resolved_stream(128, 2))
+        assert b_stream == list(fresh_b.resolved_stream(128, 2))
+        assert a_plain == list(fresh_a) and b_plain == list(fresh_b)
+        # Replaying A again rebuilds identical columns.
+        assert list(a.resolved_stream(128, 2)) == a_stream
+        assert list(a) == a_plain
+
+    def test_concurrent_replays_of_many_traces_stay_exact(self):
+        """Thread pools replay different traces at once, each taking
+        the one column slot from the others; every replay must still
+        stream its own trace exactly, and the slot must end up held by
+        one trace at most."""
+        rng = np.random.default_rng(7)
+        traces = [
+            Trace.from_rows(rng.integers(0, 4096, 500).tolist(), gap_ns=g)
+            for g in (3.0, 5.0, 7.0, 11.0, 13.0, 17.0)
+        ]
+        expected = [
+            list(Trace(t.gaps_ns, t.rows, t.lines, t.writes).resolved_stream(128, 4))
+            for t in traces
+        ]
+        mismatches = []
+
+        def replay(index):
+            for _ in range(20):
+                if list(traces[index].resolved_stream(128, 4)) != expected[index]:
+                    mismatches.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=replay, args=(i % len(traces),))
+                for i in range(12)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == []
+        # No lost update: at most one trace still holds columns.
+        holding = [t for t in traces if t._columns is not None or t._resolved]
+        assert len(holding) <= 1
 
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(ValueError):
