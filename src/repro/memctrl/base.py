@@ -169,17 +169,24 @@ class BaseMemoryController:
         self.tracker = tracker if tracker is not None else NullTracker()
         self.mapper = AddressMapper(geometry)
         self.refresh = RefreshTimeline(timing)
+        # Rank activation windows exist only when tFAW or tRRD is
+        # enabled: a window with both at 0 never moves an ACT, and
+        # ``act_window=None`` lets every bank path skip it outright.
         n_ranks = geometry.channels * geometry.ranks_per_channel
-        self.rank_windows = [
-            RankActWindow(timing.t_faw, timing.t_rrd) for _ in range(n_ranks)
-        ]
+        self.rank_windows = (
+            [RankActWindow(timing.t_faw, timing.t_rrd) for _ in range(n_ranks)]
+            if timing.t_faw or timing.t_rrd
+            else []
+        )
         self.banks = [
             Bank(
                 timing,
                 self.refresh,
-                act_window=self.rank_windows[
-                    index // geometry.banks_per_rank
-                ],
+                act_window=(
+                    self.rank_windows[index // geometry.banks_per_rank]
+                    if self.rank_windows
+                    else None
+                ),
             )
             for index in range(geometry.total_banks)
         ]
@@ -193,6 +200,10 @@ class BaseMemoryController:
             self.tracker, self.policy, max_feedback_depth
         )
         self.stats = self.stats_class()
+        #: Demand-traffic DRAM counters an engine batches instead of
+        #: bumping ``Bank.stats`` per request; ``activity()`` merges
+        #: them with the banks' own counts.
+        self.demand_activity = DramActivityStats()
         self._rows_per_bank = geometry.rows_per_bank
         self._banks_per_channel = (
             geometry.ranks_per_channel * geometry.banks_per_rank
@@ -248,8 +259,17 @@ class BaseMemoryController:
         self.stats.window_resets += self._window.advance(at, self.tracker)
 
     def activity(self) -> DramActivityStats:
-        """Merged command counts across all banks."""
+        """Merged command counts: batched demand traffic plus all banks.
+
+        The fast engine's fused loop adds its demand counters to
+        ``demand_activity`` once per trace, so its ``Bank.stats`` hold
+        only feedback traffic (metadata accesses, victim refreshes);
+        paths through :meth:`Bank.access` count in the banks. Only the
+        sum is meaningful, and it is what ``simulate`` and the power
+        model read.
+        """
         merged = DramActivityStats()
+        merged.merge(self.demand_activity)
         for bank in self.banks:
             merged.merge(bank.stats)
         return merged
@@ -287,9 +307,11 @@ class BaseMemoryController:
 
         Restricted to stats every engine maintains *live*: the fast
         engine's fused loop batches its demand/activation counters
-        into locals and flushes them after the trace, so only the
-        counters updated through the feedback hooks (metadata traffic,
-        victim refreshes) are trustworthy at a window boundary.
+        (``ControllerStats`` and the DRAM counters in
+        ``demand_activity``) into locals and flushes them after the
+        trace, so only the counters updated through the feedback hooks
+        (metadata traffic, victim refreshes) are trustworthy at a
+        window boundary.
         """
         stats = self.stats
         return {

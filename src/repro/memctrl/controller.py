@@ -96,11 +96,19 @@ class MemoryController(BaseMemoryController):
     def _run_resolved_stream(self, stream, mlp: int) -> EngineRunOutcome:
         """The hot loop: ``drive_in_order`` + ``access`` fused.
 
-        Everything the per-request path touches is hoisted into locals;
-        per-request stats increments are batched into local counters
-        and flushed once after the loop (pure integer sums, and the
-        float ``total_delay_ns`` accumulates in the same order it would
-        through the instance attribute, so results stay bit-identical).
+        Everything the per-request path touches is hoisted into locals.
+        Per-request stats are batched into local counters and flushed
+        once after the loop: the controller stats, and the demand DRAM
+        counters, which go to ``demand_activity`` rather than each
+        ``Bank.stats`` (hits are ``count - misses``, activations equal
+        misses, read lines are line transfers minus write lines). These
+        are pure integer sums, and the float ``total_delay_ns``
+        accumulates in the same order it would through the instance
+        attribute, so results stay bit-identical. ``self.end_time`` is
+        taken from the final window: a slot's completion never
+        decreases (the next request in it starts no earlier, and every
+        timing and delay is non-negative), so the window's maximum is
+        the maximum over all completions.
         """
         if mlp <= 0:
             raise ValueError("mlp must be positive")
@@ -133,11 +141,11 @@ class MemoryController(BaseMemoryController):
         issue = 0.0
         total_latency = 0.0
         count = 0
-        end_time = self.end_time
         total_delay_ns = stats.total_delay_ns
-        demand_accesses = 0
         demand_line_transfers = 0
-        tracker_activations = 0
+        misses = 0
+        precharges = 0
+        write_lines = 0
         for gap_ns, row_id, local_row, bank_index, channel, n_lines, is_write in stream:
             earliest = issue + gap_ns
             slot = count % mlp
@@ -152,18 +160,15 @@ class MemoryController(BaseMemoryController):
             # -- bank.access(start, local_row, n_lines, bus, is_write),
             #    inlined (see Bank.access for the annotated original) --
             bank = banks[bank_index]
-            bstats = bank.stats
-            at = start if start >= 0 else 0.0
-            offset = at % t_refi
-            t = at + (t_rfc - offset) if offset < t_rfc else at
+            # No negative clamp: start >= window[slot] >= 0.
+            offset = start % t_refi
+            t = start + (t_rfc - offset) if offset < t_rfc else start
             if bank.open_row == local_row:
-                bstats.row_buffer_hits += 1
                 row_ready = bank._row_ready_at
                 col_start = t if t >= row_ready else row_ready
                 activated = False
-                act_at = 0.0
             else:
-                bstats.row_buffer_misses += 1
+                misses += 1
                 next_act = bank._next_act_at
                 act_at = t if t >= next_act else next_act
                 if bank.open_row is not None:
@@ -171,7 +176,7 @@ class MemoryController(BaseMemoryController):
                     if row_ready > act_at:
                         act_at = row_ready
                     act_at += t_rp
-                    bstats.precharges += 1
+                    precharges += 1
                 offset = act_at % t_refi
                 if offset < t_rfc:
                     act_at += t_rfc - offset
@@ -181,7 +186,6 @@ class MemoryController(BaseMemoryController):
                 bank.open_row = local_row
                 bank._next_act_at = act_at + t_rc
                 col_start = bank._row_ready_at = act_at + t_rcd
-                bstats.activations += 1
                 activated = True
             first_data = col_start + t_cas
             bus = buses[channel]
@@ -192,33 +196,35 @@ class MemoryController(BaseMemoryController):
             bus.free_at = completion
             bus.busy_time += duration
             if is_write:
-                bstats.write_lines += n_lines
-            else:
-                bstats.read_lines += n_lines
+                write_lines += n_lines
             # -- end of the inlined bank access --
-            demand_accesses += 1
             demand_line_transfers += n_lines
             if activated:
                 # -- _feedback.drive(row_id, act_at, self), inlined --
-                tracker_activations += 1
                 response = on_activation(row_id)
                 if response is not None:
                     delay = followups(response, act_at, self)
                     if delay:
                         completion += delay
                         total_delay_ns += delay
-            if completion > end_time:
-                end_time = completion
             # -- back in the drive_in_order window bookkeeping --
             window[slot] = completion
             total_latency += completion - start
             count += 1
-        stats.demand_accesses += demand_accesses
+        stats.demand_accesses += count
         stats.demand_line_transfers += demand_line_transfers
-        stats.tracker_activations += tracker_activations
+        stats.tracker_activations += misses
         stats.total_delay_ns = total_delay_ns
-        self.end_time = end_time
+        activity = self.demand_activity
+        activity.row_buffer_hits += count - misses
+        activity.row_buffer_misses += misses
+        activity.activations += misses
+        activity.precharges += precharges
+        activity.write_lines += write_lines
+        activity.read_lines += demand_line_transfers - write_lines
         end = max(window) if count else 0.0
+        if end > self.end_time:
+            self.end_time = end
         return EngineRunOutcome(
             end_time_ns=end, requests=count, total_latency_ns=total_latency
         )

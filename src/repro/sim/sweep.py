@@ -312,7 +312,11 @@ class ExperimentRunner:
         grid: Dict[str, Dict[str, RunResult]] = {t: {} for t in trackers}
         cells = [(t, w) for t in trackers for w in names]
         report = SweepProgress(total=len(cells), enabled=progress)
-        records: List[ManifestRecord] = []
+        # Records are built only when a manifest will be written: each
+        # one re-derives the cell key and canonical spec.
+        records: Optional[List[ManifestRecord]] = (
+            [] if self.manifest_path is not None else None
+        )
 
         pending: List[Tuple[str, str]] = []
         for tracker, wl in cells:
@@ -326,12 +330,13 @@ class ExperimentRunner:
             if result is not None:
                 grid[tracker][wl] = result
                 report.record(from_cache=True)
-                records.append(
-                    self._manifest_record(
-                        tracker, wl, result, True,
-                        time.perf_counter() - started,
+                if records is not None:
+                    records.append(
+                        self._manifest_record(
+                            tracker, wl, result, True,
+                            time.perf_counter() - started,
+                        )
                     )
-                )
             else:
                 pending.append((tracker, wl))
 
@@ -343,14 +348,15 @@ class ExperimentRunner:
                 result = self.run(tracker, wl)
                 grid[tracker][wl] = result
                 report.record(from_cache=False)
-                records.append(
-                    self._manifest_record(
-                        tracker, wl, result, False,
-                        time.perf_counter() - started,
+                if records is not None:
+                    records.append(
+                        self._manifest_record(
+                            tracker, wl, result, False,
+                            time.perf_counter() - started,
+                        )
                     )
-                )
         report.finish()
-        if self.manifest_path is not None and records:
+        if records:
             ManifestWriter(self.manifest_path).append(records)
         # Parallel cells land in completion order; normalize every
         # column to the requested workload order so iteration (and

@@ -50,7 +50,7 @@ from typing import (
 
 import numpy as np
 
-from repro.workloads.trace import Trace, TraceStatistics
+from repro.workloads.trace import Trace, TraceStatistics, check_requests
 
 try:  # pragma: no cover - exercised only on Python < 3.8
     from typing import Protocol, runtime_checkable
@@ -273,12 +273,27 @@ class ChunkedTrace(_StreamingSourceBase):
         }
 
     def chunks(self) -> Iterator[TraceChunk]:
+        """Open each segment in turn, checking its requests first.
+
+        A segment that breaks the recorded-trace rules
+        (:func:`~repro.workloads.trace.check_requests`) raises a
+        ``ValueError`` naming the directory and the segment before any
+        of its requests are yielded.
+        """
         for index in range(len(self._segments)):
             paths = self.segment_paths(index)
+            rows = np.load(paths["rows"], mmap_mode="r")
+            lines = np.load(paths["lines"], mmap_mode="r")
+            check_requests(
+                rows,
+                lines,
+                f"{self.directory} segment {index}"
+                f" ({self._segments[index]['stem']})",
+            )
             yield TraceChunk(
                 gaps_ns=np.load(paths["gaps"], mmap_mode="r"),
-                rows=np.load(paths["rows"], mmap_mode="r"),
-                lines=np.load(paths["lines"], mmap_mode="r"),
+                rows=rows,
+                lines=lines,
                 writes=np.load(paths["writes"], mmap_mode="r"),
             )
 

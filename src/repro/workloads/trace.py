@@ -222,13 +222,40 @@ class Trace:
 
     @staticmethod
     def load(path: str) -> "Trace":
-        data = np.load(path, allow_pickle=False)
-        return Trace(
-            gaps_ns=data["gaps_ns"],
-            rows=data["rows"],
-            lines=data["lines"],
-            writes=data["writes"],
-            name=str(data["name"]),
+        """Read a trace written by :meth:`save`, checking every request.
+
+        Raises ``ValueError`` naming ``path`` when a request breaks the
+        recorded-trace rules (:func:`check_requests`).
+        """
+        with np.load(path, allow_pickle=False) as data:
+            trace = Trace(
+                gaps_ns=data["gaps_ns"],
+                rows=data["rows"],
+                lines=data["lines"],
+                writes=data["writes"],
+                name=str(data["name"]),
+            )
+        check_requests(trace.rows, trace.lines, str(path))
+        return trace
+
+
+def check_requests(rows: np.ndarray, lines: np.ndarray, where: str) -> None:
+    """Apply the text reader's rules to recorded request arrays.
+
+    Every request needs ``row_id >= 0`` and ``n_lines >= 1``; a
+    negative row would index a bank from the end of the bank list, and
+    an empty burst is not an access. Checked vectorized when a recorded
+    trace (an ``.npz`` file, or one chunked segment) is loaded, before
+    any of its requests run. The ``ValueError`` names ``where`` and the
+    first offending request.
+    """
+    bad = (np.asarray(rows) < 0) | (np.asarray(lines) < 1)
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise ValueError(
+            f"{where}: request {index}: row_id must be >= 0 and"
+            f" n_lines >= 1, got row_id={int(rows[index])}"
+            f" n_lines={int(lines[index])}"
         )
 
 

@@ -162,6 +162,47 @@ class TestSweepManifest:
         assert len(records) == 8
         assert sum(r.from_cache for r in records) == 4
 
+    def test_no_manifest_builds_no_records(self, tmp_path, monkeypatch):
+        """Without a manifest, run_grid never builds a record, on the
+        simulate path or the cache-hit path."""
+        monkeypatch.delenv("REPRO_MANIFEST", raising=False)
+        monkeypatch.delenv(OBS_ENV_VAR, raising=False)
+
+        def forbidden(**fields):
+            raise AssertionError("record built with no manifest configured")
+
+        monkeypatch.setattr("repro.sim.sweep.make_record", forbidden)
+        for _ in range(2):  # cold, then every cell a disk-cache hit
+            runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
+            assert runner.manifest_path is None
+            runner.run_grid(["baseline", "hydra"], ["xz"], progress=False)
+
+    def test_manifest_records_match_cells(self, tmp_path, monkeypatch):
+        """With a manifest, one record per cell, built from its result."""
+        import repro.sim.sweep as sweep
+
+        built = []
+        real = sweep.make_record
+
+        def spy(**fields):
+            built.append(fields)
+            return real(**fields)
+
+        monkeypatch.setattr("repro.sim.sweep.make_record", spy)
+        manifest = tmp_path / "manifest.jsonl"
+        runner = ExperimentRunner(
+            CONFIG, cache_dir=tmp_path / "cache", manifest_path=manifest
+        )
+        grid = runner.run_grid(["baseline", "hydra"], ["xz"], progress=False)
+        records, _ = read_manifest(manifest)
+        assert len(built) == len(records) == 2
+        for record in records:
+            result = grid[record.spec][record.workload]
+            assert record.cache_key == runner._key(record.spec, record.workload)
+            assert record.requests == result.requests
+            assert record.end_time_ns == result.end_time_ns
+            assert not record.from_cache
+
     def test_no_manifest_by_default(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_MANIFEST", raising=False)
         monkeypatch.delenv(OBS_ENV_VAR, raising=False)

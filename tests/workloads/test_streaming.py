@@ -211,6 +211,77 @@ class TestOpenTraceSource:
         assert isinstance(open_trace_source(tmp_path / "t.trc"), Trace)
 
 
+class TestRecordedTraceValidation:
+    """Recorded ``.npz`` and chunked traces obey the text reader's
+    rules (row_id >= 0, n_lines >= 1), checked at load on both engines
+    with an error naming the file (and the segment)."""
+
+    #: defect -> (rows, lines, index of the bad request)
+    BAD = {
+        "negative_row": ([1, 2, -3, 4], [1, 1, 1, 1], 2),
+        "empty_burst": ([1, 2, 3, 4], [1, 1, 1, 0], 3),
+    }
+
+    @staticmethod
+    def _bad_trace(rows, lines):
+        # The constructor does not validate, so a bad trace can be
+        # recorded; loading it back is what must refuse it.
+        return Trace(
+            gaps_ns=np.full(len(rows), 10.0),
+            rows=np.asarray(rows, dtype=np.int64),
+            lines=np.asarray(lines, dtype=np.int32),
+            writes=np.zeros(len(rows), dtype=bool),
+        )
+
+    @staticmethod
+    def _replay(path, engine):
+        from repro.sim.config import SystemConfig
+        from repro.sim.simulator import _clear_trace_memo, simulate_workload
+
+        config = (
+            SystemConfig(scale=1 / 512, n_windows=1)
+            .with_engine(engine)
+            .with_trace_file(str(path))
+        )
+        _clear_trace_memo()
+        try:
+            return simulate_workload(config, "baseline", "GUPS")
+        finally:
+            _clear_trace_memo()
+
+    @pytest.mark.parametrize("defect", sorted(BAD))
+    @pytest.mark.parametrize("engine", ["fast", "queued"])
+    def test_npz_rejected_on_both_engines(self, tmp_path, engine, defect):
+        rows, lines, index = self.BAD[defect]
+        path = tmp_path / "bad.npz"
+        self._bad_trace(rows, lines).save(str(path))
+        with pytest.raises(ValueError, match="row_id must be >= 0") as err:
+            self._replay(path, engine)
+        assert str(path) in str(err.value)
+        assert f"request {index}:" in str(err.value)
+
+    @pytest.mark.parametrize("defect", sorted(BAD))
+    @pytest.mark.parametrize("engine", ["fast", "queued"])
+    def test_chunked_rejected_on_both_engines(self, tmp_path, engine, defect):
+        rows, lines, index = self.BAD[defect]
+        directory = tmp_path / "bad"
+        ChunkedTrace.from_trace(
+            self._bad_trace(rows, lines), directory, chunk_requests=2
+        )
+        with pytest.raises(ValueError, match="row_id must be >= 0") as err:
+            self._replay(directory, engine)
+        message = str(err.value)
+        assert str(directory) in message
+        # The bad request is the segment's own request index - 2.
+        assert f"segment 1 (seg-00001): request {index - 2}:" in message
+
+    def test_error_names_the_first_bad_request(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        self._bad_trace([1, 2, -3, 4], [1, 0, 1, 1]).save(str(path))
+        with pytest.raises(ValueError, match=r"request 1: .*n_lines=0"):
+            Trace.load(str(path))
+
+
 class TestCharacterizeChunks:
     def test_matches_materialized_characterize(self, tmp_path):
         trace = _trace(2000, seed=3)
