@@ -225,9 +225,9 @@ def render_manifest(manifest_path: Path) -> str:
     summary answers "what ran, on which engine, at what cost" without
     the reader parsing JSON lines by hand.
     """
-    from repro.obs.manifest import read_manifest, summarize_manifest
+    from repro.obs.manifest import read_records, summarize_manifest
 
-    records, skipped = read_manifest(manifest_path)
+    records, skipped = read_records(manifest_path)
     summary = summarize_manifest(records)
     lines: List[str] = [
         f"# Sweep manifest — {manifest_path}",

@@ -41,8 +41,7 @@ from repro.obs.manifest import (  # noqa: E402
     ManifestRecord,
     ManifestWriter,
     make_record,
-    read_arena_records,
-    read_manifest,
+    read_records,
     resolve_manifest_path,
     summarize_manifest,
 )
@@ -117,8 +116,7 @@ __all__ = [
     "noop",
     "obs_enabled",
     "observe_controller",
-    "read_arena_records",
-    "read_manifest",
+    "read_records",
     "resolve_manifest_path",
     "summarize_manifest",
 ]

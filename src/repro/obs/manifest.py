@@ -64,11 +64,7 @@ class ManifestRecord:
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "ManifestRecord":
-        """Load one record, tolerating unknown (newer-writer) keys."""
-        known = {f.name for f in fields(ManifestRecord)}
-        return ManifestRecord(
-            **{k: v for k, v in data.items() if k in known}
-        )
+        return _load_record(ManifestRecord, data)
 
 
 @dataclass(frozen=True)
@@ -101,10 +97,7 @@ class ArenaOracleRecord:
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "ArenaOracleRecord":
-        known = {f.name for f in fields(ArenaOracleRecord)}
-        return ArenaOracleRecord(
-            **{k: v for k, v in data.items() if k in known}
-        )
+        return _load_record(ArenaOracleRecord, data)
 
 
 @dataclass(frozen=True)
@@ -138,10 +131,7 @@ class FuzzOracleRecord:
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "FuzzOracleRecord":
-        known = {f.name for f in fields(FuzzOracleRecord)}
-        return FuzzOracleRecord(
-            **{k: v for k, v in data.items() if k in known}
-        )
+        return _load_record(FuzzOracleRecord, data)
 
 
 def make_record(
@@ -194,16 +184,36 @@ class ManifestWriter:
         return len(lines)
 
 
-def read_manifest(
-    path: Union[str, Path]
-) -> Tuple[List[ManifestRecord], int]:
-    """Load a manifest; returns ``(records, skipped_line_count)``.
+#: The record class of each ``kind`` a manifest line may carry.
+RECORD_KINDS = {
+    "cell": ManifestRecord,
+    "arena-oracle": ArenaOracleRecord,
+    "fuzz-oracle": FuzzOracleRecord,
+}
 
-    Corrupt or non-record lines are skipped, not fatal: a manifest is
-    an append-only log that may interleave writers or lose a tail on
-    a crash, and its job is to describe whatever survived.
+
+def _load_record(record_class: Any, data: Dict[str, Any]) -> Any:
+    """One record, tolerating unknown (newer-writer) keys."""
+    known = {f.name for f in fields(record_class)}
+    return record_class(**{k: v for k, v in data.items() if k in known})
+
+
+def read_records(
+    path: Union[str, Path], kind: str = "cell"
+) -> Tuple[List[Any], int]:
+    """Load one kind of line from a manifest.
+
+    Returns ``(records, skipped_line_count)``: the lines whose
+    ``kind`` (``"cell"`` when absent, as in old writers' lines) is
+    ``kind``, parsed as that kind's record class. Lines of other kinds
+    are another writer's stream and are passed over silently; only
+    corrupt or unparseable lines count as skipped, never fatal — a
+    manifest is an append-only log that may interleave writers or
+    lose a tail on a crash, and its job is to describe whatever
+    survived.
     """
-    records: List[ManifestRecord] = []
+    record_class = RECORD_KINDS[kind]
+    records: List[Any] = []
     skipped = 0
     text = Path(path).read_text(encoding="utf-8")
     for line in text.splitlines():
@@ -212,62 +222,9 @@ def read_manifest(
             continue
         try:
             data = json.loads(line)
-            if data.get("kind", "cell") != "cell":
-                # A different writer's stream (e.g. arena-oracle
-                # verdicts) — not this reader's business, not corrupt.
+            if data.get("kind", "cell") != kind:
                 continue
-            records.append(ManifestRecord.from_dict(data))
-        except (ValueError, TypeError, AttributeError):
-            skipped += 1
-    return records, skipped
-
-
-def read_arena_records(
-    path: Union[str, Path]
-) -> Tuple[List[ArenaOracleRecord], int]:
-    """Load the arena-oracle verdict lines from a manifest.
-
-    Mirror of :func:`read_manifest` for ``kind == "arena-oracle"``
-    lines; everything else (grid cells included) is passed over
-    silently, and only unparseable lines count as skipped.
-    """
-    records: List[ArenaOracleRecord] = []
-    skipped = 0
-    text = Path(path).read_text(encoding="utf-8")
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-            if data.get("kind") != "arena-oracle":
-                continue
-            records.append(ArenaOracleRecord.from_dict(data))
-        except (ValueError, TypeError, AttributeError):
-            skipped += 1
-    return records, skipped
-
-
-def read_fuzz_records(
-    path: Union[str, Path]
-) -> Tuple[List[FuzzOracleRecord], int]:
-    """Load the fuzz-oracle verdict lines from a manifest.
-
-    Mirror of :func:`read_arena_records` for ``kind == "fuzz-oracle"``
-    lines.
-    """
-    records: List[FuzzOracleRecord] = []
-    skipped = 0
-    text = Path(path).read_text(encoding="utf-8")
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-            if data.get("kind") != "fuzz-oracle":
-                continue
-            records.append(FuzzOracleRecord.from_dict(data))
+            records.append(_load_record(record_class, data))
         except (ValueError, TypeError, AttributeError):
             skipped += 1
     return records, skipped

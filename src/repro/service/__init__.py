@@ -2,10 +2,11 @@
 
 The package splits along the trust boundary of the architecture:
 
-- :mod:`repro.service.worker` — the disposable unit: fill one cache
-  entry, lease-guarded.
-- :mod:`repro.service.broker` — shards grids across a pool, dedups
-  in-flight cells, retries with backoff, persists resumable job state.
+- :mod:`repro.service.worker` — the one cell worker (fill one cache
+  entry, lease-guarded) and the one executor, ``CellPool``, that
+  sweeps, the broker, the arena and the fuzzer all run cells on.
+- :mod:`repro.service.broker` — walks submitted grids on its pool
+  and persists resumable job state.
 - :mod:`repro.service.jobs` — job states, status records, persistence,
   and the :class:`JobHandle` surface front-ends hand back.
 - :mod:`repro.service.http` — stdlib-asyncio HTTP/JSON endpoints.
@@ -33,12 +34,13 @@ from repro.service.jobs import (
     JobStatus,
     JobStore,
 )
-from repro.service.worker import run_cell, worker_identity
+from repro.service.worker import CellPool, run_cell, worker_identity
 
 __all__ = [
     "ACTIVE_STATES",
     "BrokerError",
     "CANCELLED",
+    "CellPool",
     "COMPLETED",
     "DEFAULT_HOST",
     "DEFAULT_PORT",

@@ -31,10 +31,12 @@ into filled result-cache entries. Design invariants (DESIGN.md §15):
   is in the cache, so a kill between flushes loses bookkeeping, never
   a simulation: :meth:`resume` serves those cells as cache hits.
 
-Execution pools: ``"process"`` (default — one OS process per worker,
-the same isolation the parallel sweep uses), ``"thread"`` (shared
-memory; the in-process default for tests and ``repro.api.sweep``),
-and ``"inline"`` (no concurrency; deterministic single-step tests).
+Execution: the broker owns one :class:`~repro.service.worker.CellPool`
+for its whole life — the executor ``run_grid`` uses too — and keeps
+only the walk (cancel, ``step`` budget, flush-before-block, the
+dispatch window) to itself. Pool kinds: ``"process"`` (default — one
+OS process per worker), ``"thread"`` (shared memory) and ``"inline"``
+(no concurrency; deterministic single-step tests).
 """
 
 from __future__ import annotations
@@ -43,26 +45,14 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import (
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from repro.obs.manifest import (
-    ManifestRecord,
-    ManifestWriter,
-    make_record,
-    read_manifest,
-)
+from repro.obs.manifest import ManifestRecord, ManifestWriter, read_records
 from repro.sim.cache import DEFAULT_LEASE_TTL_S, ResultCache
 from repro.sim.config import default_cache_dir, resolve_jobs
 from repro.sim.grid import GridCell, GridSpec
 from repro.sim.results import GridResult, RunResult
-from repro.sim.sweep import _validated_entry
 from repro.service.jobs import (
     ACTIVE_STATES,
     CANCELLED,
@@ -74,56 +64,19 @@ from repro.service.jobs import (
     JobStatus,
     JobStore,
 )
-from repro.service.worker import run_cell
-from repro.trackers.registry import canonical_spec
-
-#: Default cap on re-attempts of one cell after worker failures.
-DEFAULT_MAX_RETRIES = 2
-#: Base of the exponential backoff between attempts (seconds).
-DEFAULT_BACKOFF_S = 0.5
-
-CellRunner = Callable[..., Any]
+from repro.service.worker import (
+    DEFAULT_BACKOFF_S,
+    DEFAULT_MAX_RETRIES,
+    CellPool,
+    CellRunner,
+    CellTask,
+    cell_record,
+    validated_entry,
+)
 
 
 class BrokerError(RuntimeError):
     """A request the broker cannot honour (unknown job, bad spec)."""
-
-
-class _InlineExecutor:
-    """Executor that runs the submission immediately in the caller.
-
-    Keeps the dispatch/collect code shape identical across pools while
-    making single-threaded tests (and ``step``-driven flows) fully
-    deterministic.
-    """
-
-    def submit(self, fn, *args, **kwargs) -> "Future[Any]":
-        future: "Future[Any]" = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as exc:  # recorded, surfaced on .result()
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait: bool = True) -> None:  # noqa: ARG002
-        pass
-
-
-class _CellTask:
-    """One in-flight cache fill, shared by every job that wants it."""
-
-    def __init__(self, cell: GridCell) -> None:
-        self.cell = cell
-        self.attempts = 0
-        self.future: Optional["Future[Any]"] = None
-        self.result: Optional[RunResult] = None
-        self.from_cache = False
-        self.wall_s = 0.0
-        self.error: Optional[BaseException] = None
-        self._done = threading.Event()
-        #: Serializes the retry loop: the first waiter drives
-        #: resubmission, later waiters just block on ``_done``.
-        self._drive = threading.Lock()
 
 
 class _Job:
@@ -157,26 +110,24 @@ class SweepBroker:
         sleep: Callable[[float], None] = time.sleep,
         cell_runner: Optional[CellRunner] = None,
     ) -> None:
-        if pool not in ("process", "thread", "inline"):
-            raise ValueError(f"unknown pool kind {pool!r}")
         self.cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
         self.store = JobStore(state_dir if state_dir else self.cache_dir)
         self.cache = ResultCache(self.cache_dir)
-        self.pool = pool
         self.workers = resolve_jobs(workers)
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
-        self.lease_ttl_s = lease_ttl_s
+        # Shared by every job: one in-flight task per cache key.
+        self.cells = CellPool(
+            pool,
+            self.workers,
+            cache=self.cache,
+            lease_ttl_s=lease_ttl_s,
+            max_retries=max_retries,
+            backoff_s=backoff_s,
+            sleep=sleep,
+            cell_runner=cell_runner,
+        )
         self._clock = clock
-        self._sleep = sleep
-        self._cell_runner = cell_runner if cell_runner is not None else run_cell
         self._jobs: Dict[str, _Job] = {}
-        self._in_flight: Dict[str, _CellTask] = {}
         self._lock = threading.Lock()
-        # The executor gets its own lock: _acquire_task submits while
-        # holding _lock, and _get_executor must not re-take it.
-        self._exec_lock = threading.Lock()
-        self._executor = None
 
     # ------------------------------------------------------------------
     # Submission / lifecycle
@@ -253,7 +204,7 @@ class SweepBroker:
         path = self.store.manifest_path(job.job_id)
         if not path.is_file():
             return
-        records, _ = read_manifest(path)
+        records, _ = read_records(path)
         from_cache = {
             r.cache_key: r.from_cache
             for r in records
@@ -281,13 +232,10 @@ class SweepBroker:
                 for job in self._jobs.values()
                 if job.thread is not None
             ]
-        with self._exec_lock:
-            executor, self._executor = self._executor, None
         if wait:
             for thread in threads:
                 thread.join()
-        if executor is not None:
-            executor.shutdown(wait=wait)
+        self.cells.shutdown(wait=wait)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -321,7 +269,7 @@ class SweepBroker:
         if not path.is_file():
             self._get(job_id)  # raise on unknown job
             return []
-        records, _ = read_manifest(path)
+        records, _ = read_records(path)
         return [r.to_dict() for r in records if r.job_id == job_id]
 
     def result(self, job_id: str) -> GridResult:
@@ -345,7 +293,7 @@ class SweepBroker:
         spec = job.spec if job is not None else self.store.load_spec(job_id)
         grid: Dict[str, Dict[str, RunResult]] = {}
         for cell in spec.cells():
-            entry = _validated_entry(self.cache, cell.key)
+            entry = validated_entry(self.cache, cell.key)
             if entry is None:
                 raise BrokerError(
                     f"cache entry for cell ({cell.tracker},"
@@ -415,7 +363,7 @@ class SweepBroker:
             if cell.key not in job.done_keys
         )
         window = max(2 * self.workers, 2)
-        dispatched: "deque[tuple[GridCell, _CellTask]]" = deque()
+        dispatched: "deque[tuple[GridCell, CellTask]]" = deque()
         recorded = 0
 
         def top_up() -> None:
@@ -423,16 +371,16 @@ class SweepBroker:
             while remaining and len(dispatched) < ahead:
                 cell = remaining.popleft()
                 started = time.perf_counter()
-                entry = _validated_entry(self.cache, cell.key)
+                entry = validated_entry(self.cache, cell.key)
                 if entry is not None:
-                    task = _CellTask(cell)
+                    task = CellTask(cell)
                     task.result = entry[1]
                     task.from_cache = True
                     task.wall_s = time.perf_counter() - started
-                    task._done.set()
+                    task.done.set()
                     dispatched.append((cell, task))
                 else:
-                    dispatched.append((cell, self._acquire_task(cell)))
+                    dispatched.append((cell, self.cells.submit(cell)))
 
         while True:
             if job.cancel_event.is_set():
@@ -445,9 +393,9 @@ class SweepBroker:
             if not dispatched:
                 break
             cell, task = dispatched.popleft()
-            if not task._done.is_set():
+            if not task.done.is_set():
                 self._flush(job)
-                self._wait(task)
+                self.cells.wait(task)
             if task.error is not None:
                 job.status.error = (
                     f"cell ({cell.tracker}, {cell.workload}) failed"
@@ -459,7 +407,7 @@ class SweepBroker:
             recorded += 1
         self._finalize(job, COMPLETED)
 
-    def _record(self, job: _Job, cell: GridCell, task: _CellTask) -> None:
+    def _record(self, job: _Job, cell: GridCell, task: CellTask) -> None:
         """Count a cached cell on the live status and buffer its record."""
         job.done_keys.add(cell.key)
         status = job.status
@@ -468,105 +416,11 @@ class SweepBroker:
             status.cache_hits += 1
         status.retries += max(task.attempts - 1, 0)
         status.updated_at = self._clock()
-        result = task.result
         job.pending.append(
-            make_record(
-                cache_key=cell.key,
-                spec=canonical_spec(cell.tracker),
-                workload=cell.workload,
-                engine=result.engine,
-                from_cache=task.from_cache,
-                wall_time_s=task.wall_s,
-                requests=result.requests,
-                end_time_ns=result.end_time_ns,
-                job_id=job.job_id,
+            cell_record(
+                cell, task.result, task.from_cache, task.wall_s, job.job_id
             )
         )
-
-    # -- in-flight task management -------------------------------------
-
-    def _acquire_task(self, cell: GridCell) -> _CellTask:
-        """The shared task filling this cell's cache key.
-
-        One canonical key maps to at most one live task, however many
-        jobs want it — this is the broker-local half of in-flight
-        dedup (leases extend it across processes).
-        """
-        with self._lock:
-            task = self._in_flight.get(cell.key)
-            if task is None:
-                task = _CellTask(cell)
-                task.future = self._submit_cell(cell)
-                self._in_flight[cell.key] = task
-            return task
-
-    def _submit_cell(self, cell: GridCell) -> "Future[Any]":
-        kwargs = {}
-        if self.pool != "process":
-            # Share the broker's cache instance so its stores /
-            # leases_reclaimed counters observe worker activity.
-            kwargs["cache"] = self.cache
-        return self._get_executor().submit(
-            self._cell_runner,
-            cell.config,
-            cell.tracker,
-            cell.workload,
-            str(self.cache_dir),
-            self.lease_ttl_s,
-            **kwargs,
-        )
-
-    def _wait(self, task: _CellTask) -> None:
-        """Block until the task is done, driving retries if first."""
-        if task._done.is_set():
-            return
-        with task._drive:
-            while not task._done.is_set():
-                try:
-                    task.attempts += 1
-                    payload, from_cache, wall_s = task.future.result()
-                    task.result = RunResult.from_dict(payload)
-                    task.from_cache = from_cache
-                    task.wall_s = wall_s
-                    task.error = None
-                    task._done.set()
-                except BaseException as exc:
-                    if isinstance(exc, BrokenProcessPool):
-                        self._discard_executor()
-                    if task.attempts > self.max_retries:
-                        task.error = exc
-                        task._done.set()
-                        break
-                    # Exponential backoff before the next attempt —
-                    # injectable sleep, so tests pin the schedule.
-                    self._sleep(
-                        self.backoff_s * (2 ** (task.attempts - 1))
-                    )
-                    task.future = self._submit_cell(task.cell)
-        with self._lock:
-            self._in_flight.pop(task.cell.key, None)
-
-    # -- executor plumbing ---------------------------------------------
-
-    def _get_executor(self):
-        with self._exec_lock:
-            if self._executor is None:
-                self._executor = self._make_executor()
-            return self._executor
-
-    def _make_executor(self):
-        if self.pool == "inline":
-            return _InlineExecutor()
-        if self.pool == "thread":
-            return ThreadPoolExecutor(max_workers=self.workers)
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-    def _discard_executor(self) -> None:
-        """Drop a broken pool so the next submit builds a fresh one."""
-        with self._exec_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False)
 
     # -- bookkeeping ---------------------------------------------------
 

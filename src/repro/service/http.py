@@ -36,7 +36,20 @@ DEFAULT_PORT = 8265
 #: How often the event stream re-polls the job's manifest.
 DEFAULT_EVENT_POLL_S = 0.1
 
+#: Largest request body the service reads; a larger declared
+#: ``Content-Length`` gets 413 before any body byte is read. A
+#: submitted grid spec is a few kilobytes.
+MAX_BODY_BYTES = 1 << 20
+
 _JSON_HEADERS = "Content-Type: application/json\r\nConnection: close\r\n"
+
+
+class _BadRequest(Exception):
+    """A request refused while parsing: answered ``status``, never raised."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class SweepService:
@@ -121,7 +134,12 @@ class SweepService:
         writer: asyncio.StreamWriter,
     ) -> None:
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await self._read_request(reader)
+            except _BadRequest as exc:
+                self._write_response(writer, exc.status, {"error": str(exc)})
+                await writer.drain()
+                return
             if request is None:
                 return
             method, path, body = request
@@ -149,21 +167,33 @@ class SweepService:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, bytes]]:
-        request_line = await reader.readline()
-        if not request_line.strip():
-            return None
+        """Parse one request; ``None`` for an empty or garbled request
+        line, :class:`_BadRequest` for bad headers or body length."""
         try:
-            method, path, _version = request_line.decode().split()
-        except ValueError:
-            return None
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode().partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+            request_line = await reader.readline()
+            if not request_line.strip():
+                return None
+            try:
+                method, path, _version = request_line.decode().split()
+            except ValueError:
+                return None
+            headers: Dict[str, str] = {}
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode().partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except ValueError as exc:  # over-long line, undecodable bytes
+            raise _BadRequest(400, f"malformed request: {exc}") from None
+        raw = headers.get("content-length") or "0"
+        if not (raw.isascii() and raw.isdigit()):
+            raise _BadRequest(400, f"invalid Content-Length {raw!r}")
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            raise _BadRequest(
+                413, f"request body over {MAX_BODY_BYTES} bytes"
+            )
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path, body
 
@@ -228,6 +258,7 @@ def _reason(status: int) -> str:
         404: "Not Found",
         405: "Method Not Allowed",
         409: "Conflict",
+        413: "Payload Too Large",
     }.get(status, "OK")
 
 

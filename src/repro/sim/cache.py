@@ -25,9 +25,11 @@ workers of one broker) that both miss on a key would both simulate it.
 :meth:`ResultCache.lease` adds a best-effort claim: an atomically
 created ``<key>.lease`` file naming an owner and an expiry. A worker
 that wins the lease simulates and stores; one that loses polls the
-cache until the entry lands — or until the lease goes stale (its
-holder crashed), at which point the lease is reclaimed instead of
-wedging the grid. Leases are an *optimization*, never a correctness
+cache until the entry lands — or until the lease goes stale, at which
+point the lease is reclaimed instead of wedging the grid. A lease is
+stale once its TTL runs out, or at once when its owner names a
+process on this host that no longer exists (a ``kill -9``'d sweep).
+Leases are an *optimization*, never a correctness
 gate: if the protocol ever double-grants under a pathological race,
 both winners simulate the same deterministic cell and the atomic
 ``store`` keeps the cache consistent.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import tempfile
 import time
 from dataclasses import dataclass
@@ -45,8 +48,9 @@ from typing import Any, Dict, Optional
 
 #: How long a lease protects a key before other workers may reclaim
 #: it. Generous relative to a cell simulation (seconds) so a healthy
-#: worker never loses its claim, small enough that a crashed worker
-#: delays a grid by at most this.
+#: worker never loses its claim, small enough that a crashed worker on
+#: another host delays a grid by at most this. A dead holder on this
+#: host is reclaimed at once (see :func:`_holder_dead`).
 DEFAULT_LEASE_TTL_S = 300.0
 
 
@@ -141,9 +145,10 @@ class ResultCache:
 
         The claim is an ``O_CREAT | O_EXCL`` file create — atomic on
         every platform the cache's ``os.replace`` already relies on.
-        An existing unexpired lease means someone else is filling the
-        key (returns False); an *expired* lease is reclaimed: the
-        stale file is unlinked and the create retried once. The
+        An existing live lease means someone else is filling the key
+        (returns False); a *stale* one — expired, or held by a dead
+        process on this host — is reclaimed: the stale file is
+        unlinked and the create retried once. The
         unlink+create pair is not atomic, so under a pathological
         interleaving two reclaimers can both believe they won — see
         the module docstring for why that is harmless here.
@@ -156,7 +161,7 @@ class ResultCache:
             holder = self.lease_info(key)
             if holder is None:
                 continue  # holder released between our create and read
-            if not holder.expired(clock()):
+            if not holder.expired(clock()) and not _holder_dead(holder.owner):
                 return False
             # Stale: the holder crashed (or stalled past its TTL).
             # Reclaim by unlinking the stale file, then retry the
@@ -216,3 +221,30 @@ class ResultCache:
         except OSError:
             pass  # a racing process may have replaced or removed it
         self.evictions += 1
+
+
+def _holder_dead(owner: str) -> bool:
+    """True when a ``host:pid:uuid`` owner is a process of this host
+    that no longer exists.
+
+    Everything else counts as alive and waits for the TTL: a foreign
+    host, an owner in another format, a pid this process may not
+    signal (``PermissionError``). A reused pid also reads as alive,
+    which only delays the reclaim.
+    """
+    parts = owner.split(":")
+    if len(parts) != 3 or parts[0] != socket.gethostname():
+        return False
+    try:
+        pid = int(parts[1])
+    except ValueError:
+        return False
+    if pid <= 0:
+        return False  # 0 and negatives address process groups
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:
+        return False
+    return False

@@ -34,6 +34,27 @@ from repro.sim.config import SystemConfig
 from repro.trackers.registry import canonical_spec
 from repro.workloads.characteristics import all_names
 
+#: Bump to invalidate cached results when the model changes materially.
+MODEL_VERSION = "v1"
+
+
+def cell_key(
+    config: SystemConfig, tracker_name: str, workload_name: str
+) -> str:
+    """Stable cache key of one grid cell (shared with pool workers).
+
+    Tracker specs are canonicalized first, so spelling variants of one
+    configuration (``hydra@trh=250, rcc_ways=8`` vs
+    ``hydra@rcc_ways=8,trh=250``) share a cache entry — and invalid
+    specs fail fast here, before any work is fanned out. The engine
+    participates twice: via ``config.cache_key()`` and via any
+    ``engine=`` spec override, so fast and queued results never share
+    a key.
+    """
+    spec = canonical_spec(tracker_name)
+    raw = f"{MODEL_VERSION}|{config.cache_key()}|{spec}|{workload_name}"
+    return hashlib.sha256(raw.encode()).hexdigest()[:24]
+
 
 @dataclass(frozen=True)
 class GridCell:
@@ -42,7 +63,7 @@ class GridCell:
     tracker: str
     workload: str
     config: SystemConfig
-    #: Content-addressed cache key (:func:`repro.sim.sweep.cell_key`):
+    #: Content-addressed cache key (:func:`cell_key`):
     #: identical cells — across jobs, brokers, and machines sharing a
     #: cache directory — collide here on purpose.
     key: str
@@ -132,8 +153,6 @@ class GridSpec:
         self, fallback_config: Optional[SystemConfig] = None
     ) -> Iterator[GridCell]:
         """Yield every cell in deterministic tracker-major order."""
-        from repro.sim.sweep import cell_key  # circular at module load
-
         config = self.resolved_config(fallback_config)
         for tracker in self.trackers:
             for workload in self.resolved_workloads():

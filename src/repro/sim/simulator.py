@@ -10,12 +10,12 @@ engine-agnostic: set ``SystemConfig.engine`` or put ``engine=queued``
 in a tracker spec and nothing else changes.
 
 What to run is described by a :class:`~repro.sim.spec.RunSpec` — one
-immutable value object replacing the old three-way
-``tracker_name``/``tracker``/``engine`` precedence rules. The legacy
-keywords still work as constructors for a RunSpec, but conflicting
-combinations (two ways of naming the tracker, or an ``engine=``
-argument contradicting an ``engine=`` inside the spec string) now
-raise instead of silently resolving.
+immutable value object replacing the old precedence rules between
+spec strings, tracker instances and ``engine``. The ``tracker=`` and
+``engine=`` keywords still work as constructors for a RunSpec, but
+conflicting combinations (two ways of naming the tracker, or an
+``engine=`` argument contradicting an ``engine=`` inside the spec
+string) raise instead of silently resolving.
 
 Tracker construction is spec-driven (``make_tracker`` delegates to the
 declarative registry in :mod:`repro.trackers.registry`), so sweeps and
@@ -59,7 +59,6 @@ import atexit
 import hashlib
 import shutil
 import tempfile
-import warnings
 from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
@@ -253,7 +252,6 @@ def simulate(
     tracker: Optional[ActivationTracker] = None,
     engine: Optional[str] = None,
     observe: Optional[bool] = None,
-    tracker_name: Optional[str] = None,
 ) -> RunResult:
     """Run one trace through one system configuration.
 
@@ -274,16 +272,7 @@ def simulate(
     ``$REPRO_OBS``. The returned result is identical either way except
     for the non-serialized ``observability`` field.
     """
-    if tracker_name is not None:
-        warnings.warn(
-            "simulate(tracker_name=...) is deprecated; pass spec="
-            " (a spec string or RunSpec) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    run_spec = RunSpec.coerce(
-        spec=spec, tracker_name=tracker_name, tracker=tracker, engine=engine
-    )
+    run_spec = RunSpec.coerce(spec=spec, tracker=tracker, engine=engine)
     controller = run_spec.build_controller(config)
     resolved_tracker = controller.tracker
 

@@ -14,15 +14,22 @@ cell, and a per-column override rides in the spec string
 and queued results share one cache directory without ever being
 served for each other.
 
-Grid cells are independent deterministic simulations, so
+Every cell is filled by the one cell worker,
+:func:`repro.service.worker.run_cell`, on the one executor,
+:class:`repro.service.worker.CellPool` — the same pair the sweep
+service runs. Cells are independent deterministic simulations, so
 ``run_grid``/``compare`` can fan them out across a process pool: pass
 ``jobs=N`` (or ``jobs=0`` for one worker per CPU), or set the
 ``REPRO_JOBS`` environment variable to change the default for every
 sweep. Parallel results are identical to serial ones — each worker
 rebuilds the same seeded trace and tracker from the picklable
-(config, tracker name, workload name) spec — and the disk cache uses
-atomic writes (see :mod:`repro.sim.cache`) so concurrent workers and
-even concurrent benchmark processes can share one cache directory.
+(config, tracker name, workload name) spec — and results come back in
+grid order. Fills are lease-guarded, so two sweeps (or a sweep and a
+``hydra-sim serve``) sharing one cache directory simulate each cell
+once; a cell whose worker dies is retried with backoff, as in the
+service. The disk cache uses atomic writes (see
+:mod:`repro.sim.cache`), so concurrent workers and even concurrent
+benchmark processes can share one cache directory.
 
 Set ``REPRO_CACHE_DIR`` to relocate the cache; delete it to force
 re-simulation.
@@ -37,17 +44,14 @@ throughput. ``hydra-sim report --manifest`` summarizes the log.
 
 from __future__ import annotations
 
-import hashlib
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.obs.manifest import (
     ManifestRecord,
     ManifestWriter,
-    make_record,
     resolve_manifest_path,
 )
 from repro.sim.cache import ResultCache
@@ -57,7 +61,6 @@ from repro.sim.config import (
     default_cache_dir,
     resolve_jobs,
 )
-from repro.sim.grid import GridSpec
 from repro.sim.results import (
     Comparison,  # noqa: F401  (re-exported for established importers)
     ComparisonResult,
@@ -65,79 +68,15 @@ from repro.sim.results import (
     RunResult,
     geometric_mean,  # noqa: F401  (re-exported for established importers)
 )
-from repro.sim.simulator import simulate_workload, trace_for_workload
-from repro.trackers.registry import canonical_spec
+from repro.service.worker import CellPool, cell_record, run_cell, validated_entry
+from repro.sim.grid import (  # noqa: F401  (MODEL_VERSION re-exported)
+    MODEL_VERSION,
+    GridSpec,
+    cell_key,
+)
+from repro.sim.simulator import trace_for_workload
 from repro.workloads.characteristics import all_names
 from repro.workloads.streaming import TraceSource
-
-#: Bump to invalidate cached results when the model changes materially.
-MODEL_VERSION = "v1"
-
-
-def cell_key(
-    config: SystemConfig, tracker_name: str, workload_name: str
-) -> str:
-    """Stable cache key of one grid cell (shared with pool workers).
-
-    Tracker specs are canonicalized first, so spelling variants of one
-    configuration (``hydra@trh=250, rcc_ways=8`` vs
-    ``hydra@rcc_ways=8,trh=250``) share a cache entry — and invalid
-    specs fail fast here, before any work is fanned out. The engine
-    participates twice: via ``config.cache_key()`` and via any
-    ``engine=`` spec override, so fast and queued results never share
-    a key.
-    """
-    spec = canonical_spec(tracker_name)
-    raw = f"{MODEL_VERSION}|{config.cache_key()}|{spec}|{workload_name}"
-    return hashlib.sha256(raw.encode()).hexdigest()[:24]
-
-
-def _run_cell(
-    config: SystemConfig,
-    tracker_name: str,
-    workload_name: str,
-    cache_dir: Optional[str],
-) -> Tuple[Dict[str, Any], bool, float]:
-    """Pool-worker work unit: one cell, through the shared disk cache.
-
-    Returns ``(payload, from_cache, wall_s)`` where ``payload`` is the
-    :class:`RunResult` as a plain dict (cheap to pickle back) and
-    ``wall_s`` the wall-clock seconds the cell cost this worker. The
-    worker fills the disk cache itself so a crash of the parent loses
-    no completed work, and racing fills of one key are harmless: the
-    simulation is deterministic and the cache write is atomic.
-    """
-    started = time.perf_counter()
-    cache = ResultCache(Path(cache_dir)) if cache_dir else None
-    key = cell_key(config, tracker_name, workload_name)
-    if cache is not None:
-        entry = _validated_entry(cache, key)
-        if entry is not None:
-            return entry[0], True, time.perf_counter() - started
-    result = simulate_workload(config, tracker_name, workload_name)
-    payload = result.to_dict()
-    if cache is not None:
-        cache.store(key, payload)
-    return payload, False, time.perf_counter() - started
-
-
-def _validated_entry(
-    cache: ResultCache, key: str
-) -> Optional[Tuple[Dict[str, Any], RunResult]]:
-    """Load ``(payload, parsed RunResult)`` for a key, else evict.
-
-    The parse is the validation, so callers take the result from here
-    instead of parsing the payload a second time.
-    """
-    payload = cache.load(key)
-    if payload is None:
-        return None
-    try:
-        result = RunResult.from_dict(payload)
-    except (TypeError, KeyError):
-        cache._evict(cache.path_for(key))
-        return None
-    return payload, result
 
 
 class SweepProgress:
@@ -221,9 +160,6 @@ class ExperimentRunner:
         )
         self.cache = ResultCache(self.cache_dir)
         self._results: Dict[str, RunResult] = {}
-        #: Job id stamped onto manifest records of the current grid
-        #: ("" outside the sweep service).
-        self._manifest_job_id = ""
 
     # ------------------------------------------------------------------
 
@@ -231,17 +167,21 @@ class ExperimentRunner:
         return trace_for_workload(self.config, workload_name)
 
     def run(self, tracker_name: str, workload_name: str) -> RunResult:
-        """One simulation, via the in-memory and on-disk caches."""
+        """One simulation, via the in-memory and on-disk caches; a miss
+        is filled by the cell worker."""
         key = self._key(tracker_name, workload_name)
         result = self._results.get(key)
-        if result is not None:
-            return result
-        result = self._load(key)
         if result is None:
-            result = simulate_workload(
-                self.config, tracker_name, workload_name
+            result = self._load(key)
+        if result is None:
+            payload, _, _ = run_cell(
+                self.config,
+                tracker_name,
+                workload_name,
+                None,
+                cache=self._disk_cache(),
             )
-            self._store(key, result)
+            result = RunResult.from_dict(payload)
         self._results[key] = result
         return result
 
@@ -296,129 +236,58 @@ class ExperimentRunner:
 
         ``jobs`` > 1 fans uncached cells out over a process pool
         (``jobs=0`` = one worker per CPU; ``None`` defers to the
-        runner's default, then ``REPRO_JOBS``, then serial). Results
-        are identical to a serial run. ``progress`` forces the
+        runner's default, then ``REPRO_JOBS``, then serial); every
+        uncached cell is filled by the lease-guarded cell worker, and
+        one whose worker fails is retried with backoff before its own
+        exception is re-raised. Results are identical to a serial run
+        and come back in grid order. ``progress`` forces the
         cells/hits/throughput report on or off (default: on when
         stderr is a terminal). When the runner has a
         ``manifest_path``, one provenance record per cell is appended
-        after the grid completes; ``job_id`` stamps those records
-        (the sweep service passes its job id here).
+        after the grid completes; ``job_id`` stamps those records.
         """
         spec = self._coerce_grid(tracker_names, workload_names)
-        self._manifest_job_id = job_id
-        names = spec.resolved_workloads()
-        trackers = list(spec.trackers)
         n_jobs = resolve_jobs(jobs if jobs is not None else self.jobs)
-        grid: Dict[str, Dict[str, RunResult]] = {t: {} for t in trackers}
-        cells = [(t, w) for t in trackers for w in names]
-        report = SweepProgress(total=len(cells), enabled=progress)
-        # Records are built only when a manifest will be written: each
-        # one re-derives the cell key and canonical spec.
+        grid: Dict[str, Dict[str, RunResult]] = {t: {} for t in spec.trackers}
+        # Hits resolve now; misses carry ``None`` until collected.
+        slots = []
+        for cell in spec.cells():
+            started = time.perf_counter()
+            result = self._results.get(cell.key)
+            if result is None:
+                result = self._load(cell.key)
+            slots.append((cell, result, time.perf_counter() - started))
+        pending = [cell for cell, result, _ in slots if result is None]
+        report = SweepProgress(total=len(slots), enabled=progress)
+        # Records are built only when a manifest will be written.
         records: Optional[List[ManifestRecord]] = (
             [] if self.manifest_path is not None else None
         )
-
-        pending: List[Tuple[str, str]] = []
-        for tracker, wl in cells:
-            started = time.perf_counter()
-            key = self._key(tracker, wl)
-            result = self._results.get(key)
-            if result is None:
-                result = self._load(key)
-                if result is not None:
-                    self._results[key] = result
-            if result is not None:
-                grid[tracker][wl] = result
-                report.record(from_cache=True)
+        with CellPool.sized(
+            n_jobs, len(pending), cache=self._disk_cache()
+        ) as pool:
+            # Dispatch every miss at once, collect in grid order: no
+            # worker idles behind a slow head cell.
+            tasks = {cell.key: pool.submit(cell) for cell in pending}
+            for cell, result, wall_s in slots:
+                from_cache = result is not None
+                if result is None:
+                    task = pool.wait(tasks[cell.key])
+                    if task.error is not None:
+                        raise task.error
+                    result, from_cache = task.result, task.from_cache
+                    wall_s = task.wall_s
+                self._results[cell.key] = result
+                grid[cell.tracker][cell.workload] = result
+                report.record(from_cache=from_cache)
                 if records is not None:
                     records.append(
-                        self._manifest_record(
-                            tracker, wl, result, True,
-                            time.perf_counter() - started,
-                        )
-                    )
-            else:
-                pending.append((tracker, wl))
-
-        if n_jobs > 1 and len(pending) > 1:
-            self._run_cells_parallel(pending, grid, n_jobs, report, records)
-        else:
-            for tracker, wl in pending:
-                started = time.perf_counter()
-                result = self.run(tracker, wl)
-                grid[tracker][wl] = result
-                report.record(from_cache=False)
-                if records is not None:
-                    records.append(
-                        self._manifest_record(
-                            tracker, wl, result, False,
-                            time.perf_counter() - started,
-                        )
+                        cell_record(cell, result, from_cache, wall_s, job_id)
                     )
         report.finish()
         if records:
             ManifestWriter(self.manifest_path).append(records)
-        # Parallel cells land in completion order; normalize every
-        # column to the requested workload order so iteration (and
-        # everything derived from it) is deterministic.
-        ordered = {
-            tracker: {w: grid[tracker][w] for w in names if w in grid[tracker]}
-            for tracker in trackers
-        }
-        return GridResult(ordered)
-
-    def _manifest_record(
-        self,
-        tracker: str,
-        wl: str,
-        result: RunResult,
-        from_cache: bool,
-        wall_s: float,
-    ) -> ManifestRecord:
-        return make_record(
-            cache_key=self._key(tracker, wl),
-            spec=canonical_spec(tracker),
-            workload=wl,
-            engine=result.engine,
-            from_cache=from_cache,
-            wall_time_s=wall_s,
-            requests=result.requests,
-            end_time_ns=result.end_time_ns,
-            job_id=self._manifest_job_id,
-        )
-
-    def _run_cells_parallel(
-        self,
-        pending: Sequence[Tuple[str, str]],
-        grid: Dict[str, Dict[str, RunResult]],
-        n_jobs: int,
-        report: SweepProgress,
-        records: Optional[List[ManifestRecord]] = None,
-    ) -> None:
-        """Fan cells out over a process pool and collect as completed."""
-        cache_dir = str(self.cache_dir) if self.use_disk_cache else None
-        workers = min(n_jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_run_cell, self.config, tracker, wl, cache_dir): (
-                    tracker,
-                    wl,
-                )
-                for tracker, wl in pending
-            }
-            for future in as_completed(futures):
-                tracker, wl = futures[future]
-                payload, from_cache, wall_s = future.result()
-                result = RunResult.from_dict(payload)
-                self._results[self._key(tracker, wl)] = result
-                grid[tracker][wl] = result
-                report.record(from_cache=from_cache)
-                if records is not None:
-                    records.append(
-                        self._manifest_record(
-                            tracker, wl, result, from_cache, wall_s
-                        )
-                    )
+        return GridResult(grid)
 
     def compare(
         self,
@@ -475,16 +344,14 @@ class ExperimentRunner:
     def _key(self, tracker_name: str, workload_name: str) -> str:
         return cell_key(self.config, tracker_name, workload_name)
 
+    def _disk_cache(self) -> Optional[ResultCache]:
+        return self.cache if self.use_disk_cache else None
+
     def _load(self, key: str) -> Optional[RunResult]:
         if not self.use_disk_cache:
             return None
-        entry = _validated_entry(self.cache, key)
+        entry = validated_entry(self.cache, key)
         return None if entry is None else entry[1]
-
-    def _store(self, key: str, result: RunResult) -> None:
-        if not self.use_disk_cache:
-            return
-        self.cache.store(key, result.to_dict())
 
 
 def suite_geomeans(comparisons: Iterable[Comparison]) -> Dict[str, float]:

@@ -15,7 +15,7 @@ from repro.analysis.arena import (
     run_arena,
 )
 from repro.analysis.report import render_arena
-from repro.obs.manifest import read_arena_records, read_manifest
+from repro.obs.manifest import read_records
 from repro.sim.config import SystemConfig
 
 ACT_MAX = 100_000
@@ -217,8 +217,8 @@ class TestRunArena:
 
     def test_manifest_carries_both_streams(self, arena):
         report, manifest = arena
-        cells, cell_skipped = read_manifest(manifest)
-        oracle, oracle_skipped = read_arena_records(manifest)
+        cells, cell_skipped = read_records(manifest)
+        oracle, oracle_skipped = read_records(manifest, kind="arena-oracle")
         assert cell_skipped == oracle_skipped == 0
         assert len(cells) == 4  # 4 trackers x 1 workload x 1 rung
         assert len(oracle) == 4 * len(ORACLE_SEQUENCES)

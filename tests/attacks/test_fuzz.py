@@ -10,7 +10,7 @@ from repro.attacks.fuzz import (
 )
 from repro.attacks.registry import AttackContext
 from repro.attacks.resolve import resolve
-from repro.obs.manifest import read_fuzz_records
+from repro.obs.manifest import read_records
 from repro.sim.config import SystemConfig
 
 CONFIG = SystemConfig(scale=1 / 128, n_windows=1)
@@ -86,7 +86,7 @@ class TestRunFuzz:
             jobs=0,
             manifest_path=manifest,
         )
-        records, skipped = read_fuzz_records(manifest)
+        records, skipped = read_records(manifest, kind="fuzz-oracle")
         assert skipped == 0
         assert len(records) == 2
         for record, outcome in zip(records, report.outcomes):

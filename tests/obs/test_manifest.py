@@ -12,8 +12,7 @@ from repro.obs import (
     ManifestRecord,
     ManifestWriter,
     make_record,
-    read_arena_records,
-    read_manifest,
+    read_records,
     resolve_manifest_path,
     summarize_manifest,
 )
@@ -69,7 +68,7 @@ class TestWriterAndReader:
         path = tmp_path / "manifest.jsonl"
         records = [record(), record(workload="mcf", from_cache=True)]
         assert ManifestWriter(path).append(records) == 2
-        loaded, skipped = read_manifest(path)
+        loaded, skipped = read_records(path)
         assert skipped == 0
         assert loaded == records
 
@@ -78,7 +77,7 @@ class TestWriterAndReader:
         writer = ManifestWriter(path)
         writer.append([record()])
         writer.append([record(workload="mcf")])
-        loaded, _ = read_manifest(path)
+        loaded, _ = read_records(path)
         assert [r.workload for r in loaded] == ["xz", "mcf"]
 
     def test_empty_append_writes_nothing(self, tmp_path):
@@ -97,7 +96,7 @@ class TestWriterAndReader:
         path.write_text(
             good + "\nnot json at all\n\n" + '{"spec": "orphan"}\n' + good + "\n"
         )
-        loaded, skipped = read_manifest(path)
+        loaded, skipped = read_records(path)
         assert len(loaded) == 2
         assert skipped == 2  # the garbage line and the key-less dict
 
@@ -128,8 +127,8 @@ class TestInterleavedStreams:
         writer.append([record()])
         writer.append([arena_record(), arena_record(sequence="many")])
         writer.append([record(workload="mcf")])
-        cells, cell_skipped = read_manifest(path)
-        arena, arena_skipped = read_arena_records(path)
+        cells, cell_skipped = read_records(path)
+        arena, arena_skipped = read_records(path, kind="arena-oracle")
         assert [r.workload for r in cells] == ["xz", "mcf"]
         assert cell_skipped == 0
         assert [r.sequence for r in arena] == ["single", "many"]
@@ -140,7 +139,7 @@ class TestInterleavedStreams:
         they are a sibling stream, not damage."""
         path = tmp_path / "manifest.jsonl"
         ManifestWriter(path).append([arena_record()])
-        cells, skipped = read_manifest(path)
+        cells, skipped = read_records(path)
         assert cells == []
         assert skipped == 0
 
@@ -149,7 +148,7 @@ class TestInterleavedStreams:
         ManifestWriter(path).append([record(), arena_record()])
         with path.open("a") as handle:
             handle.write("not json\n")
-        arena, skipped = read_arena_records(path)
+        arena, skipped = read_records(path, kind="arena-oracle")
         assert len(arena) == 1
         assert skipped == 1
 
@@ -167,7 +166,7 @@ class TestInterleavedStreams:
     def test_summarize_sees_only_cells(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
         ManifestWriter(path).append([record(), arena_record()])
-        cells, _ = read_manifest(path)
+        cells, _ = read_records(path)
         assert summarize_manifest(cells)["cells"] == 1
 
 

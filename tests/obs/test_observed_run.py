@@ -9,7 +9,7 @@ run unobserved, and the per-window series regenerates Figure 6 exactly.
 import numpy as np
 import pytest
 
-from repro.obs import OBS_ENV_VAR, obs_enabled, read_manifest
+from repro.obs import OBS_ENV_VAR, obs_enabled, read_records
 from repro.sim import ExperimentRunner, SystemConfig, simulate
 from repro.workloads.trace import Trace
 
@@ -140,7 +140,7 @@ class TestSweepManifest:
             CONFIG, cache_dir=tmp_path / "cache", manifest_path=manifest
         )
         runner.run_grid(["baseline", "hydra"], ["xz", "mcf"], progress=False)
-        records, skipped = read_manifest(manifest)
+        records, skipped = read_records(manifest)
         assert skipped == 0
         assert len(records) == 4
         assert all(not r.from_cache for r in records)
@@ -158,7 +158,7 @@ class TestSweepManifest:
             CONFIG, cache_dir=tmp_path / "cache", manifest_path=manifest
         )
         rerun.run_grid(["baseline", "hydra"], ["xz", "mcf"], progress=False)
-        records, _ = read_manifest(manifest)
+        records, _ = read_records(manifest)
         assert len(records) == 8
         assert sum(r.from_cache for r in records) == 4
 
@@ -171,7 +171,7 @@ class TestSweepManifest:
         def forbidden(**fields):
             raise AssertionError("record built with no manifest configured")
 
-        monkeypatch.setattr("repro.sim.sweep.make_record", forbidden)
+        monkeypatch.setattr("repro.service.worker.make_record", forbidden)
         for _ in range(2):  # cold, then every cell a disk-cache hit
             runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
             assert runner.manifest_path is None
@@ -179,22 +179,22 @@ class TestSweepManifest:
 
     def test_manifest_records_match_cells(self, tmp_path, monkeypatch):
         """With a manifest, one record per cell, built from its result."""
-        import repro.sim.sweep as sweep
+        import repro.service.worker as worker
 
         built = []
-        real = sweep.make_record
+        real = worker.make_record
 
         def spy(**fields):
             built.append(fields)
             return real(**fields)
 
-        monkeypatch.setattr("repro.sim.sweep.make_record", spy)
+        monkeypatch.setattr("repro.service.worker.make_record", spy)
         manifest = tmp_path / "manifest.jsonl"
         runner = ExperimentRunner(
             CONFIG, cache_dir=tmp_path / "cache", manifest_path=manifest
         )
         grid = runner.run_grid(["baseline", "hydra"], ["xz"], progress=False)
-        records, _ = read_manifest(manifest)
+        records, _ = read_records(manifest)
         assert len(built) == len(records) == 2
         for record in records:
             result = grid[record.spec][record.workload]

@@ -118,12 +118,6 @@ class TestBlessedExports:
 
 
 class TestDeprecations:
-    def test_simulate_tracker_name_kwarg_warns(self):
-        trace = trace_for_workload(CONFIG, "leela")
-        with pytest.warns(DeprecationWarning, match="tracker_name"):
-            result = simulate(trace, CONFIG, tracker_name="baseline")
-        assert result.tracker == "baseline"
-
     def test_blessed_path_does_not_warn(self):
         trace = trace_for_workload(CONFIG, "leela")
         with warnings.catch_warnings():

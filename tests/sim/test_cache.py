@@ -1,6 +1,10 @@
 """Tests for the crash-safe result cache (atomic writes, eviction)."""
 
 import json
+import os
+import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -142,3 +146,40 @@ class TestLeases:
         cache.store("abc", {"x": 1})
         cache.store("def", {"x": 2})
         assert cache.stores == 2
+
+
+def _dead_pid() -> int:
+    """The pid of a process that has exited and been reaped."""
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    proc.wait()
+    return proc.pid
+
+
+class TestDeadHolderReclaim:
+    """A lease naming a dead process of this host is stale at once;
+    anything that might still be alive waits out the TTL."""
+
+    def test_dead_pid_on_this_host_is_reclaimed_at_once(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        dead = f"{socket.gethostname()}:{_dead_pid()}:deadbeef"
+        assert cache.lease("abc", dead, ttl_s=300, now=100.0)
+        assert cache.lease("abc", "worker-2", ttl_s=300, now=101.0)
+        assert cache.lease_info("abc").owner == "worker-2"
+        assert cache.leases_reclaimed == 1
+
+    def test_live_own_pid_is_not_reclaimed(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        live = f"{socket.gethostname()}:{os.getpid()}:cafef00d"
+        assert cache.lease("abc", live, ttl_s=300, now=100.0)
+        assert not cache.lease("abc", "worker-2", ttl_s=300, now=101.0)
+        assert cache.lease_info("abc").owner == live
+        assert cache.leases_reclaimed == 0
+
+    def test_other_host_lease_waits_for_its_ttl(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        foreign = f"not-{socket.gethostname()}:{_dead_pid()}:deadbeef"
+        assert cache.lease("abc", foreign, ttl_s=60, now=100.0)
+        assert not cache.lease("abc", "worker-2", ttl_s=60, now=159.0)
+        assert cache.leases_reclaimed == 0
+        assert cache.lease("abc", "worker-2", ttl_s=60, now=160.0)
+        assert cache.leases_reclaimed == 1
