@@ -167,16 +167,19 @@ class SweepService:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, bytes]]:
-        """Parse one request; ``None`` for an empty or garbled request
-        line, :class:`_BadRequest` for bad headers or body length."""
+        """Parse one request; ``None`` for a blank request line or EOF,
+        :class:`_BadRequest` for a garbled request line, bad headers or
+        a bad body length."""
         try:
             request_line = await reader.readline()
             if not request_line.strip():
                 return None
-            try:
-                method, path, _version = request_line.decode().split()
-            except ValueError:
-                return None
+            words = request_line.decode().split()
+            if len(words) != 3:
+                raise _BadRequest(
+                    400, f"malformed request line {request_line!r}"
+                )
+            method, path, _version = words
             headers: Dict[str, str] = {}
             while True:
                 line = await reader.readline()

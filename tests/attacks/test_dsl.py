@@ -1,6 +1,10 @@
 """Tests for the attack DSL core: ops, parse, resolve, compile."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attacks.compile import (
     EVENT_ACT,
@@ -80,6 +84,17 @@ class TestBuilder:
         b.act(1)
         with pytest.raises(ValueError):
             b.build()
+
+    def test_empty_loop_body_raises(self):
+        b = ProgramBuilder("empty")
+        with pytest.raises(ValueError, match="empty loop body"):
+            with b.loop(3):
+                pass
+
+    @pytest.mark.parametrize("name", ["two words", "", " lead", "tab\tin"])
+    def test_name_must_be_one_token(self, name):
+        with pytest.raises(ValueError, match="one non-whitespace token"):
+            ProgramBuilder(name)
 
 
 class TestParse:
@@ -252,3 +267,102 @@ class TestExercisedWithin:
     def test_accepts_plain_sequences(self):
         assert exercised_within([1] * 12, 10, None)
         assert not exercised_within([1] * 12, 10, 6)
+
+
+_IDENTS = st.builds(
+    str.__add__,
+    st.sampled_from("abvxyz_AZ"),
+    st.text(alphabet="abn_09XZ", max_size=6),
+)
+#: Mostly one non-whitespace token (what ``# program:`` carries),
+#: sometimes a name the builder must refuse.
+_NAMES = st.one_of(
+    st.text(
+        alphabet=st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")),
+        min_size=1,
+        max_size=12,
+    ),
+    st.sampled_from(["", "two words", " lead", "trail\n"]),
+)
+_EXPRS = st.one_of(
+    st.integers(-64, 10**6),
+    st.builds(lambda name, offset: P(name) + offset, _IDENTS,
+              st.integers(-9, 9)),
+)
+_LEAVES = st.one_of(
+    st.tuples(st.just("act"), _EXPRS, st.none() | _EXPRS),
+    st.just(("pre",)),
+    st.tuples(st.just("nop"), _EXPRS),
+    st.just(("sync_refresh",)),
+)
+_STATEMENTS = st.lists(
+    st.recursive(
+        _LEAVES,
+        lambda inner: st.tuples(
+            st.just("loop"), _EXPRS, st.lists(inner, max_size=4)
+        ),
+        max_leaves=24,
+    ),
+    max_size=8,
+)
+
+
+def _replay(builder, statements):
+    for statement in statements:
+        kind = statement[0]
+        if kind == "act":
+            builder.act(statement[1], bank=statement[2])
+        elif kind == "pre":
+            builder.pre()
+        elif kind == "nop":
+            builder.nop(statement[1])
+        elif kind == "sync_refresh":
+            builder.sync_refresh()
+        else:
+            with builder.loop(statement[1]):
+                _replay(builder, statement[2])
+
+
+def _has_empty_loop(statements):
+    return any(
+        statement[0] == "loop"
+        and (not statement[2] or _has_empty_loop(statement[2]))
+        for statement in statements
+    )
+
+
+class TestRoundTrip:
+    """Every program the builder or the fuzzer makes parses back equal;
+    the builder refuses what the parser would reject."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        name=_NAMES,
+        defaults=st.dictionaries(
+            _IDENTS, st.integers(-(10**6), 10**6), max_size=3
+        ),
+        statements=_STATEMENTS,
+    )
+    def test_builder_programs_round_trip(self, name, defaults, statements):
+        def build():
+            builder = ProgramBuilder(name)
+            for key, value in defaults.items():
+                builder.let(key, value)
+            _replay(builder, statements)
+            return builder.build()
+
+        if not re.fullmatch(r"\S+", name) or _has_empty_loop(statements):
+            with pytest.raises(ValueError):
+                build()
+            return
+        program = build()
+        assert parse_program(program.render()) == program
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32), trh=st.sampled_from([125, 500, 4800]))
+    def test_generated_fuzz_programs_round_trip(self, seed, trh):
+        from repro.attacks.fuzz import generate_program
+        from repro.attacks.registry import AttackContext
+
+        program = generate_program(seed, AttackContext(trh=trh))
+        assert parse_program(program.render()) == program

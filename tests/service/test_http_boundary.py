@@ -1,7 +1,8 @@
 """HTTP boundary: malformed or oversized requests get an answer.
 
-A bad ``Content-Length`` is a 400, a body over the service's cap is a
-413 answered before any body byte is read, and no case escapes
+A garbled request line or a bad ``Content-Length`` is a 400, a body
+over the service's cap is a 413 answered before any body byte is read,
+a blank line or EOF closes the connection quietly, and no case escapes
 ``handle_client`` as an exception (which asyncio would log as
 unhandled). Each case feeds raw bytes to a real ``StreamReader``; one
 test repeats the worst case over a live socket.
@@ -114,6 +115,20 @@ class TestContentLength:
         assert status == 400
 
 
+class TestRequestLine:
+    @pytest.mark.parametrize(
+        "raw", [b"GARBAGE\r\n\r\n", b"GET /jobs\r\n\r\n"]
+    )
+    def test_garbled_request_line_is_400(self, service, raw):
+        status, payload = exchange(service, raw)
+        assert status == 400
+        assert "malformed request line" in payload["error"]
+
+    @pytest.mark.parametrize("raw", [b"", b"\r\n"])
+    def test_blank_line_or_eof_closes_quietly(self, service, raw):
+        assert exchange(service, raw) == (None, None)
+
+
 class TestLiveSocket:
     def test_bad_lengths_answered_and_nothing_logged(self, service):
         loop = asyncio.new_event_loop()
@@ -157,6 +172,7 @@ class TestLiveSocket:
             assert send(post("abc")).startswith(b"HTTP/1.1 400 ")
             assert send(post("-1")).startswith(b"HTTP/1.1 400 ")
             assert send(post(str(10**12))).startswith(b"HTTP/1.1 413 ")
+            assert send(b"GARBAGE\r\n\r\n").startswith(b"HTTP/1.1 400 ")
             assert send(b"GET /healthz HTTP/1.1\r\n\r\n").startswith(
                 b"HTTP/1.1 200 "
             )
