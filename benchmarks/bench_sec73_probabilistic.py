@@ -15,10 +15,11 @@ Two claims to reproduce:
 from _common import bench_config, record_result
 
 from repro.analysis.security import verify_tracker
+from repro.attacks import compile_program, resolve
+from repro.attacks.programs import many_sided_program, single_sided_program
 from repro.core.hydra import HydraTracker
 from repro.trackers.insecure import MrlocTracker, ProhitTracker
 from repro.trackers.para import para_probability
-from repro.workloads import attacks
 
 
 def test_sec73_para_probability_scaling(benchmark):
@@ -52,27 +53,28 @@ def test_sec73_probabilistic_insecurity(benchmark):
     geometry = config.geometry
     th = config.hydra_config().th
 
+    single = compile_program(resolve(single_sided_program(5, th + 25)))
+    many = compile_program(
+        resolve(many_sided_program(list(range(100, 164)), th + 10))
+    )
+    hammer = compile_program(resolve(single_sided_program(5, 4 * th)))
+
     def hunt():
         outcomes = {"mrloc": False, "prohit": False, "hydra_violations": 0}
         for seed in range(40):
             mrloc = MrlocTracker(base_probability=0.002, seed=seed)
-            if not verify_tracker(
-                mrloc, geometry, attacks.single_sided(5, th + 25), th
-            ).secure:
+            if not verify_tracker(mrloc, geometry, single, th).secure:
                 outcomes["mrloc"] = True
                 break
         for seed in range(40):
             prohit = ProhitTracker(seed=seed)
-            sequence = attacks.many_sided(list(range(100, 164)), th + 10)
-            if not verify_tracker(prohit, geometry, sequence, th).secure:
+            if not verify_tracker(prohit, geometry, many, th).secure:
                 outcomes["prohit"] = True
                 break
         # Control: Hydra under the same sequences, many repetitions.
         for _ in range(5):
             tracker = HydraTracker(config.hydra_config())
-            report = verify_tracker(
-                tracker, geometry, attacks.single_sided(5, 4 * th), th
-            )
+            report = verify_tracker(tracker, geometry, hammer, th)
             outcomes["hydra_violations"] += len(report.violations)
         return outcomes
 

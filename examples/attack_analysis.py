@@ -11,9 +11,18 @@ Run:  python examples/attack_analysis.py
 """
 
 from repro.analysis.security import verify_tracker
+from repro.attacks import compile_program, resolve
+from repro.attacks.programs import (
+    double_sided_program,
+    half_double_program,
+    many_sided_program,
+    rcc_thrash_program,
+    rct_region_program,
+    single_sided_program,
+    thrash_then_hammer_program,
+)
 from repro.core import HydraConfig, HydraTracker
 from repro.trackers.graphene import GrapheneTracker
-from repro.workloads import attacks
 
 
 def main() -> None:
@@ -21,18 +30,26 @@ def main() -> None:
     geometry = config.geometry
     th = config.th
 
-    patterns = {
-        "single-sided": attacks.single_sided(1000, 30 * th),
-        "double-sided": attacks.double_sided(2000, 15 * th),
-        "many-sided (TRRespass)": attacks.many_sided(
+    programs = {
+        "single-sided": single_sided_program(1000, 30 * th),
+        "double-sided": double_sided_program(2000, 15 * th),
+        "many-sided (TRRespass)": many_sided_program(
             list(range(3000, 3064)), 3 * th
         ),
-        "half-double": attacks.half_double(4000, 30 * th),
-        "thrash-then-hammer": attacks.thrash_then_hammer(
+        "half-double": half_double_program(4000, 30 * th),
+        "thrash-then-hammer": thrash_then_hammer_program(
             5000, list(range(6000, 6512)), 6 * th, interleave=8
         ),
-        "rcc-thrash": attacks.rcc_thrash(geometry, 2000, 20),
-        "rct-region hammer": attacks.rct_region_attack(geometry, 15 * th),
+        "rcc-thrash": rcc_thrash_program(geometry, 2000, 20),
+        "rct-region hammer": rct_region_program(geometry, 15 * th),
+    }
+    # Patterns derived from the geometry are checked against it.
+    checked = {"rcc-thrash", "rct-region hammer"}
+    patterns = {
+        name: compile_program(
+            resolve(program, geometry=geometry if name in checked else None)
+        )
+        for name, program in programs.items()
     }
 
     print("=== Hydra under adaptive attacks (Theorem-1 oracle check) ===")
@@ -53,9 +70,9 @@ def main() -> None:
     # tables conservative, so we also show the mitigation *blow-up*
     # that under-provisioning causes instead.
     print("\n=== Why sizing matters: 4-entry TRR-style table ===")
-    seq = attacks.thrash_then_hammer(
+    seq = compile_program(resolve(thrash_then_hammer_program(
         5, list(range(512, 612)), 4 * th, interleave=1
-    )
+    )))
     tiny = GrapheneTracker(geometry, trh=config.trh, entries_per_bank=4)
     report = verify_tracker(tiny, geometry, seq, th)
     print(

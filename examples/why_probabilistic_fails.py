@@ -15,10 +15,11 @@ Run:  python examples/why_probabilistic_fails.py
 """
 
 from repro.analysis.security import verify_tracker
+from repro.attacks import compile_program, resolve
+from repro.attacks.programs import many_sided_program, single_sided_program
 from repro.core import HydraConfig, HydraTracker
 from repro.trackers.insecure import MrlocTracker, ProhitTracker
 from repro.trackers.para import para_probability
-from repro.workloads import attacks
 
 
 def para_scaling() -> None:
@@ -39,8 +40,10 @@ def tracking_insecurity() -> None:
     th = config.th
 
     print("=== Probabilistic tracking vs the Theorem-1 oracle ===")
-    single = attacks.single_sided(5, th + 25)
-    many = attacks.many_sided(list(range(100, 164)), th + 10)
+    single = compile_program(resolve(single_sided_program(5, th + 25)))
+    many = compile_program(
+        resolve(many_sided_program(list(range(100, 164)), th + 10))
+    )
 
     broken_seed = None
     for seed in range(60):
@@ -69,7 +72,7 @@ def tracking_insecurity() -> None:
           "never sampled before crossing the threshold")
 
     report = verify_tracker(
-        HydraTracker(config), geometry, single + many, th
+        HydraTracker(config), geometry, single.rows() + many.rows(), th
     )
     print(
         f"Hydra   : {'SECURE' if report.secure else 'VIOLATED'} — "

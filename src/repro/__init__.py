@@ -25,7 +25,9 @@ Packages:
 - ``repro.dram``      — event-driven DDR4 substrate + power model.
 - ``repro.memctrl``   — memory controller, mitigation engine.
 - ``repro.cpu``       — LLC model, limited-MLP core model.
-- ``repro.workloads`` — Table-3-calibrated traces, GUPS, attacks.
+- ``repro.workloads`` — Table-3-calibrated traces, GUPS.
+- ``repro.attacks``   — attack programs (DSL, registry), the oracle
+  cell, and the attack fuzzer.
 - ``repro.analysis``  — security verification, SRAM power, trends.
 - ``repro.sim``       — experiment harness and sweeps.
 """

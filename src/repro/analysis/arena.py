@@ -15,7 +15,9 @@ T_RH ladder from in-the-wild thresholds (139K) to the ultra-low regime
   scale;
 - **security**: the §5 oracle (:func:`verify_tracker`) driven over an
   adversarial battery (single-sided, TRRespass-style many-sided) and a
-  random sanity sequence, with §5.2.1 victim-refresh feedback on.
+  random sanity sequence, with §5.2.1 victim-refresh feedback on — one
+  :func:`~repro.attacks.pipeline.judge_attack` call per cell, the same
+  judge the attack fuzzer uses.
 
 Oracle verdicts are judged against each tracker's *declared*
 :data:`~repro.trackers.registry.SECURITY_CLASSES` claim: a
@@ -43,19 +45,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.security import verify_tracker
 from repro.analysis.verdicts import judge_verdict, oracle_eligible
-from repro.attacks.compile import (
-    CompiledAttack,
-    compile_program,
-    exercised_within,
-)
-from repro.attacks.programs import (
-    DEFAULT_MANY_AGGRESSORS as MANY_AGGRESSORS,
-    MANY_ACT_CAP,
-    RANDOM_ACT_CAP,
-    RANDOM_SEED,
-)
+from repro.attacks.compile import CompiledAttack, compile_program
+from repro.attacks.pipeline import judge_attack
 from repro.attacks.registry import (
     AttackContext,
     build_attack,
@@ -84,10 +76,10 @@ DEFAULT_TRH_LADDER = (139_000, 20_000, 4_800, 1_000, 500)
 #: behaviour family: memory-bound SPEC-int/fp, streaming, GUPS).
 DEFAULT_ARENA_WORKLOADS = ("mcf", "lbm", "xz", "stream", "GUPS")
 
-#: Oracle battery sequence names (see :func:`oracle_sequence`). Each is
-#: an alias for a registered attack program whose defaults reproduce
-#: the historical hand-built battery exactly; ``run_arena`` also
-#: accepts full attack specs (``half_double@victim=4000``) here.
+#: Oracle battery sequence names. Each is an alias for a registered
+#: attack program whose defaults reproduce the historical hand-built
+#: battery exactly; ``run_arena`` also accepts full attack specs
+#: (``half_double@victim=4000``) here.
 ORACLE_SEQUENCES = ("single", "many", "random")
 
 #: Battery alias → registered attack (context defaults do the sizing).
@@ -96,40 +88,6 @@ BATTERY_ATTACKS = {
     "many": "many_sided",
     "random": "random",
 }
-
-
-def oracle_attack(
-    name: str, trh: int, total_rows: int, act_max: int
-) -> Tuple[CompiledAttack, bool]:
-    """Build one battery attack; returns ``(compiled, exercised)``.
-
-    ``exercised`` says whether the attack can drive some row past the
-    T_RH/2 mitigation threshold *within one tracking window* of
-    ``act_max`` activations — the harness resets every window, so a
-    "secure" verdict on an unexercised attack is vacuous and is
-    reported as such. At small simulation scales the scaled window
-    shrinks while thresholds stay invariant, so high rungs can become
-    unexercisable — the flag keeps those cells honest. It is computed
-    by exact replay (:func:`~repro.attacks.compile.exercised_within`)
-    rather than per-pattern arithmetic.
-
-    The battery is resolved *without* geometry bounds-checking: its
-    fixed aggressor rows (5, 200..217) predate the DSL and must keep
-    probing trackers identically even at simulation scales whose row
-    space is smaller.
-    """
-    try:
-        spec = BATTERY_ATTACKS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown oracle sequence {name!r}; available: "
-            + ", ".join(ORACLE_SEQUENCES)
-        ) from None
-    context = _battery_context(trh, total_rows)
-    program = build_attack(spec, context)
-    compiled = compile_program(resolve(program))
-    exercised = exercised_within(compiled, context.threshold, act_max)
-    return compiled, exercised
 
 
 def _battery_context(trh: int, total_rows: int) -> AttackContext:
@@ -145,28 +103,25 @@ def _battery_context(trh: int, total_rows: int) -> AttackContext:
     return AttackContext(geometry=geometry, trh=trh)
 
 
-def oracle_sequence(
-    name: str, trh: int, total_rows: int, act_max: int
-) -> Tuple[List[int], bool]:
-    """Flat-list form of :func:`oracle_attack` (compatibility shim)."""
-    compiled, exercised = oracle_attack(name, trh, total_rows, act_max)
-    return compiled.rows(), exercised
-
-
 def _cell_attack(
-    cfg: SystemConfig, trh: int, sequence_name: str
-) -> Tuple[CompiledAttack, bool, str]:
-    """(compiled, exercised, label) for a battery alias or attack spec."""
-    act_max = cfg.timing.max_activations_per_window()
+    cfg: SystemConfig, sequence_name: str
+) -> Tuple[CompiledAttack, str]:
+    """(compiled, label) for a battery alias or an attack spec.
+
+    A battery alias builds its registered attack against
+    :func:`_battery_context` and is resolved *without* geometry
+    bounds-checking: its fixed aggressor rows (5, 200..217) predate the
+    DSL and must keep probing trackers identically even at simulation
+    scales whose row space is smaller. Anything else compiles as a
+    spec against the rung's own context; an unknown name raises
+    ``ValueError``.
+    """
     if sequence_name in BATTERY_ATTACKS:
-        compiled, exercised = oracle_attack(
-            sequence_name, trh, cfg.geometry.total_rows, act_max
-        )
-        return compiled, exercised, sequence_name
-    context = AttackContext.from_system(cfg)
-    compiled = compile_attack(sequence_name, context)
-    exercised = exercised_within(compiled, context.threshold, act_max)
-    return compiled, exercised, canonical_attack_spec(sequence_name)
+        context = _battery_context(cfg.trh, cfg.geometry.total_rows)
+        program = build_attack(BATTERY_ATTACKS[sequence_name], context)
+        return compile_program(resolve(program)), sequence_name
+    compiled = compile_attack(sequence_name, AttackContext.from_system(cfg))
+    return compiled, canonical_attack_spec(sequence_name)
 
 
 def _oracle_cell(
@@ -177,31 +132,20 @@ def _oracle_cell(
     ``sequence_name`` is a battery alias (``single``/``many``/
     ``random``) or a full attack spec; the attack program and the
     tracker are both built from picklable inputs so fan-out ships only
-    (config, spec, trh, name) per cell.
+    (config, spec, trh, name) per cell. At small simulation scales the
+    scaled window shrinks while thresholds stay invariant, so high
+    rungs can become unexercisable — the judged ``exercised`` flag
+    keeps those cells honest.
     """
     cfg = config.with_trh(trh)
-    act_max = cfg.timing.max_activations_per_window()
-    sequence, exercised, label = _cell_attack(cfg, trh, sequence_name)
-    tracker = build_tracker(spec, cfg.tracker_context())
-    report = verify_tracker(
-        tracker,
-        cfg.geometry,
-        sequence,
-        threshold=max(1, trh // 2),
-        # Reset every ACT_max demand activations: a window cannot hold
-        # more — trackers whose soundness leans on that bound (TWiCe's
-        # pruning) are entitled to it.
-        window_every=act_max,
-        feed_mitigation_activations=True,
-        # Depth 2 keeps §5.2.1 feedback pressure on every tracker while
-        # bounding cascade amplification on mitigation-happy designs.
-        max_feedback_depth=2,
-    )
+    compiled, label = _cell_attack(cfg, sequence_name)
+    judged = judge_attack(compiled, cfg, spec)
+    report = judged.report
     return {
         "spec": spec,
         "trh": trh,
         "sequence": label,
-        "exercised": exercised,
+        "exercised": judged.exercised,
         "secure": report.secure,
         "violations": len(report.violations),
         "max_unmitigated": report.max_unmitigated_count,

@@ -10,8 +10,10 @@ victim-refresh feedback activations of §5.2.1), and flags a violation
 the moment any row's true count exceeds the bound without a
 mitigation.
 
-Used by the unit/property tests (random and adversarial sequences) and
-by ``examples/attack_analysis.py``.
+Used by the oracle cell both harnesses share
+(:func:`repro.attacks.pipeline.judge_attack`, for the arena and the
+fuzzer), by ``hydra-sim security``, the §5/§7.3 benchmarks, both
+security examples, and the unit/property tests.
 """
 
 from __future__ import annotations

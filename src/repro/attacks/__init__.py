@@ -1,6 +1,7 @@
-"""Declarative attack programs: DSL, registry, pipeline, fuzzer.
+"""Declarative attack programs: DSL, registry, oracle cell, fuzzer.
 
-The package replaces the hand-written attack zoo with attacks-as-data:
+Every attack in the repo is built here, as data — there is no other
+construction path:
 
 - :mod:`repro.attacks.ops` — the AST (``act``/``pre``/``nop``/
   ``loop``/``sync_refresh`` with late-bound placeholders);
@@ -14,7 +15,9 @@ The package replaces the hand-written attack zoo with attacks-as-data:
   attacks (``many_sided@aggs=18,rounds=4096``);
 - :mod:`repro.attacks.programs` — the built-in zoo (imported lazily by
   the registry);
-- :mod:`repro.attacks.pipeline` — composable program → verdict stages;
+- :mod:`repro.attacks.pipeline` — :func:`judge_attack`, the one oracle
+  cell (compiled attack + tracker → verdict) the arena and the fuzzer
+  share (imported explicitly; it pulls in the analysis layer);
 - :mod:`repro.attacks.fuzz` — seeded random-program tracker fuzzing
   (imported explicitly by its users; it pulls in the analysis layer).
 """

@@ -4,7 +4,7 @@ A :class:`CompiledAttack` is the executable form both harnesses
 consume:
 
 - :meth:`CompiledAttack.rows` — the flat global-row activation
-  sequence (bit-identical to what the legacy hand-written generators
+  sequence (bit-identical to what the original hand-written generators
   returned; golden tests pin this);
 - :meth:`CompiledAttack.iter_rows` — the same sequence as a streaming
   iterator, never materializing unrolled loops;

@@ -24,23 +24,17 @@ program is reproducible from its recorded ``program_seed``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.analysis.verdicts import VERDICT_INSECURE
 from repro.attacks.compile import compile_program
-from repro.attacks.ops import Program
+from repro.attacks.ops import Program, SyncRefresh
 from repro.attacks.parse import ProgramBuilder
-from repro.attacks.pipeline import (
-    align_to_refresh,
-    annotate,
-    hammer,
-    run_pipeline,
-    verify,
-)
+from repro.attacks.pipeline import judge_attack
 from repro.attacks.registry import AttackContext
-from repro.attacks.resolve import resolve
+from repro.attacks.resolve import ResolvedProgram, resolve
 from repro.obs.manifest import (
     FuzzOracleRecord,
     ManifestWriter,
@@ -48,12 +42,7 @@ from repro.obs.manifest import (
 )
 from repro.service.worker import CellPool
 from repro.sim.config import SystemConfig, default_cache_dir, resolve_jobs
-from repro.trackers.registry import (
-    available_trackers,
-    canonical_spec,
-    parse_spec,
-    tracker_info,
-)
+from repro.trackers.registry import available_trackers, canonical_spec
 
 __all__ = [
     "DEFAULT_CORPUS_SEED",
@@ -225,6 +214,14 @@ class FuzzReport:
         }
 
 
+def _align_to_refresh(program: ResolvedProgram) -> ResolvedProgram:
+    """``program``, opening with a ``sync_refresh`` unless it already
+    does."""
+    if program.ops and isinstance(program.ops[0], SyncRefresh):
+        return program
+    return replace(program, ops=(SyncRefresh(),) + program.ops)
+
+
 def _fuzz_cell(
     config: SystemConfig,
     spec: str,
@@ -233,36 +230,33 @@ def _fuzz_cell(
     act_budget: int,
 ) -> Dict[str, Any]:
     """Pool-worker work unit: regenerate the program from its seed and
-    judge one tracker with it (ships only picklable scalars)."""
+    judge one tracker with it (ships only picklable scalars).
+
+    The program is aligned to a refresh first, so it starts flush with
+    a fresh tracking window: the strongest position for probing a
+    window-reset-based tracker.
+    """
     cfg = config.with_trh(trh)
     context = AttackContext.from_system(cfg)
     program = generate_program(program_seed, context, act_budget)
     compiled = compile_program(
-        resolve(program, geometry=context.geometry)
+        _align_to_refresh(resolve(program, geometry=context.geometry))
     )
-    run = run_pipeline(
-        compiled,
-        context,
-        align_to_refresh(),
-        hammer(spec, cfg.tracker_context()),
-        verify(),
-        annotate(program_seed=program_seed),
-    )
-    report = run.report
-    assert report is not None and run.verdict is not None
+    judged = judge_attack(compiled, cfg, spec)
+    report = judged.report
     return {
-        "spec": run.tracker_spec,
+        "spec": spec,
         "trh": trh,
-        "security_class": run.security_class,
+        "security_class": judged.security_class,
         "program": compiled.name,
         "program_seed": program_seed,
-        "verdict": run.verdict,
+        "verdict": judged.verdict,
         "secure": report.secure,
         "violations": len(report.violations),
         "max_unmitigated": report.max_unmitigated_count,
         "mitigations": report.mitigations,
         "activations": report.activations,
-        "exercised": bool(run.exercised),
+        "exercised": judged.exercised,
     }
 
 
@@ -279,10 +273,11 @@ def run_fuzz(
 
     ``trackers`` defaults to the whole registry. Program ``i`` is
     generated from ``corpus_seed + i``; every (tracker, program) cell
-    runs the pipeline (align → hammer → verify → annotate) and the
-    judged outcome is appended to the manifest (same resolution rules
-    as sweeps: explicit path, then ``$REPRO_MANIFEST``, then the cache
-    directory when observability is on).
+    is aligned to a refresh and judged by
+    :func:`~repro.attacks.pipeline.judge_attack`, and the outcome is
+    appended to the manifest (same resolution rules as sweeps: explicit
+    path, then ``$REPRO_MANIFEST``, then the cache directory when
+    observability is on).
     """
     if programs < 1:
         raise ValueError("programs must be >= 1")

@@ -1,197 +1,73 @@
-"""Composable attack pipeline: program → harness → verdict.
+"""The oracle cell: one compiled attack against one tracker → a verdict.
 
-A pipeline turns one compiled attack into a judged outcome through a
-sequence of small stages, each a ``Stage`` — a callable mutating and
-returning an :class:`AttackRun`:
+:func:`judge_attack` is the one function both security harnesses call
+per cell — the arena's oracle battery
+(:mod:`repro.analysis.arena`) and the attack fuzzer
+(:mod:`repro.attacks.fuzz`). It builds the tracker from the system's
+tracker context, drives it with the attack under the §5 security
+oracle (:func:`~repro.analysis.security.verify_tracker`), records
+whether the attack could exercise the T_RH/2 threshold at all, and
+judges the report against the tracker's declared security class (the
+shared :mod:`~repro.analysis.verdicts` judge).
 
-- :func:`align_to_refresh` — prepend a window-boundary sync so the
-  attack starts flush with a fresh tracking window (the strongest
-  position for a window-reset-based tracker to be probed from);
-- :func:`hammer` — drive a tracker with the attack under the §5
-  security oracle (:class:`~repro.analysis.security.SecurityHarness`),
-  recording the report and whether the attack could exercise the
-  T_RH/2 threshold at all;
-- :func:`verify` — interpret the report against the tracker's declared
-  security class (the shared :mod:`~repro.analysis.verdicts` judge);
-- :func:`annotate` — attach program statistics and free-form metadata.
-
-The arena's oracle battery and the attack fuzzer are both expressible
-as ``run_pipeline(attack, ctx, align_to_refresh(), hammer(spec),
-verify(), annotate())`` per cell; the fuzzer uses exactly that.
+Callers shape the attack before judging it: the fuzzer prepends a
+``sync_refresh`` so each generated program starts flush with a fresh
+tracking window; the arena's battery runs as built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Union
+from typing import NamedTuple
 
 from repro.analysis.security import SecurityReport, verify_tracker
 from repro.analysis.verdicts import judge_verdict
-from repro.attacks.compile import (
-    CompiledAttack,
-    compile_program,
-    exercised_within,
-)
-from repro.attacks.ops import SyncRefresh
-from repro.attacks.registry import AttackContext
-from repro.attacks.resolve import ResolvedProgram
-from repro.interfaces import ActivationTracker
-from repro.trackers.registry import (
-    TrackerContext,
-    build_tracker,
-    canonical_spec,
-    parse_spec,
-    tracker_info,
-)
+from repro.attacks.compile import CompiledAttack, exercised_within
+from repro.sim.config import SystemConfig
+from repro.trackers.registry import build_tracker, parse_spec, tracker_info
 
-__all__ = [
-    "AttackRun",
-    "Stage",
-    "align_to_refresh",
-    "annotate",
-    "hammer",
-    "run_pipeline",
-    "verify",
-]
+__all__ = ["Judgement", "judge_attack"]
 
 
-@dataclass
-class AttackRun:
-    """One attack's passage through a pipeline."""
+class Judgement(NamedTuple):
+    """One judged (tracker, attack) cell."""
 
-    attack: CompiledAttack
-    context: AttackContext
-    tracker_spec: Optional[str] = None
-    security_class: Optional[str] = None
-    report: Optional[SecurityReport] = None
-    exercised: Optional[bool] = None
-    verdict: Optional[str] = None
-    annotations: Dict[str, Any] = field(default_factory=dict)
+    report: SecurityReport
+    #: Whether the attack could drive some row past the threshold
+    #: within one window — a "secure" verdict on an unexercised attack
+    #: is vacuous, and is reported as such.
+    exercised: bool
+    security_class: str
+    verdict: str
 
 
-Stage = Callable[[AttackRun], AttackRun]
+def judge_attack(
+    compiled: CompiledAttack, cfg: SystemConfig, spec: str
+) -> Judgement:
+    """Judge tracker ``spec`` (built for ``cfg``) under ``compiled``.
 
-
-def run_pipeline(
-    attack: CompiledAttack, context: AttackContext, *stages: Stage
-) -> AttackRun:
-    """Thread one attack through ``stages`` in order."""
-    run = AttackRun(attack=attack, context=context)
-    for stage in stages:
-        run = stage(run)
-    return run
-
-
-def tracker_context_for(context: AttackContext) -> TrackerContext:
-    """The tracker context matching an attack context's system view
-    (structure scaling follows the Figure-7 ``with_trh`` policy)."""
-    return TrackerContext(
-        geometry=context.geometry, timing=context.timing
-    ).with_trh(context.trh)
-
-
-def align_to_refresh() -> Stage:
-    """Prepend a window-boundary sync to the attack program."""
-
-    def stage(run: AttackRun) -> AttackRun:
-        program = run.attack.program
-        ops = program.ops
-        if not (ops and isinstance(ops[0], SyncRefresh)):
-            program = ResolvedProgram(
-                name=program.name,
-                ops=(SyncRefresh(),) + ops,
-                geometry=program.geometry,
-            )
-        run.attack = compile_program(program)
-        return run
-
-    return stage
-
-
-def hammer(
-    tracker: Union[str, ActivationTracker],
-    tracker_context: Optional[TrackerContext] = None,
-    *,
-    window_every: Optional[int] = None,
-    blast_radius: int = 2,
-    feed_mitigation_activations: bool = True,
-    max_violations: int = 16,
-    # Depth 2 keeps §5.2.1 feedback pressure on every tracker while
-    # bounding cascade amplification (the arena's setting).
-    max_feedback_depth: int = 2,
-) -> Stage:
-    """Drive ``tracker`` (an instance or a spec string) with the attack.
-
-    ``window_every`` defaults to the context's ACT_max — the most
-    demand activations one tracking window can hold. Records the
-    security report, the tracker's declared class, and the exercised
-    flag on the run.
+    The oracle bound is T_RH/2 and the window resets every ACT_max
+    demand activations: a window cannot hold more, and trackers whose
+    soundness leans on that bound (TWiCe's pruning) are entitled to it.
+    §5.2.1 victim-refresh feedback is on, to depth 2 — enough to keep
+    feedback pressure on every tracker while bounding cascade
+    amplification on mitigation-happy designs.
     """
-
-    def stage(run: AttackRun) -> AttackRun:
-        every = window_every
-        if every is None:
-            every = run.context.act_max
-        if isinstance(tracker, str):
-            ctx = tracker_context or tracker_context_for(run.context)
-            instance = build_tracker(tracker, ctx)
-            run.tracker_spec = canonical_spec(tracker)
-            run.security_class = tracker_info(
-                parse_spec(tracker).name
-            ).security_class
-        else:
-            instance = tracker
-            run.tracker_spec = type(tracker).__name__
-            run.security_class = getattr(
-                tracker, "security_class", "deterministic"
-            )
-        run.exercised = exercised_within(
-            run.attack, run.context.threshold, every
-        )
-        run.report = verify_tracker(
-            instance,
-            run.context.geometry,
-            run.attack,
-            threshold=run.context.threshold,
-            window_every=every,
-            blast_radius=blast_radius,
-            feed_mitigation_activations=feed_mitigation_activations,
-            max_violations=max_violations,
-            max_feedback_depth=max_feedback_depth,
-        )
-        return run
-
-    return stage
-
-
-def verify() -> Stage:
-    """Judge the hammer stage's report against the declared class."""
-
-    def stage(run: AttackRun) -> AttackRun:
-        if run.report is None or run.security_class is None:
-            raise ValueError("verify() requires a hammer() stage first")
-        run.verdict = judge_verdict(
-            run.security_class,
-            len(run.report.violations),
-            bool(run.exercised),
-        )
-        return run
-
-    return stage
-
-
-def annotate(**extra: Any) -> Stage:
-    """Attach program statistics plus ``extra`` to the run."""
-
-    def stage(run: AttackRun) -> AttackRun:
-        run.annotations.update(
-            attack=run.attack.name,
-            activations=run.attack.activations,
-            precharges=run.attack.precharges,
-            nops=run.attack.nops,
-            syncs=run.attack.syncs,
-        )
-        run.annotations.update(extra)
-        return run
-
-    return stage
+    threshold = max(1, cfg.trh // 2)
+    act_max = cfg.timing.max_activations_per_window()
+    report = verify_tracker(
+        build_tracker(spec, cfg.tracker_context()),
+        cfg.geometry,
+        compiled,
+        threshold=threshold,
+        window_every=act_max,
+        blast_radius=2,
+        feed_mitigation_activations=True,
+        max_violations=16,
+        max_feedback_depth=2,
+    )
+    exercised = exercised_within(compiled, threshold, act_max)
+    security_class = tracker_info(parse_spec(spec).name).security_class
+    verdict = judge_verdict(
+        security_class, len(report.violations), exercised
+    )
+    return Judgement(report, exercised, security_class, verdict)

@@ -19,8 +19,10 @@
 - loop and nop counts must resolve to non-negative integers.
 
 Resolving without a geometry skips the bounds check (the binding and
-normalization steps still run) — that is the legacy generators'
-historical behaviour, kept for shims called without a geometry.
+normalization steps still run) — the original generators' historical
+behaviour, kept for the fixed-row batteries (the arena's aliases, the
+§5 patterns of ``hydra-sim security``) that must probe identically at
+every scale.
 """
 
 from __future__ import annotations

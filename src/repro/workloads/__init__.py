@@ -1,4 +1,10 @@
-"""Workloads: Table 3 characteristics, trace generation, attacks."""
+"""Workloads: Table 3 characteristics and trace generation.
+
+Attack patterns are programs, not workloads: build them from
+:mod:`repro.attacks` (``compile_attack("many_sided", ctx)``, or
+``compile_program(resolve(many_sided_program(...)))``).
+:func:`attack_alongside` mixes a compiled attack's rows into a trace.
+"""
 
 from repro.workloads.characteristics import (
     BY_NAME,
@@ -37,7 +43,6 @@ from repro.workloads.trace import (
     characterize,
     statistics_by_window,
 )
-from repro.workloads import attacks
 
 __all__ = [
     "BY_NAME",
@@ -55,7 +60,6 @@ __all__ = [
     "WorkloadCharacteristics",
     "all_names",
     "attack_alongside",
-    "attacks",
     "merge_traces",
     "characterize",
     "characterize_chunks",

@@ -6,15 +6,17 @@ import pytest
 
 from repro.analysis.arena import (
     DEFAULT_TRH_LADDER,
-    MANY_AGGRESSORS,
     ORACLE_SEQUENCES,
     ArenaCell,
     OracleOutcome,
+    _cell_attack,
     mark_pareto,
-    oracle_sequence,
     run_arena,
 )
 from repro.analysis.report import render_arena
+from repro.attacks.compile import exercised_within
+from repro.attacks.programs import DEFAULT_MANY_AGGRESSORS
+from repro.attacks.resolve import AttackBoundsError
 from repro.obs.manifest import read_records
 from repro.sim.config import SystemConfig
 
@@ -50,43 +52,67 @@ def cell(**overrides) -> ArenaCell:
     return ArenaCell(**base)
 
 
+def battery(name, trh, scale=1 / 256):
+    """The arena's compiled attack for one battery alias at one rung."""
+    cfg = SystemConfig(scale=scale).with_trh(trh)
+    compiled, label = _cell_attack(cfg, name)
+    assert label == name
+    return compiled.rows(), cfg
+
+
+def exercised(rows, trh, act_max=ACT_MAX):
+    return exercised_within(rows, max(1, trh // 2), act_max)
+
+
 class TestOracleSequences:
     def test_single_crosses_threshold_twice(self):
-        rows, exercised = oracle_sequence("single", 1000, 4096, ACT_MAX)
-        assert exercised
+        rows, _ = battery("single", 1000)
+        assert exercised(rows, 1000)
         assert rows == [5] * len(rows)
         assert len(rows) > 2 * 500
 
     def test_single_unexercised_when_window_too_small(self):
         """A scaled window smaller than T_H cannot host the attack."""
-        _, exercised = oracle_sequence("single", 139_000, 4096, 10_000)
-        assert not exercised
+        rows, _ = battery("single", 139_000)
+        assert not exercised(rows, 139_000, act_max=10_000)
 
     def test_many_overflows_small_queues(self):
-        rows, exercised = oracle_sequence("many", 1000, 4096, ACT_MAX)
-        assert exercised
-        assert len(set(rows)) == MANY_AGGRESSORS > 16
+        rows, _ = battery("many", 1000)
+        assert exercised(rows, 1000)
+        assert len(set(rows)) == DEFAULT_MANY_AGGRESSORS > 16
 
     def test_many_shrinks_to_sanity_size_when_capped(self):
         """Once the cap makes the threshold unreachable, the sequence
         shrinks instead of burning the full budget on a vacuous run."""
-        rows, exercised = oracle_sequence("many", 139_000, 4096, ACT_MAX)
-        assert not exercised
-        assert len(rows) <= MANY_AGGRESSORS * 2048
+        rows, _ = battery("many", 139_000)
+        assert not exercised(rows, 139_000)
+        assert len(rows) <= DEFAULT_MANY_AGGRESSORS * 2048
 
     def test_random_is_sanity_only(self):
-        rows, exercised = oracle_sequence("random", 1000, 64, ACT_MAX)
-        assert not exercised
-        assert all(0 <= row < 64 for row in rows)
+        rows, cfg = battery("random", 1000, scale=1 / 4096)
+        assert not exercised(rows, 1000)
+        assert all(0 <= row < cfg.geometry.total_rows for row in rows)
 
     def test_random_is_deterministic(self):
-        first, _ = oracle_sequence("random", 1000, 4096, ACT_MAX)
-        second, _ = oracle_sequence("random", 1000, 4096, ACT_MAX)
-        assert first == second
+        assert battery("random", 1000)[0] == battery("random", 1000)[0]
+
+    def test_aliases_skip_bounds_specs_check_them(self):
+        """Battery rows are fixed even where the row space is smaller;
+        a spec compiles against the rung's geometry and is checked."""
+        tiny = SystemConfig(scale=1 / 65536).with_trh(1000)
+        rows, _ = battery("many", 1000, scale=1 / 65536)
+        assert max(rows) >= tiny.geometry.total_rows
+        with pytest.raises(AttackBoundsError):
+            _cell_attack(tiny, "many_sided")
+
+    def test_spec_label_is_canonical(self):
+        cfg = SystemConfig(scale=1 / 256).with_trh(1000)
+        _, label = _cell_attack(cfg, "half_double@near_ratio=500, victim=40")
+        assert label == "half_double@near_ratio=500,victim=40"
 
     def test_unknown_sequence_rejected(self):
         with pytest.raises(ValueError):
-            oracle_sequence("half-pipe", 1000, 4096, ACT_MAX)
+            battery("half-pipe", 1000)
 
 
 class TestVerdicts:

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.security import verify_tracker
+from repro.attacks import compile_program, resolve
+from repro.attacks.programs import double_sided_program, single_sided_program
 from repro.core.config import HydraConfig
 from repro.core.hydra import HydraTracker
 from repro.core.randomize import FeistelPermutation
 from repro.dram.timing import DramGeometry
-from repro.workloads import attacks
 
 GEOMETRY = DramGeometry(
     channels=1,
@@ -101,7 +102,10 @@ class TestRandomizedHydra:
     def test_theorem1_still_holds(self):
         tracker = self.make()
         report = verify_tracker(
-            tracker, GEOMETRY, attacks.double_sided(500, 1500), tracker.th
+            tracker,
+            GEOMETRY,
+            compile_program(resolve(double_sided_program(500, 1500))),
+            tracker.th,
         )
         assert report.secure
 
@@ -110,7 +114,7 @@ class TestRandomizedHydra:
         report = verify_tracker(
             tracker,
             GEOMETRY,
-            attacks.single_sided(5, 4000),
+            compile_program(resolve(single_sided_program(5, 4000))),
             tracker.th,
             window_every=1200,
         )
@@ -127,7 +131,9 @@ class TestRandomizedHydra:
     def test_mitigation_rate_matches_static_design(self):
         """Paper: randomized design performs within ~0.1% of static —
         at tracker level, mitigation counts should match closely."""
-        sequence = attacks.double_sided(500, 2000)
+        sequence = compile_program(
+            resolve(double_sided_program(500, 2000))
+        ).rows()
         static = HydraTracker(
             HydraConfig(
                 geometry=GEOMETRY, trh=100, gct_entries=16,

@@ -3,11 +3,16 @@
 import pytest
 
 from repro.analysis.security import verify_tracker
+from repro.attacks import compile_program, resolve
+from repro.attacks.programs import (
+    double_sided_program,
+    half_double_program,
+    single_sided_program,
+)
 from repro.core.hydra import HydraTracker
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import simulate
 from repro.sim.sweep import ExperimentRunner
-from repro.workloads import attacks
 from repro.workloads.trace import Trace
 
 CONFIG = SystemConfig(scale=1 / 128, n_windows=1)
@@ -52,7 +57,7 @@ class TestAttackThroughFullSystem:
         """Back-to-back accesses to one row are row-buffer hits — a
         single activation, no hammering. The timing model captures
         this physical fact."""
-        sequence = attacks.single_sided(5, 4000)
+        sequence = compile_program(resolve(single_sided_program(5, 4000))).rows()
         trace = Trace.from_rows(sequence, gap_ns=50.0)
         result = simulate(trace, CONFIG, "hydra")
         assert result.activations < 10
@@ -61,7 +66,7 @@ class TestAttackThroughFullSystem:
     def test_double_sided_attack_mitigated_in_timing_sim(self):
         """Alternating aggressors force an ACT per access — the real
         hammering pattern — and must draw mitigations."""
-        sequence = attacks.double_sided(500, 2000)
+        sequence = compile_program(resolve(double_sided_program(500, 2000))).rows()
         trace = Trace.from_rows(sequence, gap_ns=50.0)
         tracker = HydraTracker(CONFIG.hydra_config())
         result = simulate(trace, CONFIG, tracker=tracker)
@@ -69,7 +74,7 @@ class TestAttackThroughFullSystem:
         assert result.mitigations >= 10
 
     def test_half_double_attack_mitigated(self):
-        sequence = attacks.half_double(500, 4000)
+        sequence = compile_program(resolve(half_double_program(500, 4000))).rows()
         trace = Trace.from_rows(sequence, gap_ns=50.0)
         tracker = HydraTracker(CONFIG.hydra_config())
         result = simulate(trace, CONFIG, tracker=tracker)
@@ -84,7 +89,7 @@ class TestFunctionalVsTimingConsistency:
         feedback rows differ only via blast-radius bookkeeping). The
         sequence alternates two distant aggressors so that every
         access is a true activation in the timing model too."""
-        sequence = attacks.double_sided(500, 1500)
+        sequence = compile_program(resolve(double_sided_program(500, 1500))).rows()
         functional = HydraTracker(CONFIG.hydra_config())
         report = verify_tracker(
             functional,

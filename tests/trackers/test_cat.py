@@ -3,9 +3,14 @@
 import pytest
 
 from repro.analysis.security import verify_tracker
+from repro.attacks import compile_program, resolve
+from repro.attacks.programs import (
+    double_sided_program,
+    many_sided_program,
+    single_sided_program,
+)
 from repro.dram.timing import DramGeometry
 from repro.trackers.cat import CatTracker
-from repro.workloads import attacks
 
 GEOMETRY = DramGeometry(
     channels=1,
@@ -90,20 +95,28 @@ class TestSecurity:
     def test_theorem_holds_under_double_sided(self):
         tracker = make(trh=100)
         report = verify_tracker(
-            tracker, GEOMETRY, attacks.double_sided(500, 1000), 50
+            tracker,
+            GEOMETRY,
+            compile_program(resolve(double_sided_program(500, 1000))),
+            50,
         )
         assert report.secure
 
     def test_theorem_holds_under_many_sided(self):
         tracker = make(trh=100)
-        seq = attacks.many_sided(list(range(64, 96)), rounds=120)
+        seq = compile_program(
+            resolve(many_sided_program(list(range(64, 96)), rounds=120))
+        )
         report = verify_tracker(tracker, GEOMETRY, seq, 50)
         assert report.secure
 
     def test_theorem_holds_with_tiny_pool(self):
         tracker = make(trh=100, counters=3)
         report = verify_tracker(
-            tracker, GEOMETRY, attacks.single_sided(5, 600), 50
+            tracker,
+            GEOMETRY,
+            compile_program(resolve(single_sided_program(5, 600))),
+            50,
         )
         assert report.secure
 

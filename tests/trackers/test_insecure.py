@@ -9,9 +9,10 @@ guaranteed trackers under the same harness.
 import pytest
 
 from repro.analysis.security import verify_tracker
+from repro.attacks import compile_program, resolve
+from repro.attacks.programs import many_sided_program, single_sided_program
 from repro.dram.timing import DramGeometry
 from repro.trackers.insecure import MrlocTracker, ProhitTracker
-from repro.workloads import attacks
 
 GEOMETRY = DramGeometry(
     channels=1,
@@ -21,6 +22,11 @@ GEOMETRY = DramGeometry(
     row_size_bytes=256,
 )
 TH = 50
+#: The two attacks both probabilistic designs lose to (and Hydra does not).
+SINGLE = compile_program(resolve(single_sided_program(5, TH + 25)))
+MANY = compile_program(
+    resolve(many_sided_program(list(range(100, 164)), TH + 10))
+)
 
 
 class TestMrlocAverageCase:
@@ -61,7 +67,7 @@ class TestMrlocInsecurity:
         for seed in range(40):
             tracker = MrlocTracker(base_probability=0.002, seed=seed)
             report = verify_tracker(
-                tracker, GEOMETRY, attacks.single_sided(5, TH + 25), TH
+                tracker, GEOMETRY, SINGLE, TH
             )
             if not report.secure:
                 violated = True
@@ -114,8 +120,7 @@ class TestProhitInsecurity:
                 mitigation_interval=512,
                 seed=seed,
             )
-            sequence = attacks.many_sided(list(range(100, 164)), TH + 10)
-            report = verify_tracker(tracker, GEOMETRY, sequence, TH)
+            report = verify_tracker(tracker, GEOMETRY, MANY, TH)
             if not report.secure:
                 violated = True
                 break
@@ -133,10 +138,7 @@ class TestContrastWithGuaranteedTrackers:
             geometry=GEOMETRY, trh=2 * TH, gct_entries=16,
             rcc_entries=8, rcc_ways=4,
         )
-        for sequence in (
-            attacks.single_sided(5, TH + 25),
-            attacks.many_sided(list(range(100, 164)), TH + 10),
-        ):
+        for sequence in (SINGLE, MANY):
             report = verify_tracker(
                 HydraTracker(config), GEOMETRY, sequence, TH
             )

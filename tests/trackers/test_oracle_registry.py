@@ -24,24 +24,29 @@ import random
 import pytest
 
 from repro.analysis.security import verify_tracker
+from repro.attacks import AttackContext, compile_attack
 from repro.sim.config import SystemConfig
 from repro.trackers.registry import (
     available_trackers,
     build_tracker,
     tracker_info,
 )
-from repro.workloads import attacks
 
 TRH_RUNGS = (1000, 500)
 CONFIG = SystemConfig(scale=1 / 128, n_windows=1)
 
 
-def _sequences(trh: int, total_rows: int):
-    threshold = trh // 2
-    rng = random.Random(0xC0FFEE + trh)
-    span = min(2048, total_rows)
+def _single_sided(cfg: SystemConfig):
+    """Row 5 hammered 2.5*T_H + 8 times (the registry default)."""
+    return compile_attack("single_sided", AttackContext.from_system(cfg))
+
+
+def _sequences(cfg: SystemConfig):
+    threshold = cfg.trh // 2
+    rng = random.Random(0xC0FFEE + cfg.trh)
+    span = min(2048, cfg.geometry.total_rows)
     return {
-        "single": attacks.single_sided(5, int(2.5 * threshold) + 8),
+        "single": _single_sided(cfg),
         "random": [rng.randrange(span) for _ in range(4 * threshold)],
     }
 
@@ -52,7 +57,7 @@ def _battery(name: str):
     for trh in TRH_RUNGS:
         cfg = CONFIG.with_trh(trh)
         act_max = cfg.timing.max_activations_per_window()
-        for seq_name, sequence in _sequences(trh, cfg.geometry.total_rows).items():
+        for seq_name, sequence in _sequences(cfg).items():
             tracker = build_tracker(name, cfg.tracker_context())
             outcomes[(trh, seq_name)] = verify_tracker(
                 tracker,
@@ -104,7 +109,7 @@ def test_single_sided_always_pressures_the_oracle(name):
     report = verify_tracker(
         tracker,
         cfg.geometry,
-        attacks.single_sided(5, int(2.5 * (trh // 2)) + 8),
+        _single_sided(cfg),
         threshold=trh // 2,
         window_every=cfg.timing.max_activations_per_window(),
         max_feedback_depth=2,
