@@ -57,7 +57,6 @@ _API_EXPORTS = (
     "run",
     "sweep",
     "compare",
-    "RunSpec",
     "GridSpec",
     "RunResult",
     "GridResult",

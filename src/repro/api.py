@@ -14,9 +14,10 @@ is implementation detail that may move between releases:
 - :func:`list_trackers` / :func:`list_attacks` — the registry names a
   spec string may start with.
 
-The value objects of the surface (``RunSpec``, ``GridSpec``,
-``RunResult``, ``GridResult``) re-export from here so callers can
-``from repro.api import ...`` alone.
+A single run is named by a tracker spec string plus a
+:class:`~repro.sim.config.SystemConfig`; the value objects of the
+surface (``GridSpec``, ``RunResult``, ``GridResult``) re-export from
+here so callers can ``from repro.api import ...`` alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.sim.config import SystemConfig
 from repro.sim.grid import GridSpec
 from repro.sim.results import ComparisonResult, GridResult, RunResult
 from repro.sim.simulator import simulate_workload
-from repro.sim.spec import RunSpec
 from repro.sim.sweep import ExperimentRunner
 from repro.service.jobs import JobHandle
 
@@ -38,7 +38,6 @@ __all__ = [
     "GridSpec",
     "JobHandle",
     "RunResult",
-    "RunSpec",
     "SystemConfig",
     "compare",
     "list_attacks",
@@ -49,23 +48,21 @@ __all__ = [
 
 
 def run(
-    spec: Union[None, str, RunSpec] = None,
+    spec: str = "hydra",
     workload: str = "GUPS",
     config: Optional[SystemConfig] = None,
     observe: Optional[bool] = None,
 ) -> RunResult:
     """Simulate one (tracker, workload) cell.
 
-    ``spec`` is a tracker spec string (``"hydra@trh=1000"``), a
-    :class:`RunSpec`, or ``None`` for the default tracker. The result
-    is byte-identical to calling :func:`repro.sim.simulate` on the
-    workload's trace — this is a naming/typing facade, not a second
-    code path.
+    ``spec`` is a tracker spec string (``"hydra@trh=1000"``). The
+    result is byte-identical to calling :func:`repro.sim.simulate` on
+    the workload's trace — this is a naming/typing facade, not a
+    second code path.
     """
-    resolved = RunSpec.coerce(spec=spec)
     return simulate_workload(
         config if config is not None else SystemConfig(),
-        resolved,
+        spec,
         workload,
         observe=observe,
     )

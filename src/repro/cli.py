@@ -32,17 +32,21 @@ programs (battery aliases ``single``/``many``/``random`` still
 work there).
 
 ``--engine {fast,queued}`` selects the memory-controller engine for
-``run``/``sweep``/``experiment``/``profile`` (default: the fast
-in-order model); ``engine=`` inside a spec string overrides it per
-tracker column
-(``--tracker hydra@engine=queued``).
+``run``/``sweep``/``submit``/``arena``/``experiment``/``profile``
+(default: the fast in-order model); ``engine=`` inside a spec string
+overrides it per tracker column (``--tracker hydra@engine=queued``).
 
-``--stream-chunk N`` streams traces through on-disk chunks of N
-requests instead of materializing them in RAM (bit-identical results,
-bounded memory; ``stream_chunk=`` inside a spec string overrides per
-column), and ``run --trace-file PATH`` replays a recorded trace —
-chunked directory, ``.npz``, or external text — through the same
-simulation path (DESIGN.md §13).
+``--stream-chunk N`` (same subcommands) streams traces through
+on-disk chunks of N requests instead of materializing them in RAM
+(bit-identical results, bounded memory; ``stream_chunk=`` inside a
+spec string overrides per column), and ``run --trace-file PATH``
+replays a recorded trace — chunked directory, ``.npz``, or external
+text — through the same simulation path (DESIGN.md §13).
+
+Each subcommand takes only the system options its handler reads:
+``--jobs`` only where a grid fans out (``sweep``, ``arena``,
+``fuzz``, ``experiment``), ``--trh`` not on ``arena`` (its ladder
+sets T_RH), and ``storage`` only ``--trh``.
 
 Each subcommand imports what only it needs inside its handler, so
 ``serve`` and the other non-attack subcommands never load the attack
@@ -76,57 +80,57 @@ def _jobs_type(value: str) -> int:
     return count
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scale-denominator",
+#: The system options several subcommands share, by flag. Each parser
+#: takes only the ones its handler reads (see ``build_parser``).
+_SYSTEM_OPTIONS = {
+    "--scale-denominator": dict(
         type=int,
         default=32,
         help="simulate 1/N of the full system (default 32; 1 = full)",
-    )
-    parser.add_argument("--trh", type=int, default=500, help="RowHammer threshold")
-    parser.add_argument(
-        "--engine",
+    ),
+    "--trh": dict(type=int, default=500, help="RowHammer threshold"),
+    "--engine": dict(
         choices=ENGINES,
         default="fast",
         help="memory-controller engine: 'fast' (in-order resolution, the"
         " sweep default) or 'queued' (FR-FCFS + write-queue drain);"
         " per-spec override: --tracker 'hydra@engine=queued'",
-    )
-    parser.add_argument(
-        "--jobs",
+    ),
+    "--jobs": dict(
         type=_jobs_type,
         default=None,
         metavar="N",
         help="simulate up to N grid cells in parallel (0 = one per CPU; "
         "default: $REPRO_JOBS, else serial)",
-    )
-    parser.add_argument(
-        "--stream-chunk",
+    ),
+    "--stream-chunk": dict(
         type=int,
         default=0,
         metavar="N",
         help="stream traces through on-disk chunks of N requests"
         " (bounded memory; 0 = materialize in RAM, the default);"
         " per-spec override: --tracker 'hydra@stream_chunk=65536'",
-    )
+    ),
+}
+
+#: Everything a subcommand that simulates workloads reads.
+_SIMULATION = ("--scale-denominator", "--trh", "--engine", "--stream-chunk")
+
+
+def _add_options(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_SYSTEM_OPTIONS[flag])
 
 
 def _config(args: argparse.Namespace) -> SystemConfig:
-    return SystemConfig(
-        scale=1.0 / args.scale_denominator,
-        trh=args.trh,
-        engine=getattr(args, "engine", "fast"),
-        stream_chunk=getattr(args, "stream_chunk", 0),
-        trace_file=getattr(args, "trace_file", None),
-    )
-
-
-def _runner(args: argparse.Namespace) -> ExperimentRunner:
-    return ExperimentRunner(
-        _config(args),
-        jobs=args.jobs,
-        manifest_path=getattr(args, "manifest", None),
-    )
+    """The system the parsed options describe; options a subcommand
+    does not take keep their ``SystemConfig`` defaults."""
+    given = {
+        name: getattr(args, name)
+        for name in ("trh", "engine", "stream_chunk", "trace_file")
+        if hasattr(args, name)
+    }
+    return SystemConfig(scale=1.0 / args.scale_denominator, **given)
 
 
 #: Per-window series columns worth a terminal column, in print order
@@ -184,7 +188,7 @@ def _print_observability(result, series_out: Optional[str]) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    runner = _runner(args)
+    runner = ExperimentRunner(_config(args))
     if args.attack:
         # Attack runs mix a compiled program into the workload trace;
         # the mixed trace is unique to this invocation, so simulate
@@ -252,7 +256,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.tracker,
         config=_config(args),
         jobs=args.jobs,
-        manifest_path=getattr(args, "manifest", None),
+        manifest_path=args.manifest,
     )
     print(f"{'workload':<12} {'norm. perf':>10}")
     for comp in comparisons:
@@ -264,9 +268,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     print("\nslowdown by suite:")
     print(bar_chart(comparisons.slowdowns(), width=40, unit="%"))
-    manifest = resolve_manifest_path(
-        getattr(args, "manifest", None), default_cache_dir()
-    )
+    manifest = resolve_manifest_path(args.manifest, default_cache_dir())
     if manifest is not None:
         print(f"\nmanifest appended: {manifest}")
     return 0
@@ -724,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="simulate one workload")
-    _add_common(run)
+    _add_options(run, *_SIMULATION)
     run.add_argument(
         "workload",
         nargs="?",
@@ -775,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
 
     sweep = sub.add_parser("sweep", help="run all 36 workloads")
-    _add_common(sweep)
+    _add_options(sweep, *_SIMULATION, "--jobs")
     sweep.add_argument("--tracker", default="hydra")
     sweep.add_argument(
         "--manifest",
@@ -827,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit a sweep grid to a running 'hydra-sim serve'",
     )
-    _add_common(submit)
+    _add_options(submit, *_SIMULATION)
     submit.add_argument("--host", default="127.0.0.1")
     submit.add_argument("--port", type=int, default=8265)
     submit.add_argument(
@@ -871,26 +873,30 @@ def build_parser() -> argparse.ArgumentParser:
     catalogue.set_defaults(func=_cmd_list_trackers)
 
     storage = sub.add_parser("storage", help="print storage tables")
-    _add_common(storage)
+    _add_options(storage, "--trh")
     storage.set_defaults(func=_cmd_storage)
 
     security = sub.add_parser("security", help="verify attack resilience")
-    _add_common(security)
+    _add_options(security, "--scale-denominator", "--trh")
     security.set_defaults(func=_cmd_security)
 
     arena = sub.add_parser(
         "arena",
         help="race every tracker down a T_RH ladder: slowdown /"
         " storage / security Pareto report",
+        # Refuse --trh rather than read it as --trh-ladder.
+        allow_abbrev=False,
     )
-    _add_common(arena)
+    _add_options(
+        arena, "--scale-denominator", "--engine", "--stream-chunk", "--jobs"
+    )
     arena.add_argument(
         "--trh-ladder",
         type=_csv_ints,
         default=None,
         metavar="T1,T2,...",
         help="comma-separated T_RH rungs (default: 139000,20000,4800,"
-        "1000,500); --trh is ignored here",
+        "1000,500)",
     )
     arena.add_argument(
         "--trackers",
@@ -941,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz",
         help="judge every tracker against seeded random hammer programs",
     )
-    _add_common(fuzz)
+    _add_options(fuzz, "--scale-denominator", "--trh", "--jobs")
     fuzz.add_argument(
         "--programs",
         type=int,
@@ -992,7 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser(
         "experiment", help="run one named paper experiment (fig5, table1, ...)"
     )
-    _add_common(exp)
+    _add_options(exp, *_SIMULATION, "--jobs")
     exp.add_argument("name", help="experiment id; use 'list' to enumerate")
     exp.set_defaults(func=_cmd_experiment)
 
@@ -1000,7 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="cProfile one simulation cell (the perf-pass workflow)",
     )
-    _add_common(profile)
+    _add_options(profile, *_SIMULATION)
     profile.add_argument(
         "workload", nargs="?", default="GUPS", choices=all_names()
     )
@@ -1095,7 +1101,7 @@ def build_parser() -> argparse.ArgumentParser:
         "record",
         help="generate a synthetic workload's trace and save it",
     )
-    _add_common(record)
+    _add_options(record, "--scale-denominator")
     record.add_argument("workload", choices=all_names())
     record.add_argument(
         "destination",

@@ -25,7 +25,6 @@ from repro.sim.simulator import (
     simulate_workload,
     trace_for_workload,
 )
-from repro.sim.spec import DEFAULT_TRACKER, RunSpec
 from repro.sim.sweep import (
     ExperimentRunner,
     SweepProgress,
@@ -37,14 +36,12 @@ from repro.sim.sweep import (
 __all__ = [
     "Comparison",
     "ComparisonResult",
-    "DEFAULT_TRACKER",
     "ExperimentRunner",
     "GridCell",
     "GridResult",
     "GridSpec",
     "ResultCache",
     "RunResult",
-    "RunSpec",
     "SCHEMA_VERSION",
     "SweepProgress",
     "SystemConfig",

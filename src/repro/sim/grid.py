@@ -5,7 +5,9 @@ workload_names)`` against whatever config the runner happened to hold.
 That shape cannot leave the process: the sweep service (DESIGN.md §15)
 needs a grid that serializes, round-trips canonically, and enumerates
 its own cells so a broker can shard them. :class:`GridSpec` is that
-object, the grid-shaped sibling of :class:`~repro.sim.spec.RunSpec`:
+object; each of its cells is one spec string run under one
+:class:`~repro.sim.config.SystemConfig`, exactly what ``simulate``
+takes:
 
 - ``trackers`` — registry spec strings, canonicalized on construction
   so spelling variants of one configuration compare (and cache) equal;

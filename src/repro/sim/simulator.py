@@ -4,18 +4,15 @@
 *engine* carrying the requested tracker, and packages the outcome as a
 :class:`~repro.sim.results.RunResult`. Both engines — the fast
 in-order controller and the queued FR-FCFS controller — run through
-this single code path (``RunSpec.build_controller`` + ``run_trace``),
-so every consumer (sweeps, the result cache, benchmarks, the CLI) is
+this single code path (``build_controller`` + ``run_trace``), so every
+consumer (sweeps, the result cache, benchmarks, the CLI) is
 engine-agnostic: set ``SystemConfig.engine`` or put ``engine=queued``
 in a tracker spec and nothing else changes.
 
-What to run is described by a :class:`~repro.sim.spec.RunSpec` — one
-immutable value object replacing the old precedence rules between
-spec strings, tracker instances and ``engine``. The ``tracker=`` and
-``engine=`` keywords still work as constructors for a RunSpec, but
-conflicting combinations (two ways of naming the tracker, or an
-``engine=`` argument contradicting an ``engine=`` inside the spec
-string) raise instead of silently resolving.
+What to run is described by exactly two things: a spec string and a
+:class:`~repro.sim.config.SystemConfig`. The spec's ``engine=`` and
+``stream_chunk=`` parameters beat the config's fields of the same
+name; everything else about the system comes from the config.
 
 Tracker construction is spec-driven (``make_tracker`` delegates to the
 declarative registry in :mod:`repro.trackers.registry`), so sweeps and
@@ -61,14 +58,14 @@ import shutil
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from repro.dram.power import DramPowerModel
 from repro.interfaces import ActivationTracker
+from repro.memctrl import build_controller
 from repro.sim.config import SystemConfig
 from repro.sim.results import RunResult
-from repro.sim.spec import RunSpec
-from repro.trackers.registry import build_tracker
+from repro.trackers.registry import build_tracker, spec_engine, spec_stream_chunk
 from repro.workloads.characteristics import workload
 from repro.workloads.streaming import (
     ChunkedTrace,
@@ -79,8 +76,6 @@ from repro.workloads.streaming import (
 )
 from repro.workloads.synthetic import SyntheticWorkloadGenerator
 from repro.workloads.trace import Trace
-
-TrackerFactory = Callable[[SystemConfig], ActivationTracker]
 
 #: Per-process trace memo keyed by (trace identity, workload name).
 #: Traces are deterministic functions of both, so sharing across
@@ -214,24 +209,23 @@ def trace_for_workload(config: SystemConfig, workload_name: str) -> TraceSource:
 
 def simulate_workload(
     config: SystemConfig,
-    spec: Union[str, RunSpec] = RunSpec(),
+    spec: str = "hydra",
     workload_name: str = "GUPS",
     observe: Optional[bool] = None,
 ) -> "RunResult":
     """One grid cell from names alone (the parallel-sweep work unit).
 
-    ``spec`` is a tracker spec string or a :class:`RunSpec` (strings
-    keep this picklable for pool workers). A ``stream_chunk=`` spec
-    parameter (or RunSpec field) is resolved onto the config *before*
-    trace construction, so per-run streaming overrides reach the memo
-    and the cache key, not just the engine.
+    A ``stream_chunk=`` spec parameter is resolved onto the config
+    *before* trace construction, so a per-run streaming override
+    reaches the memo and the cache key, not just the engine.
     """
-    run_spec = RunSpec.coerce(spec=spec)
-    config = run_spec.apply_stream_chunk(config)
+    chunk = spec_stream_chunk(spec)
+    if chunk is not None and chunk != config.stream_chunk:
+        config = config.with_stream_chunk(chunk)
     return simulate(
         trace_for_workload(config, workload_name),
         config,
-        spec=run_spec,
+        spec,
         observe=observe,
     )
 
@@ -248,9 +242,7 @@ def make_tracker(name: str, config: SystemConfig) -> ActivationTracker:
 def simulate(
     trace: TraceSource,
     config: SystemConfig,
-    spec: Union[None, str, RunSpec] = None,
-    tracker: Optional[ActivationTracker] = None,
-    engine: Optional[str] = None,
+    spec: str = "hydra",
     observe: Optional[bool] = None,
 ) -> RunResult:
     """Run one trace through one system configuration.
@@ -260,21 +252,22 @@ def simulate(
     consume the stream with running statistics, so the result is
     bit-identical across representations.
 
-    ``spec`` (a spec string or :class:`RunSpec`) is the preferred way
-    to say what runs; ``tracker=`` (a prebuilt instance) and
-    ``engine=`` remain as RunSpec constructors, and conflicting
-    combinations raise ``ValueError`` (see :meth:`RunSpec.coerce`).
-    Engine resolution is unchanged: explicit ``engine`` argument, then
-    an ``engine=`` override in the spec string, then ``config.engine``.
+    ``spec`` is a tracker spec string; its ``engine=`` parameter, when
+    present, beats ``config.engine``.
 
     ``observe=True`` attaches the observability layer (per-window
     series + metrics registry) to this run; ``None`` defers to
     ``$REPRO_OBS``. The returned result is identical either way except
     for the non-serialized ``observability`` field.
     """
-    run_spec = RunSpec.coerce(spec=spec, tracker=tracker, engine=engine)
-    controller = run_spec.build_controller(config)
-    resolved_tracker = controller.tracker
+    tracker = build_tracker(spec, config.tracker_context())
+    controller = build_controller(
+        spec_engine(spec) or config.engine,
+        geometry=config.geometry,
+        timing=config.timing,
+        tracker=tracker,
+        blast_radius=config.blast_radius,
+    )
 
     observation = None
     if observe is None:
@@ -297,7 +290,7 @@ def simulate(
         n_ranks=config.geometry.channels * config.geometry.ranks_per_channel,
     )
     extra: Dict[str, object] = dict(controller.result_extras())
-    extra.update(resolved_tracker.extra_stats())
+    extra.update(tracker.extra_stats())
     observability = (
         observation.finalize(outcome.end_time_ns)
         if observation is not None
@@ -305,7 +298,7 @@ def simulate(
     )
     return RunResult(
         workload=trace.name,
-        tracker=run_spec.result_tracker_label(resolved_tracker),
+        tracker=tracker.name,
         end_time_ns=outcome.end_time_ns,
         requests=outcome.requests,
         average_latency_ns=outcome.average_latency_ns,
@@ -313,7 +306,7 @@ def simulate(
         meta_accesses=controller.stats.meta_accesses,
         meta_line_transfers=controller.stats.meta_line_transfers,
         victim_refreshes=controller.stats.victim_refreshes,
-        mitigations=resolved_tracker.mitigation_count(),
+        mitigations=tracker.mitigation_count(),
         window_resets=controller.stats.window_resets,
         activations=activity.activations,
         bus_utilization=controller.bus_utilization(),

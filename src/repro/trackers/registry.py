@@ -193,11 +193,19 @@ class TrackerInfo:
 
 _REGISTRY: Dict[str, TrackerInfo] = {}
 
+
+def _at_least(value: int, minimum: int) -> int:
+    if value < minimum:
+        raise ValueError(f"must be >= {minimum}, got {value}")
+    return value
+
+
 #: Parameters accepted by every tracker, resolved against the context
 #: before the tracker-specific builder runs.
 UNIVERSAL_PARAMS: Dict[str, Param] = {
     "trh": Param(
         int,
+        check=lambda trh: _at_least(trh, 1),
         help="RowHammer threshold (applies SystemConfig.with_trh's policy)",
     ),
     "engine": Param(
@@ -208,6 +216,7 @@ UNIVERSAL_PARAMS: Dict[str, Param] = {
     ),
     "stream_chunk": Param(
         int,
+        check=lambda chunk: _at_least(chunk, 0),
         help="trace-streaming chunk size in requests (overrides"
         " SystemConfig.stream_chunk; 0 = materialize the trace in RAM)",
     ),

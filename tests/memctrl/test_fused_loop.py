@@ -15,9 +15,10 @@ from dataclasses import fields, replace
 
 import pytest
 
+from repro.memctrl import build_controller
+from repro.sim import simulator
 from repro.sim.config import SystemConfig
-from repro.sim.simulator import simulate, trace_for_workload
-from repro.sim.spec import RunSpec
+from repro.sim.simulator import make_tracker, simulate, trace_for_workload
 
 #: mcf at T_RH=125 drives every feedback path in ~6k requests:
 #: Hydra's and CRA's metadata traffic, victim refreshes from Hydra,
@@ -46,14 +47,14 @@ class PlainTuples:
 def _run(source, spec, monkeypatch):
     """Simulate ``source``, returning the result and its controller."""
     built = []
-    build = RunSpec.build_controller
+    build = simulator.build_controller
 
-    def capture(self, config, **kwargs):
-        built.append(build(self, config, **kwargs))
+    def capture(*args, **kwargs):
+        built.append(build(*args, **kwargs))
         return built[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(RunSpec, "build_controller", capture)
+        patch.setattr(simulator, "build_controller", capture)
         result = simulate(source, CONFIG, spec)
     (controller,) = built
     return result, controller
@@ -112,6 +113,11 @@ def test_fused_loop_matches_with_rank_windows(spec, monkeypatch):
 def test_no_rank_windows_at_default_timing():
     timing = CONFIG.timing
     assert timing.t_faw == 0 and timing.t_rrd == 0
-    controller = RunSpec.coerce(spec="hydra").build_controller(CONFIG)
+    controller = build_controller(
+        CONFIG.engine,
+        CONFIG.geometry,
+        CONFIG.timing,
+        make_tracker("hydra", CONFIG),
+    )
     assert controller.rank_windows == []
     assert all(bank._act_window is None for bank in controller.banks)

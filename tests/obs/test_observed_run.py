@@ -54,10 +54,9 @@ class TestObservedRunParity:
     @pytest.mark.parametrize("engine", ["fast", "queued"])
     def test_results_identical_with_and_without(self, engine):
         trace = hammer_trace(n_pairs=2000)
-        plain = simulate(trace, CONFIG, "hydra", engine=engine, observe=False)
-        observed = simulate(
-            trace, CONFIG, "hydra", engine=engine, observe=True
-        )
+        config = CONFIG.with_engine(engine)
+        plain = simulate(trace, config, "hydra", observe=False)
+        observed = simulate(trace, config, "hydra", observe=True)
         assert plain.observability is None
         assert observed.observability is not None
         assert observed == plain

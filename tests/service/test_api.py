@@ -24,9 +24,10 @@ class TestRunParity:
         )
 
     def test_run_accepts_runspec(self):
-        spec = api.RunSpec(tracker="baseline")
-        result = api.run(spec, workload="leela", config=CONFIG)
+        # The spec string alone says what runs, engine included.
+        result = api.run("baseline@engine=queued", "leela", CONFIG)
         assert result.tracker == "baseline"
+        assert result.engine == "queued"
 
     def test_run_default_tracker(self):
         result = api.run(workload="leela", config=CONFIG)
@@ -96,7 +97,6 @@ class TestBlessedExports:
             "run",
             "sweep",
             "compare",
-            "RunSpec",
             "GridSpec",
             "RunResult",
             "GridResult",

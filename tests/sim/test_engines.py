@@ -19,9 +19,10 @@ from repro.memctrl import (
     build_controller,
     normalize_engine,
 )
-from repro.service import SweepBroker
+from repro.service import SweepBroker, worker
 from repro.service.http import SweepService
 from repro.sim import SystemConfig, cell_key, simulate, simulate_workload
+from repro.sim import ExperimentRunner, simulator, sweep
 from repro.sim.grid import GridSpec
 from repro.sim.results import RunResult
 from repro.trackers.registry import canonical_spec, parse_spec, spec_engine
@@ -109,9 +110,7 @@ class TestRunResultParity:
         counts = {}
         for engine in ENGINES:
             trace = distinct_row_trace(CONFIG)
-            result = simulate(
-                trace, CONFIG, "baseline", engine=engine
-            )
+            result = simulate(trace, CONFIG.with_engine(engine), "baseline")
             counts[engine] = result.activations
             assert result.requests == len(trace)
         assert counts["fast"] == counts["queued"] > 0
@@ -123,7 +122,7 @@ class TestRunResultParity:
         # threshold than the fast engine does.
         trace = make_trace([7, 9] * 8000, gap=10.0, name="hammer")
         for engine in ENGINES:
-            result = simulate(trace, CONFIG, "dcbf", engine=engine)
+            result = simulate(trace, CONFIG.with_engine(engine), "dcbf")
             assert result.extra["total_delay_ns"] > 0.0, engine
 
 
@@ -213,18 +212,56 @@ class TestSpecEngineAxis:
         assert result.engine == "queued"
 
     def test_conflicting_engine_argument_raises(self):
-        # Pre-RunSpec, an explicit engine= argument silently beat the
-        # spec's engine= override; conflicts are now a hard error.
+        # The spec or the config names the engine; simulate takes no
+        # engine= argument that could contradict them.
         trace = distinct_row_trace(CONFIG, n=50)
-        with pytest.raises(ValueError, match="conflicting engines"):
+        with pytest.raises(TypeError, match="engine"):
             simulate(trace, CONFIG, "baseline@engine=queued", engine="fast")
 
     def test_matching_engine_argument_allowed(self):
+        # A spec engine= repeating the config's engine is no conflict.
         trace = distinct_row_trace(CONFIG, n=50)
         result = simulate(
-            trace, CONFIG, "baseline@engine=queued", engine="queued"
+            trace, CONFIG.with_engine("queued"), "baseline@engine=queued"
         )
         assert result.engine == "queued"
+
+
+#: case -> (spec, a config holding another value, a config holding the
+#: spec's value). Each spec parameter must beat the config field.
+SPEC_BEATS_CONFIG = {
+    "engine=queued over fast": (
+        "hydra@engine=queued", CONFIG, CONFIG.with_engine("queued")
+    ),
+    "engine=fast over queued": (
+        "hydra@engine=fast", CONFIG.with_engine("queued"), CONFIG
+    ),
+    "stream_chunk=512 over 4096": (
+        "hydra@stream_chunk=512",
+        CONFIG.with_stream_chunk(4096),
+        CONFIG.with_stream_chunk(512),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPEC_BEATS_CONFIG))
+def test_spec_parameter_beats_config_field(case, monkeypatch):
+    """The spec's value wins, byte-identically to setting it on the
+    config."""
+    spec, other, same = SPEC_BEATS_CONFIG[case]
+    configs = []
+    run = simulator.simulate
+
+    def spy(trace, config, spec, observe=None):
+        configs.append(config)
+        return run(trace, config, spec, observe)
+
+    monkeypatch.setattr(simulator, "simulate", spy)
+    via_spec = simulate_workload(other, spec, "xz")
+    via_config = simulate_workload(same, "hydra", "xz")
+    assert via_spec.to_dict() == via_config.to_dict()
+    assert via_spec.engine == same.engine
+    assert configs[0].stream_chunk == same.stream_chunk
 
 
 def _http_submit_error(tmp_path, grid: dict) -> str:
@@ -278,3 +315,29 @@ REMOVED_ENGINE_ENTRY_POINTS = {
 def test_removed_vector_engine_rejected(entry, tmp_path):
     """One message names the removal and the replacement everywhere."""
     assert REMOVED_MESSAGE in REMOVED_ENGINE_ENTRY_POINTS[entry](tmp_path)
+
+
+#: Universal parameters out of range: T_RH below 1, a negative chunk.
+BAD_UNIVERSAL_SPECS = ["hydra@trh=0", "hydra@trh=-3", "hydra@stream_chunk=-5"]
+
+
+@pytest.mark.parametrize("spec", BAD_UNIVERSAL_SPECS)
+def test_bad_universal_param_rejected_where_parsed(spec, tmp_path, monkeypatch):
+    """Every entry point refuses the spec by name before a cell runs."""
+    named = repr(spec)
+    assert named in _raised(lambda: parse_spec(spec))
+    assert named in _raised(lambda: canonical_spec(spec))
+    assert named in _raised(
+        lambda: GridSpec.coerce([spec], ["xz"], config=CONFIG)
+    )
+    assert named in _http_submit_error(
+        tmp_path, {**_VECTOR_GRID, "trackers": [spec]}
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"run_cell called for {spec!r}")
+
+    monkeypatch.setattr(worker, "run_cell", refuse)
+    monkeypatch.setattr(sweep, "run_cell", refuse)
+    runner = ExperimentRunner(CONFIG, cache_dir=tmp_path / "runner")
+    assert named in _raised(lambda: runner.run_grid([spec], ["xz"]))

@@ -57,10 +57,11 @@ class TestSimulate:
         assert cra.end_time_ns >= base.end_time_ns
 
     def test_explicit_tracker_instance(self):
+        # A run is named by its spec; a prebuilt instance is refused.
         trace = Trace.from_rows([1, 2, 3], gap_ns=100.0)
-        tracker = make_tracker("ocpr", CONFIG)
-        result = simulate(trace, CONFIG, tracker=tracker)
-        assert result.tracker == "ocpr"
+        with pytest.raises(TypeError, match="tracker"):
+            simulate(trace, CONFIG, tracker=make_tracker("ocpr", CONFIG))
+        assert simulate(trace, CONFIG, "ocpr").tracker == "ocpr"
 
     def test_cra_reports_cache_miss_rate(self):
         trace = Trace.from_rows([i % 100 for i in range(300)], gap_ns=20.0)

@@ -23,7 +23,8 @@ from repro.sim.simulator import (
     simulate_workload,
     trace_for_workload,
 )
-from repro.sim.spec import RunSpec
+from repro.sim import simulator
+from repro.trackers.registry import parse_spec
 from repro.workloads.streaming import (
     ChunkedTrace,
     ExternalTraceReader,
@@ -141,35 +142,57 @@ class TestStreamingKeys:
             CONFIG.with_stream_chunk(-1)
 
 
+def _simulated_config(monkeypatch, config, spec):
+    """The config ``simulate_workload`` hands to ``simulate``."""
+    seen = []
+    monkeypatch.setattr(
+        simulator,
+        "simulate",
+        lambda trace, config, spec, observe=None: seen.append(config),
+    )
+    monkeypatch.setattr(
+        simulator, "trace_for_workload", lambda config, name: None
+    )
+    simulate_workload(config, spec, "GUPS")
+    return seen[0]
+
+
 class TestRunSpecStreamChunk:
-    def test_resolution_order(self):
-        assert RunSpec().resolved_stream_chunk(CONFIG) == 0
-        spec = RunSpec(tracker=f"hydra@stream_chunk={CHUNK}")
-        assert spec.resolved_stream_chunk(CONFIG) == CHUNK
-        explicit = RunSpec(stream_chunk=32)
-        assert explicit.resolved_stream_chunk(
-            CONFIG.with_stream_chunk(CHUNK)
-        ) == 32
-        config_level = CONFIG.with_stream_chunk(CHUNK)
-        assert RunSpec().resolved_stream_chunk(config_level) == CHUNK
+    """A run's ``stream_chunk`` comes from its spec, then its config."""
+
+    def test_resolution_order(self, monkeypatch):
+        chunked = CONFIG.with_stream_chunk(CHUNK)
+        cases = [
+            (CONFIG, "hydra", 0),
+            (CONFIG, f"hydra@stream_chunk={CHUNK}", CHUNK),
+            (chunked, "hydra", CHUNK),
+            (chunked, "hydra@stream_chunk=32", 32),
+        ]
+        for config, spec, expected in cases:
+            resolved = _simulated_config(monkeypatch, config, spec)
+            assert resolved.stream_chunk == expected, (config, spec)
 
     def test_conflicting_values_raise(self):
-        with pytest.raises(ValueError, match="conflicting stream chunks"):
-            RunSpec(tracker="hydra@stream_chunk=64", stream_chunk=32)
+        with pytest.raises(ValueError, match="duplicate parameter"):
+            parse_spec("hydra@stream_chunk=64,stream_chunk=32")
 
-    def test_matching_values_allowed(self):
-        spec = RunSpec(tracker="hydra@stream_chunk=64", stream_chunk=64)
-        assert spec.resolved_stream_chunk(CONFIG) == 64
+    def test_matching_values_allowed(self, monkeypatch):
+        config = CONFIG.with_stream_chunk(64)
+        assert (
+            _simulated_config(monkeypatch, config, "hydra@stream_chunk=64")
+            is config
+        )
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="stream_chunk"):
-            RunSpec(stream_chunk=-1)
+            parse_spec("hydra@stream_chunk=-1")
 
-    def test_apply_stream_chunk(self):
-        spec = RunSpec(stream_chunk=CHUNK)
-        applied = spec.apply_stream_chunk(CONFIG)
-        assert applied.stream_chunk == CHUNK
-        assert RunSpec().apply_stream_chunk(CONFIG) is CONFIG
+    def test_apply_stream_chunk(self, monkeypatch):
+        applied = _simulated_config(
+            monkeypatch, CONFIG, f"hydra@stream_chunk={CHUNK}"
+        )
+        assert applied == CONFIG.with_stream_chunk(CHUNK)
+        assert _simulated_config(monkeypatch, CONFIG, "hydra") is CONFIG
 
 
 class TestMemoSpool:

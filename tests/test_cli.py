@@ -1,5 +1,9 @@
 """Tests for the hydra-sim command-line interface."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -267,3 +271,81 @@ class TestAttackCommands:
         assert "graphene" in out
         assert (tmp_path / "fuzz.json").exists()
         assert (tmp_path / "fuzz.jsonl").exists()
+
+
+#: (subcommand, flag) pairs whose handler never reads the flag.
+REMOVED_FLAGS = [
+    (["storage"], "--scale-denominator", "256"),
+    (["storage"], "--engine", "queued"),
+    (["storage"], "--jobs", "2"),
+    (["storage"], "--stream-chunk", "64"),
+    (["security"], "--engine", "queued"),
+    (["security"], "--stream-chunk", "64"),
+    (["security"], "--jobs", "2"),
+    (["fuzz"], "--engine", "queued"),
+    (["fuzz"], "--stream-chunk", "64"),
+    (["run"], "--jobs", "2"),
+    (["submit"], "--jobs", "2"),
+    (["profile"], "--jobs", "2"),
+    (["arena"], "--trh", "1000"),
+    (["trace", "record", "GUPS", "out.trc"], "--stream-chunk", "64"),
+    (["trace", "record", "GUPS", "out.trc"], "--engine", "queued"),
+    (["trace", "record", "GUPS", "out.trc"], "--jobs", "2"),
+    (["trace", "record", "GUPS", "out.trc"], "--trh", "1000"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    REMOVED_FLAGS,
+    ids=[f"{' '.join(c[:2])} {f}" for c, f, _ in REMOVED_FLAGS],
+)
+def test_subcommand_refuses_flag_its_handler_ignores(command, flag, value, capsys):
+    build_parser().parse_args(command)
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(command + [f"{flag}={value}"])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}=" in capsys.readouterr().err
+
+
+REPO = Path(__file__).resolve().parents[1]
+DOCUMENTED = [
+    ".github/workflows/ci.yml",
+    "README.md",
+    ".claude/skills/verify/SKILL.md",
+]
+
+
+#: A shell line running the CLI, after any VAR=value assignments.
+COMMAND_LINE = re.compile(
+    r"^\s*(?:\w+=\S*\s+)*(?:hydra-sim|python -m repro\.cli)\s+(.*)$"
+)
+
+SHELL_OPERATORS = {"&", "&&", "|", "||", ";", ">", ">>"}
+
+
+def documented_command_lines():
+    """Every ``hydra-sim``/``python -m repro.cli`` line in the docs, as
+    the argument list after the program name."""
+    found = []
+    for name in DOCUMENTED:
+        text = (REPO / name).read_text().replace("\\\n", " ")
+        for line in text.splitlines():
+            match = COMMAND_LINE.match(line)
+            if match:
+                words = shlex.split(match[1], comments=True)
+                ends = [i for i, w in enumerate(words) if w in SHELL_OPERATORS]
+                found.append((name, words[: ends[0]] if ends else words))
+    return found
+
+
+def test_documented_command_lines_parse():
+    lines = documented_command_lines()
+    assert len(lines) > 30
+    for source, argv in lines:
+        if "--help" in argv:
+            continue
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{source}: hydra-sim {' '.join(argv)} does not parse")

@@ -68,16 +68,14 @@ class TestAttackThroughFullSystem:
         hammering pattern — and must draw mitigations."""
         sequence = compile_program(resolve(double_sided_program(500, 2000))).rows()
         trace = Trace.from_rows(sequence, gap_ns=50.0)
-        tracker = HydraTracker(CONFIG.hydra_config())
-        result = simulate(trace, CONFIG, tracker=tracker)
+        result = simulate(trace, CONFIG, "hydra")
         # ~2000 activations per aggressor at T_H = 250.
         assert result.mitigations >= 10
 
     def test_half_double_attack_mitigated(self):
         sequence = compile_program(resolve(half_double_program(500, 4000))).rows()
         trace = Trace.from_rows(sequence, gap_ns=50.0)
-        tracker = HydraTracker(CONFIG.hydra_config())
-        result = simulate(trace, CONFIG, tracker=tracker)
+        result = simulate(trace, CONFIG, "hydra")
         assert result.mitigations > 0
 
 
@@ -99,9 +97,8 @@ class TestFunctionalVsTimingConsistency:
         )
         assert report.secure
 
-        timing_tracker = HydraTracker(CONFIG.hydra_config())
         trace = Trace.from_rows(sequence, gap_ns=50.0)
-        result = simulate(trace, CONFIG, tracker=timing_tracker)
+        result = simulate(trace, CONFIG, "hydra")
         assert result.mitigations == pytest.approx(
             report.mitigations, rel=0.2
         )
