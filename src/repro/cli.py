@@ -32,9 +32,9 @@ programs (battery aliases ``single``/``many``/``random`` still
 work there).
 
 ``--engine {fast,queued}`` selects the memory-controller engine for
-``run``/``sweep``/``submit``/``arena``/``experiment``/``profile``
-(default: the fast in-order model); ``engine=`` inside a spec string
-overrides it per tracker column (``--tracker hydra@engine=queued``).
+``run``/``sweep``/``submit``/``arena``/``experiment`` (default: the
+fast in-order model); ``engine=`` inside a spec string overrides it
+per tracker column (``--tracker hydra@engine=queued``).
 
 ``--stream-chunk N`` (same subcommands) streams traces through
 on-disk chunks of N requests instead of materializing them in RAM
@@ -661,41 +661,19 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         for name in available_experiments():
             print(name)
         return 0
+    previous = os.environ.get(JOBS_ENV_VAR)
     if args.jobs is not None:
         # Experiments build their own runners; the env default is the
-        # channel that reaches all of them.
+        # channel that reaches all of them, for this call only.
         os.environ[JOBS_ENV_VAR] = str(args.jobs)
-    payload = run_experiment(args.name, _config(args))
+    try:
+        payload = run_experiment(args.name, _config(args))
+    finally:
+        if previous is None:
+            os.environ.pop(JOBS_ENV_VAR, None)
+        else:
+            os.environ[JOBS_ENV_VAR] = previous
     print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """cProfile one simulation cell — the workflow behind the hot-path
-    optimization pass (README "Performance"): profile, attack the top
-    ``tottime`` entries, re-check bit-identity, repeat."""
-    import cProfile
-    import pstats
-
-    from repro.sim.simulator import simulate, trace_for_workload
-
-    config = _config(args)
-    # Generate (and memoize) the trace first so the profile shows the
-    # per-activation pipeline, not numpy trace synthesis.
-    trace = trace_for_workload(config, args.workload)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    result = simulate(trace, config, args.tracker)
-    profiler.disable()
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.sort_stats(args.sort).print_stats(args.limit)
-    print(
-        f"profiled {result.requests} requests "
-        f"({args.tracker}/{result.engine}, {result.workload})"
-    )
-    if args.output:
-        stats.dump_stats(args.output)
-        print(f"wrote {args.output} (open with snakeviz or pstats)")
     return 0
 
 
@@ -1001,32 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(exp, *_SIMULATION, "--jobs")
     exp.add_argument("name", help="experiment id; use 'list' to enumerate")
     exp.set_defaults(func=_cmd_experiment)
-
-    profile = sub.add_parser(
-        "profile",
-        help="cProfile one simulation cell (the perf-pass workflow)",
-    )
-    _add_options(profile, *_SIMULATION)
-    profile.add_argument(
-        "workload", nargs="?", default="GUPS", choices=all_names()
-    )
-    profile.add_argument("--tracker", default="hydra")
-    profile.add_argument(
-        "--sort",
-        default="tottime",
-        choices=("tottime", "cumtime", "ncalls"),
-        help="pstats sort column (default: tottime)",
-    )
-    profile.add_argument(
-        "--limit", type=int, default=25, help="rows to print (default 25)"
-    )
-    profile.add_argument(
-        "--output",
-        default=None,
-        metavar="FILE",
-        help="also dump raw pstats data here (for snakeviz etc.)",
-    )
-    profile.set_defaults(func=_cmd_profile)
 
     trace = sub.add_parser(
         "trace",

@@ -34,6 +34,7 @@ bit-identical ``RunResult``s from either representation (pinned by
 from __future__ import annotations
 
 import json
+import math
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -282,16 +283,18 @@ class ChunkedTrace(_StreamingSourceBase):
         """
         for index in range(len(self._segments)):
             paths = self.segment_paths(index)
+            gaps = np.load(paths["gaps"], mmap_mode="r")
             rows = np.load(paths["rows"], mmap_mode="r")
             lines = np.load(paths["lines"], mmap_mode="r")
             check_requests(
+                gaps,
                 rows,
                 lines,
                 f"{self.directory} segment {index}"
                 f" ({self._segments[index]['stem']})",
             )
             yield TraceChunk(
-                gaps_ns=np.load(paths["gaps"], mmap_mode="r"),
+                gaps_ns=gaps,
                 rows=rows,
                 lines=lines,
                 writes=np.load(paths["writes"], mmap_mode="r"),
@@ -428,11 +431,12 @@ class ExternalTraceReader(_StreamingSourceBase):
 
         <gap_ns> <R|W> <row_id> [<n_lines>]
 
-    ``gap_ns`` is the inter-arrival gap (float, nanoseconds),
-    ``row_id`` the global row, ``n_lines`` the burst length in 64 B
-    lines (default 1). ``#`` starts a comment; blank lines are
-    ignored. This is the USIMM trace shape (inter-arrival gap +
-    read/write + address) with the address already row-resolved.
+    ``gap_ns`` is the inter-arrival gap (float, nanoseconds, finite
+    and >= 0), ``row_id`` the global row, ``n_lines`` the burst
+    length in 64 B lines (default 1). ``#`` starts a comment; blank
+    lines are ignored. This is the USIMM trace shape (inter-arrival
+    gap + read/write + address) with the address already
+    row-resolved.
     """
 
     def __init__(
@@ -480,6 +484,11 @@ class ExternalTraceReader(_StreamingSourceBase):
                     raise ValueError(
                         f"{self.path}:{lineno}: access type must be R or"
                         f" W, got {fields[1]!r}"
+                    )
+                if not (math.isfinite(gap) and gap >= 0):
+                    raise ValueError(
+                        f"{self.path}:{lineno}: gap_ns must be finite and"
+                        f" >= 0 in {raw.strip()!r}"
                     )
                 if row < 0 or n_lines < 1:
                     raise ValueError(

@@ -235,23 +235,34 @@ class Trace:
                 writes=data["writes"],
                 name=str(data["name"]),
             )
-        check_requests(trace.rows, trace.lines, str(path))
+        check_requests(trace.gaps_ns, trace.rows, trace.lines, str(path))
         return trace
 
 
-def check_requests(rows: np.ndarray, lines: np.ndarray, where: str) -> None:
+def check_requests(
+    gaps: np.ndarray, rows: np.ndarray, lines: np.ndarray, where: str
+) -> None:
     """Apply the text reader's rules to recorded request arrays.
 
-    Every request needs ``row_id >= 0`` and ``n_lines >= 1``; a
-    negative row would index a bank from the end of the bank list, and
-    an empty burst is not an access. Checked vectorized when a recorded
-    trace (an ``.npz`` file, or one chunked segment) is loaded, before
-    any of its requests run. The ``ValueError`` names ``where`` and the
+    Every request needs a finite ``gap_ns >= 0``, ``row_id >= 0`` and
+    ``n_lines >= 1``: an infinite gap would advance the refresh windows
+    forever, a NaN or negative one runs time backwards, a negative row
+    would index a bank from the end of the bank list, and an empty
+    burst is not an access. Checked vectorized when a recorded trace
+    (an ``.npz`` file, or one chunked segment) is loaded, before any
+    of its requests run. The ``ValueError`` names ``where`` and the
     first offending request.
     """
-    bad = (np.asarray(rows) < 0) | (np.asarray(lines) < 1)
+    gaps = np.asarray(gaps, dtype=np.float64)
+    bad_gap = ~(np.isfinite(gaps) & (gaps >= 0))
+    bad = bad_gap | (np.asarray(rows) < 0) | (np.asarray(lines) < 1)
     if bad.any():
         index = int(np.argmax(bad))
+        if bad_gap[index]:
+            raise ValueError(
+                f"{where}: request {index}: gap_ns must be finite and"
+                f" >= 0, got gap_ns={float(gaps[index])!r}"
+            )
         raise ValueError(
             f"{where}: request {index}: row_id must be >= 0 and"
             f" n_lines >= 1, got row_id={int(rows[index])}"

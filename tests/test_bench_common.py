@@ -13,9 +13,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 
 from _common import all_slowdown  # noqa: E402
-from bench_engine_throughput import DEFAULT_CELLS  # noqa: E402
 
-from repro.memctrl import ENGINES  # noqa: E402
 from repro.sim.results import Comparison  # noqa: E402
 from repro.workloads.characteristics import all_names  # noqa: E402
 
@@ -49,7 +47,3 @@ class TestAllSlowdown:
         with pytest.raises(ValueError, match="at least one comparison"):
             all_slowdown([])
 
-
-class TestEngineCellSelection:
-    def test_default_cells_cover_every_engine(self):
-        assert {engine for _, engine in DEFAULT_CELLS} == set(ENGINES)

@@ -1,5 +1,6 @@
 """Tests for the hydra-sim command-line interface."""
 
+import os
 import re
 import shlex
 from pathlib import Path
@@ -7,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
-from repro.memctrl import ENGINES
 
 
 @pytest.fixture(autouse=True)
@@ -19,6 +19,12 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_profile_subcommand_is_gone(self):
+        # Per-layer timing lives in the e2ebench traced run.
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["profile"])
+        assert info.value.code == 2
 
     def test_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
@@ -63,6 +69,21 @@ class TestExperimentCommand:
     def test_analytic_experiment_runs(self, capsys):
         assert main(["experiment", "table4"]) == 0
         assert "56.5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("before", [None, "5"])
+    def test_jobs_flag_does_not_leak_into_the_environment(
+        self, before, monkeypatch, capsys
+    ):
+        # setenv first so monkeypatch restores the caller's value even
+        # when the command under test leaks one.
+        monkeypatch.setenv("REPRO_JOBS", "placeholder")
+        if before is None:
+            monkeypatch.delenv("REPRO_JOBS")
+        else:
+            monkeypatch.setenv("REPRO_JOBS", before)
+        assert main(["experiment", "table4", "--jobs", "3"]) == 0
+        capsys.readouterr()
+        assert os.environ.get("REPRO_JOBS") == before
 
 
 class TestReportCommand:
@@ -128,28 +149,6 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "workload          : small" in out
         assert "execution time" in out
-
-
-class TestProfileCommand:
-    def test_engine_flag_parses_all_engines(self):
-        for engine in ENGINES:
-            args = build_parser().parse_args(
-                ["profile", "leela", "--engine", engine]
-            )
-            assert args.engine == engine
-
-    def test_profile_queued_engine_passthrough(self, capsys):
-        code = main(
-            ["profile", "leela", "--tracker", "hydra",
-             "--scale-denominator", "256", "--engine", "queued",
-             "--limit", "5"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        # The profiled cell ran on the requested engine...
-        assert "hydra/queued" in out
-        # ...and the cProfile report follows.
-        assert "tottime" in out
 
 
 class TestTraceCommand:
@@ -286,7 +285,6 @@ REMOVED_FLAGS = [
     (["fuzz"], "--stream-chunk", "64"),
     (["run"], "--jobs", "2"),
     (["submit"], "--jobs", "2"),
-    (["profile"], "--jobs", "2"),
     (["arena"], "--trh", "1000"),
     (["trace", "record", "GUPS", "out.trc"], "--stream-chunk", "64"),
     (["trace", "record", "GUPS", "out.trc"], "--engine", "queued"),

@@ -213,8 +213,9 @@ class TestOpenTraceSource:
 
 class TestRecordedTraceValidation:
     """Recorded ``.npz`` and chunked traces obey the text reader's
-    rules (row_id >= 0, n_lines >= 1), checked at load on both engines
-    with an error naming the file (and the segment)."""
+    rules (finite gap_ns >= 0, row_id >= 0, n_lines >= 1), checked at
+    load on both engines with an error naming the file (and the
+    segment)."""
 
     #: defect -> (rows, lines, index of the bad request)
     BAD = {
@@ -280,6 +281,56 @@ class TestRecordedTraceValidation:
         self._bad_trace([1, 2, -3, 4], [1, 0, 1, 1]).save(str(path))
         with pytest.raises(ValueError, match=r"request 1: .*n_lines=0"):
             Trace.load(str(path))
+
+    #: Gaps no recorded format may hold: an infinite gap would advance
+    #: the refresh windows forever, NaN and negative ones run time back.
+    BAD_GAPS = {"inf": float("inf"), "nan": float("nan"), "negative": -5.0}
+
+    @staticmethod
+    def _bad_gap_trace(gap):
+        gaps = np.full(4, 10.0)
+        gaps[2] = gap
+        return Trace(
+            gaps_ns=gaps,
+            rows=np.arange(1, 5, dtype=np.int64),
+            lines=np.ones(4, dtype=np.int32),
+            writes=np.zeros(4, dtype=bool),
+        )
+
+    @pytest.mark.parametrize("gap", sorted(BAD_GAPS))
+    def test_text_reader_rejects_bad_gap(self, tmp_path, gap):
+        path = tmp_path / "bad.trc"
+        write_external_trace(self._bad_gap_trace(self.BAD_GAPS[gap]), path)
+        reader = ExternalTraceReader(path, chunk_requests=2)
+        # Two header comment lines, so request 2 sits on line 5.
+        with pytest.raises(ValueError, match="gap_ns must be finite") as err:
+            list(reader.chunks())
+        assert f"{path}:5:" in str(err.value)
+
+    @pytest.mark.parametrize("gap", sorted(BAD_GAPS))
+    def test_npz_rejects_bad_gap(self, tmp_path, gap):
+        path = tmp_path / "bad.npz"
+        self._bad_gap_trace(self.BAD_GAPS[gap]).save(str(path))
+        with pytest.raises(ValueError, match="gap_ns must be finite") as err:
+            Trace.load(str(path))
+        assert f"{path}: request 2:" in str(err.value)
+
+    @pytest.mark.parametrize("gap", sorted(BAD_GAPS))
+    def test_chunked_rejects_bad_gap(self, tmp_path, gap):
+        directory = tmp_path / "bad"
+        ChunkedTrace.from_trace(
+            self._bad_gap_trace(self.BAD_GAPS[gap]), directory, chunk_requests=2
+        )
+        with pytest.raises(ValueError, match="gap_ns must be finite") as err:
+            list(ChunkedTrace(directory).chunks())
+        assert "segment 1 (seg-00001): request 0:" in str(err.value)
+
+    @pytest.mark.parametrize("engine", ["fast", "queued"])
+    def test_nan_gap_replay_rejected_on_both_engines(self, tmp_path, engine):
+        path = tmp_path / "bad.trc"
+        write_external_trace(self._bad_gap_trace(float("nan")), path)
+        with pytest.raises(ValueError, match="gap_ns must be finite"):
+            self._replay(path, engine)
 
 
 class TestCharacterizeChunks:
