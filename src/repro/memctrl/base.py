@@ -261,12 +261,13 @@ class BaseMemoryController:
     def activity(self) -> DramActivityStats:
         """Merged command counts: batched demand traffic plus all banks.
 
-        The fast engine's fused loop adds its demand counters to
-        ``demand_activity`` once per trace, so its ``Bank.stats`` hold
-        only feedback traffic (metadata accesses, victim refreshes);
-        paths through :meth:`Bank.access` count in the banks. Only the
-        sum is meaningful, and it is what ``simulate`` and the power
-        model read.
+        Each engine's fused loop adds its demand counters (the queued
+        engine's: its demand reads) to ``demand_activity`` once per
+        trace, so ``Bank.stats`` hold the rest: feedback traffic
+        (metadata accesses, victim refreshes) and every other path
+        through :meth:`Bank.access`, such as the queued engine's
+        writes. Only the sum is meaningful, and it is what
+        ``simulate`` and the power model read.
         """
         merged = DramActivityStats()
         merged.merge(self.demand_activity)
@@ -305,10 +306,10 @@ class BaseMemoryController:
     def obs_snapshot(self) -> Dict[str, float]:
         """Cumulative controller counters for the per-window recorder.
 
-        Restricted to stats every engine maintains *live*: the fast
-        engine's fused loop batches its demand/activation counters
+        Restricted to stats every engine maintains *live*: both
+        engines' fused loops batch their demand/activation counters
         (``ControllerStats`` and the DRAM counters in
-        ``demand_activity``) into locals and flushes them after the
+        ``demand_activity``) into locals and flush them after the
         trace, so only the counters updated through the feedback hooks
         (metadata traffic, victim refreshes) are trustworthy at a
         window boundary.

@@ -19,9 +19,10 @@ the fast path abstracts:
 
 Tracker integration matches the fast engine: every activation
 (demand, metadata read, victim refresh) is reported; tracker metadata
-reads enter the read queue, metadata writes the write queue; and
-rate-control delays (D-CBF) are charged to the triggering request's
-completion time. Construction and the reporting surface
+reads are performed at once, at the triggering activation's time
+(they bypass the read queue), while metadata writes enter the write
+queue; and rate-control delays (D-CBF) are charged to the triggering
+request's completion time. Construction and the reporting surface
 (``activity``/``total_refreshes``/``bus_utilization``) come from
 :class:`~repro.memctrl.base.BaseMemoryController`, so the DRAM power
 model works identically on both engines.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.interfaces import ActivationTracker, MetaAccess
@@ -43,16 +44,8 @@ from repro.memctrl.base import (
 
 __all__ = ["QueuedMemoryController", "QueuedStats"]
 
-
-@dataclass
-class _Request:
-    arrival: float
-    row_id: int
-    n_lines: int
-    is_write: bool
-    #: Demand requests complete an MLP slot; metadata ones do not.
-    slot: Optional[int] = None
-    completion: float = 0.0
+#: A buffered write: ``(arrival, row_id, n_lines)``.
+Write = Tuple[float, int, int]
 
 
 @dataclass
@@ -67,6 +60,25 @@ class QueuedStats(ControllerStats):
     flushed_writes: int = 0
     meta_reads: int = 0
     meta_writes: int = 0
+
+
+def _resolve(trace, rows_per_bank: int, banks_per_channel: int):
+    """Resolve plain ``(gap_ns, row_id, n_lines, is_write)`` tuples.
+
+    The scalar twin of ``Trace.resolved_stream`` for iterables that
+    lack one: the same 7-tuples, computed one request at a time.
+    """
+    for gap_ns, row_id, n_lines, is_write in trace:
+        bank_index = row_id // rows_per_bank
+        yield (
+            gap_ns,
+            row_id,
+            row_id % rows_per_bank,
+            bank_index,
+            bank_index // banks_per_channel,
+            n_lines,
+            is_write,
+        )
 
 
 class QueuedMemoryController(BaseMemoryController):
@@ -98,10 +110,13 @@ class QueuedMemoryController(BaseMemoryController):
         )
         self.write_queue_high = write_queue_high
         self.write_queue_low = write_queue_low
-        self._read_queues: List[List[_Request]] = [
+        #: A queued read is a list ``[bank, local_row, arrival, row_id,
+        #: n_lines, slot, completion]``; service fills in the
+        #: completion.
+        self._read_queues: List[List[list]] = [
             [] for _ in range(geometry.channels)
         ]
-        self._write_queues: List[Deque[_Request]] = [
+        self._write_queues: List[Deque[Write]] = [
             deque() for _ in range(geometry.channels)
         ]
 
@@ -112,7 +127,7 @@ class QueuedMemoryController(BaseMemoryController):
     def run_trace(self, trace, mlp: int = 16) -> EngineRunOutcome:
         """Replay a trace with at most ``mlp`` outstanding requests.
 
-        Requests are admitted in batches of up to ``mlp`` (the
+        Requests are admitted in batches of up to ``mlp`` reads (the
         outstanding window), queued, then serviced by the FR-FCFS
         scheduler — so row-hit reordering among in-flight requests
         actually happens, unlike the fast engine's in-order
@@ -120,59 +135,213 @@ class QueuedMemoryController(BaseMemoryController):
         so the end time and all activity stats account for writes that
         were still buffered when the trace ran out.
 
-        ``trace`` is any iterable of ``(gap_ns, row_id, n_lines,
-        is_write)`` tuples; chunk-backed
-        :class:`~repro.workloads.streaming.TraceSource` streams are
-        pulled one request at a time (at most ``mlp`` buffered), so
-        bounded-memory sources stay bounded through this engine too.
+        Like the fast engine, this consumes ``trace.resolved_stream``
+        (bank/channel indices pre-resolved in numpy) when the source
+        has one: an in-RAM :class:`~repro.workloads.trace.Trace`, a
+        chunked on-disk trace, or an external-format reader. Any other
+        iterable of ``(gap_ns, row_id, n_lines, is_write)`` tuples is
+        resolved per request by :func:`_resolve` into the same loop.
+        The stream is pulled one request at a time (at most ``mlp``
+        reads buffered), so bounded-memory sources stay bounded.
+
+        One fused loop does admission, the FR-FCFS pick and the demand
+        read's ``Bank.access`` (inlined). As in the fast engine's loop,
+        timing scalars are hoisted, per-bank and per-bus *state* is
+        re-read on every access (write drains and tracker feedback
+        mutate it mid-batch), and integer counters are batched into
+        locals and flushed once; the demand reads' DRAM counters go to
+        ``demand_activity`` (DESIGN.md §9). Writes still go through
+        ``Bank.access``, so they count in the banks, and
+        ``total_delay_ns`` is added to in place, in the same order as
+        the write path adds to it.
         """
         if mlp <= 0:
             raise ValueError("mlp must be positive")
-        iterator = iter(trace)
+        rows_per_bank = self._rows_per_bank
+        banks_per_channel = self._banks_per_channel
+        resolved = getattr(trace, "resolved_stream", None)
+        if resolved is not None:
+            stream = iter(resolved(rows_per_bank, banks_per_channel))
+        else:
+            stream = _resolve(trace, rows_per_bank, banks_per_channel)
+        banks = self.banks
+        buses = self.buses
+        stats = self.stats
+        read_queues = self._read_queues
+        write_queues = self._write_queues
+        channels = range(len(read_queues))
+        write_high = self.write_queue_high
+        drain_writes_to_low = self._drain_writes_to_low
+        maybe_drain_writes = self._maybe_drain_writes
+        window_sched = self._window
+        advance_window = self._advance_window
+        # ``self.tracker`` is never rebound, so the bound method stays
+        # valid across window resets; a live response enters the
+        # feedback worklist exactly as ``TrackerFeedback.drive`` does.
+        on_activation = self.tracker.on_activation
+        followups = self._feedback.drive_followups
+        timing = self.timing
+        t_refi = timing.t_refi
+        t_rfc = timing.t_rfc
+        t_rc = timing.t_rc
+        t_rp = timing.t_rp
+        t_rcd = timing.t_rcd
+        t_cas = timing.t_cas
+        t_burst = timing.t_burst
+        next_reset = window_sched.next_reset
         window = [0.0] * mlp
         issue = 0.0
         total_latency = 0.0
         count = 0
+        line_transfers = 0
+        reads = 0
+        read_lines = 0
+        misses = 0
+        precharges = 0
+        hit_first_picks = 0
+        read_peak = stats.read_queue_peak
+        end_time = self.end_time
         exhausted = False
         while not exhausted:
-            batch: List[_Request] = []
-            while len(batch) < mlp:
-                item = next(iterator, None)
-                if item is None:
-                    exhausted = True
-                    break
-                gap_ns, row_id, n_lines, is_write = item
+            # -- admission: pull requests until mlp reads are queued --
+            batch = []
+            batched = 0
+            for (
+                gap_ns, row_id, local_row, bank_index, channel, n_lines, is_write
+            ) in stream:
                 slot = count % mlp
                 earliest = issue + gap_ns
-                start = window[slot] if window[slot] > earliest else earliest
+                start = window[slot]
+                if start < earliest:
+                    start = earliest
                 issue = start
-                # Scalar form of self._window.due(start).
-                if start >= self._window.next_reset:
-                    self._advance_window(start)
-                self.stats.demand_accesses += 1
-                self.stats.demand_line_transfers += n_lines
-                request = _Request(start, row_id, n_lines, is_write, slot=slot)
+                if start >= next_reset:
+                    advance_window(start)
+                    next_reset = window_sched.next_reset
                 count += 1
-                channel = self._channel_of(row_id)
+                line_transfers += n_lines
                 if is_write:
-                    self._write_queues[channel].append(request)
-                    self._note_write_peak(channel)
+                    writes = write_queues[channel]
+                    writes.append((start, row_id, n_lines))
+                    if len(writes) > stats.write_queue_peak:
+                        stats.write_queue_peak = len(writes)
                     window[slot] = start  # writes retire into the queue
-                else:
-                    self._read_queues[channel].append(request)
-                    batch.append(request)
-                    depth = len(self._read_queues[channel])
-                    if depth > self.stats.read_queue_peak:
-                        self.stats.read_queue_peak = depth
-            # Service phase: drain all read queues, then bleed writes.
-            for channel in range(len(self._read_queues)):
+                    continue
+                queue = read_queues[channel]
+                request = [
+                    banks[bank_index], local_row, start, row_id, n_lines, slot, 0.0
+                ]
+                queue.append(request)
+                batch.append(request)
+                if len(queue) > read_peak:
+                    read_peak = len(queue)
+                batched += 1
+                if batched == mlp:
+                    break
+            else:
+                exhausted = True
+            # -- service: drain each read queue FR-FCFS, then bleed
+            #    writes --
+            for channel in channels:
+                queue = read_queues[channel]
                 now = issue
-                while self._read_queues[channel]:
-                    now = self._service_one_read(channel, now)
-                self._maybe_drain_writes(channel, now, forced_only=False)
+                if queue:
+                    writes = write_queues[channel]
+                    bus = buses[channel]
+                    while queue:
+                        # A forced write drain takes precedence at the
+                        # high watermark.
+                        if len(writes) >= write_high:
+                            drain_writes_to_low(channel, now)
+                        # First ready: the oldest row hit, else the
+                        # oldest request.
+                        picked = 0
+                        for request in queue:
+                            if request[0].open_row == request[1]:
+                                break
+                            picked += 1
+                        else:
+                            picked = 0
+                        if picked:
+                            hit_first_picks += 1
+                        request = queue.pop(picked)
+                        bank, local_row, arrival, row_id, n_lines, _, _ = request
+                        # -- bank.access(max(arrival, now), local_row,
+                        #    n_lines, bus), inlined (see Bank.access) --
+                        at = arrival if arrival >= now else now
+                        # No negative clamp: arrival >= window[slot] >= 0.
+                        offset = at % t_refi
+                        t = at + (t_rfc - offset) if offset < t_rfc else at
+                        if bank.open_row == local_row:
+                            row_ready = bank._row_ready_at
+                            col_start = t if t >= row_ready else row_ready
+                            activated = False
+                        else:
+                            misses += 1
+                            next_act = bank._next_act_at
+                            act_at = t if t >= next_act else next_act
+                            if bank.open_row is not None:
+                                row_ready = bank._row_ready_at
+                                if row_ready > act_at:
+                                    act_at = row_ready
+                                act_at += t_rp
+                                precharges += 1
+                            offset = act_at % t_refi
+                            if offset < t_rfc:
+                                act_at += t_rfc - offset
+                            act_window = bank._act_window
+                            if act_window is not None:
+                                act_at = act_window.reserve(act_at)
+                            bank.open_row = local_row
+                            bank._next_act_at = act_at + t_rc
+                            col_start = bank._row_ready_at = act_at + t_rcd
+                            activated = True
+                        first_data = col_start + t_cas
+                        free_at = bus.free_at
+                        xfer_start = first_data if first_data >= free_at else free_at
+                        duration = n_lines * t_burst
+                        completion = xfer_start + duration
+                        bus.free_at = completion
+                        bus.busy_time += duration
+                        read_lines += n_lines
+                        # -- end of the inlined bank access --
+                        if activated:
+                            # -- _feedback.drive(row_id, act_at, self),
+                            #    inlined --
+                            response = on_activation(row_id)
+                            if response is not None:
+                                delay = followups(response, act_at, self)
+                                if delay:
+                                    completion += delay
+                                    stats.total_delay_ns += delay
+                        request[6] = completion
+                        if completion > end_time:
+                            end_time = completion
+                        now = completion
+                if write_queues[channel]:
+                    maybe_drain_writes(channel, now)
+            # -- retire the batch in admission order --
             for request in batch:
-                window[request.slot] = request.completion
-                total_latency += request.completion - request.arrival
+                completion = request[6]
+                window[request[5]] = completion
+                total_latency += completion - request[2]
+            reads += batched
+        stats.demand_accesses += count
+        stats.demand_line_transfers += line_transfers
+        stats.tracker_activations += misses
+        stats.read_queue_peak = read_peak
+        stats.row_hit_first_picks += hit_first_picks
+        activity = self.demand_activity
+        activity.row_buffer_hits += reads - misses
+        activity.row_buffer_misses += misses
+        activity.activations += misses
+        activity.precharges += precharges
+        activity.read_lines += read_lines
+        # Drained writes raised ``self.end_time`` themselves; the reads'
+        # maximum and the final window join it here (max is exact and
+        # order-free).
+        if end_time > self.end_time:
+            self.end_time = end_time
         end = max(window) if count else 0.0
         if end > self.end_time:
             self.end_time = end
@@ -184,63 +353,15 @@ class QueuedMemoryController(BaseMemoryController):
         )
 
     # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-
-    def _service_one_read(self, channel: int, now: float) -> float:
-        """Pick and perform one read per FR-FCFS."""
-        queue = self._read_queues[channel]
-        if not queue:
-            return now
-        # Forced write drain takes precedence at the high watermark.
-        if len(self._write_queues[channel]) >= self.write_queue_high:
-            self._drain_writes_to_low(channel, now)
-        picked_index = 0
-        for index, candidate in enumerate(queue):
-            bank = self.banks[candidate.row_id // self._rows_per_bank]
-            if bank.open_row == candidate.row_id % self._rows_per_bank:
-                picked_index = index
-                if index > 0:
-                    self.stats.row_hit_first_picks += 1
-                break
-        request = queue.pop(picked_index)
-        bank_index = request.row_id // self._rows_per_bank
-        bank = self.banks[bank_index]
-        bus = self.buses[channel]
-        result = bank.access(
-            max(request.arrival, now),
-            request.row_id % self._rows_per_bank,
-            request.n_lines,
-            bus,
-            request.is_write,
-        )
-        completion = result.completion
-        if result.activated:
-            delay = self._report_activation(request.row_id, result.act_time)
-            if delay:
-                completion += delay
-                self.stats.total_delay_ns += delay
-        request.completion = completion
-        if completion > self.end_time:
-            self.end_time = completion
-        return completion
-
-    # ------------------------------------------------------------------
     # Write queue
     # ------------------------------------------------------------------
 
-    def _note_write_peak(self, channel: int) -> None:
-        depth = len(self._write_queues[channel])
-        if depth > self.stats.write_queue_peak:
-            self.stats.write_queue_peak = depth
-
-    def _maybe_drain_writes(
-        self, channel: int, now: float, forced_only: bool
-    ) -> None:
+    def _maybe_drain_writes(self, channel: int, now: float) -> None:
+        """Bleed writes once the channel's read queue has been served."""
         writes = self._write_queues[channel]
         if len(writes) >= self.write_queue_high:
             self._drain_writes_to_low(channel, now)
-        elif not forced_only and not self._read_queues[channel] and writes:
+        else:
             # Opportunistic: bleed a few writes while reads are absent.
             for _ in range(min(4, len(writes))):
                 self._perform_write(channel, writes.popleft(), now)
@@ -259,29 +380,31 @@ class QueuedMemoryController(BaseMemoryController):
         final drain they would never touch a bank, understating end
         time, bus utilization, and metadata-write activations. Feedback
         from the flush (metadata writes caused by write activations)
-        lands back in the queues and is drained in the same loop.
+        lands back in the queues, possibly on a channel already walked,
+        so the walk repeats until every queue is empty.
         """
-        for channel, writes in enumerate(self._write_queues):
-            while writes:
-                self._perform_write(channel, writes.popleft(), now)
-                self.stats.flushed_writes += 1
+        queues = self._write_queues
+        while any(queues):
+            for channel, writes in enumerate(queues):
+                while writes:
+                    self._perform_write(channel, writes.popleft(), now)
+                    self.stats.flushed_writes += 1
 
-    def _perform_write(self, channel: int, request: _Request, now: float) -> None:
-        bank_index = request.row_id // self._rows_per_bank
-        result = self.banks[bank_index].access(
-            max(request.arrival, now),
-            request.row_id % self._rows_per_bank,
-            request.n_lines,
+    def _perform_write(self, channel: int, write: Write, now: float) -> None:
+        arrival, row_id, n_lines = write
+        result = self.banks[row_id // self._rows_per_bank].access(
+            max(arrival, now),
+            row_id % self._rows_per_bank,
+            n_lines,
             self.buses[channel],
             is_write=True,
         )
         completion = result.completion
         if result.activated:
-            delay = self._report_activation(request.row_id, result.act_time)
+            delay = self._report_activation(row_id, result.act_time)
             if delay:
                 completion += delay
                 self.stats.total_delay_ns += delay
-        request.completion = completion
         if completion > self.end_time:
             self.end_time = completion
 
@@ -293,10 +416,10 @@ class QueuedMemoryController(BaseMemoryController):
         self.stats.meta_line_transfers += meta.n_lines
         if meta.is_write:
             self.stats.meta_writes += 1
-            self._write_queues[channel].append(
-                _Request(at, meta.row_id, meta.n_lines, True)
-            )
-            self._note_write_peak(channel)
+            writes = self._write_queues[channel]
+            writes.append((at, meta.row_id, meta.n_lines))
+            if len(writes) > self.stats.write_queue_peak:
+                self.stats.write_queue_peak = len(writes)
             return False
         self.stats.meta_reads += 1
         bank_index = meta.row_id // self._rows_per_bank

@@ -80,8 +80,8 @@ TEXT_SUFFIXES = (".trc", ".txt", ".trace")
 class TraceSource(Protocol):
     """What every trace-consuming layer requires of a trace.
 
-    Both engines duck-type exactly this surface: the queued engine
-    iterates 4-tuples, the fast engine asks for ``resolved_stream``;
+    Both engines duck-type exactly this surface: each asks for
+    ``resolved_stream``;
     ``simulate`` reads ``name``; the characterization and conversion
     tools walk ``chunks()``. ``Trace`` (whole-in-RAM),
     :class:`ChunkedTrace` (mmapped segments), and

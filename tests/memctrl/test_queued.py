@@ -133,6 +133,49 @@ class TestFinalWriteDrain:
         result = make().run_trace([], mlp=4)
         assert result.end_time_ns == 0.0
 
+    def test_flush_drains_feedback_onto_an_earlier_channel(self):
+        """A flushed write on channel 1 activates a row, and the tracker
+        queues a metadata write on channel 0, which the flush has
+        already walked. That write must still reach a bank."""
+        mc = QueuedMemoryController(GEOMETRY, TIMING, MetaWriteTracker())
+        rows = [2048 + 7 * i for i in range(20)]  # channel 1, bank 2
+        mc.run_trace(trace_of(rows, gap=1.0, writes=[True] * len(rows)), mlp=4)
+        assert all(not q for q in mc._write_queues)
+        assert mc.stats.meta_writes == 20
+        # 20 demand writes plus 20 one-line metadata writes.
+        assert mc.activity().write_lines == 40
+        # Row 5 activates once, then every metadata write hits it.
+        assert mc.activity().activations == 21
+
+
+class MetaWriteTracker:
+    """Answers every channel-1 activation with a write to row 5."""
+
+    name = "meta-write"
+    reset_divisor = 1
+
+    def __init__(self):
+        from repro.interfaces import MetaAccess, TrackerResponse
+
+        self._response = TrackerResponse(meta_accesses=(MetaAccess(5, 1, True),))
+
+    def on_activation(self, row_id):
+        if row_id >= 2 * GEOMETRY.rows_per_bank:
+            return self._response
+        return None
+
+    def on_window_reset(self):
+        pass
+
+    def sram_bytes(self):
+        return 0
+
+    def mitigation_count(self):
+        return 0
+
+    def extra_stats(self):
+        return {}
+
 
 class DelayTracker:
     """Charges a fixed rate-control delay on every activation."""
