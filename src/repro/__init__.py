@@ -24,7 +24,7 @@ Packages:
 - ``repro.trackers``  — baselines: Graphene, CRA, OCPR, PARA, D-CBF.
 - ``repro.dram``      — event-driven DDR4 substrate + power model.
 - ``repro.memctrl``   — memory controller, mitigation engine.
-- ``repro.cpu``       — LLC model, limited-MLP core model.
+- ``repro.cpu``       — LLC model (the core is the engines' MLP window).
 - ``repro.workloads`` — Table-3-calibrated traces, GUPS.
 - ``repro.attacks``   — attack programs (DSL, registry), the oracle
   cell, and the attack fuzzer.

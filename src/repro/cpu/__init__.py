@@ -1,20 +1,11 @@
-"""CPU-side models: shared LLC and the core front-ends.
+"""CPU-side model: the shared last-level cache.
 
-Two core models are provided: :class:`LimitedMlpCore` (fixed in-flight
-window — the calibrated default for the paper sweeps) and
-:class:`OooCore` (ROB-occupancy-derived window, Table 2's 160-entry
-ROB / width-4 configuration).
+:class:`LastLevelCache` filters a core's address stream into the DRAM
+row trace (:mod:`repro.workloads.address_stream`). The core itself is
+the memory controllers' limited-MLP window: ``run_trace(trace, mlp)``
+issues requests in program order with at most ``mlp`` in flight.
 """
 
 from repro.cpu.cache import CacheStats, LastLevelCache
-from repro.cpu.core import CoreRunResult, LimitedMlpCore
-from repro.cpu.ooo import OooCore, OooCoreParams
 
-__all__ = [
-    "CacheStats",
-    "CoreRunResult",
-    "LastLevelCache",
-    "LimitedMlpCore",
-    "OooCore",
-    "OooCoreParams",
-]
+__all__ = ["CacheStats", "LastLevelCache"]

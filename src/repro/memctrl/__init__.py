@@ -7,9 +7,15 @@ tracker feedback, reporting): the fast in-order
 sweeps) and the discrete-event :class:`QueuedMemoryController`
 (``engine="queued"``) with FR-FCFS read queues and a
 watermark-drained write queue.
+Each engine's ``run_trace`` is one request loop over the shared
+resolved stream, whatever the trace source: an in-RAM ``Trace``, a
+chunked on-disk trace or plain ``(gap_ns, row_id, n_lines,
+is_write)`` tuples.
 :func:`build_controller` selects one by name; every downstream
 consumer (``simulate``, sweeps, the result cache, benchmarks) is
-engine-agnostic.
+engine-agnostic. The only mitigating action is the victim refresh
+(:class:`VictimRefreshPolicy`); the paper's §8 row migration is not
+modelled.
 """
 
 from typing import Optional
@@ -21,13 +27,11 @@ from repro.memctrl.base import (
     BaseMemoryController,
     ControllerStats,
     EngineRunOutcome,
-    drive_in_order,
     normalize_engine,
 )
 from repro.memctrl.controller import MemoryController
 from repro.memctrl.mitigation import MitigationStats, VictimRefreshPolicy
 from repro.memctrl.queued import QueuedMemoryController, QueuedStats
-from repro.memctrl.rowswap import RowIndirectionTable, RowSwapController
 
 #: Engine name -> controller class (the selectable-engine registry).
 ENGINE_CLASSES = {
@@ -69,10 +73,7 @@ __all__ = [
     "MitigationStats",
     "QueuedMemoryController",
     "QueuedStats",
-    "RowIndirectionTable",
-    "RowSwapController",
     "VictimRefreshPolicy",
     "build_controller",
-    "drive_in_order",
     "normalize_engine",
 ]

@@ -27,7 +27,7 @@ benchmarks — is engine-agnostic: pick an engine by name
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.dram.address import AddressMapper
 from repro.dram.bank import (
@@ -85,7 +85,7 @@ class ControllerStats:
 class EngineRunOutcome:
     """What running one trace through one engine produces.
 
-    Both engines return this shape (the fast engine via the in-order
+    Both engines return this shape (the fast engine from its in-order
     window loop, the queued engine from its scheduler), so one
     ``simulate`` path packages either into a ``RunResult``.
     """
@@ -99,46 +99,23 @@ class EngineRunOutcome:
         return self.total_latency_ns / self.requests if self.requests else 0.0
 
 
-def drive_in_order(
-    trace: Iterable[Tuple[float, int, int, bool]],
-    access: Callable[[float, int, int, bool], float],
-    mlp: int,
-) -> EngineRunOutcome:
-    """Replay a trace in order with a bounded in-flight window.
+def _resolve(trace, rows_per_bank: int, banks_per_channel: int):
+    """Resolve plain ``(gap_ns, row_id, n_lines, is_write)`` tuples.
 
-    Requests issue in program order, each no earlier than its
-    program-driven arrival (previous issue + gap) and no earlier than
-    the completion of the request ``mlp`` positions earlier (the
-    window slot it reuses). This is the limited-MLP core model shared
-    by the fast engine and :class:`repro.cpu.core.LimitedMlpCore`.
-
-    ``trace`` is consumed strictly one tuple at a time with running
-    state only, so any bounded-memory
-    :class:`~repro.workloads.streaming.TraceSource` stream (chunked
-    on-disk traces, external text readers) runs in chunk-sized peak
-    memory here.
+    The scalar twin of ``Trace.resolved_stream`` for iterables that
+    lack one: the same 7-tuples, computed one request at a time.
     """
-    if mlp <= 0:
-        raise ValueError("mlp must be positive")
-    window = [0.0] * mlp
-    issue = 0.0
-    total_latency = 0.0
-    count = 0
     for gap_ns, row_id, n_lines, is_write in trace:
-        earliest = issue + gap_ns
-        slot = count % mlp
-        start = window[slot]
-        if start < earliest:
-            start = earliest
-        issue = start
-        done = access(start, row_id, n_lines, is_write)
-        window[slot] = done
-        total_latency += done - start
-        count += 1
-    end = max(window) if count else 0.0
-    return EngineRunOutcome(
-        end_time_ns=end, requests=count, total_latency_ns=total_latency
-    )
+        bank_index = row_id // rows_per_bank
+        yield (
+            gap_ns,
+            row_id,
+            row_id % rows_per_bank,
+            bank_index,
+            bank_index // banks_per_channel,
+            n_lines,
+            is_write,
+        )
 
 
 class BaseMemoryController:
@@ -218,6 +195,25 @@ class BaseMemoryController:
     def run_trace(self, trace, mlp: int = 16) -> EngineRunOutcome:
         """Replay one trace with at most ``mlp`` outstanding requests."""
         raise NotImplementedError
+
+    def _resolved_stream(self, trace) -> Iterator[tuple]:
+        """The one request stream both engines' loops consume.
+
+        Yields ``(gap_ns, row_id, local_row, bank_index, channel,
+        n_lines, is_write)``. Any
+        :class:`~repro.workloads.streaming.TraceSource` exposing
+        ``resolved_stream`` (an in-RAM
+        :class:`~repro.workloads.trace.Trace`, a chunked on-disk trace,
+        an external-format reader) resolves its bank and channel
+        indices per chunk in numpy; any other iterable of ``(gap_ns,
+        row_id, n_lines, is_write)`` tuples is resolved one request at
+        a time by :func:`_resolve`. Both forms are pulled lazily, so a
+        bounded-memory source stays bounded.
+        """
+        resolved = getattr(trace, "resolved_stream", None)
+        if resolved is None:
+            return _resolve(trace, self._rows_per_bank, self._banks_per_channel)
+        return iter(resolved(self._rows_per_bank, self._banks_per_channel))
 
     # ------------------------------------------------------------------
     # Tracker feedback loop

@@ -23,15 +23,11 @@ FR-FCFS engine lives in :mod:`repro.memctrl.queued`.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.dram.timing import DramGeometry, DramTiming
-from repro.interfaces import ActivationTracker, MetaAccess
+from repro.interfaces import MetaAccess
 from repro.memctrl.base import (
     BaseMemoryController,
     ControllerStats,
     EngineRunOutcome,
-    drive_in_order,
 )
 
 __all__ = ["ControllerStats", "MemoryController"]
@@ -42,30 +38,6 @@ class MemoryController(BaseMemoryController):
 
     engine = "fast"
 
-    def __init__(
-        self,
-        geometry: DramGeometry,
-        timing: DramTiming,
-        tracker: Optional[ActivationTracker] = None,
-        blast_radius: int = 2,
-        count_mitigation_acts: bool = True,
-        defer_meta_writes: bool = True,
-        max_feedback_depth: int = 4,
-    ) -> None:
-        super().__init__(
-            geometry,
-            timing,
-            tracker,
-            blast_radius=blast_radius,
-            count_mitigation_acts=count_mitigation_acts,
-            max_feedback_depth=max_feedback_depth,
-        )
-        #: Writes sit in the write queue and drain with lower priority
-        #: than reads (USIMM prioritizes reads, Table 2 text). Deferred
-        #: writes cost data-bus slots but their bank occupancy overlaps
-        #: idle periods, so they are modelled as bus-only traffic.
-        self.defer_meta_writes = defer_meta_writes
-
     # ------------------------------------------------------------------
     # Engine protocol
     # ------------------------------------------------------------------
@@ -73,42 +45,31 @@ class MemoryController(BaseMemoryController):
     def run_trace(self, trace, mlp: int = 16) -> EngineRunOutcome:
         """Replay a trace through the limited-MLP in-order window.
 
-        Any :class:`~repro.workloads.streaming.TraceSource` exposing
-        ``resolved_stream`` — an in-RAM
-        :class:`~repro.workloads.trace.Trace`, a chunked on-disk
-        trace, or an external-format reader — takes the pre-resolved
-        fast loop (bank/channel indices vectorized per chunk in numpy,
-        the per-request ``access`` body inlined), consuming the stream
-        with running statistics so peak memory is bounded by the
-        source's chunk size. Any other iterable of
-        ``(gap_ns, row_id, n_lines, is_write)`` tuples falls back to
-        the generic :func:`drive_in_order` path. All paths produce
-        bit-identical results — the fast loop performs the exact same
-        arithmetic in the exact same order regardless of how the
-        stream is backed.
-        """
-        resolved = getattr(trace, "resolved_stream", None)
-        if resolved is not None:
-            stream = resolved(self._rows_per_bank, self._banks_per_channel)
-            return self._run_resolved_stream(stream, mlp)
-        return drive_in_order(trace, self.access, mlp)
+        Requests issue in program order, each no earlier than its
+        program-driven arrival (previous issue + gap) and no earlier
+        than the completion of the request ``mlp`` positions earlier
+        (the window slot it reuses), and each is resolved against its
+        bank and channel bus at issue. The loop consumes the shared
+        resolved stream
+        (:meth:`~repro.memctrl.base.BaseMemoryController._resolved_stream`),
+        so a ``Trace``, a chunked on-disk trace and plain 4-tuples all
+        take it, with running statistics only: peak memory is bounded
+        by the source's chunk size.
 
-    def _run_resolved_stream(self, stream, mlp: int) -> EngineRunOutcome:
-        """The hot loop: ``drive_in_order`` + ``access`` fused.
-
-        Everything the per-request path touches is hoisted into locals.
-        Per-request stats are batched into local counters and flushed
-        once after the loop: the controller stats, and the demand DRAM
-        counters, which go to ``demand_activity`` rather than each
-        ``Bank.stats`` (hits are ``count - misses``, activations equal
-        misses, read lines are line transfers minus write lines). These
-        are pure integer sums, and the float ``total_delay_ns``
-        accumulates in the same order it would through the instance
-        attribute, so results stay bit-identical. ``self.end_time`` is
-        taken from the final window: a slot's completion never
-        decreases (the next request in it starts no earlier, and every
-        timing and delay is non-negative), so the window's maximum is
-        the maximum over all completions.
+        Everything the loop touches is hoisted into locals, and the
+        demand access (``Bank.access`` and the tracker report) is
+        inlined. Per-request stats are batched into local counters and
+        flushed once after the loop: the controller stats, and the
+        demand DRAM counters, which go to ``demand_activity`` rather
+        than each ``Bank.stats`` (hits are ``count - misses``,
+        activations equal misses, read lines are line transfers minus
+        write lines). These are pure integer sums, and the float
+        ``total_delay_ns`` accumulates in request order, so results
+        stay bit-identical (DESIGN.md §9). ``self.end_time`` is taken
+        from the final window: a slot's completion never decreases
+        (the next request in it starts no earlier, and every timing
+        and delay is non-negative), so the window's maximum is the
+        maximum over all completions.
         """
         if mlp <= 0:
             raise ValueError("mlp must be positive")
@@ -146,6 +107,7 @@ class MemoryController(BaseMemoryController):
         misses = 0
         precharges = 0
         write_lines = 0
+        stream = self._resolved_stream(trace)
         for gap_ns, row_id, local_row, bank_index, channel, n_lines, is_write in stream:
             earliest = issue + gap_ns
             slot = count % mlp
@@ -153,7 +115,6 @@ class MemoryController(BaseMemoryController):
             if start < earliest:
                 start = earliest
             issue = start
-            # -- access(start, row_id, n_lines, is_write), inlined --
             if start >= next_reset:
                 advance_window(start)
                 next_reset = window_sched.next_reset
@@ -207,7 +168,6 @@ class MemoryController(BaseMemoryController):
                     if delay:
                         completion += delay
                         total_delay_ns += delay
-            # -- back in the drive_in_order window bookkeeping --
             window[slot] = completion
             total_latency += completion - start
             count += 1
@@ -229,34 +189,6 @@ class MemoryController(BaseMemoryController):
             end_time_ns=end, requests=count, total_latency_ns=total_latency
         )
 
-    # ------------------------------------------------------------------
-    # Demand path
-    # ------------------------------------------------------------------
-
-    def access(
-        self, at: float, row_id: int, n_lines: int = 1, is_write: bool = False
-    ) -> float:
-        """One demand access of ``n_lines`` lines; returns completion time."""
-        if at >= self._window.next_reset:  # scalar form of _window.due(at)
-            self._advance_window(at)
-        bank_index = row_id // self._rows_per_bank
-        bank = self.banks[bank_index]
-        bus = self.buses[bank_index // self._banks_per_channel]
-        result = bank.access(
-            at, row_id % self._rows_per_bank, n_lines, bus, is_write
-        )
-        self.stats.demand_accesses += 1
-        self.stats.demand_line_transfers += n_lines
-        completion = result.completion
-        if result.activated:
-            delay = self._report_activation(row_id, result.act_time)
-            if delay:
-                completion += delay
-                self.stats.total_delay_ns += delay
-        if completion > self.end_time:
-            self.end_time = completion
-        return completion
-
     # FeedbackHandler hooks -------------------------------------------
 
     def perform_meta_access(self, meta: MetaAccess, at: float) -> bool:
@@ -264,7 +196,11 @@ class MemoryController(BaseMemoryController):
         meta_bus = self.buses[meta_bank_index // self._banks_per_channel]
         self.stats.meta_accesses += 1
         self.stats.meta_line_transfers += meta.n_lines
-        if meta.is_write and self.defer_meta_writes:
+        if meta.is_write:
+            # Writes sit in the write queue and drain with lower
+            # priority than reads (USIMM prioritizes reads, Table 2
+            # text): they cost data-bus slots, but their bank occupancy
+            # overlaps idle periods, so they are bus-only traffic.
             meta_bus.transfer(at, meta.n_lines)
             return False
         meta_result = self.banks[meta_bank_index].access(
@@ -272,6 +208,6 @@ class MemoryController(BaseMemoryController):
             meta.row_id % self._rows_per_bank,
             meta.n_lines,
             meta_bus,
-            meta.is_write,
+            False,
         )
         return meta_result.activated

@@ -62,25 +62,6 @@ class QueuedStats(ControllerStats):
     meta_writes: int = 0
 
 
-def _resolve(trace, rows_per_bank: int, banks_per_channel: int):
-    """Resolve plain ``(gap_ns, row_id, n_lines, is_write)`` tuples.
-
-    The scalar twin of ``Trace.resolved_stream`` for iterables that
-    lack one: the same 7-tuples, computed one request at a time.
-    """
-    for gap_ns, row_id, n_lines, is_write in trace:
-        bank_index = row_id // rows_per_bank
-        yield (
-            gap_ns,
-            row_id,
-            row_id % rows_per_bank,
-            bank_index,
-            bank_index // banks_per_channel,
-            n_lines,
-            is_write,
-        )
-
-
 class QueuedMemoryController(BaseMemoryController):
     """Discrete-event engine with explicit queues."""
 
@@ -135,14 +116,12 @@ class QueuedMemoryController(BaseMemoryController):
         so the end time and all activity stats account for writes that
         were still buffered when the trace ran out.
 
-        Like the fast engine, this consumes ``trace.resolved_stream``
-        (bank/channel indices pre-resolved in numpy) when the source
-        has one: an in-RAM :class:`~repro.workloads.trace.Trace`, a
-        chunked on-disk trace, or an external-format reader. Any other
-        iterable of ``(gap_ns, row_id, n_lines, is_write)`` tuples is
-        resolved per request by :func:`_resolve` into the same loop.
-        The stream is pulled one request at a time (at most ``mlp``
-        reads buffered), so bounded-memory sources stay bounded.
+        Like the fast engine, this consumes the shared resolved stream
+        (:meth:`~repro.memctrl.base.BaseMemoryController._resolved_stream`),
+        so a ``Trace``, a chunked on-disk trace and plain 4-tuples all
+        take this one loop. The stream is pulled one request at a time
+        (at most ``mlp`` reads buffered), so bounded-memory sources
+        stay bounded.
 
         One fused loop does admission, the FR-FCFS pick and the demand
         read's ``Bank.access`` (inlined). As in the fast engine's loop,
@@ -157,13 +136,7 @@ class QueuedMemoryController(BaseMemoryController):
         """
         if mlp <= 0:
             raise ValueError("mlp must be positive")
-        rows_per_bank = self._rows_per_bank
-        banks_per_channel = self._banks_per_channel
-        resolved = getattr(trace, "resolved_stream", None)
-        if resolved is not None:
-            stream = iter(resolved(rows_per_bank, banks_per_channel))
-        else:
-            stream = _resolve(trace, rows_per_bank, banks_per_channel)
+        stream = self._resolved_stream(trace)
         banks = self.banks
         buses = self.buses
         stats = self.stats

@@ -28,12 +28,11 @@ again; a resumed broker re-enters RUNNING only from PENDING/RUNNING.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.durable import atomic_write_text
 from repro.sim.grid import GridSpec
 from repro.sim.results import GridResult
 
@@ -79,27 +78,6 @@ class JobStatus:
         return JobStatus(**{k: v for k, v in data.items() if k in known})
 
 
-# -- persistence -------------------------------------------------------
-
-
-def atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
-    """Same-directory temp file + ``os.replace`` (the cache's idiom)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, sort_keys=True)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
 class JobStore:
     """Directory-backed persistence of job specs and statuses."""
 
@@ -120,11 +98,16 @@ class JobStore:
 
     def create(self, job_id: str, spec: GridSpec, status: JobStatus) -> None:
         self.job_dir(job_id).mkdir(parents=True, exist_ok=True)
-        atomic_write_json(self.spec_path(job_id), spec.to_dict())
+        atomic_write_text(
+            self.spec_path(job_id), json.dumps(spec.to_dict(), sort_keys=True)
+        )
         self.write_status(status)
 
     def write_status(self, status: JobStatus) -> None:
-        atomic_write_json(self.status_path(status.job_id), status.to_dict())
+        atomic_write_text(
+            self.status_path(status.job_id),
+            json.dumps(status.to_dict(), sort_keys=True),
+        )
 
     def load_spec(self, job_id: str) -> GridSpec:
         return GridSpec.from_dict(

@@ -40,11 +40,12 @@ from __future__ import annotations
 import json
 import os
 import socket
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
+
+from repro.durable import atomic_write_text
 
 #: How long a lease protects a key before other workers may reclaim
 #: it. Generous relative to a cell simulation (seconds) so a healthy
@@ -104,28 +105,10 @@ class ResultCache:
         return payload
 
     def store(self, key: str, payload: Dict[str, Any]) -> None:
-        """Atomically publish a payload under ``key``.
-
-        The temp file lives in the cache directory itself so the
-        ``os.replace`` is a same-filesystem rename (atomic on POSIX
-        and Windows).
-        """
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{key}.", suffix=".tmp", dir=self.directory
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_name, path)
-            self.stores += 1
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        """Atomically publish a payload under ``key``
+        (:func:`~repro.durable.atomic_write_text`)."""
+        atomic_write_text(self.path_for(key), json.dumps(payload))
+        self.stores += 1
 
     # ------------------------------------------------------------------
     # Leases: best-effort in-flight markers for racing fillers

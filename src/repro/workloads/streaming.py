@@ -51,6 +51,7 @@ from typing import (
 
 import numpy as np
 
+from repro.durable import atomic_write_text
 from repro.workloads.trace import Trace, TraceStatistics, check_requests
 
 try:  # pragma: no cover - exercised only on Python < 3.8
@@ -339,8 +340,9 @@ class ChunkedTrace(_StreamingSourceBase):
             "n_requests": n_requests,
             "segments": segments,
         }
-        (directory / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True)
+        atomic_write_text(
+            directory / "manifest.json",
+            json.dumps(manifest, indent=2, sort_keys=True),
         )
         return cls(directory)
 

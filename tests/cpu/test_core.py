@@ -1,8 +1,12 @@
-"""Tests for the limited-MLP core model."""
+"""Tests for the limited-MLP core model: the fast engine's window.
+
+``MemoryController.run_trace(trace, mlp)`` issues requests in program
+order with at most ``mlp`` in flight, each no earlier than its gap
+after the previous issue.
+"""
 
 import pytest
 
-from repro.cpu.core import LimitedMlpCore
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.memctrl.controller import MemoryController
 
@@ -26,14 +30,12 @@ def trace_of(rows, gap=10.0, lines=1):
 
 class TestRun:
     def test_empty_trace(self):
-        core = LimitedMlpCore(mlp=4)
-        result = core.run([], make_controller())
+        result = make_controller().run_trace([], mlp=4)
         assert result.end_time_ns == 0.0
         assert result.requests == 0
 
     def test_counts_requests_and_latency(self):
-        core = LimitedMlpCore(mlp=4)
-        result = core.run(trace_of([1, 2, 3]), make_controller())
+        result = make_controller().run_trace(trace_of([1, 2, 3]), mlp=4)
         assert result.requests == 3
         assert result.total_latency_ns > 0
         assert result.average_latency_ns == pytest.approx(
@@ -42,29 +44,26 @@ class TestRun:
 
     def test_compute_bound_trace_paced_by_gaps(self):
         """Huge gaps: end time is the sum of gaps, memory hides."""
-        core = LimitedMlpCore(mlp=8)
         gap = 10_000.0
         n = 20
-        result = core.run(trace_of(range(n), gap=gap), make_controller())
+        result = make_controller().run_trace(trace_of(range(n), gap=gap), mlp=8)
         assert result.end_time_ns == pytest.approx(n * gap, rel=0.05)
 
     def test_memory_bound_trace_limited_by_mlp(self):
         """Tiny gaps to one bank: time set by tRC serialization."""
-        core = LimitedMlpCore(mlp=2)
         n = 100
-        result = core.run(
-            trace_of([i % 50 for i in range(n)], gap=0.1),
-            make_controller(),
+        result = make_controller().run_trace(
+            trace_of([i % 50 for i in range(n)], gap=0.1), mlp=2
         )
         # Bank 0 must ACT each request, tRC apart.
         assert result.end_time_ns >= (n - 1) * TIMING.t_rc * 0.9
 
     def test_larger_mlp_is_never_slower(self):
         rows = [i % 64 for i in range(400)]
-        small = LimitedMlpCore(mlp=2).run(trace_of(rows, gap=1.0), make_controller())
-        large = LimitedMlpCore(mlp=16).run(trace_of(rows, gap=1.0), make_controller())
+        small = make_controller().run_trace(trace_of(rows, gap=1.0), mlp=2)
+        large = make_controller().run_trace(trace_of(rows, gap=1.0), mlp=16)
         assert large.end_time_ns <= small.end_time_ns
 
     def test_rejects_bad_mlp(self):
         with pytest.raises(ValueError):
-            LimitedMlpCore(mlp=0)
+            make_controller().run_trace([], mlp=0)

@@ -6,6 +6,7 @@ from repro.dram.bank import Bank, RankActWindow, RefreshTimeline
 from repro.dram.bank import ChannelBus
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.memctrl.controller import MemoryController
+from tests.memctrl.test_controller import access
 
 
 class TestRankActWindow:
@@ -110,7 +111,7 @@ class TestControllerIntegration:
             t = timing.t_rfc + 1.0
             done = t
             for i in range(64):
-                done = mc.access(t, row_id=i * 1024 % (8 * 1024) + i)
+                done = access(mc, t, row_id=i * 1024 % (8 * 1024) + i)
             return done
 
         assert run(t_faw=40.0) > run(t_faw=0.0)

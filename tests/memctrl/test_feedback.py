@@ -15,6 +15,7 @@ from repro.memctrl.feedback import TrackerFeedback, WindowResetSchedule
 from repro.memctrl.mitigation import VictimRefreshPolicy
 from repro.dram.address import AddressMapper
 from repro.memctrl.queued import QueuedMemoryController
+from tests.memctrl.test_controller import access
 
 GEOMETRY = DramGeometry(
     channels=2,
@@ -216,7 +217,7 @@ class TestControllerParity:
         queued = QueuedMemoryController(GEOMETRY, TIMING)
         t = 0.0
         for i in range(50):
-            t = fast.access(t, row_id=i, n_lines=8)
+            t = access(fast, t, row_id=i, n_lines=8)
         queued.run_trace(
             [(0.1, i, 8, False) for i in range(50)], mlp=16
         )

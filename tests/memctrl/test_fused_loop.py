@@ -1,21 +1,29 @@
-"""Differential test: the fast engine's fused loop vs its generic path.
+"""Differential test: the fast engine's fused loop vs a reference.
 
-``MemoryController.run_trace`` replays any source with a
-``resolved_stream`` through ``_run_resolved_stream``, one loop with
-``drive_in_order``, ``access`` and ``Bank.access`` inlined, its
-per-request counters batched into locals. A plain iterable of tuples
-has no ``resolved_stream``, so the same trace then runs through the
-generic ``drive_in_order`` + ``access`` + ``Bank.access`` path, one
-call per request. Both must produce the same ``RunResult`` bytes and
-the same DRAM activity, with the rank activation windows off (the
-default timing) and on (no golden cell exercises them).
+``MemoryController.run_trace`` is one fused loop: the limited-MLP
+window, the demand access and ``Bank.access`` inlined, its per-request
+counters batched into locals. ``ReferenceMemoryController`` below keeps
+the straightforward path it replaced: the window loop calling a
+per-request ``access``, which calls ``Bank.access`` and reports each
+activation through ``_report_activation``, every counter bumped in
+place. Both must produce the same ``RunResult`` bytes and the same
+DRAM activity, with the rank activation windows off (the default
+timing) and on (no golden cell exercises them), on Table 3 workloads
+and on random plain-tuple traces.
 """
 
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.config import HydraConfig
+from repro.core.hydra import HydraTracker
+from repro.dram.timing import DramGeometry, DramTiming
 from repro.memctrl import build_controller
+from repro.memctrl.base import EngineRunOutcome
+from repro.memctrl.controller import MemoryController
 from repro.sim import simulator
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import make_tracker, simulate, trace_for_workload
@@ -29,11 +37,66 @@ WORKLOAD = "mcf"
 SPECS = ["baseline", "hydra", "graphene", "cra", "dcbf"]
 
 
+class ReferenceMemoryController(MemoryController):
+    """The per-request path the fused loop replaced.
+
+    ``run_trace`` is the original ``drive_in_order`` window loop and
+    ``access`` the original per-request demand access.
+    """
+
+    def run_trace(self, trace, mlp: int = 16) -> EngineRunOutcome:
+        if mlp <= 0:
+            raise ValueError("mlp must be positive")
+        window = [0.0] * mlp
+        issue = 0.0
+        total_latency = 0.0
+        count = 0
+        for gap_ns, row_id, n_lines, is_write in trace:
+            earliest = issue + gap_ns
+            slot = count % mlp
+            start = window[slot]
+            if start < earliest:
+                start = earliest
+            issue = start
+            done = self.access(start, row_id, n_lines, is_write)
+            window[slot] = done
+            total_latency += done - start
+            count += 1
+        end = max(window) if count else 0.0
+        return EngineRunOutcome(
+            end_time_ns=end, requests=count, total_latency_ns=total_latency
+        )
+
+    def access(
+        self, at: float, row_id: int, n_lines: int = 1, is_write: bool = False
+    ) -> float:
+        """One demand access of ``n_lines`` lines; returns completion time."""
+        if at >= self._window.next_reset:  # scalar form of _window.due(at)
+            self._advance_window(at)
+        bank_index = row_id // self._rows_per_bank
+        bank = self.banks[bank_index]
+        bus = self.buses[bank_index // self._banks_per_channel]
+        result = bank.access(
+            at, row_id % self._rows_per_bank, n_lines, bus, is_write
+        )
+        self.stats.demand_accesses += 1
+        self.stats.demand_line_transfers += n_lines
+        completion = result.completion
+        if result.activated:
+            delay = self._report_activation(row_id, result.act_time)
+            if delay:
+                completion += delay
+                self.stats.total_delay_ns += delay
+        if completion > self.end_time:
+            self.end_time = completion
+        return completion
+
+
 class PlainTuples:
     """A trace as bare ``(gap_ns, row_id, n_lines, is_write)`` tuples.
 
-    It has no ``resolved_stream``, so the fast engine replays it
-    through ``drive_in_order`` and ``Bank.access``.
+    It has no ``resolved_stream``, so an engine resolves it one request
+    at a time.
     """
 
     def __init__(self, trace):
@@ -44,13 +107,13 @@ class PlainTuples:
         return iter(self._requests)
 
 
-def _run(source, spec, monkeypatch):
-    """Simulate ``source``, returning the result and its controller."""
+def _run(source, spec, monkeypatch, engine=MemoryController):
+    """Simulate ``source`` on ``engine``, returning result and controller."""
     built = []
-    build = simulator.build_controller
 
-    def capture(*args, **kwargs):
-        built.append(build(*args, **kwargs))
+    def capture(name, geometry, timing, tracker=None, blast_radius=2):
+        assert name == "fast"
+        built.append(engine(geometry, timing, tracker, blast_radius=blast_radius))
         return built[-1]
 
     with monkeypatch.context() as patch:
@@ -67,15 +130,21 @@ def _activity(controller):
 
 def _assert_paths_agree(trace, spec, monkeypatch):
     fused, fused_mc = _run(trace, spec, monkeypatch)
-    generic, generic_mc = _run(PlainTuples(trace), spec, monkeypatch)
+    generic, generic_mc = _run(
+        PlainTuples(trace), spec, monkeypatch, engine=ReferenceMemoryController
+    )
     assert fused.to_dict() == generic.to_dict()
     assert _activity(fused_mc) == _activity(generic_mc)
     assert fused_mc.stats == generic_mc.stats
     assert fused_mc.end_time == generic_mc.end_time
-    # The fused loop batches its demand counters; the generic path
-    # counts them in the banks. Only their sum is reported.
+    # The fused loop batches its demand counters; the reference counts
+    # them in the banks. Only their sum is reported.
     assert fused_mc.demand_activity.activations > 0
     assert generic_mc.demand_activity.activations == 0
+    # Plain tuples take the same fused loop as the Trace.
+    tuples, tuples_mc = _run(PlainTuples(trace), spec, monkeypatch)
+    assert tuples.to_dict() == fused.to_dict()
+    assert tuples_mc.demand_activity == fused_mc.demand_activity
     return fused, fused_mc
 
 
@@ -121,3 +190,61 @@ def test_no_rank_windows_at_default_timing():
     )
     assert controller.rank_windows == []
     assert all(bank._act_window is None for bank in controller.banks)
+
+
+#: Two channels of two banks: random rows land on every bank and bus.
+GEOMETRY = DramGeometry(
+    channels=2,
+    ranks_per_channel=1,
+    banks_per_rank=2,
+    rows_per_bank=1024,
+    row_size_bytes=256,
+)
+#: A few rows per bank, so row hits, conflicts and Hydra's group,
+#: row-cache and metadata paths all occur within a few hundred ACTs.
+ROWS = [bank * GEOMETRY.rows_per_bank + row for bank in range(4) for row in range(6)]
+
+requests = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=3000.0),
+        st.sampled_from(ROWS),
+        st.integers(min_value=1, max_value=8),
+        st.booleans(),
+    ),
+    max_size=400,
+)
+
+
+@given(
+    trace=requests,
+    mlp=st.integers(min_value=1, max_value=16),
+    rank_windows=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_plain_tuples_match_reference(trace, mlp, rank_windows):
+    # A 250 us tracking window: longer traces cross window resets.
+    timing = DramTiming(
+        t_faw=30.0 if rank_windows else 0.0,
+        t_rrd=6.0 if rank_windows else 0.0,
+    ).scaled(1 / 256)
+    controllers = []
+    outcomes = []
+    for engine in (MemoryController, ReferenceMemoryController):
+        tracker = HydraTracker(
+            HydraConfig(
+                geometry=GEOMETRY,
+                trh=40,
+                gct_entries=16,
+                rcc_entries=8,
+                rcc_ways=4,
+            )
+        )
+        controller = engine(GEOMETRY, timing, tracker)
+        outcomes.append(controller.run_trace(trace, mlp=mlp))
+        controllers.append(controller)
+    fused, reference = controllers
+    assert outcomes[0] == outcomes[1]
+    assert fused.stats == reference.stats
+    assert _activity(fused) == _activity(reference)
+    assert fused.end_time == reference.end_time
+    assert fused.tracker.stats == reference.tracker.stats

@@ -6,7 +6,6 @@ from repro.core.config import HydraConfig
 from repro.core.hydra import HydraTracker
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.memctrl.controller import MemoryController
-from repro.cpu.core import LimitedMlpCore
 from repro.memctrl.queued import QueuedMemoryController
 
 GEOMETRY = DramGeometry(
@@ -44,8 +43,9 @@ class TestBasicExecution:
         the same ballpark (same banks, same timing)."""
         rows = [i % 128 for i in range(2000)]
         queued = make().run_trace(trace_of(rows, gap=5.0), mlp=16)
-        fast_mc = MemoryController(GEOMETRY, TIMING)
-        fast = LimitedMlpCore(mlp=16).run(trace_of(rows, gap=5.0), fast_mc)
+        fast = MemoryController(GEOMETRY, TIMING).run_trace(
+            trace_of(rows, gap=5.0), mlp=16
+        )
         assert queued.end_time_ns == pytest.approx(
             fast.end_time_ns, rel=0.35
         )

@@ -19,6 +19,7 @@ from repro.trackers.cat import CatTracker
 from repro.trackers.graphene import GrapheneTracker
 from repro.trackers.ocpr import OcprTracker
 from repro.trackers.twice import TwiceTracker
+from tests.memctrl.test_controller import access
 
 GEOMETRY = DramGeometry(
     channels=2,
@@ -52,7 +53,7 @@ class TestTimingMonotonicity:
         mc = MemoryController(GEOMETRY, TIMING)
         t = 0.0
         for row in rows:
-            done = mc.access(t, row)
+            done = access(mc, t, row)
             assert done > t
             t = done
 
@@ -64,7 +65,7 @@ class TestTimingMonotonicity:
         mc = MemoryController(GEOMETRY, TIMING)
         t = 0.0
         for row in rows:
-            t = mc.access(t, row)
+            t = access(mc, t, row)
         acts = mc.activity().activations
         # One ACT per row-buffer miss, none for hits.
         assert acts == mc.activity().row_buffer_misses

@@ -130,6 +130,38 @@ class TestChunkedTrace:
         with pytest.raises(ValueError):
             ChunkedTrace.write([], tmp_path / "c", chunk_requests=0)
 
+    def test_interrupted_manifest_write_leaves_no_manifest(self, tmp_path):
+        """A manifest write cut off partway publishes nothing.
+
+        A per-file size limit (``RLIMIT_FSIZE``) between the largest
+        segment and the manifest lets every segment land whole, then
+        fails the manifest write partway, as a full disk would.
+        """
+        resource = pytest.importorskip("resource")
+        import signal
+
+        trace = _trace(40)
+        reference = ChunkedTrace.from_trace(trace, tmp_path / "ref", chunk_requests=4)
+        sizes = {f.name: f.stat().st_size for f in reference.directory.iterdir()}
+        manifest_size = sizes.pop("manifest.json")
+        largest_segment = max(sizes.values())
+        assert largest_segment < manifest_size
+        limit = (largest_segment + manifest_size) // 2
+
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        previous = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+        try:
+            with pytest.raises(OSError):
+                ChunkedTrace.from_trace(trace, tmp_path / "cut", chunk_requests=4)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+            signal.signal(signal.SIGXFSZ, previous)
+        left = sorted(f.name for f in (tmp_path / "cut").iterdir())
+        assert left == sorted(sizes)
+        with pytest.raises(ValueError, match="manifest"):
+            ChunkedTrace(tmp_path / "cut")
+
 
 class TestExternalFormat:
     def test_roundtrip_is_bit_identical(self, tmp_path):
