@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import Dict, Sequence
 
 from repro.sim.config import SystemConfig, default_scale
-from repro.sim.results import Comparison, geometric_mean
-from repro.sim.sweep import ExperimentRunner, suite_geomeans, suite_slowdowns
+from repro.sim.results import Comparison, ComparisonResult, geometric_mean
+from repro.sim.sweep import ExperimentRunner
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -56,7 +56,7 @@ def record_result(name: str, payload) -> None:
 
 
 def comparison_table(
-    comparisons: Sequence[Comparison], title: str
+    comparisons: ComparisonResult, title: str
 ) -> Dict[str, object]:
     """Print a Figure-5-style table and return its data."""
     print(f"\n=== {title} ===")
@@ -71,8 +71,8 @@ def comparison_table(
             f"{comp.workload:<12} {comp.normalized_performance:>9.4f} "
             f"{comp.slowdown_percent:>10.2f}"
         )
-    means = suite_geomeans(comparisons)
-    slowdowns = suite_slowdowns(comparisons)
+    means = comparisons.suite_geomeans()
+    slowdowns = comparisons.slowdowns()
     print("-" * 33)
     for suite in means:
         print(f"{suite:<12} {means[suite]:>9.4f} {slowdowns[suite]:>10.2f}")
@@ -92,7 +92,7 @@ def all_slowdown(comparisons: Sequence[Comparison]) -> float:
     """
     if not comparisons:
         raise ValueError("all_slowdown needs at least one comparison")
-    slowdowns = suite_slowdowns(comparisons)
+    slowdowns = ComparisonResult(comparisons).slowdowns()
     if "ALL(36)" in slowdowns:
         return slowdowns["ALL(36)"]
     mean = geometric_mean(

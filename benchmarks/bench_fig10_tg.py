@@ -8,8 +8,6 @@ in a saturated group mitigates almost immediately. The paper selects
 
 from _common import bench_config, record_result, runner_for
 
-from repro.sim.sweep import suite_slowdowns
-
 TG_FRACTIONS = (0.50, 0.65, 0.80, 0.95)
 
 
@@ -17,9 +15,9 @@ def test_fig10_tg_threshold(benchmark):
     def run_sweep():
         runner = runner_for(bench_config())
         return {
-            fraction: suite_slowdowns(
-                runner.compare(f"hydra@tg_fraction={fraction}")
-            )
+            fraction: runner.compare(
+                f"hydra@tg_fraction={fraction}"
+            ).slowdowns()
             for fraction in TG_FRACTIONS
         }
 

@@ -7,8 +7,6 @@ reports 0.7% -> 1.6% -> 4% averages, with GUPS hit hardest.
 
 from _common import bench_config, record_result, runner_for
 
-from repro.sim.sweep import suite_slowdowns
-
 THRESHOLDS = (500, 250, 125)
 
 
@@ -16,7 +14,7 @@ def test_fig7_trh_sensitivity(benchmark):
     def run_sweep():
         runner = runner_for(bench_config())
         return {
-            trh: suite_slowdowns(runner.compare(f"hydra@trh={trh}"))
+            trh: runner.compare(f"hydra@trh={trh}").slowdowns()
             for trh in THRESHOLDS
         }
 

@@ -7,8 +7,6 @@ and more rows fall through to per-row tracking. The paper: 16K hurts
 
 from _common import bench_config, record_result, runner_for
 
-from repro.sim.sweep import suite_slowdowns
-
 GCT_SIZES = (16384, 32768, 65536)
 
 
@@ -16,9 +14,9 @@ def test_fig9_gct_capacity(benchmark):
     def run_sweep():
         runner = runner_for(bench_config())
         return {
-            entries: suite_slowdowns(
-                runner.compare(f"hydra@gct_entries={entries}")
-            )
+            entries: runner.compare(
+                f"hydra@gct_entries={entries}"
+            ).slowdowns()
             for entries in GCT_SIZES
         }
 

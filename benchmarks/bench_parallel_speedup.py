@@ -2,16 +2,18 @@
 
 Not a paper figure — this measures the *reproduction's* sweep layer:
 a 2-tracker x 8-workload grid run serially and with ``jobs=4``
-(disk cache disabled so every cell simulates), asserting the
-parallel results are identical to the serial ones and, on a machine
-with >= 4 CPUs, at least 2x faster wall-clock.
+(each into its own empty cache directory, so every cell simulates),
+asserting the parallel results are identical to the serial ones and,
+on a machine with >= 4 CPUs, at least 2x faster wall-clock.
 """
 
 import os
+import tempfile
 import time
 
 from _common import bench_config, record_result
 
+from repro.sim.grid import GridSpec
 from repro.sim.simulator import trace_for_workload
 from repro.sim.sweep import ExperimentRunner
 
@@ -20,10 +22,13 @@ WORKLOADS = ["leela", "povray", "xz", "mcf", "gcc", "cactuBSSN", "nab", "lbm"]
 JOBS = 4
 
 
-def _timed_grid(runner: ExperimentRunner, jobs: int):
-    start = time.perf_counter()
-    grid = runner.run_grid(TRACKERS, WORKLOADS, jobs=jobs, progress=False)
-    return grid, time.perf_counter() - start
+def _timed_grid(config, jobs: int):
+    grid_spec = GridSpec(trackers=tuple(TRACKERS), workloads=tuple(WORKLOADS))
+    with tempfile.TemporaryDirectory() as cache_dir:
+        runner = ExperimentRunner(config, cache_dir=cache_dir)
+        start = time.perf_counter()
+        grid = runner.run_grid(grid_spec, jobs=jobs, progress=False)
+        return grid, time.perf_counter() - start
 
 
 def test_parallel_speedup(benchmark):
@@ -34,10 +39,8 @@ def test_parallel_speedup(benchmark):
         trace_for_workload(config, name)
 
     def run():
-        serial_runner = ExperimentRunner(config, use_disk_cache=False)
-        serial, serial_s = _timed_grid(serial_runner, jobs=1)
-        parallel_runner = ExperimentRunner(config, use_disk_cache=False)
-        parallel, parallel_s = _timed_grid(parallel_runner, jobs=JOBS)
+        serial, serial_s = _timed_grid(config, jobs=1)
+        parallel, parallel_s = _timed_grid(config, jobs=JOBS)
         return serial, serial_s, parallel, parallel_s
 
     serial, serial_s, parallel, parallel_s = benchmark.pedantic(

@@ -58,6 +58,7 @@ from repro.attacks.resolve import resolve
 from repro.dram.timing import PAPER_GEOMETRY
 from repro.obs.manifest import ArenaOracleRecord, ManifestWriter
 from repro.sim.config import SystemConfig, resolve_jobs
+from repro.sim.grid import GridSpec
 from repro.service.worker import CellPool
 from repro.sim.sweep import ExperimentRunner
 from repro.trackers.registry import (
@@ -346,6 +347,7 @@ def run_arena(
     n_jobs = resolve_jobs(jobs)
     oracle_records: List[ArenaOracleRecord] = []
     manifest_dest = None
+    grid_spec = GridSpec(trackers=tuple(specs), workloads=tuple(workloads))
 
     for trh in ladder:
         cfg = config.with_trh(trh)
@@ -353,7 +355,7 @@ def run_arena(
             cfg, jobs=jobs, manifest_path=manifest_path
         )
         manifest_dest = runner.manifest_path
-        grid = runner.run_grid(specs, list(workloads), progress=progress)
+        grid = runner.run_grid(grid_spec, progress=progress)
 
         outcomes = _run_oracle_battery(
             config, specs, trh, sequences, n_jobs

@@ -23,7 +23,7 @@ here so callers can ``from repro.api import ...`` alone.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.sim.config import SystemConfig
 from repro.sim.grid import GridSpec
@@ -69,8 +69,8 @@ def run(
 
 
 def sweep(
-    grid: Union[GridSpec, Sequence[str]],
-    workloads: Optional[Sequence[str]] = None,
+    grid: GridSpec,
+    *,
     config: Optional[SystemConfig] = None,
     service: Optional[str] = None,
     pool: str = "process",
@@ -78,12 +78,12 @@ def sweep(
     state_dir: Optional[Path] = None,
     cache_dir: Optional[Path] = None,
 ) -> JobHandle:
-    """Submit a grid of simulations; returns a :class:`JobHandle`.
+    """Submit a :class:`GridSpec` of simulations; returns a
+    :class:`JobHandle`.
 
-    ``grid`` is the blessed :class:`GridSpec` (or the tracker-list
-    shorthand, coerced to one). The grid's config wins; an explicit
-    ``config`` argument fills one in when the spec carries none, and
-    plain ``SystemConfig()`` is the last resort.
+    The grid's config wins; an explicit ``config`` argument fills one
+    in when the spec carries none, and plain ``SystemConfig()`` is the
+    last resort.
 
     With ``service="host:port"`` the grid is submitted over HTTP to a
     running ``hydra-sim serve`` instance and the returned handle is
@@ -94,11 +94,7 @@ def sweep(
     ``result()`` / ``cancel()``.
     """
     if not isinstance(grid, GridSpec):
-        grid = GridSpec.coerce(grid, workloads, config=config)
-    elif workloads is not None:
-        raise ValueError(
-            "pass a GridSpec alone, not together with workloads"
-        )
+        raise TypeError(f"sweep takes a GridSpec, not {type(grid).__name__}")
     if grid.config is None:
         grid = grid.with_config(
             config if config is not None else SystemConfig()
@@ -128,7 +124,7 @@ def sweep(
 
 
 def compare(
-    tracker: Union[str, GridSpec] = "hydra",
+    tracker: str = "hydra",
     workloads: Optional[Sequence[str]] = None,
     config: Optional[SystemConfig] = None,
     baseline: str = "baseline",
@@ -139,20 +135,9 @@ def compare(
 ) -> ComparisonResult:
     """Tracked column vs the no-tracking baseline, per workload.
 
-    ``tracker`` may be a spec string or a single-tracker
-    :class:`GridSpec` (whose workload axis and config are then used).
+    ``tracker`` is a spec string; ``workloads`` defaults to all 36.
     Both columns run through the shared result cache.
     """
-    if isinstance(tracker, GridSpec) and tracker.config is not None:
-        if config is not None and tracker.config != config:
-            raise ValueError(
-                "GridSpec.config disagrees with the config= argument;"
-                " drop one of them"
-            )
-        config = tracker.config
-        tracker = GridSpec(
-            trackers=tracker.trackers, workloads=tracker.workloads
-        )
     runner = ExperimentRunner(
         config if config is not None else SystemConfig(),
         cache_dir=cache_dir,

@@ -220,10 +220,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     elif args.observe:
         # Observability lives on the live RunResult only (never in the
         # cache), so an observed run always simulates.
-        from repro.sim import simulate
+        from repro import api
 
-        trace = runner.trace_for(args.workload)
-        result = simulate(trace, runner.config, args.tracker, observe=True)
+        result = api.run(
+            args.tracker, args.workload, runner.config, observe=True
+        )
         base = runner.run("baseline", args.workload)
     else:
         result = runner.run(args.tracker, args.workload)
@@ -293,9 +294,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     from repro import api
 
-    grid = api.GridSpec.coerce(
-        args.trackers.split(","),
-        args.workloads.split(",") if args.workloads else None,
+    grid = api.GridSpec(
+        trackers=tuple(args.trackers.split(",")),
+        workloads=tuple(args.workloads.split(",")) if args.workloads else (),
         config=_config(args),
     )
     handle = api.sweep(grid, service=f"{args.host}:{args.port}")
@@ -563,50 +564,16 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 1 if report.flagged else 0
 
 
-def _open_source(path: str, chunk: int):
-    from repro.workloads.streaming import open_trace_source
-
-    return open_trace_source(path, chunk_requests=chunk)
-
-
-def _write_source(source, destination: str, chunk: int) -> str:
-    """Write a trace source to ``destination`` in the format its
-    suffix implies; returns a human summary of what was written."""
-    from pathlib import Path
-
-    from repro.workloads.streaming import (
-        ChunkedTrace,
-        TEXT_SUFFIXES,
-        materialize,
-        write_external_trace,
-    )
-
-    dst = Path(destination)
-    if dst.suffix == ".npz":
-        trace = materialize(source)
-        trace.save(str(dst))
-        return f"wrote {dst} (npz, {len(trace)} requests)"
-    if dst.suffix in TEXT_SUFFIXES:
-        count = write_external_trace(source, dst)
-        return f"wrote {dst} (external text, {count} requests)"
-    chunked = ChunkedTrace.write(
-        source.chunks(), dst, name=source.name, chunk_requests=chunk
-    )
-    return (
-        f"wrote {dst}/ (chunked, {len(chunked)} requests in"
-        f" {chunked.n_segments} segments of {chunk})"
-    )
-
-
 def _cmd_trace_inspect(args: argparse.Namespace) -> int:
     from repro.workloads.streaming import (
-        characterize_chunks,
+        open_trace_source,
         source_duration_ns,
         source_request_count,
     )
+    from repro.workloads.trace import characterize
 
-    source = _open_source(args.path, args.chunk)
-    stats = characterize_chunks(source, hot_threshold=args.hot_threshold)
+    source = open_trace_source(args.path, chunk_requests=args.chunk)
+    stats = characterize(source, hot_threshold=args.hot_threshold)
     print(f"trace             : {source.name}")
     print(f"requests          : {source_request_count(source)}")
     print(f"duration (intent) : {source_duration_ns(source) / 1e6:.3f} ms")
@@ -619,15 +586,19 @@ def _cmd_trace_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_convert(args: argparse.Namespace) -> int:
-    source = _open_source(args.source, args.chunk)
-    print(_write_source(source, args.destination, args.chunk))
+    from repro.workloads.streaming import open_trace_source, write_trace_source
+
+    source = open_trace_source(args.source, chunk_requests=args.chunk)
+    print(write_trace_source(source, args.destination, args.chunk))
     return 0
 
 
 def _cmd_trace_head(args: argparse.Namespace) -> int:
     from itertools import islice
 
-    source = _open_source(args.path, args.chunk)
+    from repro.workloads.streaming import open_trace_source
+
+    source = open_trace_source(args.path, chunk_requests=args.chunk)
     print(f"# {source.name}")
     print("# <gap_ns> <R|W> <row_id> <n_lines>")
     shown = 0
@@ -643,36 +614,24 @@ def _cmd_trace_head(args: argparse.Namespace) -> int:
 
 def _cmd_trace_record(args: argparse.Namespace) -> int:
     from repro.sim.simulator import trace_for_workload
+    from repro.workloads.streaming import write_trace_source
 
     config = _config(args).with_stream_chunk(args.chunk)
     source = trace_for_workload(config, args.workload)
-    print(_write_source(source, args.destination, args.chunk))
+    print(write_trace_source(source, args.destination, args.chunk))
     return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     import json
-    import os
 
-    from repro.sim.config import JOBS_ENV_VAR
     from repro.sim.experiments import available_experiments, run_experiment
 
     if args.name == "list":
         for name in available_experiments():
             print(name)
         return 0
-    previous = os.environ.get(JOBS_ENV_VAR)
-    if args.jobs is not None:
-        # Experiments build their own runners; the env default is the
-        # channel that reaches all of them, for this call only.
-        os.environ[JOBS_ENV_VAR] = str(args.jobs)
-    try:
-        payload = run_experiment(args.name, _config(args))
-    finally:
-        if previous is None:
-            os.environ.pop(JOBS_ENV_VAR, None)
-        else:
-            os.environ[JOBS_ENV_VAR] = previous
+    payload = run_experiment(args.name, _config(args), jobs=args.jobs)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 

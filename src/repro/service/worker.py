@@ -119,19 +119,14 @@ def run_cell(
     it came from the cache, and the wall-clock seconds it cost. The
     fill is lease-guarded, so concurrent workers (of this process,
     another sweep or broker, or another machine sharing the cache
-    directory) fill each unique key once. With neither ``cache_dir``
-    nor ``cache`` the cell is simulated and nothing is stored.
+    directory) fill each unique key once.
 
-    In-process pools pass their owner's ``cache`` instance so its
+    In-process callers pass their owner's ``cache`` instance so its
     ``stores`` / ``evictions`` / ``leases_reclaimed`` counters observe
     worker activity; process pools pass only ``cache_dir``
     (picklable) and each worker builds its own view.
     """
     started = time.perf_counter()
-    if cache_dir is None and cache is None:
-        result = simulate_workload(config, tracker, workload)
-        return result.to_dict(), False, time.perf_counter() - started
-
     if cache is None:
         cache = ResultCache(Path(cache_dir))
     key = cell_key(config, tracker, workload)
@@ -274,6 +269,8 @@ class CellPool:
         want it — the in-process half of in-flight dedup (leases
         extend it across processes).
         """
+        if self.cache is None:
+            raise ValueError("cache cells need a pool built with cache=")
         with self._lock:
             task = self._in_flight.get(cell.key)
             if task is None:
@@ -319,17 +316,14 @@ class CellPool:
 
     def _submit_cell(self, task: CellTask) -> None:
         cell = task.cell
-        cache = self.cache
-        kwargs = {}
-        if cache is not None and self.kind != "process":
-            kwargs["cache"] = cache
+        kwargs = {} if self.kind == "process" else {"cache": self.cache}
         task.executor = self._get_executor()
         task.future = task.executor.submit(
             self._cell_runner,
             cell.config,
             cell.tracker,
             cell.workload,
-            None if cache is None else str(cache.directory),
+            str(self.cache.directory),
             self.lease_ttl_s,
             **kwargs,
         )

@@ -9,7 +9,7 @@ from repro.sim.config import (
     default_scale,
     resolve_jobs,
 )
-from repro.sim.grid import GridCell, GridSpec
+from repro.sim.grid import GridCell, GridSpec, cell_key
 from repro.sim.results import (
     SCHEMA_VERSION,
     WELL_KNOWN_EXTRAS,
@@ -25,13 +25,7 @@ from repro.sim.simulator import (
     simulate_workload,
     trace_for_workload,
 )
-from repro.sim.sweep import (
-    ExperimentRunner,
-    SweepProgress,
-    cell_key,
-    suite_geomeans,
-    suite_slowdowns,
-)
+from repro.sim.sweep import ExperimentRunner, SweepProgress
 
 __all__ = [
     "Comparison",
@@ -56,7 +50,5 @@ __all__ = [
     "resolve_jobs",
     "simulate",
     "simulate_workload",
-    "suite_geomeans",
-    "suite_slowdowns",
     "trace_for_workload",
 ]

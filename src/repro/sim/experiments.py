@@ -8,12 +8,12 @@ single figure can be reproduced from the command line without pytest.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.sim.config import SystemConfig
 from repro.sim.sweep import ExperimentRunner
 
-ExperimentFn = Callable[[SystemConfig], dict]
+ExperimentFn = Callable[[ExperimentRunner], dict]
 
 _REGISTRY: Dict[str, ExperimentFn] = {}
 
@@ -30,25 +30,30 @@ def available_experiments() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def run_experiment(name: str, config: SystemConfig) -> dict:
-    """Execute one named experiment; returns its payload dict."""
+def run_experiment(
+    name: str, config: SystemConfig, jobs: Optional[int] = None
+) -> dict:
+    """Execute one named experiment; returns its payload dict.
+
+    Every experiment runs on one :class:`ExperimentRunner` over
+    ``config``; ``jobs`` is its grid parallelism (``None`` defers to
+    ``REPRO_JOBS``, then serial).
+    """
     try:
         fn = _REGISTRY[name]
     except KeyError:
         raise KeyError(
             f"unknown experiment {name!r}; available: {available_experiments()}"
         ) from None
-    return fn(config)
+    return fn(ExperimentRunner(config, jobs=jobs))
 
 
 def _tracker_sweep(
-    config: SystemConfig, tracker_names: Sequence[str]
+    runner: ExperimentRunner, tracker_names: Sequence[str]
 ) -> dict:
-    from repro import api
-
     payload = {}
     for tracker in tracker_names:
-        comparisons = api.compare(tracker, config=config)
+        comparisons = runner.compare(tracker)
         payload[tracker] = {
             "per_workload": {
                 c.workload: round(c.normalized_performance, 4)
@@ -66,22 +71,21 @@ def _tracker_sweep(
 
 
 @experiment("fig2")
-def fig2_cra_cache_sweep(config: SystemConfig) -> dict:
+def fig2_cra_cache_sweep(runner: ExperimentRunner) -> dict:
     payload = {}
     for size_kb in (64, 128, 256):
         spec = f"cra@cache_kb={size_kb}"
-        payload[f"cra-{size_kb}kb"] = _tracker_sweep(config, [spec])[spec]
+        payload[f"cra-{size_kb}kb"] = _tracker_sweep(runner, [spec])[spec]
     return payload
 
 
 @experiment("fig5")
-def fig5_performance(config: SystemConfig) -> dict:
-    return _tracker_sweep(config, ["graphene", "cra", "hydra"])
+def fig5_performance(runner: ExperimentRunner) -> dict:
+    return _tracker_sweep(runner, ["graphene", "cra", "hydra"])
 
 
 @experiment("fig6")
-def fig6_distribution(config: SystemConfig) -> dict:
-    runner = ExperimentRunner(config)
+def fig6_distribution(runner: ExperimentRunner) -> dict:
     from repro.workloads.characteristics import all_names
 
     return {
@@ -94,45 +98,45 @@ def fig6_distribution(config: SystemConfig) -> dict:
 
 
 @experiment("fig7")
-def fig7_trh_sensitivity(config: SystemConfig) -> dict:
+def fig7_trh_sensitivity(runner: ExperimentRunner) -> dict:
     payload = {}
     for trh in (500, 250, 125):
         spec = f"hydra@trh={trh}"
-        payload[str(trh)] = _tracker_sweep(config, [spec])[spec][
+        payload[str(trh)] = _tracker_sweep(runner, [spec])[spec][
             "suite_slowdowns_percent"
         ]
     return payload
 
 
 @experiment("fig8")
-def fig8_ablation(config: SystemConfig) -> dict:
-    return _tracker_sweep(config, ["hydra", "hydra-norcc", "hydra-nogct"])
+def fig8_ablation(runner: ExperimentRunner) -> dict:
+    return _tracker_sweep(runner, ["hydra", "hydra-norcc", "hydra-nogct"])
 
 
 @experiment("fig9")
-def fig9_gct_size(config: SystemConfig) -> dict:
+def fig9_gct_size(runner: ExperimentRunner) -> dict:
     payload = {}
     for entries in (16384, 32768, 65536):
         spec = f"hydra@gct_entries={entries}"
-        payload[f"{entries // 1024}K"] = _tracker_sweep(config, [spec])[spec][
+        payload[f"{entries // 1024}K"] = _tracker_sweep(runner, [spec])[spec][
             "suite_slowdowns_percent"
         ]
     return payload
 
 
 @experiment("fig10")
-def fig10_tg(config: SystemConfig) -> dict:
+def fig10_tg(runner: ExperimentRunner) -> dict:
     payload = {}
     for fraction in (0.50, 0.65, 0.80, 0.95):
         spec = f"hydra@tg_fraction={fraction}"
-        payload[f"{int(fraction * 100)}%"] = _tracker_sweep(config, [spec])[
+        payload[f"{int(fraction * 100)}%"] = _tracker_sweep(runner, [spec])[
             spec
         ]["suite_slowdowns_percent"]
     return payload
 
 
 @experiment("table1")
-def table1_storage(config: SystemConfig) -> dict:
+def table1_storage(runner: ExperimentRunner) -> dict:
     from repro.trackers.storage import storage_table
 
     return {
@@ -145,34 +149,34 @@ def table1_storage(config: SystemConfig) -> dict:
 
 
 @experiment("table4")
-def table4_hydra_storage(config: SystemConfig) -> dict:
+def table4_hydra_storage(runner: ExperimentRunner) -> dict:
     from repro.core.config import HydraConfig
     from repro.core.storage import hydra_storage
 
-    return dict(hydra_storage(HydraConfig(trh=config.trh)).rows())
+    return dict(hydra_storage(HydraConfig(trh=runner.config.trh)).rows())
 
 
 @experiment("table5")
-def table5_total_sram(config: SystemConfig) -> dict:
+def table5_total_sram(runner: ExperimentRunner) -> dict:
     from repro.trackers.storage import total_sram_table
 
     return {
         scheme: {k: round(v / 1024, 1) for k, v in cols.items()}
-        for scheme, cols in total_sram_table(trh=config.trh).items()
+        for scheme, cols in total_sram_table(trh=runner.config.trh).items()
     }
 
 
 @experiment("fn4")
-def fn4_randomized(config: SystemConfig) -> dict:
-    return _tracker_sweep(config, ["hydra", "hydra-randomized"])
+def fn4_randomized(runner: ExperimentRunner) -> dict:
+    return _tracker_sweep(runner, ["hydra", "hydra-randomized"])
 
 
 @experiment("arena")
-def arena_pareto(config: SystemConfig) -> dict:
+def arena_pareto(runner: ExperimentRunner) -> dict:
     """Tracker arena: every registered tracker raced down the T_RH
     ladder on slowdown / storage / security (see
     :mod:`repro.analysis.arena`). The config's own ``trh`` is ignored
     — the ladder spans the full range."""
     from repro.analysis.arena import run_arena
 
-    return run_arena(config).to_dict()
+    return run_arena(runner.config, jobs=runner.jobs).to_dict()

@@ -1,13 +1,11 @@
 """GridSpec: one value object answering "what grid should run?".
 
-A sweep used to be described positionally — ``run_grid(tracker_names,
-workload_names)`` against whatever config the runner happened to hold.
-That shape cannot leave the process: the sweep service (DESIGN.md §15)
-needs a grid that serializes, round-trips canonically, and enumerates
-its own cells so a broker can shard them. :class:`GridSpec` is that
-object; each of its cells is one spec string run under one
-:class:`~repro.sim.config.SystemConfig`, exactly what ``simulate``
-takes:
+Every sweep — ``ExperimentRunner.run_grid``, ``repro.api.sweep`` and
+the sweep service (DESIGN.md §15) — is named by one
+:class:`GridSpec`: a grid that serializes, round-trips canonically,
+and enumerates its own cells so a broker can shard them. Each cell is
+one spec string run under one :class:`~repro.sim.config.SystemConfig`,
+exactly what ``simulate`` takes:
 
 - ``trackers`` — registry spec strings, canonicalized on construction
   so spelling variants of one configuration compare (and cache) equal;
@@ -30,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.sim.config import SystemConfig
 from repro.trackers.registry import canonical_spec
@@ -96,38 +94,20 @@ class GridSpec:
             if name not in known:
                 raise ValueError(f"unknown workload {name!r}")
 
-    @classmethod
-    def coerce(
-        cls,
-        trackers: Sequence[str],
-        workloads: Optional[Sequence[str]] = None,
-        config: Optional[SystemConfig] = None,
-    ) -> "GridSpec":
-        """Build a GridSpec from the legacy positional arguments."""
-        return cls(
-            trackers=tuple(trackers),
-            workloads=tuple(workloads) if workloads else (),
-            config=config,
-        )
-
     # ------------------------------------------------------------------
 
     def resolved_workloads(self) -> List[str]:
         """The workload axis, with the empty default meaning all 36."""
         return list(self.workloads) if self.workloads else all_names()
 
-    def resolved_config(
-        self, fallback: Optional[SystemConfig] = None
-    ) -> SystemConfig:
-        """The config cells run under: own field, else ``fallback``."""
-        if self.config is not None:
-            return self.config
-        if fallback is not None:
-            return fallback
-        raise ValueError(
-            "this GridSpec carries no SystemConfig; attach one"
-            " (with_config) or supply a fallback"
-        )
+    def resolved_config(self) -> SystemConfig:
+        """The config cells run under."""
+        if self.config is None:
+            raise ValueError(
+                "this GridSpec carries no SystemConfig; attach one"
+                " (with_config)"
+            )
+        return self.config
 
     def with_config(self, config: SystemConfig) -> "GridSpec":
         """The same grid pinned to an explicit config (service path)."""
@@ -151,11 +131,9 @@ class GridSpec:
     def n_cells(self) -> int:
         return len(self.trackers) * len(self.resolved_workloads())
 
-    def cells(
-        self, fallback_config: Optional[SystemConfig] = None
-    ) -> Iterator[GridCell]:
+    def cells(self) -> Iterator[GridCell]:
         """Yield every cell in deterministic tracker-major order."""
-        config = self.resolved_config(fallback_config)
+        config = self.resolved_config()
         for tracker in self.trackers:
             for workload in self.resolved_workloads():
                 yield GridCell(

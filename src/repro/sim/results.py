@@ -221,6 +221,7 @@ def geometric_mean(values) -> float:
 def _suite_geomeans(
     comparisons: Sequence[Comparison],
 ) -> Dict[str, float]:
+    """Geomean normalized performance per suite (Figure 5)."""
     by_workload = {
         c.workload: c.normalized_performance for c in comparisons
     }
@@ -244,9 +245,7 @@ class ComparisonResult(List[Comparison]):
         """Geomean normalized performance over every workload present."""
         return geometric_mean(c.normalized_performance for c in self)
 
-    def suite_geomeans(self) -> Dict[str, float]:
-        """Geomean normalized performance per suite (Figure 5)."""
-        return _suite_geomeans(self)
+    suite_geomeans = _suite_geomeans
 
     def slowdowns(self) -> Dict[str, float]:
         """Percent slowdown per suite (Figures 7/9/10's y-axis)."""

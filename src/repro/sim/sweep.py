@@ -5,7 +5,9 @@ configuration) x (36 workloads), aggregated per suite with geometric
 means. :class:`ExperimentRunner` executes those grids, caching each
 (config, tracker, workload) run as JSON on disk so the many benchmark
 targets that share runs (e.g. Figure 5's Hydra column and Figure 6's
-distribution) pay for each simulation once.
+distribution) pay for each simulation once. ``run_grid`` takes a
+:class:`~repro.sim.grid.GridSpec`; ``compare`` takes one tracker spec
+string and runs it beside the baseline.
 
 Grids are engine-agnostic: ``SystemConfig.engine`` selects the
 memory-controller engine (fast in-order vs queued FR-FCFS) for every
@@ -14,7 +16,7 @@ cell, and a per-column override rides in the spec string
 and queued results share one cache directory without ever being
 served for each other.
 
-Every cell is filled by the one cell worker,
+Every cell is filled through the result cache by the one cell worker,
 :func:`repro.service.worker.run_cell`, on the one executor,
 :class:`repro.service.worker.CellPool` — the same pair the sweep
 service runs. Cells are independent deterministic simulations, so
@@ -47,7 +49,7 @@ from __future__ import annotations
 import sys
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.obs.manifest import (
     ManifestRecord,
@@ -55,25 +57,10 @@ from repro.obs.manifest import (
     resolve_manifest_path,
 )
 from repro.sim.cache import ResultCache
-from repro.sim.config import (
-    CACHE_ENV_VAR,  # noqa: F401  (re-exported; historically lived here)
-    SystemConfig,
-    default_cache_dir,
-    resolve_jobs,
-)
-from repro.sim.results import (
-    Comparison,  # noqa: F401  (re-exported for established importers)
-    ComparisonResult,
-    GridResult,
-    RunResult,
-    geometric_mean,  # noqa: F401  (re-exported for established importers)
-)
+from repro.sim.config import SystemConfig, default_cache_dir, resolve_jobs
+from repro.sim.results import ComparisonResult, GridResult, RunResult
 from repro.service.worker import CellPool, cell_record, run_cell, validated_entry
-from repro.sim.grid import (  # noqa: F401  (MODEL_VERSION re-exported)
-    MODEL_VERSION,
-    GridSpec,
-    cell_key,
-)
+from repro.sim.grid import GridSpec, cell_key
 from repro.sim.simulator import trace_for_workload
 from repro.workloads.characteristics import all_names
 from repro.workloads.streaming import TraceSource
@@ -142,13 +129,11 @@ class ExperimentRunner:
         self,
         config: SystemConfig,
         cache_dir: Optional[Path] = None,
-        use_disk_cache: bool = True,
         jobs: Optional[int] = None,
         manifest_path: Optional[Union[str, Path]] = None,
     ) -> None:
         self.config = config
         self.cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
-        self.use_disk_cache = use_disk_cache
         #: Default parallelism for grids run through this runner
         #: (``None`` defers to ``REPRO_JOBS``, then serial).
         self.jobs = jobs
@@ -169,7 +154,7 @@ class ExperimentRunner:
     def run(self, tracker_name: str, workload_name: str) -> RunResult:
         """One simulation, via the in-memory and on-disk caches; a miss
         is filled by the cell worker."""
-        key = self._key(tracker_name, workload_name)
+        key = cell_key(self.config, tracker_name, workload_name)
         result = self._results.get(key)
         if result is None:
             result = self._load(key)
@@ -179,59 +164,29 @@ class ExperimentRunner:
                 tracker_name,
                 workload_name,
                 None,
-                cache=self._disk_cache(),
+                cache=self.cache,
             )
             result = RunResult.from_dict(payload)
         self._results[key] = result
         return result
 
-    def _coerce_grid(
-        self,
-        grid: Union[GridSpec, Sequence[str]],
-        workload_names: Optional[Sequence[str]],
-    ) -> GridSpec:
-        """Normalize the grid argument to a GridSpec against this
-        runner's config.
-
-        The positional ``(tracker_names, workload_names)`` form is the
-        deprecated shim: it builds the same GridSpec the blessed call
-        would pass. A GridSpec carrying its *own* config must agree
-        with the runner's — cache keys are computed from the runner's
-        config, and silently honouring a different one would mislabel
-        every cell.
-        """
-        if isinstance(grid, GridSpec):
-            if workload_names is not None:
-                raise ValueError(
-                    "pass a GridSpec alone, not together with"
-                    " workload_names"
-                )
-            if grid.config is not None and grid.config != self.config:
-                raise ValueError(
-                    "GridSpec.config disagrees with this runner's"
-                    " config; build the runner from the grid's config"
-                    " (repro.api.sweep does) or drop the grid's"
-                )
-            return grid.with_config(self.config)
-        return GridSpec.coerce(grid, workload_names, config=self.config)
-
     def run_grid(
         self,
-        tracker_names: Union[GridSpec, Sequence[str]],
-        workload_names: Optional[Sequence[str]] = None,
+        grid: GridSpec,
+        *,
         jobs: Optional[int] = None,
         progress: Optional[bool] = None,
         job_id: str = "",
     ) -> GridResult:
         """tracker -> workload -> RunResult for the whole grid.
 
-        The blessed argument is a :class:`~repro.sim.grid.GridSpec`;
-        the legacy positional ``(tracker_names, workload_names)`` form
-        is kept as a thin deprecated shim that builds the equivalent
-        GridSpec.
+        A :class:`~repro.sim.grid.GridSpec` carrying its own config
+        must agree with the runner's: cache keys are computed from the
+        runner's config, and silently honouring a different one would
+        mislabel every cell.
 
         Returns a :class:`~repro.sim.results.GridResult` — dict-style
-        access is unchanged, with ``.comparisons()``/``.slowdowns()``/
+        access, with ``.comparisons()``/``.slowdowns()``/
         ``.geomean()``/``.to_table()`` on top.
 
         ``jobs`` > 1 fans uncached cells out over a process pool
@@ -246,9 +201,21 @@ class ExperimentRunner:
         ``manifest_path``, one provenance record per cell is appended
         after the grid completes; ``job_id`` stamps those records.
         """
-        spec = self._coerce_grid(tracker_names, workload_names)
+        if not isinstance(grid, GridSpec):
+            raise TypeError(
+                f"run_grid takes a GridSpec, not {type(grid).__name__}"
+            )
+        if grid.config is not None and grid.config != self.config:
+            raise ValueError(
+                "GridSpec.config disagrees with this runner's"
+                " config; build the runner from the grid's config"
+                " (repro.api.sweep does) or drop the grid's"
+            )
+        spec = grid.with_config(self.config)
         n_jobs = resolve_jobs(jobs if jobs is not None else self.jobs)
-        grid: Dict[str, Dict[str, RunResult]] = {t: {} for t in spec.trackers}
+        columns: Dict[str, Dict[str, RunResult]] = {
+            t: {} for t in spec.trackers
+        }
         # Hits resolve now; misses carry ``None`` until collected.
         slots = []
         for cell in spec.cells():
@@ -263,9 +230,7 @@ class ExperimentRunner:
         records: Optional[List[ManifestRecord]] = (
             [] if self.manifest_path is not None else None
         )
-        with CellPool.sized(
-            n_jobs, len(pending), cache=self._disk_cache()
-        ) as pool:
+        with CellPool.sized(n_jobs, len(pending), cache=self.cache) as pool:
             # Dispatch every miss at once, collect in grid order: no
             # worker idles behind a slow head cell.
             tasks = {cell.key: pool.submit(cell) for cell in pending}
@@ -278,7 +243,7 @@ class ExperimentRunner:
                     result, from_cache = task.result, task.from_cache
                     wall_s = task.wall_s
                 self._results[cell.key] = result
-                grid[cell.tracker][cell.workload] = result
+                columns[cell.tracker][cell.workload] = result
                 report.record(from_cache=from_cache)
                 if records is not None:
                     records.append(
@@ -287,11 +252,11 @@ class ExperimentRunner:
         report.finish()
         if records:
             ManifestWriter(self.manifest_path).append(records)
-        return GridResult(grid)
+        return GridResult(columns)
 
     def compare(
         self,
-        tracker_name: Union[str, GridSpec],
+        tracker_name: str,
         workload_names: Optional[Sequence[str]] = None,
         baseline_name: str = "baseline",
         jobs: Optional[int] = None,
@@ -299,70 +264,28 @@ class ExperimentRunner:
     ) -> ComparisonResult:
         """Tracked runs vs the no-tracking baseline, per workload.
 
-        Returns a :class:`~repro.sim.results.ComparisonResult` — a
-        plain list of :class:`Comparison` plus ``.geomean()``/
-        ``.suite_geomeans()``/``.slowdowns()``/``.to_table()``.
-
-        The tracked column may be named by a spec string (the legacy
-        shim) or carried in a single-tracker
-        :class:`~repro.sim.grid.GridSpec` (whose workload axis is then
-        used). Both columns of the comparison go through
-        :meth:`run_grid`, so ``jobs``/``REPRO_JOBS`` parallelism
-        applies here too.
+        ``tracker_name`` is a spec string; ``workload_names`` defaults
+        to all 36. Returns a :class:`~repro.sim.results.ComparisonResult`
+        — a plain list of :class:`~repro.sim.results.Comparison` plus
+        ``.geomean()``/``.suite_geomeans()``/``.slowdowns()``/
+        ``.to_table()``. Both columns go through :meth:`run_grid`, so
+        ``jobs``/``REPRO_JOBS`` parallelism applies here too.
         """
-        if isinstance(tracker_name, GridSpec):
-            grid_spec = tracker_name
-            if len(grid_spec.trackers) != 1:
-                raise ValueError(
-                    "compare() takes a single-tracker GridSpec; run"
-                    " multi-tracker grids through run_grid()"
-                )
-            if workload_names is not None:
-                raise ValueError(
-                    "pass a GridSpec alone, not together with"
-                    " workload_names"
-                )
-            tracker = grid_spec.trackers[0]
-            names = grid_spec.resolved_workloads()
-        else:
-            tracker = tracker_name
-            names = (
-                list(workload_names) if workload_names else all_names()
+        if not isinstance(tracker_name, str):
+            raise TypeError(
+                "compare takes a tracker spec string; run a GridSpec"
+                " through run_grid()"
             )
         grid = self.run_grid(
-            [baseline_name, tracker],
-            names,
+            GridSpec(
+                trackers=(baseline_name, tracker_name),
+                workloads=tuple(workload_names or all_names()),
+            ),
             jobs=jobs,
             progress=progress,
         )
-        return grid.comparisons(tracker, baseline=baseline_name)
-
-    # ------------------------------------------------------------------
-    # Cache plumbing
-    # ------------------------------------------------------------------
-
-    def _key(self, tracker_name: str, workload_name: str) -> str:
-        return cell_key(self.config, tracker_name, workload_name)
-
-    def _disk_cache(self) -> Optional[ResultCache]:
-        return self.cache if self.use_disk_cache else None
+        return grid.comparisons(tracker_name, baseline=baseline_name)
 
     def _load(self, key: str) -> Optional[RunResult]:
-        if not self.use_disk_cache:
-            return None
         entry = validated_entry(self.cache, key)
         return None if entry is None else entry[1]
-
-
-def suite_geomeans(comparisons: Iterable[Comparison]) -> Dict[str, float]:
-    """Geomean normalized performance per suite (Figure 5's summary).
-
-    Function form of :meth:`ComparisonResult.suite_geomeans`, kept for
-    callers holding a plain comparison iterable.
-    """
-    return ComparisonResult(comparisons).suite_geomeans()
-
-
-def suite_slowdowns(comparisons: Iterable[Comparison]) -> Dict[str, float]:
-    """Percent slowdown per suite (Figures 7/9/10's y-axis)."""
-    return ComparisonResult(comparisons).slowdowns()

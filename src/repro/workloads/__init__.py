@@ -31,7 +31,6 @@ from repro.workloads.streaming import (
     ExternalTraceReader,
     TraceChunk,
     TraceSource,
-    characterize_chunks,
     materialize,
     open_trace_source,
     read_external_trace,
@@ -62,7 +61,6 @@ __all__ = [
     "attack_alongside",
     "merge_traces",
     "characterize",
-    "characterize_chunks",
     "generate_gups",
     "gups_address_stream",
     "materialize",

@@ -20,9 +20,9 @@ the substrate from "one big array" to "a stream of bounded chunks":
   DRAMSim/USIMM-style line-oriented text format (grammar in
   DESIGN.md §13) so real recorded traces replay through the simulator
   without conversion, also chunk-at-a-time.
-- :func:`characterize_chunks` — the Table-3 statistics computed in one
-  streaming pass, bit-identical to ``characterize`` on the
-  materialized concatenation.
+- :func:`open_trace_source` / :func:`write_trace_source` — the one
+  map from a path's suffix (directory, ``.npz``, text) to a format,
+  for reading and for writing.
 
 The chunk-boundary invariant all of this rests on: a chunked stream
 yields exactly the tuples the materialized trace would, in the same
@@ -52,7 +52,7 @@ from typing import (
 import numpy as np
 
 from repro.durable import atomic_write_text
-from repro.workloads.trace import Trace, TraceStatistics, check_requests
+from repro.workloads.trace import Trace, check_requests
 
 try:  # pragma: no cover - exercised only on Python < 3.8
     from typing import Protocol, runtime_checkable
@@ -585,6 +585,32 @@ def open_trace_source(
     return read_external_trace(path, name=name)
 
 
+def write_trace_source(
+    source: TraceSource, destination: Union[str, Path], chunk_requests: int
+) -> str:
+    """Write ``source`` in the format ``destination`` names, the
+    inverse of :func:`open_trace_source`: ``*.npz``, a text suffix
+    (:data:`TEXT_SUFFIXES`), or else a chunked directory of
+    ``chunk_requests``-request segments. Returns a one-line summary
+    of what was written.
+    """
+    dst = Path(destination)
+    if dst.suffix == ".npz":
+        trace = materialize(source)
+        trace.save(str(dst))
+        return f"wrote {dst} (npz, {len(trace)} requests)"
+    if dst.suffix in TEXT_SUFFIXES:
+        count = write_external_trace(source, dst)
+        return f"wrote {dst} (external text, {count} requests)"
+    chunked = ChunkedTrace.write(
+        source.chunks(), dst, name=source.name, chunk_requests=chunk_requests
+    )
+    return (
+        f"wrote {dst}/ (chunked, {len(chunked)} requests in"
+        f" {chunked.n_segments} segments of {chunk_requests})"
+    )
+
+
 def materialize(source: TraceSource) -> Trace:
     """Any trace source as one in-RAM ``Trace`` (tools, attack mixes).
 
@@ -614,49 +640,6 @@ def materialize(source: TraceSource) -> Trace:
         lines=np.concatenate([p[2] for p in parts]),
         writes=np.concatenate([p[3] for p in parts]),
         name=getattr(source, "name", "trace"),
-    )
-
-
-def characterize_chunks(
-    source: TraceSource, hot_threshold: int = 250
-) -> TraceStatistics:
-    """Table-3 statistics in one streaming pass over a source.
-
-    Matches :func:`repro.workloads.trace.characterize` exactly —
-    including the first-chunk coalescing rule *across* chunk
-    boundaries: a chunk starting with the row the previous chunk ended
-    on is the same activation, just as it would be in the concatenated
-    array. Memory is bounded by one chunk plus the per-row activation
-    count map (the unique-row footprint, which Table 3 itself bounds).
-    """
-    counts: Dict[int, int] = {}
-    activations = 0
-    line_transfers = 0
-    previous_last_row: Optional[int] = None
-    for chunk in source.chunks():
-        rows = np.asarray(chunk.rows, dtype=np.int64)
-        if len(rows) == 0:
-            continue
-        new_act = np.ones(len(rows), dtype=bool)
-        new_act[1:] = rows[1:] != rows[:-1]
-        if previous_last_row is not None and rows[0] == previous_last_row:
-            new_act[0] = False
-        act_rows = rows[new_act]
-        unique, per_row = np.unique(act_rows, return_counts=True)
-        for row, count in zip(unique.tolist(), per_row.tolist()):
-            counts[row] = counts.get(row, 0) + count
-        activations += int(len(act_rows))
-        line_transfers += int(np.asarray(chunk.lines).sum())
-        previous_last_row = int(rows[-1])
-    if not counts:
-        return TraceStatistics(0, 0, 0, 0.0, 0)
-    hot = sum(1 for count in counts.values() if count > hot_threshold)
-    return TraceStatistics(
-        activations=activations,
-        unique_rows=len(counts),
-        act250_rows=hot,
-        acts_per_row=activations / len(counts),
-        line_transfers=line_transfers,
     )
 
 

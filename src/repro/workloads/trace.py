@@ -6,18 +6,21 @@ inter-arrival gap, a global row id, and a burst length in 64 B lines.
 Traces are stored as parallel numpy arrays for compactness and can be
 saved/loaded (npz) so expensive generations are reusable.
 
-:func:`characterize` reproduces Table 3's statistics from a trace —
-the round-trip check that our synthetic generator actually matches the
-paper's workload descriptions.
+:func:`characterize` reproduces Table 3's statistics from any trace
+source — the round-trip check that our synthetic generator actually
+matches the paper's workload descriptions.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.workloads.streaming import TraceSource
 
 
 @dataclass(frozen=True)
@@ -270,26 +273,47 @@ def check_requests(
         )
 
 
-def characterize(trace: Trace, hot_threshold: int = 250) -> TraceStatistics:
-    """Compute Table 3-style statistics for one trace.
+def characterize(
+    source: "TraceSource", hot_threshold: int = 250
+) -> TraceStatistics:
+    """Compute Table 3-style statistics in one pass over any
+    :class:`~repro.workloads.streaming.TraceSource`.
 
     Counts *first-chunk* activations: consecutive same-row requests
     (the generator's burst chunks) count as a single activation, the
-    same way the DRAM row buffer would coalesce them.
+    same way the DRAM row buffer would coalesce them — across chunk
+    boundaries too, so a chunked source gives exactly the statistics
+    of its materialized concatenation. Memory is bounded by one chunk
+    plus the per-row activation counts (the unique-row footprint,
+    which Table 3 itself bounds).
     """
-    rows = trace.rows
-    if len(rows) == 0:
+    counts: Dict[int, int] = {}
+    activations = 0
+    line_transfers = 0
+    last_row: Optional[int] = None
+    for chunk in source.chunks():
+        rows = np.asarray(chunk.rows, dtype=np.int64)
+        if len(rows) == 0:
+            continue
+        new_act = np.ones(len(rows), dtype=bool)
+        new_act[1:] = rows[1:] != rows[:-1]
+        if last_row is not None and rows[0] == last_row:
+            new_act[0] = False
+        act_rows = rows[new_act]
+        unique, per_row = np.unique(act_rows, return_counts=True)
+        for row, count in zip(unique.tolist(), per_row.tolist()):
+            counts[row] = counts.get(row, 0) + count
+        activations += len(act_rows)
+        line_transfers += int(np.asarray(chunk.lines).sum())
+        last_row = int(rows[-1])
+    if not counts:
         return TraceStatistics(0, 0, 0, 0.0, 0)
-    new_act = np.ones(len(rows), dtype=bool)
-    new_act[1:] = rows[1:] != rows[:-1]
-    act_rows = rows[new_act]
-    unique, counts = np.unique(act_rows, return_counts=True)
     return TraceStatistics(
-        activations=int(len(act_rows)),
-        unique_rows=int(len(unique)),
-        act250_rows=int((counts > hot_threshold).sum()),
-        acts_per_row=float(len(act_rows) / len(unique)),
-        line_transfers=trace.total_lines,
+        activations=activations,
+        unique_rows=len(counts),
+        act250_rows=sum(1 for count in counts.values() if count > hot_threshold),
+        acts_per_row=activations / len(counts),
+        line_transfers=line_transfers,
     )
 
 

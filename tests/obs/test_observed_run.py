@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from repro.obs import OBS_ENV_VAR, obs_enabled, read_records
-from repro.sim import ExperimentRunner, SystemConfig, simulate
+from repro.sim import (
+    ExperimentRunner,
+    GridSpec,
+    SystemConfig,
+    cell_key,
+    simulate,
+)
 from repro.workloads.trace import Trace
 
 CONFIG = SystemConfig(scale=1 / 128, n_windows=1)
@@ -138,7 +144,10 @@ class TestSweepManifest:
         runner = ExperimentRunner(
             CONFIG, cache_dir=tmp_path / "cache", manifest_path=manifest
         )
-        runner.run_grid(["baseline", "hydra"], ["xz", "mcf"], progress=False)
+        runner.run_grid(
+            GridSpec(trackers=("baseline", "hydra"), workloads=("xz", "mcf")),
+            progress=False,
+        )
         records, skipped = read_records(manifest)
         assert skipped == 0
         assert len(records) == 4
@@ -156,7 +165,10 @@ class TestSweepManifest:
         rerun = ExperimentRunner(
             CONFIG, cache_dir=tmp_path / "cache", manifest_path=manifest
         )
-        rerun.run_grid(["baseline", "hydra"], ["xz", "mcf"], progress=False)
+        rerun.run_grid(
+            GridSpec(trackers=("baseline", "hydra"), workloads=("xz", "mcf")),
+            progress=False,
+        )
         records, _ = read_records(manifest)
         assert len(records) == 8
         assert sum(r.from_cache for r in records) == 4
@@ -174,7 +186,10 @@ class TestSweepManifest:
         for _ in range(2):  # cold, then every cell a disk-cache hit
             runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
             assert runner.manifest_path is None
-            runner.run_grid(["baseline", "hydra"], ["xz"], progress=False)
+            runner.run_grid(
+                GridSpec(trackers=("baseline", "hydra"), workloads=("xz",)),
+                progress=False,
+            )
 
     def test_manifest_records_match_cells(self, tmp_path, monkeypatch):
         """With a manifest, one record per cell, built from its result."""
@@ -192,12 +207,17 @@ class TestSweepManifest:
         runner = ExperimentRunner(
             CONFIG, cache_dir=tmp_path / "cache", manifest_path=manifest
         )
-        grid = runner.run_grid(["baseline", "hydra"], ["xz"], progress=False)
+        grid = runner.run_grid(
+            GridSpec(trackers=("baseline", "hydra"), workloads=("xz",)),
+            progress=False,
+        )
         records, _ = read_records(manifest)
         assert len(built) == len(records) == 2
         for record in records:
             result = grid[record.spec][record.workload]
-            assert record.cache_key == runner._key(record.spec, record.workload)
+            assert record.cache_key == cell_key(
+                CONFIG, record.spec, record.workload
+            )
             assert record.requests == result.requests
             assert record.end_time_ns == result.end_time_ns
             assert not record.from_cache
@@ -207,5 +227,8 @@ class TestSweepManifest:
         monkeypatch.delenv(OBS_ENV_VAR, raising=False)
         runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
         assert runner.manifest_path is None
-        runner.run_grid(["baseline"], ["xz"], progress=False)
+        runner.run_grid(
+            GridSpec(trackers=("baseline",), workloads=("xz",)),
+            progress=False,
+        )
         assert not (tmp_path / "manifest.jsonl").exists()

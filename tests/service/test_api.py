@@ -37,8 +37,7 @@ class TestRunParity:
 class TestSweepFacade:
     def test_sweep_local_handle(self, tmp_path):
         handle = api.sweep(
-            ["baseline"],
-            ["leela"],
+            GridSpec(trackers=("baseline",), workloads=("leela",)),
             config=CONFIG,
             pool="thread",
             workers=1,
@@ -50,7 +49,9 @@ class TestSweepFacade:
         assert handle.status().state == "completed"
 
     def test_sweep_gridspec_config_wins(self, tmp_path):
-        grid = GridSpec.coerce(["baseline"], ["leela"], config=CONFIG)
+        grid = GridSpec(
+            trackers=("baseline",), workloads=("leela",), config=CONFIG
+        )
         with pytest.raises(ValueError):
             api.sweep(
                 grid,
@@ -60,9 +61,13 @@ class TestSweepFacade:
             )
 
     def test_sweep_rejects_gridspec_plus_workloads(self, tmp_path):
-        grid = GridSpec.coerce(["baseline"], ["leela"], config=CONFIG)
-        with pytest.raises(ValueError):
+        grid = GridSpec(
+            trackers=("baseline",), workloads=("leela",), config=CONFIG
+        )
+        with pytest.raises(TypeError):
             api.sweep(grid, ["gcc"], state_dir=tmp_path, cache_dir=tmp_path)
+        with pytest.raises(TypeError, match="GridSpec"):
+            api.sweep(["baseline"], state_dir=tmp_path, cache_dir=tmp_path)
 
 
 class TestCompareFacade:
@@ -82,11 +87,11 @@ class TestCompareFacade:
         assert via_api.geomean() == direct.geomean()
 
     def test_compare_single_tracker_gridspec(self, tmp_path):
-        grid = GridSpec.coerce(["hydra"], ["leela"], config=CONFIG)
-        comparisons = api.compare(
-            grid, cache_dir=tmp_path, progress=False
+        grid = GridSpec(
+            trackers=("hydra",), workloads=("leela",), config=CONFIG
         )
-        assert [c.workload for c in comparisons] == ["leela"]
+        with pytest.raises(TypeError, match="spec string"):
+            api.compare(grid, cache_dir=tmp_path, progress=False)
 
 
 class TestBlessedExports:

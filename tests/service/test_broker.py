@@ -20,8 +20,8 @@ from repro.sim.config import SystemConfig
 from repro.sim.grid import GridSpec
 
 CONFIG = SystemConfig(scale=1 / 256, n_windows=1)
-GRID = GridSpec.coerce(
-    ["baseline", "hydra"], ["leela", "gcc"], config=CONFIG
+GRID = GridSpec(
+    trackers=("baseline", "hydra"), workloads=("leela", "gcc"), config=CONFIG
 )
 
 
@@ -54,7 +54,7 @@ class TestLifecycle:
     def test_submit_requires_config(self, tmp_path):
         broker = make_broker(tmp_path)
         with pytest.raises(ValueError):
-            broker.submit(GridSpec.coerce(["hydra"], ["leela"]))
+            broker.submit(GridSpec(trackers=("hydra",), workloads=("leela",)))
 
     def test_result_before_done_raises(self, tmp_path):
         broker = make_broker(tmp_path)
@@ -255,7 +255,11 @@ class TestRetry:
 
         good = make_broker(tmp_path)
         first = good.submit(
-            GridSpec.coerce(["baseline"], ["leela", "gcc"], config=CONFIG),
+            GridSpec(
+                trackers=("baseline",),
+                workloads=("leela", "gcc"),
+                config=CONFIG,
+            ),
             start=False,
         )
         good.step(first)
@@ -401,7 +405,11 @@ def _prefilled_broker(directory, **kwargs):
     broker = make_broker(directory, **kwargs)
     broker.step(
         broker.submit(
-            GridSpec.coerce(["baseline"], ["leela", "gcc"], config=CONFIG),
+            GridSpec(
+                trackers=("baseline",),
+                workloads=("leela", "gcc"),
+                config=CONFIG,
+            ),
             start=False,
         )
     )

@@ -12,7 +12,9 @@ from repro.sim.config import SystemConfig
 from repro.sim.grid import GridSpec
 
 CONFIG = SystemConfig(scale=1 / 256, n_windows=1)
-GRID = GridSpec.coerce(["baseline"], ["leela", "gcc"], config=CONFIG)
+GRID = GridSpec(
+    trackers=("baseline",), workloads=("leela", "gcc"), config=CONFIG
+)
 
 
 @pytest.fixture
@@ -53,7 +55,7 @@ class TestDispatch:
         assert "bad grid payload" in payload["error"]
 
     def test_submit_rejects_configless_grid(self, service):
-        grid = GridSpec.coerce(["baseline"], ["leela"])
+        grid = GridSpec(trackers=("baseline",), workloads=("leela",))
         status, payload = service.dispatch(
             "POST", "/jobs", submit_body(grid)
         )

@@ -15,8 +15,10 @@ from pathlib import Path
 import pytest
 
 import repro.service.worker as worker
+from repro import api
 from repro.obs.manifest import read_records
 from repro.service.worker import CellPool, cell_key, run_cell, worker_identity
+from repro.sim.cache import ResultCache
 from repro.sim.config import SystemConfig
 from repro.sim.grid import GridSpec
 from repro.sim.sweep import ExperimentRunner
@@ -65,7 +67,9 @@ class TestRunGridLeases:
 
         def sweep():
             box["grid"] = runner.run_grid(
-                ["baseline"], ["leela", "gcc"], jobs=1, progress=False
+                GridSpec(trackers=("baseline",), workloads=("leela", "gcc")),
+                jobs=1,
+                progress=False,
             )
 
         thread = threading.Thread(target=sweep)
@@ -102,7 +106,11 @@ class TestRunGridLeases:
         monkeypatch.setattr(worker, "simulate_workload", broken)
         runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
         with pytest.raises(RuntimeError, match="cannot simulate leela"):
-            runner.run_grid(["baseline"], ["leela"], jobs=1, progress=False)
+            runner.run_grid(
+                GridSpec(trackers=("baseline",), workloads=("leela",)),
+                jobs=1,
+                progress=False,
+            )
         assert calls == ["leela"] * (1 + worker.DEFAULT_MAX_RETRIES)
         assert not list(tmp_path.glob("*.lease"))
 
@@ -124,9 +132,9 @@ def _square(x):
 
 class TestCellPool:
     def test_killed_worker_is_retried_on_a_fresh_pool(self, tmp_path):
-        from repro.sim.cache import ResultCache
-
-        grid = GridSpec.coerce(["baseline"], ["leela", "gcc"], config=CONFIG)
+        grid = GridSpec(
+            trackers=("baseline",), workloads=("leela", "gcc"), config=CONFIG
+        )
         pool = CellPool(
             "process",
             2,
@@ -141,9 +149,7 @@ class TestCellPool:
         for task in tasks:
             assert task.error is None
             assert task.attempts >= 2
-            direct = ExperimentRunner(CONFIG, use_disk_cache=False).run(
-                task.cell.tracker, task.cell.workload
-            )
+            direct = api.run(task.cell.tracker, task.cell.workload, CONFIG)
             assert task.result.to_dict() == direct.to_dict()
 
     @pytest.mark.parametrize("kind", ["inline", "thread", "process"])
@@ -154,9 +160,11 @@ class TestCellPool:
             ]
 
     def test_in_flight_cells_share_one_task(self, tmp_path):
-        grid = GridSpec.coerce(["baseline"], ["leela"], config=CONFIG)
+        grid = GridSpec(
+            trackers=("baseline",), workloads=("leela",), config=CONFIG
+        )
         cell = next(grid.cells())
-        with CellPool("inline") as pool:
+        with CellPool("inline", cache=ResultCache(tmp_path)) as pool:
             first = pool.submit(cell)
             assert pool.submit(cell) is first
             pool.wait(first)
@@ -165,3 +173,11 @@ class TestCellPool:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown pool kind"):
             CellPool("fiber")
+
+    def test_cache_cells_need_a_cache(self):
+        grid = GridSpec(
+            trackers=("baseline",), workloads=("leela",), config=CONFIG
+        )
+        with CellPool("inline") as pool:
+            with pytest.raises(ValueError, match="cache="):
+                pool.submit(next(grid.cells()))

@@ -167,8 +167,14 @@ class TestEngineSweeps:
         queued = ExperimentRunner(
             CONFIG.with_engine("queued"), cache_dir=tmp_path
         )
-        fast_grid = fast.run_grid(trackers, workloads, progress=False)
-        queued_grid = queued.run_grid(trackers, workloads, progress=False)
+        fast_grid = fast.run_grid(
+            GridSpec(trackers=tuple(trackers), workloads=tuple(workloads)),
+            progress=False,
+        )
+        queued_grid = queued.run_grid(
+            GridSpec(trackers=tuple(trackers), workloads=tuple(workloads)),
+            progress=False,
+        )
         for tracker in trackers:
             for wl in workloads:
                 assert fast_grid[tracker][wl].engine == "fast"
@@ -291,7 +297,9 @@ REMOVED_MESSAGE = (
     " slower); use engine='fast'"
 )
 
-_VECTOR_GRID = GridSpec.coerce(["hydra"], ["xz"], config=CONFIG).to_dict()
+_VECTOR_GRID = GridSpec(
+    trackers=("hydra",), workloads=("xz",), config=CONFIG
+).to_dict()
 
 #: Every boundary an engine name crosses, each returning its error text.
 REMOVED_ENGINE_ENTRY_POINTS = {
@@ -328,7 +336,7 @@ def test_bad_universal_param_rejected_where_parsed(spec, tmp_path, monkeypatch):
     assert named in _raised(lambda: parse_spec(spec))
     assert named in _raised(lambda: canonical_spec(spec))
     assert named in _raised(
-        lambda: GridSpec.coerce([spec], ["xz"], config=CONFIG)
+        lambda: GridSpec(trackers=(spec,), workloads=("xz",), config=CONFIG)
     )
     assert named in _http_submit_error(
         tmp_path, {**_VECTOR_GRID, "trackers": [spec]}
@@ -340,4 +348,6 @@ def test_bad_universal_param_rejected_where_parsed(spec, tmp_path, monkeypatch):
     monkeypatch.setattr(worker, "run_cell", refuse)
     monkeypatch.setattr(sweep, "run_cell", refuse)
     runner = ExperimentRunner(CONFIG, cache_dir=tmp_path / "runner")
-    assert named in _raised(lambda: runner.run_grid([spec], ["xz"]))
+    assert named in _raised(
+        lambda: runner.run_grid(GridSpec(trackers=(spec,), workloads=("xz",)))
+    )

@@ -36,11 +36,7 @@ class TestConstruction:
 class TestConfigResolution:
     def test_own_config_wins(self):
         spec = GridSpec(trackers=("hydra",), config=CONFIG)
-        assert spec.resolved_config(SystemConfig()) == CONFIG
-
-    def test_fallback_used_when_none(self):
-        spec = GridSpec(trackers=("hydra",))
-        assert spec.resolved_config(CONFIG) == CONFIG
+        assert spec.resolved_config() == CONFIG
 
     def test_no_config_anywhere_raises(self):
         with pytest.raises(ValueError):
@@ -53,8 +49,10 @@ class TestConfigResolution:
 
 class TestCells:
     def test_tracker_major_deterministic_order(self):
-        spec = GridSpec.coerce(
-            ["baseline", "hydra"], ["leela", "gcc"], config=CONFIG
+        spec = GridSpec(
+            trackers=("baseline", "hydra"),
+            workloads=("leela", "gcc"),
+            config=CONFIG,
         )
         cells = list(spec.cells())
         assert [(c.tracker, c.workload) for c in cells] == [
@@ -65,87 +63,94 @@ class TestCells:
         ]
 
     def test_cell_keys_match_runner_keys(self):
-        spec = GridSpec.coerce(["hydra"], ["leela"], config=CONFIG)
+        spec = GridSpec(
+            trackers=("hydra",), workloads=("leela",), config=CONFIG
+        )
         (cell,) = spec.cells()
         assert cell.key == cell_key(CONFIG, "hydra", "leela")
 
 
 class TestCanonicalJson:
     def test_round_trip_equality(self):
-        spec = GridSpec.coerce(
-            ["hydra@trh=1000"], ["leela"], config=CONFIG
+        spec = GridSpec(
+            trackers=("hydra@trh=1000",), workloads=("leela",), config=CONFIG
         )
         assert GridSpec.from_json(spec.to_json()) == spec
 
     def test_round_trip_without_config(self):
-        spec = GridSpec.coerce(["hydra"], ["leela"])
+        spec = GridSpec(trackers=("hydra",), workloads=("leela",))
         restored = GridSpec.from_json(spec.to_json())
         assert restored == spec
         assert restored.config is None
 
     def test_spelling_variants_share_grid_key(self):
-        a = GridSpec.coerce(["hydra@trh=1000,rcc_kb=28"], ["leela"])
-        b = GridSpec.coerce(["hydra@rcc_kb=28,trh=1000"], ["leela"])
+        a = GridSpec(
+            trackers=("hydra@trh=1000,rcc_kb=28",), workloads=("leela",)
+        )
+        b = GridSpec(
+            trackers=("hydra@rcc_kb=28,trh=1000",), workloads=("leela",)
+        )
         assert a.grid_key() == b.grid_key()
         assert a.to_json() != b.to_json()  # spellings preserved
 
     def test_different_grids_different_keys(self):
-        a = GridSpec.coerce(["hydra"], ["leela"])
-        b = GridSpec.coerce(["baseline"], ["leela"])
+        a = GridSpec(trackers=("hydra",), workloads=("leela",))
+        b = GridSpec(trackers=("baseline",), workloads=("leela",))
         assert a.grid_key() != b.grid_key()
 
     def test_explicit_full_suite_equals_default(self):
-        a = GridSpec.coerce(["hydra"])
-        b = GridSpec.coerce(["hydra"], all_names())
+        a = GridSpec(trackers=("hydra",))
+        b = GridSpec(trackers=("hydra",), workloads=tuple(all_names()))
         assert a.grid_key() == b.grid_key()
 
 
 class TestRunnerIntegration:
-    """run_grid/compare accept GridSpec; positional form is a shim."""
+    """run_grid takes a GridSpec only; compare a spec string only."""
 
     def test_run_grid_accepts_gridspec(self, tmp_path):
         runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
-        spec = GridSpec.coerce(["baseline"], ["leela"], config=CONFIG)
+        spec = GridSpec(
+            trackers=("baseline",), workloads=("leela",), config=CONFIG
+        )
         grid = runner.run_grid(spec, progress=False)
         assert list(grid) == ["baseline"]
         assert list(grid["baseline"]) == ["leela"]
 
-    def test_positional_shim_equivalent(self, tmp_path):
-        runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
-        via_spec = runner.run_grid(
-            GridSpec.coerce(["baseline"], ["leela"], config=CONFIG),
-            progress=False,
-        )
-        via_positional = runner.run_grid(
-            ["baseline"], ["leela"], progress=False
-        )
-        assert (
-            via_spec["baseline"]["leela"].end_time_ns
-            == via_positional["baseline"]["leela"].end_time_ns
-        )
-
     def test_conflicting_config_rejected(self, tmp_path):
         runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
-        other = GridSpec.coerce(
-            ["baseline"], ["leela"], config=SystemConfig(scale=1 / 128)
+        other = GridSpec(
+            trackers=("baseline",),
+            workloads=("leela",),
+            config=SystemConfig(scale=1 / 128),
         )
         with pytest.raises(ValueError, match="disagrees"):
             runner.run_grid(other)
 
     def test_gridspec_plus_workloads_rejected(self, tmp_path):
         runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
-        spec = GridSpec.coerce(["baseline"], ["leela"], config=CONFIG)
-        with pytest.raises(ValueError):
+        spec = GridSpec(
+            trackers=("baseline",), workloads=("leela",), config=CONFIG
+        )
+        with pytest.raises(TypeError):
             runner.run_grid(spec, ["gcc"])
 
-    def test_compare_accepts_single_tracker_gridspec(self, tmp_path):
+    def test_run_grid_rejects_positional_tracker_list(self, tmp_path):
         runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
-        spec = GridSpec.coerce(["hydra"], ["leela"], config=CONFIG)
-        comparisons = runner.compare(spec, progress=False)
-        assert [c.workload for c in comparisons] == ["leela"]
+        with pytest.raises(TypeError, match="GridSpec"):
+            runner.run_grid(["baseline"])
+
+    def test_compare_rejects_single_tracker_gridspec(self, tmp_path):
+        runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
+        spec = GridSpec(
+            trackers=("hydra",), workloads=("leela",), config=CONFIG
+        )
+        with pytest.raises(TypeError, match="spec string"):
+            runner.compare(spec)
 
     def test_compare_rejects_multi_tracker_gridspec(self, tmp_path):
         runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
-        spec = GridSpec.coerce(["hydra", "cra"], ["leela"], config=CONFIG)
-        with pytest.raises(ValueError, match="single-tracker"):
+        spec = GridSpec(
+            trackers=("hydra", "cra"), workloads=("leela",), config=CONFIG
+        )
+        with pytest.raises(TypeError, match="spec string"):
             runner.compare(spec)

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.sim.config import SystemConfig
-from repro.sim.results import Comparison
-from repro.sim.sweep import ExperimentRunner, suite_geomeans, suite_slowdowns
+from repro.sim.grid import GridSpec
+from repro.sim.results import Comparison, ComparisonResult
+from repro.sim.sweep import ExperimentRunner
 
 CONFIG = SystemConfig(scale=1 / 256, n_windows=1)
 
@@ -27,13 +28,6 @@ class TestRunner:
         cached = b.run("baseline", "leela")
         assert cached.end_time_ns == result.end_time_ns
         assert list(tmp_path.glob("*.json"))
-
-    def test_disk_cache_disabled(self, tmp_path):
-        runner = ExperimentRunner(
-            CONFIG, cache_dir=tmp_path, use_disk_cache=False
-        )
-        runner.run("baseline", "leela")
-        assert not list(tmp_path.glob("*.json"))
 
     def test_different_config_different_key(self, tmp_path):
         a = ExperimentRunner(CONFIG, cache_dir=tmp_path)
@@ -59,7 +53,9 @@ class TestRunner:
         assert all(c.tracked_ns >= c.baseline_ns * 0.99 for c in comps)
 
     def test_run_grid_shape(self, runner):
-        grid = runner.run_grid(["baseline", "ocpr"], ["leela"])
+        grid = runner.run_grid(
+            GridSpec(trackers=("baseline", "ocpr"), workloads=("leela",))
+        )
         assert set(grid) == {"baseline", "ocpr"}
         assert set(grid["baseline"]) == {"leela"}
 
@@ -71,13 +67,13 @@ class TestSuiteAggregation:
     def make_comps(self, value):
         from repro.workloads.characteristics import all_names
 
-        return [
+        return ComparisonResult(
             Comparison(name, "t", baseline_ns=1.0, tracked_ns=1.0 / value)
             for name in all_names()
-        ]
+        )
 
     def test_suite_geomeans_cover_all_groups(self):
-        means = suite_geomeans(self.make_comps(0.9))
+        means = self.make_comps(0.9).suite_geomeans()
         assert set(means) == {
             "SPEC(22)", "PARSEC(7)", "GAP(6)", "GUPS(1)", "ALL(36)",
         }
@@ -85,11 +81,11 @@ class TestSuiteAggregation:
             assert value == pytest.approx(0.9)
 
     def test_suite_slowdowns(self):
-        slow = suite_slowdowns(self.make_comps(0.8))
+        slow = self.make_comps(0.8).slowdowns()
         assert slow["ALL(36)"] == pytest.approx(25.0)
 
     def test_partial_workload_sets(self):
-        comps = [Comparison("GUPS", "t", 1.0, 1.25)]
-        means = suite_geomeans(comps)
+        comps = ComparisonResult([Comparison("GUPS", "t", 1.0, 1.25)])
+        means = comps.suite_geomeans()
         assert means["GUPS(1)"] == pytest.approx(0.8)
         assert "PARSEC(7)" not in means

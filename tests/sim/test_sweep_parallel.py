@@ -69,14 +69,6 @@ class TestParallelMatchesSerial:
         ).compare("ocpr", WORKLOADS, jobs=3)
         assert parallel == serial
 
-    def test_parallel_without_disk_cache(self, tmp_path):
-        runner = ExperimentRunner(
-            CONFIG, cache_dir=tmp_path, use_disk_cache=False
-        )
-        grid = runner.run_grid(_grid(TRACKERS, WORKLOADS[:2]), jobs=2)
-        assert set(grid) == set(TRACKERS)
-        assert not list(tmp_path.glob("*.json"))
-
 
 def _racing_writer(cache_dir: str, done_path: str) -> None:
     """One contender: simulate the same cell into the shared cache."""

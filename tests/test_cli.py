@@ -85,6 +85,18 @@ class TestExperimentCommand:
         capsys.readouterr()
         assert os.environ.get("REPRO_JOBS") == before
 
+    def test_jobs_flag_reaches_the_runner(self, monkeypatch, capsys):
+        import json
+
+        from repro.sim import experiments
+
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setitem(
+            experiments._REGISTRY, "probe", lambda runner: {"jobs": runner.jobs}
+        )
+        assert main(["experiment", "probe", "--jobs", "3"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"jobs": 3}
+
 
 class TestReportCommand:
     def test_renders_from_empty_results(self, tmp_path, capsys):
@@ -133,6 +145,27 @@ class TestRunCommand:
         assert main(base_args + ["--stream-chunk", "700"]) == 0
         streamed = capsys.readouterr().out
         assert streamed == materialized
+
+    def test_observe_honours_spec_stream_chunk(self, monkeypatch, capsys):
+        """--observe streams a spec's stream_chunk= like an unobserved
+        run does, instead of replaying an in-RAM trace."""
+        import repro.sim.simulator as simulator
+
+        replayed = []
+        real = simulator.simulate
+
+        def spy(trace, config, spec="hydra", observe=None):
+            replayed.append((type(trace).__name__, spec))
+            return real(trace, config, spec, observe=observe)
+
+        monkeypatch.setattr(simulator, "simulate", spy)
+        code = main(
+            ["run", "leela", "--tracker", "hydra@stream_chunk=4096",
+             "--observe", "--scale-denominator", "256"]
+        )
+        assert code == 0
+        assert ("ChunkedTrace", "hydra@stream_chunk=4096") in replayed
+        assert "per-window series" in capsys.readouterr().out
 
     def test_run_replays_trace_file(self, tmp_path, capsys):
         trc = tmp_path / "small.trc"

@@ -17,7 +17,6 @@ from repro.workloads.streaming import (
     ExternalTraceReader,
     TraceChunk,
     TraceSource,
-    characterize_chunks,
     materialize,
     open_trace_source,
     read_external_trace,
@@ -369,20 +368,20 @@ class TestCharacterizeChunks:
     def test_matches_materialized_characterize(self, tmp_path):
         trace = _trace(2000, seed=3)
         chunked = ChunkedTrace.from_trace(trace, tmp_path / "c", chunk_requests=129)
-        assert characterize_chunks(chunked) == characterize(trace)
+        assert characterize(chunked) == characterize(trace)
 
     def test_coalesces_across_chunk_boundaries(self, tmp_path):
         """A chunk starting with the previous chunk's last row is the
         same activation, exactly as in the concatenated array."""
         trace = Trace.from_rows([1, 1, 1, 1, 2, 2, 2, 2])
         chunked = ChunkedTrace.from_trace(trace, tmp_path / "c", chunk_requests=3)
-        stats = characterize_chunks(chunked)
+        stats = characterize(chunked)
         assert stats.activations == 2
         assert stats == characterize(trace)
 
     def test_empty_source(self, tmp_path):
         chunked = ChunkedTrace.write([], tmp_path / "c", chunk_requests=4)
-        stats = characterize_chunks(chunked)
+        stats = characterize(chunked)
         assert stats.activations == 0
         assert stats.unique_rows == 0
 

@@ -1,9 +1,11 @@
-"""Properties of the recorded-trace validators (hypothesis).
+"""Properties of recorded traces and their statistics (hypothesis).
 
 ``check_requests`` is the one rule book for recorded traces: it must
 refuse a trace exactly when some request breaks a rule, and name the
 first such request. A trace that passes must survive the text format
-and ``.npz`` save/load byte for byte.
+and ``.npz`` save/load byte for byte. ``characterize`` must give a
+chunked trace the statistics of its materialized concatenation,
+whatever the segment size.
 """
 
 import math
@@ -14,8 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.streaming import open_trace_source, write_external_trace
-from repro.workloads.trace import Trace, check_requests
+from repro.workloads.streaming import (
+    ChunkedTrace,
+    open_trace_source,
+    write_external_trace,
+)
+from repro.workloads.trace import Trace, characterize, check_requests
 
 GOOD_GAPS = st.floats(min_value=0.0, allow_infinity=False)
 BAD_GAPS = st.one_of(
@@ -91,3 +97,45 @@ def test_good_trace_round_trips_through_text_and_npz(trace):
         loaded = Trace.load(str(npz))
         assert_same_requests(loaded, trace)
         assert loaded.name == trace.name
+
+
+def reference_statistics(rows, hot_threshold):
+    """Table-3 statistics one request at a time: a request activates
+    its row unless it repeats the previous request's row."""
+    counts = {}
+    previous = None
+    for row in rows:
+        if row != previous:
+            counts[row] = counts.get(row, 0) + 1
+        previous = row
+    return (
+        sum(counts.values()),
+        len(counts),
+        sum(1 for count in counts.values() if count > hot_threshold),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=60),
+    segment=st.integers(min_value=1, max_value=60),
+    hot_threshold=st.integers(min_value=0, max_value=4),
+)
+def test_chunked_characterize_matches_materialized(rows, segment, hot_threshold):
+    if segment < len(rows):
+        # A row repeated across the first segment boundary is one
+        # activation, not two.
+        rows[segment] = rows[segment - 1]
+    trace = Trace.from_rows(rows, n_lines=2)
+    expected = characterize(trace, hot_threshold=hot_threshold)
+    assert (
+        expected.activations,
+        expected.unique_rows,
+        expected.act250_rows,
+    ) == reference_statistics(rows, hot_threshold)
+    assert expected.line_transfers == 2 * len(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        chunked = ChunkedTrace.from_trace(
+            trace, Path(tmp) / "c", chunk_requests=segment
+        )
+        assert characterize(chunked, hot_threshold=hot_threshold) == expected
