@@ -25,9 +25,9 @@ JOBS = 4
 def _timed_grid(config, jobs: int):
     grid_spec = GridSpec(trackers=tuple(TRACKERS), workloads=tuple(WORKLOADS))
     with tempfile.TemporaryDirectory() as cache_dir:
-        runner = ExperimentRunner(config, cache_dir=cache_dir)
+        runner = ExperimentRunner(config, cache_dir=cache_dir, jobs=jobs)
         start = time.perf_counter()
-        grid = runner.run_grid(grid_spec, jobs=jobs, progress=False)
+        grid = runner.run_grid(grid_spec, progress=False)
         return grid, time.perf_counter() - start
 
 

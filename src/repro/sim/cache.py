@@ -43,7 +43,7 @@ import socket
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Union
 
 from repro.durable import atomic_write_text
 
@@ -72,6 +72,9 @@ class ResultCache:
 
     def __init__(self, directory: Path) -> None:
         self.directory = Path(directory)
+        #: ``directory`` as a string: a hit joins and opens plain
+        #: strings, building no ``Path`` per key.
+        self._directory = os.fspath(self.directory)
         #: Corrupt entries evicted by this process (observability).
         self.evictions = 0
         #: Payloads written by this process (the service's dedup
@@ -87,16 +90,18 @@ class ResultCache:
     def load(self, key: str) -> Optional[Dict[str, Any]]:
         """Return the stored payload, or None on miss or corruption.
 
-        A corrupt file is unlinked so the next fill replaces it.
+        A corrupt file (not JSON, or not even text) is unlinked so the
+        next fill replaces it.
         """
-        path = self.path_for(key)
+        path = os.path.join(self._directory, key + ".json")
         try:
-            text = path.read_text()
+            with open(path, "rb") as handle:
+                data = handle.read()
         except OSError:
             return None
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
+            payload = json.loads(data)
+        except ValueError:  # JSONDecodeError or UnicodeDecodeError
             self._evict(path)
             return None
         if not isinstance(payload, dict):
@@ -198,9 +203,9 @@ class ResultCache:
             json.dump({"owner": owner, "expires_at": now + ttl_s}, handle)
         return True
 
-    def _evict(self, path: Path) -> None:
+    def _evict(self, path: Union[str, Path]) -> None:
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass  # a racing process may have replaced or removed it
         self.evictions += 1

@@ -51,8 +51,15 @@ def cell_key(
     ``engine=`` spec override, so fast and queued results never share
     a key.
     """
-    spec = canonical_spec(tracker_name)
-    raw = f"{MODEL_VERSION}|{config.cache_key()}|{spec}|{workload_name}"
+    return _format_key(
+        config.cache_key(), canonical_spec(tracker_name), workload_name
+    )
+
+
+def _format_key(config_key: str, spec: str, workload_name: str) -> str:
+    """The key of a cell whose config key and canonical spec are known
+    (``GridSpec.cells`` computes each once per grid and per column)."""
+    raw = f"{MODEL_VERSION}|{config_key}|{spec}|{workload_name}"
     return hashlib.sha256(raw.encode()).hexdigest()[:24]
 
 
@@ -132,15 +139,22 @@ class GridSpec:
         return len(self.trackers) * len(self.resolved_workloads())
 
     def cells(self) -> Iterator[GridCell]:
-        """Yield every cell in deterministic tracker-major order."""
+        """Yield every cell in deterministic tracker-major order.
+
+        Each key equals :func:`cell_key` of its cell; the config key is
+        built once per grid and the canonical spec once per column.
+        """
         config = self.resolved_config()
+        config_key = config.cache_key()
+        workloads = self.resolved_workloads()
         for tracker in self.trackers:
-            for workload in self.resolved_workloads():
+            spec = canonical_spec(tracker)
+            for workload in workloads:
                 yield GridCell(
                     tracker=tracker,
                     workload=workload,
                     config=config,
-                    key=cell_key(config, tracker, workload),
+                    key=_format_key(config_key, spec, workload),
                 )
 
     # ------------------------------------------------------------------

@@ -117,11 +117,14 @@ class RunResult:
     )
 
     def to_dict(self) -> Dict[str, Any]:
-        data = {
-            spec.name: copy.deepcopy(getattr(self, spec.name))
-            for spec in fields(self)
-            if spec.name != "observability"
-        }
+        """The serialized payload, in :data:`PAYLOAD_FIELDS` order.
+
+        Every field but ``extra`` is an immutable scalar, so only
+        ``extra`` is deep-copied: mutating the payload never reaches
+        this result.
+        """
+        data = {name: getattr(self, name) for name in PAYLOAD_FIELDS}
+        data["extra"] = copy.deepcopy(self.extra)
         return data
 
     @staticmethod
@@ -134,11 +137,9 @@ class RunResult:
         validates by round-tripping through this constructor, so a
         payload missing *required* fields is still rejected).
         """
-        known = {
-            spec.name for spec in fields(RunResult)
-        } - {"observability"}
-        payload = {k: v for k, v in data.items() if k in known}
-        return RunResult(**payload)
+        if not data.keys() <= _PAYLOAD_FIELD_SET:
+            data = {k: v for k, v in data.items() if k in _PAYLOAD_FIELD_SET}
+        return RunResult(**data)
 
     # -- typed accessors over well-known extras ------------------------
 
@@ -179,6 +180,14 @@ class RunResult:
         if self.observability is None:
             return None
         return self.observability.series
+
+
+#: The serialized fields of a :class:`RunResult`, in payload order
+#: (every field but the non-serialized ``observability``).
+PAYLOAD_FIELDS = tuple(
+    spec.name for spec in fields(RunResult) if spec.name != "observability"
+)
+_PAYLOAD_FIELD_SET = frozenset(PAYLOAD_FIELDS)
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,13 @@ Every cell is filled through the result cache by the one cell worker,
 :func:`repro.service.worker.run_cell`, on the one executor,
 :class:`repro.service.worker.CellPool` — the same pair the sweep
 service runs. Cells are independent deterministic simulations, so
-``run_grid``/``compare`` can fan them out across a process pool: pass
-``jobs=N`` (or ``jobs=0`` for one worker per CPU), or set the
-``REPRO_JOBS`` environment variable to change the default for every
-sweep. Parallel results are identical to serial ones — each worker
-rebuilds the same seeded trace and tracker from the picklable
-(config, tracker name, workload name) spec — and results come back in
-grid order. Fills are lease-guarded, so two sweeps (or a sweep and a
+``run_grid``/``compare`` can fan them out across a process pool:
+build the runner with ``jobs=N`` (or ``jobs=0`` for one worker per
+CPU), or set the ``REPRO_JOBS`` environment variable to change the
+default for every runner built without one. Parallel results are
+identical to serial ones — each worker rebuilds the same seeded trace
+and tracker from the picklable (config, tracker name, workload name)
+spec — and results come back in grid order. Fills are lease-guarded, so two sweeps (or a sweep and a
 ``hydra-sim serve``) sharing one cache directory simulate each cell
 once; a cell whose worker dies is retried with backoff, as in the
 service. The disk cache uses atomic writes (see
@@ -134,8 +134,9 @@ class ExperimentRunner:
     ) -> None:
         self.config = config
         self.cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
-        #: Default parallelism for grids run through this runner
-        #: (``None`` defers to ``REPRO_JOBS``, then serial).
+        #: Parallelism of every grid run through this runner, the one
+        #: place it is set (``None`` defers to ``REPRO_JOBS``, then
+        #: serial).
         self.jobs = jobs
         #: Where ``run_grid`` appends per-cell provenance records, or
         #: ``None`` for no manifest (explicit arg > ``$REPRO_MANIFEST``
@@ -174,7 +175,6 @@ class ExperimentRunner:
         self,
         grid: GridSpec,
         *,
-        jobs: Optional[int] = None,
         progress: Optional[bool] = None,
         job_id: str = "",
     ) -> GridResult:
@@ -189,17 +189,17 @@ class ExperimentRunner:
         access, with ``.comparisons()``/``.slowdowns()``/
         ``.geomean()``/``.to_table()`` on top.
 
-        ``jobs`` > 1 fans uncached cells out over a process pool
-        (``jobs=0`` = one worker per CPU; ``None`` defers to the
-        runner's default, then ``REPRO_JOBS``, then serial); every
-        uncached cell is filled by the lease-guarded cell worker, and
-        one whose worker fails is retried with backoff before its own
-        exception is re-raised. Results are identical to a serial run
-        and come back in grid order. ``progress`` forces the
-        cells/hits/throughput report on or off (default: on when
-        stderr is a terminal). When the runner has a
-        ``manifest_path``, one provenance record per cell is appended
-        after the grid completes; ``job_id`` stamps those records.
+        The runner's ``jobs`` > 1 fans uncached cells out over a
+        process pool (``jobs=0`` = one worker per CPU; ``None`` defers
+        to ``REPRO_JOBS``, then serial); every uncached cell is filled
+        by the lease-guarded cell worker, and one whose worker fails
+        is retried with backoff before its own exception is re-raised.
+        Results are identical to a serial run and come back in grid
+        order. ``progress`` forces the cells/hits/throughput report on
+        or off (default: on when stderr is a terminal). When the runner
+        has a ``manifest_path``, one provenance record per cell is
+        appended after the grid completes; ``job_id`` stamps those
+        records.
         """
         if not isinstance(grid, GridSpec):
             raise TypeError(
@@ -212,7 +212,7 @@ class ExperimentRunner:
                 " (repro.api.sweep does) or drop the grid's"
             )
         spec = grid.with_config(self.config)
-        n_jobs = resolve_jobs(jobs if jobs is not None else self.jobs)
+        n_jobs = resolve_jobs(self.jobs)
         columns: Dict[str, Dict[str, RunResult]] = {
             t: {} for t in spec.trackers
         }
@@ -259,7 +259,6 @@ class ExperimentRunner:
         tracker_name: str,
         workload_names: Optional[Sequence[str]] = None,
         baseline_name: str = "baseline",
-        jobs: Optional[int] = None,
         progress: Optional[bool] = None,
     ) -> ComparisonResult:
         """Tracked runs vs the no-tracking baseline, per workload.
@@ -269,7 +268,8 @@ class ExperimentRunner:
         — a plain list of :class:`~repro.sim.results.Comparison` plus
         ``.geomean()``/``.suite_geomeans()``/``.slowdowns()``/
         ``.to_table()``. Both columns go through :meth:`run_grid`, so
-        ``jobs``/``REPRO_JOBS`` parallelism applies here too.
+        the runner's ``jobs``/``REPRO_JOBS`` parallelism applies here
+        too.
         """
         if not isinstance(tracker_name, str):
             raise TypeError(
@@ -281,7 +281,6 @@ class ExperimentRunner:
                 trackers=(baseline_name, tracker_name),
                 workloads=tuple(workload_names or all_names()),
             ),
-            jobs=jobs,
             progress=progress,
         )
         return grid.comparisons(tracker_name, baseline=baseline_name)

@@ -46,7 +46,10 @@ class TestRunGridLeases:
         calls, simulate = _counting_simulations(monkeypatch)
         manifest = tmp_path / "manifest.jsonl"
         runner = ExperimentRunner(
-            CONFIG, cache_dir=tmp_path / "cache", manifest_path=manifest
+            CONFIG,
+            cache_dir=tmp_path / "cache",
+            jobs=1,
+            manifest_path=manifest,
         )
         key = cell_key(CONFIG, "baseline", "leela")
         holder = worker_identity()  # this process: alive, never reclaimed
@@ -68,7 +71,6 @@ class TestRunGridLeases:
         def sweep():
             box["grid"] = runner.run_grid(
                 GridSpec(trackers=("baseline",), workloads=("leela", "gcc")),
-                jobs=1,
                 progress=False,
             )
 
@@ -104,11 +106,10 @@ class TestRunGridLeases:
             raise RuntimeError(f"cannot simulate {workload}")
 
         monkeypatch.setattr(worker, "simulate_workload", broken)
-        runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
+        runner = ExperimentRunner(CONFIG, cache_dir=tmp_path, jobs=1)
         with pytest.raises(RuntimeError, match="cannot simulate leela"):
             runner.run_grid(
                 GridSpec(trackers=("baseline",), workloads=("leela",)),
-                jobs=1,
                 progress=False,
             )
         assert calls == ["leela"] * (1 + worker.DEFAULT_MAX_RETRIES)

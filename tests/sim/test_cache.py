@@ -72,6 +72,13 @@ class TestCorruptEviction:
         assert cache.load("abc") is None
         assert not cache.path_for("abc").exists()
 
+    def test_undecodable_bytes_are_evicted(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.path_for("abc").write_bytes(b'{"x": "\xff\xfe"}')
+        assert cache.load("abc") is None
+        assert not cache.path_for("abc").exists()
+        assert cache.evictions == 1
+
     def test_evicted_key_refills(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.path_for("abc").parent.mkdir(parents=True, exist_ok=True)

@@ -22,7 +22,7 @@ from repro.memctrl import (
 from repro.service import SweepBroker, worker
 from repro.service.http import SweepService
 from repro.sim import SystemConfig, cell_key, simulate, simulate_workload
-from repro.sim import ExperimentRunner, simulator, sweep
+from repro.sim import simulator, sweep
 from repro.sim.grid import GridSpec
 from repro.sim.results import RunResult
 from repro.trackers.registry import canonical_spec, parse_spec, spec_engine
@@ -347,7 +347,6 @@ def test_bad_universal_param_rejected_where_parsed(spec, tmp_path, monkeypatch):
 
     monkeypatch.setattr(worker, "run_cell", refuse)
     monkeypatch.setattr(sweep, "run_cell", refuse)
-    runner = ExperimentRunner(CONFIG, cache_dir=tmp_path / "runner")
-    assert named in _raised(
-        lambda: runner.run_grid(GridSpec(trackers=(spec,), workloads=("xz",)))
-    )
+    # The key every cell path computes first (``GridSpec.cells`` shares
+    # its formatter) refuses the spec before any cell could run.
+    assert named in _raised(lambda: cell_key(CONFIG, spec, "xz"))

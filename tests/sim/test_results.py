@@ -1,8 +1,20 @@
 """Tests for result records and aggregation."""
 
+import copy
+import dataclasses
+import json
+
 import pytest
 
-from repro.sim.results import Comparison, RunResult, geometric_mean
+from repro.sim import SystemConfig, simulate_workload
+from repro.sim.results import (
+    PAYLOAD_FIELDS,
+    Comparison,
+    RunResult,
+    geometric_mean,
+)
+
+CONFIG = SystemConfig(scale=1 / 256, n_windows=1)
 
 
 class TestComparison:
@@ -56,3 +68,46 @@ class TestRunResultSerialization:
         )
         restored = RunResult.from_dict(result.to_dict())
         assert restored == result
+
+
+def _deep_copy_every_field(result):
+    """The payload as ``to_dict`` once built it: every field deep-copied."""
+    return {
+        spec.name: copy.deepcopy(getattr(result, spec.name))
+        for spec in dataclasses.fields(result)
+        if spec.name != "observability"
+    }
+
+
+@pytest.fixture(scope="module")
+def cells():
+    """A Hydra cell (nested ``distribution``) and a queued cell
+    (scheduler counters in ``extra``)."""
+    return {
+        "hydra": simulate_workload(CONFIG, "hydra", "xz"),
+        "queued": simulate_workload(
+            CONFIG.with_engine("queued"), "hydra", "xz"
+        ),
+    }
+
+
+class TestPayloadRoundTrip:
+    @pytest.mark.parametrize("cell", ["hydra", "queued"])
+    def test_to_dict_matches_deep_copy_of_every_field(self, cells, cell):
+        result = cells[cell]
+        payload = result.to_dict()
+        old = _deep_copy_every_field(result)
+        assert payload == old
+        # Same keys in the same order: cached bytes are unchanged.
+        assert json.dumps(payload) == json.dumps(old)
+        assert tuple(payload) == PAYLOAD_FIELDS
+
+    def test_mutating_the_payload_extra_leaves_the_result(self, cells):
+        result = cells["hydra"]
+        before = _deep_copy_every_field(result)
+        payload = result.to_dict()
+        payload["extra"]["distribution"]["gct_only"] = -1.0
+        payload["extra"]["added"] = 1
+        payload["end_time_ns"] = -1.0
+        assert _deep_copy_every_field(result) == before
+        assert result.hydra_distribution["gct_only"] != -1.0

@@ -53,6 +53,9 @@ class TestSchemaVersion:
         payload = make_result().to_dict()
         payload["added_in_schema_3"] = {"future": True}
         assert RunResult.from_dict(payload) == make_result()
+        # Dropped from the result, not from the caller's payload (the
+        # cell worker hands the loaded payload on as it was stored).
+        assert payload["added_in_schema_3"] == {"future": True}
 
     def test_observability_never_loads_from_payload(self):
         payload = make_result().to_dict()

@@ -119,3 +119,24 @@ def test_grid_round_trips_and_keys_by_meaning(pairs, workloads, config):
     for grid in (plain, respelt):
         assert GridSpec.from_json(grid.to_json()) == grid
     assert respelt.grid_key() == plain.grid_key()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(spellings(), min_size=1, max_size=4),
+    st.lists(st.sampled_from(all_names()), unique=True, max_size=3),
+    st.sampled_from([config for config in CONFIGS if config is not None]),
+    st.sampled_from((0, 1)),
+)
+def test_grid_cell_keys_are_cell_keys(pairs, workloads, config, side):
+    """``GridSpec.cells`` keys each column once, yet every key equals
+    :func:`cell_key` of its cell, whatever the spelling."""
+    grid = GridSpec(
+        trackers=tuple(pair[side] for pair in pairs),
+        workloads=tuple(workloads),
+        config=config,
+    )
+    cells = list(grid.cells())
+    assert len(cells) == grid.n_cells()
+    for cell in cells:
+        assert cell.key == cell_key(config, cell.tracker, cell.workload)

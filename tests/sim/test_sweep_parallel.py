@@ -41,32 +41,32 @@ def _grid_dicts(grid):
 class TestParallelMatchesSerial:
     def test_grid_identical_2x4(self, tmp_path):
         serial = ExperimentRunner(
-            CONFIG, cache_dir=tmp_path / "serial"
-        ).run_grid(_grid(TRACKERS, WORKLOADS), jobs=1)
+            CONFIG, cache_dir=tmp_path / "serial", jobs=1
+        ).run_grid(_grid(TRACKERS, WORKLOADS))
         parallel = ExperimentRunner(
-            CONFIG, cache_dir=tmp_path / "parallel"
-        ).run_grid(_grid(TRACKERS, WORKLOADS), jobs=4)
+            CONFIG, cache_dir=tmp_path / "parallel", jobs=4
+        ).run_grid(_grid(TRACKERS, WORKLOADS))
         assert _grid_dicts(parallel) == _grid_dicts(serial)
 
     def test_parallel_fills_shared_cache_format(self, tmp_path):
-        runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
-        runner.run_grid(_grid(TRACKERS, WORKLOADS[:2]), jobs=4)
+        runner = ExperimentRunner(CONFIG, cache_dir=tmp_path, jobs=4)
+        runner.run_grid(_grid(TRACKERS, WORKLOADS[:2]))
         files = sorted(tmp_path.glob("*.json"))
         assert len(files) == 4
         for path in files:
             json.loads(path.read_text())  # every entry is valid JSON
         # A fresh serial runner reuses every parallel-written entry.
-        fresh = ExperimentRunner(CONFIG, cache_dir=tmp_path)
-        fresh.run_grid(_grid(TRACKERS, WORKLOADS[:2]), jobs=1)
+        fresh = ExperimentRunner(CONFIG, cache_dir=tmp_path, jobs=1)
+        fresh.run_grid(_grid(TRACKERS, WORKLOADS[:2]))
         assert sorted(tmp_path.glob("*.json")) == files
 
     def test_compare_parallel_matches_serial(self, tmp_path):
         serial = ExperimentRunner(
-            CONFIG, cache_dir=tmp_path / "a"
-        ).compare("ocpr", WORKLOADS, jobs=1)
+            CONFIG, cache_dir=tmp_path / "a", jobs=1
+        ).compare("ocpr", WORKLOADS)
         parallel = ExperimentRunner(
-            CONFIG, cache_dir=tmp_path / "b"
-        ).compare("ocpr", WORKLOADS, jobs=3)
+            CONFIG, cache_dir=tmp_path / "b", jobs=3
+        ).compare("ocpr", WORKLOADS)
         assert parallel == serial
 
 
