@@ -71,7 +71,6 @@ def run(
 def sweep(
     grid: GridSpec,
     *,
-    config: Optional[SystemConfig] = None,
     service: Optional[str] = None,
     pool: str = "process",
     workers: Optional[int] = None,
@@ -81,9 +80,8 @@ def sweep(
     """Submit a :class:`GridSpec` of simulations; returns a
     :class:`JobHandle`.
 
-    The grid's config wins; an explicit ``config`` argument fills one
-    in when the spec carries none, and plain ``SystemConfig()`` is the
-    last resort.
+    The grid runs under its own config, or under plain
+    ``SystemConfig()`` when it carries none.
 
     With ``service="host:port"`` the grid is submitted over HTTP to a
     running ``hydra-sim serve`` instance and the returned handle is
@@ -96,14 +94,7 @@ def sweep(
     if not isinstance(grid, GridSpec):
         raise TypeError(f"sweep takes a GridSpec, not {type(grid).__name__}")
     if grid.config is None:
-        grid = grid.with_config(
-            config if config is not None else SystemConfig()
-        )
-    elif config is not None and grid.config != config:
-        raise ValueError(
-            "GridSpec.config disagrees with the config= argument;"
-            " drop one of them"
-        )
+        grid = grid.with_config(SystemConfig())
 
     if service is not None:
         from repro.service.client import ServiceClient

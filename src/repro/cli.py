@@ -63,28 +63,34 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.memctrl import ENGINES
 from repro.sim import ExperimentRunner, SystemConfig
 from repro.workloads import all_names
 
 
-def _jobs_type(value: str) -> int:
-    try:
-        count = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
-    if count < 0:
-        raise argparse.ArgumentTypeError("must be >= 0 (0 = one per CPU)")
-    return count
+def _count_type(minimum: int, meaning: str) -> Callable[[str], int]:
+    def parse(value: str) -> int:
+        try:
+            count = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
+        if count < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum} ({meaning})")
+        return count
+
+    return parse
+
+
+_jobs_type = _count_type(0, "0 = one per CPU")
 
 
 #: The system options several subcommands share, by flag. Each parser
 #: takes only the ones its handler reads (see ``build_parser``).
 _SYSTEM_OPTIONS = {
     "--scale-denominator": dict(
-        type=int,
+        type=_count_type(1, "1 = full system"),
         default=32,
         help="simulate 1/N of the full system (default 32; 1 = full)",
     ),
@@ -755,10 +761,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers",
-        type=int,
+        type=_jobs_type,
         default=None,
         metavar="N",
-        help="worker count (default: $REPRO_JOBS, else serial)",
+        help="worker count (0 = one per CPU; default: $REPRO_JOBS, else serial)",
     )
     serve.set_defaults(func=_cmd_serve)
 

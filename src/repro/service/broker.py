@@ -32,11 +32,11 @@ into filled result-cache entries. Design invariants (DESIGN.md §15):
   a simulation: :meth:`resume` serves those cells as cache hits.
 
 Execution: the broker owns one :class:`~repro.service.worker.CellPool`
-for its whole life — the executor ``run_grid`` uses too — and keeps
-only the walk (cancel, ``step`` budget, flush-before-block, the
-dispatch window) to itself. Pool kinds: ``"process"`` (default — one
-OS process per worker), ``"thread"`` (shared memory) and ``"inline"``
-(no concurrency; deterministic single-step tests).
+for its whole life and takes each job's cells from its grid walk,
+``CellPool.deliver`` — the walk ``run_grid`` uses too — with a window
+of ``2 x workers`` cells. Pool kinds: ``"process"`` (default — one OS
+process per worker), ``"thread"`` (shared memory) and ``"inline"`` (no
+concurrency; deterministic single-step tests).
 """
 
 from __future__ import annotations
@@ -44,14 +44,14 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import deque
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.obs.manifest import ManifestRecord, ManifestWriter, read_records
 from repro.sim.cache import DEFAULT_LEASE_TTL_S, ResultCache
 from repro.sim.config import default_cache_dir, resolve_jobs
-from repro.sim.grid import GridCell, GridSpec
+from repro.sim.grid import GridSpec
 from repro.sim.results import GridResult, RunResult
 from repro.service.jobs import (
     ACTIVE_STATES,
@@ -68,8 +68,8 @@ from repro.service.worker import (
     DEFAULT_BACKOFF_S,
     DEFAULT_MAX_RETRIES,
     CellPool,
+    CellOutcome,
     CellRunner,
-    CellTask,
     cell_record,
     validated_entry,
 )
@@ -346,81 +346,52 @@ class SweepBroker:
                 job.status.state = FAILED
 
     def _advance(self, job: _Job, limit: Optional[int] = None) -> None:
-        """Walk the job's grid: cache first, then dispatched tasks.
+        """Record the job's unrecorded cells, in grid order.
 
-        Dispatch runs ahead of collection by a bounded window (never
-        past the ``limit`` budget) so the pool stays busy, while cells
-        are *recorded* in deterministic grid order (events and
-        progress counts are reproducible). Records are flushed only
-        before blocking on an unfinished task, when the budget is
-        spent, and when the job ends — a fully cached job writes its
-        manifest and status once.
+        The ``limit`` budget truncates the cells walked, and cancel is
+        checked between cells. Records are flushed before the walk
+        blocks on an unfinished cell, when the budget is spent and
+        when the job ends, so a fully cached job writes its manifest
+        and status once.
         """
         if job.status.state == PENDING:
             self._set_state(job, RUNNING)
-        remaining = deque(
+        cells = [
             cell for cell in job.spec.cells()
             if cell.key not in job.done_keys
-        )
-        window = max(2 * self.workers, 2)
-        dispatched: "deque[tuple[GridCell, CellTask]]" = deque()
-        recorded = 0
-
-        def top_up() -> None:
-            ahead = window if limit is None else min(window, limit - recorded)
-            while remaining and len(dispatched) < ahead:
-                cell = remaining.popleft()
-                started = time.perf_counter()
-                entry = validated_entry(self.cache, cell.key)
-                if entry is not None:
-                    task = CellTask(cell)
-                    task.result = entry[1]
-                    task.from_cache = True
-                    task.wall_s = time.perf_counter() - started
-                    task.done.set()
-                    dispatched.append((cell, task))
-                else:
-                    dispatched.append((cell, self.cells.submit(cell)))
-
-        while True:
+        ]
+        for outcome in self.cells.deliver(
+            islice(cells, limit),
+            window=2 * self.workers,
+            before_wait=lambda: self._flush(job),
+        ):
             if job.cancel_event.is_set():
                 self._finalize(job, CANCELLED)
                 return
-            if limit is not None and recorded >= limit:
-                self._flush(job)
-                return  # budget spent; job stays RUNNING on disk
-            top_up()
-            if not dispatched:
-                break
-            cell, task = dispatched.popleft()
-            if not task.done.is_set():
-                self._flush(job)
-                self.cells.wait(task)
-            if task.error is not None:
+            if outcome.error is not None:
+                cell = outcome.cell
                 job.status.error = (
                     f"cell ({cell.tracker}, {cell.workload}) failed"
-                    f" after {task.attempts} attempts: {task.error}"
+                    f" after {outcome.attempts} attempts: {outcome.error}"
                 )
                 self._finalize(job, FAILED)
                 return
-            self._record(job, cell, task)
-            recorded += 1
+            self._record(job, outcome)
+        if limit is not None and limit < len(cells):
+            self._flush(job)
+            return  # budget spent; job stays RUNNING on disk
         self._finalize(job, COMPLETED)
 
-    def _record(self, job: _Job, cell: GridCell, task: CellTask) -> None:
+    def _record(self, job: _Job, outcome: CellOutcome) -> None:
         """Count a cached cell on the live status and buffer its record."""
-        job.done_keys.add(cell.key)
+        job.done_keys.add(outcome.cell.key)
         status = job.status
         status.completed_cells += 1
-        if task.from_cache:
+        if outcome.from_cache:
             status.cache_hits += 1
-        status.retries += max(task.attempts - 1, 0)
+        status.retries += max(outcome.attempts - 1, 0)
         status.updated_at = self._clock()
-        job.pending.append(
-            cell_record(
-                cell, task.result, task.from_cache, task.wall_s, job.job_id
-            )
-        )
+        job.pending.append(cell_record(outcome, job.job_id))
 
     # -- bookkeeping ---------------------------------------------------
 

@@ -22,8 +22,10 @@ deterministic payload and the atomic store keeps the cache consistent.
 broker, the arena's oracle battery and the fuzzer alike: an inline,
 thread or process pool with in-flight dedup by cache key, per-cell
 retry with exponential backoff, and a process pool rebuilt when a
-killed worker breaks it. Its :meth:`CellPool.map` runs key-less work
-(oracle and fuzz cells) on the same executor.
+killed worker breaks it. :meth:`CellPool.deliver` is the one grid
+walk: ``run_grid`` and the broker both take their cells from it, in
+grid order, cache hits straight from the cache. :meth:`CellPool.map`
+runs key-less work (oracle and fuzz cells) on the same executor.
 """
 
 from __future__ import annotations
@@ -33,10 +35,14 @@ import socket
 import threading
 import time
 import uuid
+from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.obs.manifest import ManifestRecord, make_record
 from repro.sim.cache import DEFAULT_LEASE_TTL_S, ResultCache
@@ -76,22 +82,33 @@ def validated_entry(
     return payload, result
 
 
-def cell_record(
-    cell: GridCell,
-    result: RunResult,
-    from_cache: bool,
-    wall_s: float,
-    job_id: str = "",
-) -> ManifestRecord:
+@dataclass(eq=False)
+class CellOutcome:
+    """One delivered cell: its result, or the error of its last attempt.
+
+    A cache hit has ``attempts == 0``; ``wall_s`` is what the lookup or
+    the fill cost.
+    """
+
+    cell: GridCell
+    result: Optional[RunResult] = None
+    from_cache: bool = False
+    wall_s: float = 0.0
+    attempts: int = 0
+    error: Optional[BaseException] = None
+
+
+def cell_record(outcome: CellOutcome, job_id: str = "") -> ManifestRecord:
     """The manifest record of one delivered cell (sweeps and the
     broker both build theirs here)."""
+    cell, result = outcome.cell, outcome.result
     return make_record(
         cache_key=cell.key,
         spec=canonical_spec(cell.tracker),
         workload=cell.workload,
         engine=result.engine,
-        from_cache=from_cache,
-        wall_time_s=wall_s,
+        from_cache=outcome.from_cache,
+        wall_time_s=outcome.wall_s,
         requests=result.requests,
         end_time_ns=result.end_time_ns,
         job_id=job_id,
@@ -182,7 +199,7 @@ class _DeferredCall(Future):
         return super().result(timeout)
 
 
-class CellTask:
+class CellTask(CellOutcome):
     """One in-flight cache fill, shared by every caller that wants it.
 
     After :meth:`CellPool.wait` returns, either ``result`` (with
@@ -191,15 +208,10 @@ class CellTask:
     """
 
     def __init__(self, cell: GridCell) -> None:
-        self.cell = cell
-        self.attempts = 0
+        super().__init__(cell)
         self.future: Optional["Future[Any]"] = None
         #: The executor ``future`` came from (a broken one is rebuilt).
         self.executor: Any = None
-        self.result: Optional[RunResult] = None
-        self.from_cache = False
-        self.wall_s = 0.0
-        self.error: Optional[BaseException] = None
         self.done = threading.Event()
         #: Serializes the retry loop: the first waiter drives
         #: resubmission, later waiters just block on ``done``.
@@ -249,7 +261,9 @@ class CellPool:
     @classmethod
     def sized(cls, jobs: int, cells: int, **kwargs: Any) -> "CellPool":
         """A process pool of ``min(jobs, cells)`` workers when that
-        parallelizes anything, else an inline pool."""
+        parallelizes anything, else an inline pool. The executor
+        starts at the first submission, so a walk that only hits the
+        cache starts none."""
         if jobs > 1 and cells > 1:
             return cls("process", min(jobs, cells), **kwargs)
         return cls("inline", 1, **kwargs)
@@ -313,6 +327,46 @@ class CellPool:
             if self._in_flight.get(task.cell.key) is task:
                 del self._in_flight[task.cell.key]
         return task
+
+    def deliver(
+        self,
+        cells: Iterable[GridCell],
+        window: Optional[int] = None,
+        before_wait: Optional[Callable[[], None]] = None,
+    ) -> Iterator[CellOutcome]:
+        """Each cell's :class:`CellOutcome`, in the order given.
+
+        A cell is looked up as it enters the walk's lookahead: a hit
+        is read straight from the cache, a miss is submitted. The
+        lookahead runs ``window`` cells ahead of the cell being
+        yielded, or over every cell at once when ``window`` is
+        ``None``, so no worker idles behind a slow head cell. Before
+        blocking on a miss still running, the walk calls
+        ``before_wait``, then :meth:`wait` (retries included). A cell
+        whose retries ran out is yielded with its ``error`` set.
+        """
+        cells = iter(cells)
+        ahead: deque[CellOutcome] = deque()
+        while True:
+            while window is None or len(ahead) < window:
+                cell = next(cells, None)
+                if cell is None:
+                    break
+                started = time.perf_counter()
+                entry = validated_entry(self.cache, cell.key)
+                if entry is None:
+                    ahead.append(self.submit(cell))
+                else:
+                    wall_s = time.perf_counter() - started
+                    ahead.append(CellOutcome(cell, entry[1], True, wall_s))
+            if not ahead:
+                return
+            head = ahead.popleft()
+            if isinstance(head, CellTask) and not head.done.is_set():
+                if before_wait is not None:
+                    before_wait()
+                self.wait(head)
+            yield head
 
     def _submit_cell(self, task: CellTask) -> None:
         cell = task.cell

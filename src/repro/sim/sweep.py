@@ -17,21 +17,22 @@ and queued results share one cache directory without ever being
 served for each other.
 
 Every cell is filled through the result cache by the one cell worker,
-:func:`repro.service.worker.run_cell`, on the one executor,
+:func:`repro.service.worker.run_cell`, and walked by the one executor,
 :class:`repro.service.worker.CellPool` — the same pair the sweep
-service runs. Cells are independent deterministic simulations, so
-``run_grid``/``compare`` can fan them out across a process pool:
-build the runner with ``jobs=N`` (or ``jobs=0`` for one worker per
-CPU), or set the ``REPRO_JOBS`` environment variable to change the
-default for every runner built without one. Parallel results are
-identical to serial ones — each worker rebuilds the same seeded trace
-and tracker from the picklable (config, tracker name, workload name)
-spec — and results come back in grid order. Fills are lease-guarded, so two sweeps (or a sweep and a
-``hydra-sim serve``) sharing one cache directory simulate each cell
-once; a cell whose worker dies is retried with backoff, as in the
-service. The disk cache uses atomic writes (see
-:mod:`repro.sim.cache`), so concurrent workers and even concurrent
-benchmark processes can share one cache directory.
+service runs. Every lookup reads the disk cache; a runner keeps no
+results in memory. Cells are independent deterministic simulations, so
+``run_grid``/``compare`` can fan them out across a process pool: build
+the runner with ``jobs=N`` (or ``jobs=0`` for one worker per CPU), or
+set the ``REPRO_JOBS`` environment variable to change the default for
+every runner built without one. Parallel results are identical to
+serial ones — each worker rebuilds the same seeded trace and tracker
+from the picklable (config, tracker name, workload name) spec — and
+results come back in grid order. Fills are lease-guarded, so two
+sweeps (or a sweep and a ``hydra-sim serve``) sharing one cache
+directory simulate each cell once; a cell whose worker dies is retried
+with backoff, as in the service. The disk cache uses atomic writes
+(see :mod:`repro.sim.cache`), so concurrent workers and even
+concurrent benchmark processes can share one cache directory.
 
 Set ``REPRO_CACHE_DIR`` to relocate the cache; delete it to force
 re-simulation.
@@ -59,8 +60,8 @@ from repro.obs.manifest import (
 from repro.sim.cache import ResultCache
 from repro.sim.config import SystemConfig, default_cache_dir, resolve_jobs
 from repro.sim.results import ComparisonResult, GridResult, RunResult
-from repro.service.worker import CellPool, cell_record, run_cell, validated_entry
-from repro.sim.grid import GridSpec, cell_key
+from repro.service.worker import CellPool, cell_record, run_cell
+from repro.sim.grid import GridSpec, cell_key  # noqa: F401 (re-exported)
 from repro.sim.simulator import trace_for_workload
 from repro.workloads.characteristics import all_names
 from repro.workloads.streaming import TraceSource
@@ -145,7 +146,6 @@ class ExperimentRunner:
             manifest_path, self.cache_dir
         )
         self.cache = ResultCache(self.cache_dir)
-        self._results: Dict[str, RunResult] = {}
 
     # ------------------------------------------------------------------
 
@@ -153,23 +153,12 @@ class ExperimentRunner:
         return trace_for_workload(self.config, workload_name)
 
     def run(self, tracker_name: str, workload_name: str) -> RunResult:
-        """One simulation, via the in-memory and on-disk caches; a miss
-        is filled by the cell worker."""
-        key = cell_key(self.config, tracker_name, workload_name)
-        result = self._results.get(key)
-        if result is None:
-            result = self._load(key)
-        if result is None:
-            payload, _, _ = run_cell(
-                self.config,
-                tracker_name,
-                workload_name,
-                None,
-                cache=self.cache,
-            )
-            result = RunResult.from_dict(payload)
-        self._results[key] = result
-        return result
+        """One simulation through the on-disk cache; a miss is filled
+        by the cell worker."""
+        payload, _, _ = run_cell(
+            self.config, tracker_name, workload_name, None, cache=self.cache
+        )
+        return RunResult.from_dict(payload)
 
     def run_grid(
         self,
@@ -189,11 +178,11 @@ class ExperimentRunner:
         access, with ``.comparisons()``/``.slowdowns()``/
         ``.geomean()``/``.to_table()`` on top.
 
-        The runner's ``jobs`` > 1 fans uncached cells out over a
-        process pool (``jobs=0`` = one worker per CPU; ``None`` defers
-        to ``REPRO_JOBS``, then serial); every uncached cell is filled
-        by the lease-guarded cell worker, and one whose worker fails
-        is retried with backoff before its own exception is re-raised.
+        ``CellPool.deliver`` submits every uncached cell at once; the
+        runner's ``jobs`` > 1 fans them out over a process pool
+        (``jobs=0`` = one worker per CPU; ``None`` defers to
+        ``REPRO_JOBS``, then serial). A cell whose worker fails is
+        retried with backoff before its own exception is re-raised.
         Results are identical to a serial run and come back in grid
         order. ``progress`` forces the cells/hits/throughput report on
         or off (default: on when stderr is a terminal). When the runner
@@ -209,46 +198,28 @@ class ExperimentRunner:
             raise ValueError(
                 "GridSpec.config disagrees with this runner's"
                 " config; build the runner from the grid's config"
-                " (repro.api.sweep does) or drop the grid's"
+                " or drop the grid's"
             )
         spec = grid.with_config(self.config)
-        n_jobs = resolve_jobs(self.jobs)
+        n_cells = spec.n_cells()
         columns: Dict[str, Dict[str, RunResult]] = {
             t: {} for t in spec.trackers
         }
-        # Hits resolve now; misses carry ``None`` until collected.
-        slots = []
-        for cell in spec.cells():
-            started = time.perf_counter()
-            result = self._results.get(cell.key)
-            if result is None:
-                result = self._load(cell.key)
-            slots.append((cell, result, time.perf_counter() - started))
-        pending = [cell for cell, result, _ in slots if result is None]
-        report = SweepProgress(total=len(slots), enabled=progress)
+        report = SweepProgress(total=n_cells, enabled=progress)
         # Records are built only when a manifest will be written.
         records: Optional[List[ManifestRecord]] = (
             [] if self.manifest_path is not None else None
         )
-        with CellPool.sized(n_jobs, len(pending), cache=self.cache) as pool:
-            # Dispatch every miss at once, collect in grid order: no
-            # worker idles behind a slow head cell.
-            tasks = {cell.key: pool.submit(cell) for cell in pending}
-            for cell, result, wall_s in slots:
-                from_cache = result is not None
-                if result is None:
-                    task = pool.wait(tasks[cell.key])
-                    if task.error is not None:
-                        raise task.error
-                    result, from_cache = task.result, task.from_cache
-                    wall_s = task.wall_s
-                self._results[cell.key] = result
-                columns[cell.tracker][cell.workload] = result
-                report.record(from_cache=from_cache)
+        jobs = resolve_jobs(self.jobs)
+        with CellPool.sized(jobs, n_cells, cache=self.cache) as pool:
+            for outcome in pool.deliver(spec.cells()):
+                if outcome.error is not None:
+                    raise outcome.error
+                cell = outcome.cell
+                columns[cell.tracker][cell.workload] = outcome.result
+                report.record(from_cache=outcome.from_cache)
                 if records is not None:
-                    records.append(
-                        cell_record(cell, result, from_cache, wall_s, job_id)
-                    )
+                    records.append(cell_record(outcome, job_id))
         report.finish()
         if records:
             ManifestWriter(self.manifest_path).append(records)
@@ -284,7 +255,3 @@ class ExperimentRunner:
             progress=progress,
         )
         return grid.comparisons(tracker_name, baseline=baseline_name)
-
-    def _load(self, key: str) -> Optional[RunResult]:
-        entry = validated_entry(self.cache, key)
-        return None if entry is None else entry[1]

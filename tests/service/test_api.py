@@ -37,8 +37,9 @@ class TestRunParity:
 class TestSweepFacade:
     def test_sweep_local_handle(self, tmp_path):
         handle = api.sweep(
-            GridSpec(trackers=("baseline",), workloads=("leela",)),
-            config=CONFIG,
+            GridSpec(
+                trackers=("baseline",), workloads=("leela",), config=CONFIG
+            ),
             pool="thread",
             workers=1,
             state_dir=tmp_path / "state",
@@ -47,18 +48,6 @@ class TestSweepFacade:
         result = handle.result(timeout=120)
         assert list(result) == ["baseline"]
         assert handle.status().state == "completed"
-
-    def test_sweep_gridspec_config_wins(self, tmp_path):
-        grid = GridSpec(
-            trackers=("baseline",), workloads=("leela",), config=CONFIG
-        )
-        with pytest.raises(ValueError):
-            api.sweep(
-                grid,
-                config=SystemConfig(scale=1 / 128),
-                state_dir=tmp_path,
-                cache_dir=tmp_path,
-            )
 
     def test_sweep_rejects_gridspec_plus_workloads(self, tmp_path):
         grid = GridSpec(

@@ -19,7 +19,9 @@ class TestRunner:
     def test_run_and_memoize(self, runner):
         first = runner.run("baseline", "leela")
         second = runner.run("baseline", "leela")
-        assert first is second  # in-memory memoization
+        # The repeat is a disk-cache hit: same payload, no second store.
+        assert second.to_dict() == first.to_dict()
+        assert runner.cache.stores == 1
 
     def test_disk_cache_roundtrip(self, tmp_path):
         a = ExperimentRunner(CONFIG, cache_dir=tmp_path)

@@ -42,6 +42,22 @@ class TestParser:
         args = build_parser().parse_args(["sweep"])
         assert args.jobs is None  # defer to REPRO_JOBS, then serial
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--scale-denominator", "0"],
+            ["run", "--scale-denominator", "-4"],
+            ["sweep", "--scale-denominator", "x"],
+            ["serve", "--workers", "-3"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_count_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestStorageCommand:
     def test_prints_tables(self, capsys):
