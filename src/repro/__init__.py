@@ -32,62 +32,39 @@ Packages:
 - ``repro.sim``       — experiment harness and sweeps.
 """
 
-from repro.core import (
-    GroupCountTable,
-    HydraConfig,
-    HydraStats,
-    HydraTracker,
-    RowCountCache,
-    RowCountTable,
-    hydra_storage,
-)
-from repro.interfaces import (
-    ActivationTracker,
-    MetaAccess,
-    NullTracker,
-    TrackerResponse,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-#: The blessed experiment surface (``repro.api``), re-exported lazily
-#: (PEP 562) so ``import repro`` stays cheap: the simulation stack
-#: behind these names loads only on first attribute access.
-_API_EXPORTS = (
-    "run",
-    "sweep",
-    "compare",
-    "GridSpec",
-    "RunResult",
-    "GridResult",
-    "list_trackers",
-    "list_attacks",
-)
-
-__all__ = [
-    "ActivationTracker",
-    "GroupCountTable",
-    "HydraConfig",
-    "HydraStats",
-    "HydraTracker",
-    "MetaAccess",
-    "NullTracker",
-    "RowCountCache",
-    "RowCountTable",
-    "TrackerResponse",
-    "hydra_storage",
-    "__version__",
-    *_API_EXPORTS,
-]
-
-
-def __getattr__(name: str):
-    if name in _API_EXPORTS:
-        from repro import api
-
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_API_EXPORTS))
+#: The public names, each loaded on first access (PEP 562): ``import
+#: repro`` (and so any ``import repro.<module>``) costs nothing beyond
+#: this file. The ``repro.api`` names are the blessed experiment
+#: surface; the rest are Hydra's structures and the tracker interface.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core": (
+        "GroupCountTable",
+        "HydraConfig",
+        "HydraStats",
+        "HydraTracker",
+        "RowCountCache",
+        "RowCountTable",
+        "hydra_storage",
+    ),
+    "repro.interfaces": (
+        "ActivationTracker",
+        "MetaAccess",
+        "NullTracker",
+        "TrackerResponse",
+    ),
+    "repro.api": (
+        "run",
+        "sweep",
+        "compare",
+        "GridSpec",
+        "RunResult",
+        "GridResult",
+        "list_trackers",
+        "list_attacks",
+    ),
+})
+__all__ += ["__version__"]

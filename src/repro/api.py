@@ -18,6 +18,11 @@ A single run is named by a tracker spec string plus a
 :class:`~repro.sim.config.SystemConfig`; the value objects of the
 surface (``GridSpec``, ``RunResult``, ``GridResult``) re-export from
 here so callers can ``from repro.api import ...`` alone.
+
+Importing this module loads those value objects and the tracker
+registry only. The simulator (and numpy), the sweep runner and the
+service's broker or client load at the first call that needs them
+(DESIGN.md §16).
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ from typing import Optional, Sequence
 from repro.sim.config import SystemConfig
 from repro.sim.grid import GridSpec
 from repro.sim.results import ComparisonResult, GridResult, RunResult
-from repro.sim.simulator import simulate_workload
-from repro.sim.sweep import ExperimentRunner
 from repro.service.jobs import JobHandle
 
 __all__ = [
@@ -60,6 +63,8 @@ def run(
     the workload's trace — this is a naming/typing facade, not a
     second code path.
     """
+    from repro.sim.simulator import simulate_workload
+
     return simulate_workload(
         config if config is not None else SystemConfig(),
         spec,
@@ -129,6 +134,8 @@ def compare(
     ``tracker`` is a spec string; ``workloads`` defaults to all 36.
     Both columns run through the shared result cache.
     """
+    from repro.sim.sweep import ExperimentRunner
+
     runner = ExperimentRunner(
         config if config is not None else SystemConfig(),
         cache_dir=cache_dir,

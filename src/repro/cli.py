@@ -63,11 +63,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.memctrl import ENGINES
-from repro.sim import ExperimentRunner, SystemConfig
 from repro.workloads import all_names
+
+if TYPE_CHECKING:
+    from repro.sim.config import SystemConfig
 
 
 def _count_type(minimum: int, meaning: str) -> Callable[[str], int]:
@@ -131,6 +133,8 @@ def _add_options(parser: argparse.ArgumentParser, *flags: str) -> None:
 def _config(args: argparse.Namespace) -> SystemConfig:
     """The system the parsed options describe; options a subcommand
     does not take keep their ``SystemConfig`` defaults."""
+    from repro.sim.config import SystemConfig
+
     given = {
         name: getattr(args, name)
         for name in ("trh", "engine", "stream_chunk", "trace_file")
@@ -194,6 +198,8 @@ def _print_observability(result, series_out: Optional[str]) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.sim.sweep import ExperimentRunner
+
     runner = ExperimentRunner(_config(args))
     if args.attack:
         # Attack runs mix a compiled program into the workload trace;
@@ -959,7 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
 
     def _add_chunk(p: argparse.ArgumentParser) -> None:
-        from repro.workloads.streaming import DEFAULT_STREAM_CHUNK
+        from repro.workloads import DEFAULT_STREAM_CHUNK
 
         p.add_argument(
             "--chunk",

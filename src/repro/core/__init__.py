@@ -7,22 +7,17 @@ Public surface:
 - :class:`GroupCountTable`, :class:`RowCountCache`,
   :class:`RowCountTable` — the individual structures, usable alone.
 - :func:`hydra_storage` — Table-4 storage accounting.
+
+Every name below loads its module on first access.
 """
 
-from repro.core.config import HydraConfig
-from repro.core.gct import GroupCountTable
-from repro.core.hydra import HydraStats, HydraTracker
-from repro.core.rcc import RowCountCache
-from repro.core.rct import RowCountTable
-from repro.core.storage import HydraStorageReport, hydra_storage
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GroupCountTable",
-    "HydraConfig",
-    "HydraStats",
-    "HydraStorageReport",
-    "HydraTracker",
-    "RowCountCache",
-    "RowCountTable",
-    "hydra_storage",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.config": ("HydraConfig",),
+    "repro.core.gct": ("GroupCountTable",),
+    "repro.core.hydra": ("HydraStats", "HydraTracker"),
+    "repro.core.rcc": ("RowCountCache",),
+    "repro.core.rct": ("RowCountTable",),
+    "repro.core.storage": ("HydraStorageReport", "hydra_storage"),
+})

@@ -4,49 +4,33 @@ This package is the simulated hardware Hydra sits on top of: an
 event-driven DDR4 model with per-bank row-buffer state, a shared
 channel data bus, staggered all-bank refresh, and a Micron-style power
 model.
+
+Every name below loads its module on first access.
 """
 
-from repro.dram.address import AddressMapper, DramCoordinates
-from repro.dram.bank import (
-    AccessResult,
-    Bank,
-    ChannelBus,
-    DramActivityStats,
-    RankActWindow,
-    RefreshTimeline,
-)
-from repro.dram.ddr5 import DDR5_GEOMETRY, DDR5_TIMING, ddr5_system
-from repro.dram.power import (
-    DramPowerModel,
-    DramPowerParams,
-    DramPowerReport,
-    power_overhead_percent,
-)
-from repro.dram.timing import (
-    PAPER_GEOMETRY,
-    PAPER_TIMING,
-    DramGeometry,
-    DramTiming,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccessResult",
-    "AddressMapper",
-    "Bank",
-    "ChannelBus",
-    "DramActivityStats",
-    "DramCoordinates",
-    "DramGeometry",
-    "DramPowerModel",
-    "DramPowerParams",
-    "DramPowerReport",
-    "DramTiming",
-    "DDR5_GEOMETRY",
-    "DDR5_TIMING",
-    "PAPER_GEOMETRY",
-    "PAPER_TIMING",
-    "RankActWindow",
-    "RefreshTimeline",
-    "ddr5_system",
-    "power_overhead_percent",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.dram.address": ("AddressMapper", "DramCoordinates"),
+    "repro.dram.bank": (
+        "AccessResult",
+        "Bank",
+        "ChannelBus",
+        "DramActivityStats",
+        "RankActWindow",
+        "RefreshTimeline",
+    ),
+    "repro.dram.ddr5": ("DDR5_GEOMETRY", "DDR5_TIMING", "ddr5_system"),
+    "repro.dram.power": (
+        "DramPowerModel",
+        "DramPowerParams",
+        "DramPowerReport",
+        "power_overhead_percent",
+    ),
+    "repro.dram.timing": (
+        "PAPER_GEOMETRY",
+        "PAPER_TIMING",
+        "DramGeometry",
+        "DramTiming",
+    ),
+})

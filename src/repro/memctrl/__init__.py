@@ -16,28 +16,35 @@ consumer (``simulate``, sweeps, the result cache, benchmarks) is
 engine-agnostic. The only mitigating action is the victim refresh
 (:class:`VictimRefreshPolicy`); the paper's §8 row migration is not
 modelled.
+
+Every name below loads its module on first access, so the registry's
+engine-name check does not load the engines themselves.
 """
 
-from typing import Optional
+from __future__ import annotations
 
-from repro.dram.timing import DramGeometry, DramTiming
-from repro.interfaces import ActivationTracker
-from repro.memctrl.base import (
-    ENGINES,
-    BaseMemoryController,
-    ControllerStats,
-    EngineRunOutcome,
-    normalize_engine,
-)
-from repro.memctrl.controller import MemoryController
-from repro.memctrl.mitigation import MitigationStats, VictimRefreshPolicy
-from repro.memctrl.queued import QueuedMemoryController, QueuedStats
+from typing import TYPE_CHECKING, Optional
 
-#: Engine name -> controller class (the selectable-engine registry).
-ENGINE_CLASSES = {
-    "fast": MemoryController,
-    "queued": QueuedMemoryController,
-}
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.dram.timing import DramGeometry, DramTiming
+    from repro.interfaces import ActivationTracker
+    from repro.memctrl.base import BaseMemoryController
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.memctrl.base": (
+        "ENGINES",
+        "BaseMemoryController",
+        "ControllerStats",
+        "EngineRunOutcome",
+        "normalize_engine",
+    ),
+    "repro.memctrl.controller": ("MemoryController",),
+    "repro.memctrl.mitigation": ("MitigationStats", "VictimRefreshPolicy"),
+    "repro.memctrl.queued": ("QueuedMemoryController", "QueuedStats"),
+})
+__all__ += ["build_controller"]
 
 
 def build_controller(
@@ -53,7 +60,13 @@ def build_controller(
     ``engine_kwargs`` pass engine-specific knobs through (e.g. the
     queued engine's ``write_queue_high``/``write_queue_low``).
     """
-    cls = ENGINE_CLASSES[normalize_engine(engine)]
+    from repro.memctrl.base import normalize_engine
+    from repro.memctrl.controller import MemoryController
+    from repro.memctrl.queued import QueuedMemoryController
+
+    cls = {"fast": MemoryController, "queued": QueuedMemoryController}[
+        normalize_engine(engine)
+    ]
     return cls(
         geometry,
         timing,
@@ -61,19 +74,3 @@ def build_controller(
         blast_radius=blast_radius,
         **engine_kwargs,
     )
-
-
-__all__ = [
-    "ENGINES",
-    "ENGINE_CLASSES",
-    "BaseMemoryController",
-    "ControllerStats",
-    "EngineRunOutcome",
-    "MemoryController",
-    "MitigationStats",
-    "QueuedMemoryController",
-    "QueuedStats",
-    "VictimRefreshPolicy",
-    "build_controller",
-    "normalize_engine",
-]

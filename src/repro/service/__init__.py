@@ -12,52 +12,33 @@ The package splits along the trust boundary of the architecture:
 - :mod:`repro.service.http` — stdlib-asyncio HTTP/JSON endpoints.
 - :mod:`repro.service.client` — blocking ``http.client`` consumer of
   those endpoints (:class:`ServiceClient` / :class:`RemoteJobHandle`).
+
+Every name below loads its module on first access: a client-only
+caller never loads the broker, the simulator or asyncio.
 """
 
-from repro.service.broker import BrokerError, LocalJobHandle, SweepBroker
-from repro.service.client import RemoteJobHandle, ServiceClient, ServiceError
-from repro.service.http import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    SweepService,
-    serve_forever,
-)
-from repro.service.jobs import (
-    ACTIVE_STATES,
-    CANCELLED,
-    COMPLETED,
-    FAILED,
-    PENDING,
-    RUNNING,
-    TERMINAL_STATES,
-    JobHandle,
-    JobStatus,
-    JobStore,
-)
-from repro.service.worker import CellPool, run_cell, worker_identity
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ACTIVE_STATES",
-    "BrokerError",
-    "CANCELLED",
-    "CellPool",
-    "COMPLETED",
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "FAILED",
-    "JobHandle",
-    "JobStatus",
-    "JobStore",
-    "LocalJobHandle",
-    "PENDING",
-    "RUNNING",
-    "RemoteJobHandle",
-    "ServiceClient",
-    "ServiceError",
-    "SweepBroker",
-    "SweepService",
-    "TERMINAL_STATES",
-    "run_cell",
-    "serve_forever",
-    "worker_identity",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.service.broker": ("BrokerError", "LocalJobHandle", "SweepBroker"),
+    "repro.service.client": ("RemoteJobHandle", "ServiceClient", "ServiceError"),
+    "repro.service.http": (
+        "DEFAULT_HOST",
+        "DEFAULT_PORT",
+        "SweepService",
+        "serve_forever",
+    ),
+    "repro.service.jobs": (
+        "ACTIVE_STATES",
+        "CANCELLED",
+        "COMPLETED",
+        "FAILED",
+        "PENDING",
+        "RUNNING",
+        "TERMINAL_STATES",
+        "JobHandle",
+        "JobStatus",
+        "JobStore",
+    ),
+    "repro.service.worker": ("CellPool", "run_cell", "worker_identity"),
+})

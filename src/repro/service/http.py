@@ -24,7 +24,9 @@ bytes and streams events.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import signal
 from typing import Any, Dict, Optional, Tuple
 
 from repro.sim.grid import GridSpec
@@ -281,7 +283,11 @@ def serve_forever(
     host: str = DEFAULT_HOST,
     port: int = DEFAULT_PORT,
 ) -> None:
-    """Blocking entry point used by ``hydra-sim serve``."""
+    """Blocking entry point used by ``hydra-sim serve``.
+
+    Runs until SIGINT or SIGTERM, then stops listening and shuts the
+    broker's pool down, so no pool worker outlives the server.
+    """
 
     async def _main() -> None:
         server = await serve_async(broker, host, port)
@@ -292,11 +298,24 @@ def serve_forever(
         resumed = broker.resume()
         if resumed:
             print(f"resumed {len(resumed)} interrupted job(s)")
-        async with server:
-            await server.serve_forever()
+        # SIGINT too: a server started in the background by a
+        # non-interactive shell inherits SIGINT ignored, and Python then
+        # never raises KeyboardInterrupt for it.
+        stop = asyncio.Event()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            with contextlib.suppress(NotImplementedError):  # POSIX only
+                asyncio.get_running_loop().add_signal_handler(
+                    signum, stop.set
+                )
+        try:
+            await stop.wait()
+        finally:
+            # Not ``async with server``: from Python 3.12 its exit waits
+            # for every open connection, an event stream included.
+            # ``asyncio.run`` cancels those handlers once this returns.
+            server.close()
 
-    try:
+    with contextlib.suppress(KeyboardInterrupt):  # before the handlers
         asyncio.run(_main())
-    except KeyboardInterrupt:
-        print("hydra-sim serve: shutting down")
-        broker.shutdown(wait=False)
+    print("hydra-sim serve: shutting down")
+    broker.shutdown(wait=False)

@@ -36,8 +36,7 @@ import threading
 import time
 import uuid
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -49,7 +48,6 @@ from repro.sim.cache import DEFAULT_LEASE_TTL_S, ResultCache
 from repro.sim.config import SystemConfig
 from repro.sim.grid import GridCell, cell_key
 from repro.sim.results import RunResult
-from repro.sim.simulator import simulate_workload
 from repro.trackers.registry import canonical_spec
 
 #: How often a worker that lost the lease re-polls the cache for the
@@ -113,6 +111,17 @@ def cell_record(outcome: CellOutcome, job_id: str = "") -> ManifestRecord:
         end_time_ns=result.end_time_ns,
         job_id=job_id,
     )
+
+
+def simulate_workload(
+    config: SystemConfig, tracker: str, workload: str
+) -> RunResult:
+    """:func:`repro.sim.simulator.simulate_workload`, whose module (and
+    its numpy trace stack) loads at the first cell that misses the
+    cache: a walk that only hits never imports the simulator."""
+    from repro.sim import simulator
+
+    return simulator.simulate_workload(config, tracker, workload)
 
 
 def worker_identity() -> str:
@@ -313,7 +322,7 @@ class CellPool:
                         task.error = None
                         task.done.set()
                     except Exception as exc:  # an interrupt is not retried
-                        if isinstance(exc, BrokenProcessPool):
+                        if isinstance(exc, BrokenExecutor):
                             self._discard_executor(task.executor)
                         if task.attempts > self.max_retries:
                             task.error = exc
@@ -323,10 +332,14 @@ class CellPool:
                             self.backoff_s * (2 ** (task.attempts - 1))
                         )
                         self._submit_cell(task)
+        self._forget(task)
+        return task
+
+    def _forget(self, task: CellTask) -> None:
+        """Drop ``task`` from the in-flight map, if it is still there."""
         with self._lock:
             if self._in_flight.get(task.cell.key) is task:
                 del self._in_flight[task.cell.key]
-        return task
 
     def deliver(
         self,
@@ -344,29 +357,47 @@ class CellPool:
         blocking on a miss still running, the walk calls
         ``before_wait``, then :meth:`wait` (retries included). A cell
         whose retries ran out is yielded with its ``error`` set.
+
+        A walk its caller stops early (a failed or cancelled job)
+        leaves its lookahead unwaited: each such task leaves the
+        in-flight map once its fill finishes, and an inline pool's
+        never-run call leaves it at once.
         """
         cells = iter(cells)
         ahead: deque[CellOutcome] = deque()
-        while True:
-            while window is None or len(ahead) < window:
-                cell = next(cells, None)
-                if cell is None:
-                    break
-                started = time.perf_counter()
-                entry = validated_entry(self.cache, cell.key)
-                if entry is None:
-                    ahead.append(self.submit(cell))
-                else:
-                    wall_s = time.perf_counter() - started
-                    ahead.append(CellOutcome(cell, entry[1], True, wall_s))
-            if not ahead:
-                return
-            head = ahead.popleft()
-            if isinstance(head, CellTask) and not head.done.is_set():
-                if before_wait is not None:
-                    before_wait()
-                self.wait(head)
-            yield head
+        try:
+            while True:
+                while window is None or len(ahead) < window:
+                    cell = next(cells, None)
+                    if cell is None:
+                        break
+                    started = time.perf_counter()
+                    entry = validated_entry(self.cache, cell.key)
+                    if entry is None:
+                        ahead.append(self.submit(cell))
+                    else:
+                        wall_s = time.perf_counter() - started
+                        ahead.append(CellOutcome(cell, entry[1], True, wall_s))
+                if not ahead:
+                    return
+                head = ahead[0]
+                if isinstance(head, CellTask) and not head.done.is_set():
+                    if before_wait is not None:
+                        before_wait()
+                    self.wait(head)
+                yield ahead.popleft()
+        finally:
+            for task in ahead:
+                if isinstance(task, CellTask) and not task.done.is_set():
+                    self._abandon(task)
+
+    def _abandon(self, task: CellTask) -> None:
+        """Forget a task no caller of this walk will wait on."""
+        future = task.future
+        if isinstance(future, _DeferredCall) and future._call is not None:
+            self._forget(task)
+        else:
+            future.add_done_callback(lambda _, task=task: self._forget(task))
 
     def _submit_cell(self, task: CellTask) -> None:
         cell = task.cell
@@ -416,6 +447,12 @@ class CellPool:
             return _InlineExecutor()
         if self.kind == "thread":
             return ThreadPoolExecutor(max_workers=self.workers)
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Import the simulator before the workers fork, so each one
+        # inherits it instead of importing it for its first cell.
+        import repro.sim.simulator  # noqa: F401
+
         return ProcessPoolExecutor(max_workers=self.workers)
 
     def _discard_executor(self, broken: Any) -> None:

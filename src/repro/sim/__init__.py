@@ -1,54 +1,37 @@
-"""Simulation harness: configs, runner, sweeps, result records."""
+"""Simulation harness: configs, runner, sweeps, result records.
 
-from repro.sim.cache import ResultCache
-from repro.sim.config import (
-    SystemConfig,
-    baseline_table2,
-    default_cache_dir,
-    default_jobs,
-    default_scale,
-    resolve_jobs,
-)
-from repro.sim.grid import GridCell, GridSpec, cell_key
-from repro.sim.results import (
-    SCHEMA_VERSION,
-    WELL_KNOWN_EXTRAS,
-    Comparison,
-    ComparisonResult,
-    GridResult,
-    RunResult,
-    geometric_mean,
-)
-from repro.sim.simulator import (
-    make_tracker,
-    simulate,
-    simulate_workload,
-    trace_for_workload,
-)
-from repro.sim.sweep import ExperimentRunner, SweepProgress
+Every name below loads its module on first access, so importing one
+module of the package (say :mod:`repro.sim.results`) does not pull in
+the simulator and its numpy trace stack.
+"""
 
-__all__ = [
-    "Comparison",
-    "ComparisonResult",
-    "ExperimentRunner",
-    "GridCell",
-    "GridResult",
-    "GridSpec",
-    "ResultCache",
-    "RunResult",
-    "SCHEMA_VERSION",
-    "SweepProgress",
-    "SystemConfig",
-    "WELL_KNOWN_EXTRAS",
-    "baseline_table2",
-    "cell_key",
-    "default_cache_dir",
-    "default_jobs",
-    "default_scale",
-    "geometric_mean",
-    "make_tracker",
-    "resolve_jobs",
-    "simulate",
-    "simulate_workload",
-    "trace_for_workload",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.sim.cache": ("ResultCache",),
+    "repro.sim.config": (
+        "SystemConfig",
+        "baseline_table2",
+        "default_cache_dir",
+        "default_jobs",
+        "default_scale",
+        "resolve_jobs",
+    ),
+    "repro.sim.grid": ("GridCell", "GridSpec", "cell_key"),
+    "repro.sim.results": (
+        "SCHEMA_VERSION",
+        "WELL_KNOWN_EXTRAS",
+        "Comparison",
+        "ComparisonResult",
+        "GridResult",
+        "RunResult",
+        "geometric_mean",
+    ),
+    "repro.sim.simulator": (
+        "make_tracker",
+        "simulate",
+        "simulate_workload",
+        "trace_for_workload",
+    ),
+    "repro.sim.sweep": ("ExperimentRunner", "SweepProgress"),
+})

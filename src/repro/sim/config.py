@@ -17,13 +17,15 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.core.config import HydraConfig
 from repro.dram.timing import PAPER_GEOMETRY, PAPER_TIMING, DramGeometry, DramTiming
 from repro.memctrl.base import normalize_engine
 from repro.trackers.registry import TrackerContext
-from repro.workloads.synthetic import GeneratorConfig
+
+if TYPE_CHECKING:
+    from repro.workloads.synthetic import GeneratorConfig
 
 #: Environment variable overriding the default experiment scale
 #: (interpreted as a denominator: REPRO_SCALE=64 means scale=1/64).
@@ -190,6 +192,8 @@ class SystemConfig:
         return self.tracker_context().cra_cache_bytes()
 
     def generator_config(self) -> GeneratorConfig:
+        from repro.workloads.synthetic import GeneratorConfig
+
         return GeneratorConfig(
             geometry=self.geometry,
             timing=self.timing,

@@ -50,7 +50,7 @@ from __future__ import annotations
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.obs.manifest import (
     ManifestRecord,
@@ -62,9 +62,10 @@ from repro.sim.config import SystemConfig, default_cache_dir, resolve_jobs
 from repro.sim.results import ComparisonResult, GridResult, RunResult
 from repro.service.worker import CellPool, cell_record, run_cell
 from repro.sim.grid import GridSpec, cell_key  # noqa: F401 (re-exported)
-from repro.sim.simulator import trace_for_workload
 from repro.workloads.characteristics import all_names
-from repro.workloads.streaming import TraceSource
+
+if TYPE_CHECKING:
+    from repro.workloads.streaming import TraceSource
 
 
 class SweepProgress:
@@ -150,6 +151,8 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
 
     def trace_for(self, workload_name: str) -> TraceSource:
+        from repro.sim.simulator import trace_for_workload
+
         return trace_for_workload(self.config, workload_name)
 
     def run(self, tracker_name: str, workload_name: str) -> RunResult:

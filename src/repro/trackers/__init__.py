@@ -8,88 +8,52 @@ PTMP (per-bank probabilistic-insertion FIFOs), and START (LLC-resident
 escalating counters). Storage-only analytic
 models for TWiCE/CAT live in :mod:`repro.trackers.storage` alongside
 the Table 1 and Table 5 generators.
+
+Every name below loads its module on first access. The registry
+(:mod:`repro.trackers.registry`) imports the registering modules it
+needs itself.
 """
 
-from repro.trackers.base import (
-    ActivationTracker,
-    MetaAccess,
-    NullTracker,
-    TrackerResponse,
-    merge_responses,
-)
-from repro.trackers.cat import CatTracker
-from repro.trackers.comet import CometTracker, comet_counters_per_hash
-from repro.trackers.cra import CraTracker, LineMetadataCache
-from repro.trackers.dcbf import CountingBloomFilter, DcbfTracker
-from repro.trackers.graphene import GrapheneTracker, graphene_entries_per_bank
-from repro.trackers.insecure import MrlocTracker, ProhitTracker
-from repro.trackers.mint import MintTracker, mint_interval_slots
-from repro.trackers.mithril import MithrilTracker
-from repro.trackers.ocpr import OcprTracker
-from repro.trackers.para import ParaTracker, para_probability
-from repro.trackers.ptmp import PtmpTracker
-from repro.trackers.registry import (
-    SECURITY_CLASSES,
-    Param,
-    TrackerContext,
-    TrackerInfo,
-    TrackerSpec,
-    available_trackers,
-    build_tracker,
-    canonical_spec,
-    parse_spec,
-    register_tracker,
-    tracker_info,
-)
-from repro.trackers.start import StartTracker, start_lines_per_bank
-from repro.trackers.twice import TwiceTracker
-from repro.trackers.storage import (
-    RANK_GEOMETRY,
-    StorageRow,
-    storage_table,
-    total_sram_table,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ActivationTracker",
-    "CatTracker",
-    "CometTracker",
-    "CountingBloomFilter",
-    "CraTracker",
-    "DcbfTracker",
-    "GrapheneTracker",
-    "LineMetadataCache",
-    "MetaAccess",
-    "MintTracker",
-    "MithrilTracker",
-    "MrlocTracker",
-    "NullTracker",
-    "Param",
-    "ProhitTracker",
-    "OcprTracker",
-    "ParaTracker",
-    "PtmpTracker",
-    "RANK_GEOMETRY",
-    "SECURITY_CLASSES",
-    "StartTracker",
-    "StorageRow",
-    "TrackerContext",
-    "TrackerInfo",
-    "TrackerResponse",
-    "TrackerSpec",
-    "TwiceTracker",
-    "available_trackers",
-    "build_tracker",
-    "canonical_spec",
-    "comet_counters_per_hash",
-    "graphene_entries_per_bank",
-    "merge_responses",
-    "mint_interval_slots",
-    "para_probability",
-    "parse_spec",
-    "start_lines_per_bank",
-    "register_tracker",
-    "storage_table",
-    "total_sram_table",
-    "tracker_info",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.trackers.base": (
+        "ActivationTracker",
+        "MetaAccess",
+        "NullTracker",
+        "TrackerResponse",
+        "merge_responses",
+    ),
+    "repro.trackers.cat": ("CatTracker",),
+    "repro.trackers.comet": ("CometTracker", "comet_counters_per_hash"),
+    "repro.trackers.cra": ("CraTracker", "LineMetadataCache"),
+    "repro.trackers.dcbf": ("CountingBloomFilter", "DcbfTracker"),
+    "repro.trackers.graphene": ("GrapheneTracker", "graphene_entries_per_bank"),
+    "repro.trackers.insecure": ("MrlocTracker", "ProhitTracker"),
+    "repro.trackers.mint": ("MintTracker", "mint_interval_slots"),
+    "repro.trackers.mithril": ("MithrilTracker",),
+    "repro.trackers.ocpr": ("OcprTracker",),
+    "repro.trackers.para": ("ParaTracker", "para_probability"),
+    "repro.trackers.ptmp": ("PtmpTracker",),
+    "repro.trackers.registry": (
+        "SECURITY_CLASSES",
+        "Param",
+        "TrackerContext",
+        "TrackerInfo",
+        "TrackerSpec",
+        "available_trackers",
+        "build_tracker",
+        "canonical_spec",
+        "parse_spec",
+        "register_tracker",
+        "tracker_info",
+    ),
+    "repro.trackers.start": ("StartTracker", "start_lines_per_bank"),
+    "repro.trackers.twice": ("TwiceTracker",),
+    "repro.trackers.storage": (
+        "RANK_GEOMETRY",
+        "StorageRow",
+        "storage_table",
+        "total_sram_table",
+    ),
+})

@@ -35,6 +35,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import functools
 import importlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
@@ -48,10 +49,18 @@ from repro.dram.timing import (
 from repro.interfaces import ActivationTracker, NullTracker
 from repro.memctrl.base import normalize_engine
 
-#: Modules whose import populates the registry (all built-in trackers
-#: live in one of these). Imported lazily so the registry module stays
-#: a leaf and cannot participate in import cycles.
-_BUILTIN_MODULES = ("repro.trackers", "repro.core.hydra")
+#: Modules whose import populates the registry: every built-in tracker
+#: registers in one of these, named here one by one (the package
+#: ``__init__`` imports none of them). Imported on the first registry
+#: query, so the registry module stays a leaf and cannot take part in
+#: import cycles.
+_BUILTIN_MODULES = tuple(
+    f"repro.trackers.{name}"
+    for name in (
+        "cat", "comet", "cra", "dcbf", "graphene", "insecure", "mint",
+        "mithril", "ocpr", "para", "ptmp", "start", "twice",
+    )
+) + ("repro.core.hydra",)
 
 #: Bytes per RCC entry (valid + tag + SRRIP + counter — Table 4).
 RCC_ENTRY_BYTES = 3
@@ -263,7 +272,10 @@ def register_tracker(
     return decorate
 
 
+@functools.lru_cache(maxsize=None)
 def _ensure_registered() -> None:
+    """Import every registering module, once: every spec parse comes
+    through here, so a later call is one cache lookup."""
     for module in _BUILTIN_MODULES:
         importlib.import_module(module)
 

@@ -52,6 +52,7 @@ from typing import (
 import numpy as np
 
 from repro.durable import atomic_write_text
+from repro.workloads import DEFAULT_STREAM_CHUNK
 from repro.workloads.trace import Trace, check_requests
 
 try:  # pragma: no cover - exercised only on Python < 3.8
@@ -62,11 +63,6 @@ except ImportError:  # pragma: no cover
     def runtime_checkable(cls):  # type: ignore[no-redef]
         return cls
 
-
-#: Default requests per chunk when a caller streams without choosing:
-#: ~64K requests keep the per-chunk Python-list columns in the tens of
-#: megabytes while amortizing per-chunk numpy/parse overhead.
-DEFAULT_STREAM_CHUNK = 1 << 16
 
 #: Manifest schema identifier of a chunked-trace directory.
 CHUNKED_FORMAT = "repro-chunked-trace"

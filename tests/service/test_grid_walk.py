@@ -7,6 +7,7 @@ same way on a cell that cannot be simulated.
 """
 
 import json
+import threading
 
 import pytest
 
@@ -45,11 +46,11 @@ def _run_grid(directory):
     return result, [(r.spec, r.workload, r.from_cache) for r in records]
 
 
-def _broker(directory, **kwargs):
+def _broker(directory, pool="inline", **kwargs):
     return SweepBroker(
         state_dir=directory / "state",
         cache_dir=directory / "cache",
-        pool="inline",
+        pool=pool,
         **kwargs,
     )
 
@@ -163,3 +164,43 @@ class TestDeliver:
         assert [o.cell for o in outcomes] == warm
         assert all(o.from_cache and o.attempts == 0 for o in outcomes)
         assert pool._executor is None
+
+
+class TestStoppedWalk:
+    """A walk its caller stops early leaves nothing in ``_in_flight``."""
+
+    def _broker(self, tmp_path, pool, workers, release):
+        """A broker whose first grid cell fails at once; every other
+        cell runs until ``release`` is set."""
+        first = next(iter(GRID.cells()))
+
+        def cell_runner(config, tracker, workload, *args, **kwargs):
+            if (tracker, workload) == (first.tracker, first.workload):
+                raise RuntimeError("first cell fails")
+            release.wait(timeout=30)
+            return {}
+
+        return _broker(
+            tmp_path,
+            pool=pool,
+            workers=workers,
+            max_retries=0,
+            cell_runner=cell_runner,
+        )
+
+    def test_thread_pool_forgets_cells_once_they_finish(self, tmp_path):
+        release = threading.Event()
+        broker = self._broker(tmp_path, "thread", 2, release)
+        job_id = broker.submit(GRID, start=False)
+        assert broker.step(job_id).state == FAILED
+        # The other three cells were submitted ahead, never waited on.
+        assert len(broker.cells._in_flight) == 3
+        release.set()
+        broker.cells.shutdown(wait=True)
+        assert broker.cells._in_flight == {}
+
+    def test_inline_pool_forgets_never_run_cells_at_once(self, tmp_path):
+        broker = self._broker(tmp_path, "inline", 1, threading.Event())
+        job_id = broker.submit(GRID, start=False)
+        assert broker.step(job_id).state == FAILED
+        assert broker.cells._in_flight == {}
