@@ -1,15 +1,16 @@
-"""Bounded-memory streaming: peak RSS + throughput of chunked replay.
+"""Bounded-memory replay: peak RSS + throughput of chunked replay.
 
-Not a paper figure — this pins the streaming substrate's operational
-claim (DESIGN.md §13): a trace far larger than anything the old
-whole-in-RAM memo could hold streams through ``simulate`` on the fast
-engine with peak memory bounded by the chunk size, not the trace
-length. The benchmark spools a synthetic trace of ``--requests``
-requests into on-disk chunk segments (never materializing it), replays
-it through Hydra, and reports peak RSS (``getrusage`` high-water mark)
-against what materializing would have cost. One entry is appended to
-``BENCH_stream_memory.json`` at the repository root so successive PRs
-accumulate a trajectory.
+Not a paper figure — this pins the trace substrate's operational
+claim (DESIGN.md §13): replay memory is bounded by the chunk size, not
+the trace length. The benchmark spools a synthetic trace of
+``--requests`` requests into on-disk chunk segments (never
+materializing it) and replays it through Hydra on the fast engine;
+then it replays the same requests held in RAM as one ``Trace`` (numpy
+arrays only, ~21 B per request), which must give the same result. It
+reports peak RSS (``getrusage`` high-water mark) after each replay
+against what whole-trace Python columns would have cost. One entry is
+appended to ``BENCH_stream_memory.json`` at the repository root so
+successive PRs accumulate a trajectory.
 
 Run directly::
 
@@ -18,7 +19,7 @@ Run directly::
         --requests 2000000 --max-rss-mb 500 --label ci
 
 ``--max-rss-mb`` turns the report into a gate: exit 1 if the whole
-spool-and-replay run's peak RSS exceeds the ceiling (CI enforces
+run's peak RSS (both replays) exceeds the ceiling (CI enforces
 this), so a regression that silently materializes the trace fails the
 build instead of just burning memory.
 """
@@ -46,15 +47,16 @@ from repro.workloads.streaming import (  # noqa: E402
     ChunkedTrace,
     TraceChunk,
 )
+from repro.workloads.trace import Trace  # noqa: E402
 
 BENCH_PATH = (
     Path(__file__).resolve().parent.parent / "BENCH_stream_memory.json"
 )
 
-#: Estimated bytes/request if the trace were materialized the way the
-#: old memo held it: the four numpy columns (8+8+4+1 B) plus the lazy
-#: Python-scalar column lists the fast path builds (~4 lists of boxed
-#: scalars + resolved-topology lists, conservatively 120 B/request).
+#: Estimated bytes/request of a trace held with whole-trace Python
+#: columns: the four numpy columns (8+8+4+1 B) plus boxed-scalar
+#: column lists (~4 lists + resolved-topology lists, conservatively
+#: 120 B/request).
 MATERIALIZED_BYTES_PER_REQUEST = 21 + 120
 
 
@@ -106,6 +108,19 @@ def run(requests: int, chunk: int, seed: int, label: str) -> dict:
         replay_seconds = time.perf_counter() - replay_started
     finally:
         shutil.rmtree(spool, ignore_errors=True)
+    peak_spooled = _peak_rss_mb()
+    in_memory = Trace.concatenate(
+        [
+            Trace(c.gaps_ns, c.rows, c.lines, c.writes)
+            for c in _synthetic_chunks(requests, chunk, rows_limit, seed)
+        ],
+        name="bench-stream",
+    )
+    in_memory_started = time.perf_counter()
+    in_memory_result = simulate(in_memory, config, "hydra")
+    in_memory_seconds = time.perf_counter() - in_memory_started
+    if in_memory_result.to_dict() != result.to_dict():
+        raise SystemExit("in-memory replay differs from the spooled replay")
     peak = _peak_rss_mb()
     materialized_mb = requests * MATERIALIZED_BYTES_PER_REQUEST / 2**20
     entry = {
@@ -119,6 +134,9 @@ def run(requests: int, chunk: int, seed: int, label: str) -> dict:
         "spool_seconds": round(spool_seconds, 3),
         "replay_seconds": round(replay_seconds, 3),
         "requests_per_sec": round(result.requests / replay_seconds, 1),
+        "in_memory_replay_seconds": round(in_memory_seconds, 3),
+        "in_memory_mb": round(in_memory.nbytes / 2**20, 1),
+        "peak_rss_spooled_mb": round(peak_spooled, 1),
         "peak_rss_mb": round(peak, 1),
         "rss_before_mb": round(rss_start, 1),
         "materialized_estimate_mb": round(materialized_mb, 1),
@@ -131,12 +149,17 @@ def run(requests: int, chunk: int, seed: int, label: str) -> dict:
         f"({entry['requests_per_sec']:,.0f} req/s)"
     )
     print(
+        f"in-memory replay  : {entry['in_memory_replay_seconds']:.3f} s "
+        f"({entry['in_memory_mb']:.1f} MB of arrays, same result)"
+    )
+    print(
         f"peak RSS          : {entry['peak_rss_mb']:.1f} MB "
-        f"(baseline {entry['rss_before_mb']:.1f} MB before spooling)"
+        f"({entry['peak_rss_spooled_mb']:.1f} MB after the spooled replay,"
+        f" {entry['rss_before_mb']:.1f} MB before spooling)"
     )
     print(
         f"materialized est. : {entry['materialized_estimate_mb']:.1f} MB"
-        " if held whole in RAM (arrays + column lists)"
+        " with whole-trace column lists (arrays + lists)"
     )
     return entry
 

@@ -22,7 +22,8 @@ Subcommands:
 
 Everywhere a tracker is named (``--tracker``), a parameterized spec
 string is accepted too: ``hydra@trh=1000,rcc_kb=28``,
-``cra@cache_kb=128``, ``para@probability=0.01``, ...
+``cra@cache_kb=128``, ``para@probability=0.01``, ... A spec the
+registry rejects is a usage error (exit 2), like any bad option value.
 
 Attacks use the same spec grammar (``--attack
 many_sided@aggs=18,rounds=4096``): ``run --attack`` injects the
@@ -36,12 +37,9 @@ work there).
 fast in-order model); ``engine=`` inside a spec string overrides it
 per tracker column (``--tracker hydra@engine=queued``).
 
-``--stream-chunk N`` (same subcommands) streams traces through
-on-disk chunks of N requests instead of materializing them in RAM
-(bit-identical results, bounded memory; ``stream_chunk=`` inside a
-spec string overrides per column), and ``run --trace-file PATH``
-replays a recorded trace — chunked directory, ``.npz``, or external
-text — through the same simulation path (DESIGN.md §13).
+``run --trace-file PATH`` replays a recorded trace — chunked
+directory, ``.npz``, or external text — through the same simulation
+path (DESIGN.md §13).
 
 Each subcommand takes only the system options its handler reads:
 ``--jobs`` only where a grid fans out (``sweep``, ``arena``,
@@ -88,6 +86,22 @@ def _count_type(minimum: int, meaning: str) -> Callable[[str], int]:
 _jobs_type = _count_type(0, "0 = one per CPU")
 
 
+def _tracker_spec(value: str) -> str:
+    """A tracker spec the registry accepts, returned unchanged."""
+    from repro.trackers.registry import parse_spec
+
+    try:
+        parse_spec(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return value
+
+
+def _tracker_specs(value: str) -> List[str]:
+    """Comma-separated tracker specs, each checked like ``--tracker``."""
+    return [_tracker_spec(spec) for spec in value.split(",")]
+
+
 #: The system options several subcommands share, by flag. Each parser
 #: takes only the ones its handler reads (see ``build_parser``).
 _SYSTEM_OPTIONS = {
@@ -111,18 +125,10 @@ _SYSTEM_OPTIONS = {
         help="simulate up to N grid cells in parallel (0 = one per CPU; "
         "default: $REPRO_JOBS, else serial)",
     ),
-    "--stream-chunk": dict(
-        type=int,
-        default=0,
-        metavar="N",
-        help="stream traces through on-disk chunks of N requests"
-        " (bounded memory; 0 = materialize in RAM, the default);"
-        " per-spec override: --tracker 'hydra@stream_chunk=65536'",
-    ),
 }
 
 #: Everything a subcommand that simulates workloads reads.
-_SIMULATION = ("--scale-denominator", "--trh", "--engine", "--stream-chunk")
+_SIMULATION = ("--scale-denominator", "--trh", "--engine")
 
 
 def _add_options(parser: argparse.ArgumentParser, *flags: str) -> None:
@@ -137,7 +143,7 @@ def _config(args: argparse.Namespace) -> SystemConfig:
 
     given = {
         name: getattr(args, name)
-        for name in ("trh", "engine", "stream_chunk", "trace_file")
+        for name in ("trh", "engine", "trace_file")
         if hasattr(args, name)
     }
     return SystemConfig(scale=1.0 / args.scale_denominator, **given)
@@ -307,7 +313,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro import api
 
     grid = api.GridSpec(
-        trackers=tuple(args.trackers.split(",")),
+        trackers=tuple(args.trackers),
         workloads=tuple(args.workloads.split(",")) if args.workloads else (),
         config=_config(args),
     )
@@ -479,7 +485,7 @@ def _cmd_arena(args: argparse.Namespace) -> int:
     config = _config(args)
     report = run_arena(
         config,
-        trackers=args.trackers.split(",") if args.trackers else None,
+        trackers=args.trackers,
         trh_ladder=args.trh_ladder or DEFAULT_TRH_LADDER,
         workloads=(
             args.workloads.split(",")
@@ -536,7 +542,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     config = _config(args)
     report = run_fuzz(
         config,
-        trackers=args.trackers.split(",") if args.trackers else None,
+        trackers=args.trackers,
         programs=args.programs,
         corpus_seed=(
             args.corpus_seed
@@ -628,8 +634,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     from repro.sim.simulator import trace_for_workload
     from repro.workloads.streaming import write_trace_source
 
-    config = _config(args).with_stream_chunk(args.chunk)
-    source = trace_for_workload(config, args.workload)
+    source = trace_for_workload(_config(args), args.workload)
     print(write_trace_source(source, args.destination, args.chunk))
     return 0
 
@@ -690,10 +695,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="replay a recorded trace instead of generating the"
         " workload: a chunked-trace directory, an .npz trace, or an"
-        " external text trace (see 'hydra-sim trace --help');"
-        " combine with --stream-chunk to replay in bounded memory",
+        " external text trace (see 'hydra-sim trace --help'); a"
+        " directory streams in bounded memory, so 'hydra-sim trace"
+        " convert' a large trace into one first",
     )
-    run.add_argument("--tracker", default="hydra")
+    run.add_argument("--tracker", type=_tracker_spec, default="hydra")
     run.add_argument(
         "--observe",
         action="store_true",
@@ -727,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run all 36 workloads")
     _add_options(sweep, *_SIMULATION, "--jobs")
-    sweep.add_argument("--tracker", default="hydra")
+    sweep.add_argument("--tracker", type=_tracker_spec, default="hydra")
     sweep.add_argument(
         "--manifest",
         default=None,
@@ -783,7 +789,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--port", type=int, default=8265)
     submit.add_argument(
         "--trackers",
-        default="hydra",
+        type=_tracker_specs,
+        default=["hydra"],
         metavar="SPECS",
         help="comma-separated tracker specs forming the grid's tracker"
         " axis (default hydra)",
@@ -836,9 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
         # Refuse --trh rather than read it as --trh-ladder.
         allow_abbrev=False,
     )
-    _add_options(
-        arena, "--scale-denominator", "--engine", "--stream-chunk", "--jobs"
-    )
+    _add_options(arena, "--scale-denominator", "--engine", "--jobs")
     arena.add_argument(
         "--trh-ladder",
         type=_csv_ints,
@@ -849,6 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     arena.add_argument(
         "--trackers",
+        type=_tracker_specs,
         default=None,
         metavar="SPEC,SPEC,...",
         help="comma-separated tracker specs (default: every registered"
@@ -922,6 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--trackers",
+        type=_tracker_specs,
         default=None,
         metavar="SPEC,SPEC,...",
         help="comma-separated tracker specs (default: every registered"

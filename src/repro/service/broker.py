@@ -23,6 +23,12 @@ into filled result-cache entries. Design invariants (DESIGN.md §15):
 - **Preemption.** :meth:`cancel` stops a job between cells; cells
   already dispatched run to completion (their cache entries are kept
   — cancelling a job never poisons another job's cells).
+- **Finished jobs leave memory.** Once a job's terminal
+  ``status.json`` is written, the broker forgets the job; ``status``,
+  ``result``, ``cancel`` and ``step`` read it back from the
+  :class:`~repro.service.jobs.JobStore`. A job whose progress could
+  not be written stays in memory, failed, while its ``status.json``
+  still says it is active, so a restarted broker resumes it.
 - **Batched records.** A recorded cell goes to an in-memory buffer
   on its job; the live :class:`JobStatus` advances per cell, but the
   manifest and ``status.json`` are written once per *flush* (before
@@ -216,7 +222,9 @@ class SweepBroker:
 
     def cancel(self, job_id: str) -> JobStatus:
         """Preempt a job: no further cells are dispatched for it."""
-        job = self._get(job_id)
+        job = self._live(job_id)
+        if job is None:
+            return self.status(job_id)
         if job.status.state in ACTIVE_STATES:
             job.cancel_event.set()
             if job.thread is None or not job.thread.is_alive():
@@ -242,8 +250,7 @@ class SweepBroker:
     # ------------------------------------------------------------------
 
     def status(self, job_id: str) -> JobStatus:
-        with self._lock:
-            job = self._jobs.get(job_id)
+        job = self._live(job_id)
         if job is not None:
             return job.status
         status = self.store.load_status(job_id)
@@ -267,7 +274,7 @@ class SweepBroker:
         """The per-cell manifest records a job has produced so far."""
         path = self.store.manifest_path(job_id)
         if not path.is_file():
-            self._get(job_id)  # raise on unknown job
+            self.status(job_id)  # raise on unknown job
             return []
         records, _ = read_records(path)
         return [r.to_dict() for r in records if r.job_id == job_id]
@@ -278,8 +285,7 @@ class SweepBroker:
         Falls back to the persisted spec/status so results of jobs
         completed before a broker restart stay servable.
         """
-        with self._lock:
-            job = self._jobs.get(job_id)
+        job = self._live(job_id)
         if job is not None:
             status = job.status
         else:
@@ -317,7 +323,9 @@ class SweepBroker:
         the caller's thread does the work, and the job is left RUNNING
         (resumable) if the budget runs out before the grid is full.
         """
-        job = self._get(job_id)
+        job = self._live(job_id)
+        if job is None:
+            return self.status(job_id)
         if job.status.state in ACTIVE_STATES:
             self._advance(job, limit=max_cells)
         return job.status
@@ -395,12 +403,11 @@ class SweepBroker:
 
     # -- bookkeeping ---------------------------------------------------
 
-    def _get(self, job_id: str) -> _Job:
+    def _live(self, job_id: str) -> Optional[_Job]:
+        """The job while this broker holds it: not yet finished, or
+        finished only in memory."""
         with self._lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            raise BrokerError(f"unknown job {job_id!r}")
-        return job
+            return self._jobs.get(job_id)
 
     def _new_job_id(self, grid: GridSpec) -> str:
         return f"{grid.grid_key()[:8]}-{os.urandom(4).hex()}"
@@ -415,6 +422,9 @@ class SweepBroker:
         # event reader's final drain after ``done`` misses none.
         self._append_pending(job)
         self._set_state(job, state)
+        # The terminal status is on disk: serve the job from there.
+        with self._lock:
+            self._jobs.pop(job.job_id, None)
 
     def _flush(self, job: _Job) -> None:
         """Persist buffered records: one manifest append, then status.

@@ -116,12 +116,6 @@ class SystemConfig:
     #: queues + watermark-drained write queue). See
     #: :data:`repro.memctrl.ENGINES`.
     engine: str = "fast"
-    #: Streaming chunk size in requests: ``0`` (default) materializes
-    #: traces whole in RAM (the historical fast path); ``> 0`` streams
-    #: them through on-disk chunk segments of this many requests, so
-    #: peak memory is bounded by the chunk, not the trace (DESIGN.md
-    #: §13). Results are bit-identical either way.
-    stream_chunk: int = 0
     #: Replay a recorded trace instead of generating the synthetic
     #: workload: a chunked-trace directory, an ``.npz`` trace, or an
     #: external text trace (``<gap_ns> <R|W> <row_id> [n_lines]``).
@@ -132,8 +126,6 @@ class SystemConfig:
             raise ValueError("scale must be in (0, 1]")
         if self.structure_scale < 1:
             raise ValueError("structure_scale must be >= 1")
-        if self.stream_chunk < 0:
-            raise ValueError("stream_chunk must be >= 0 (0 = materialized)")
         normalize_engine(self.engine)
 
     # ------------------------------------------------------------------
@@ -226,10 +218,6 @@ class SystemConfig:
         """The same system run on a different scheduling engine."""
         return replace(self, engine=normalize_engine(engine))
 
-    def with_stream_chunk(self, stream_chunk: int) -> "SystemConfig":
-        """The same system with a different trace-streaming chunk."""
-        return replace(self, stream_chunk=stream_chunk)
-
     def with_trace_file(self, trace_file: Optional[str]) -> "SystemConfig":
         """The same system replaying a recorded trace file."""
         return replace(self, trace_file=trace_file)
@@ -250,31 +238,26 @@ class SystemConfig:
             **{k: v for k, v in data.items() if k in known}
         )
 
-    def _stream_suffix(self) -> str:
-        """Key suffix for the streaming axis (empty at the defaults).
+    def _trace_file_suffix(self) -> str:
+        """Key suffix naming a replayed trace file (empty by default).
 
-        Appending only non-default values keeps every pre-streaming
+        Appending it only when set keeps every synthetic-trace
         cache/trace key byte-identical (the golden-parity suite pins
         the strings), so existing result caches stay warm.
         """
-        suffix = ""
-        if self.stream_chunk:
-            suffix += f"-sc{self.stream_chunk}"
-        if self.trace_file:
-            import zlib
+        if not self.trace_file:
+            return ""
+        import zlib
 
-            suffix += f"-tf{zlib.crc32(str(self.trace_file).encode()):08x}"
-        return suffix
+        return f"-tf{zlib.crc32(str(self.trace_file).encode()):08x}"
 
     def cache_key(self) -> str:
         """Stable identifier for result caching.
 
         The engine is part of the key, so cached results from one
         engine are never served for another (fast and queued each key
-        separately). The streaming axis (``stream_chunk``/
-        ``trace_file``) participates whenever it is non-default;
-        replayed trace files are keyed by path — clear the cache if a
-        file's contents change in place.
+        separately). A replayed ``trace_file`` participates, keyed by
+        path — clear the cache if a file's contents change in place.
         """
         return (
             f"s{self.scale:.6f}-t{self.trh}-g{self.gct_entries_full}"
@@ -282,7 +265,7 @@ class SystemConfig:
             f"-x{self.structure_scale}-c{self.cra_cache_full_bytes}"
             f"-b{self.blast_radius}-m{self.mlp}-w{self.n_windows}"
             f"-k{self.chunk_lines}-e{self.seed}-n{self.engine}"
-            + self._stream_suffix()
+            + self._trace_file_suffix()
         )
 
     def trace_key(self) -> str:
@@ -290,15 +273,12 @@ class SystemConfig:
 
         Only the fields trace construction consumes participate, so
         e.g. fast and queued runs of one system share a
-        memoized trace instead of regenerating it per engine. The
-        streaming axis is
-        part of trace identity: a chunked spool and a materialized
-        trace are distinct memo entries.
+        memoized trace instead of regenerating it per engine.
         """
         return (
             f"s{self.scale:.6f}-w{self.n_windows}"
             f"-k{self.chunk_lines}-e{self.seed}"
-            + self._stream_suffix()
+            + self._trace_file_suffix()
         )
 
 

@@ -10,9 +10,9 @@ engine-agnostic: set ``SystemConfig.engine`` or put ``engine=queued``
 in a tracker spec and nothing else changes.
 
 What to run is described by exactly two things: a spec string and a
-:class:`~repro.sim.config.SystemConfig`. The spec's ``engine=`` and
-``stream_chunk=`` parameters beat the config's fields of the same
-name; everything else about the system comes from the config.
+:class:`~repro.sim.config.SystemConfig`. The spec's ``engine=``
+parameter beats the config's field of the same name; everything else
+about the system comes from the config.
 
 Tracker construction is spec-driven (``make_tracker`` delegates to the
 declarative registry in :mod:`repro.trackers.registry`), so sweeps and
@@ -31,16 +31,14 @@ pays for each workload's trace once) and runs the simulation —
 because specs are strings, parallel sweeps get parameter *and engine*
 sweeps for free.
 
-Traces are :class:`~repro.workloads.streaming.TraceSource`s, not
-necessarily in-RAM ``Trace`` arrays. With
-``SystemConfig.stream_chunk > 0`` the per-process memo caches *on-disk
-chunk segments* (a spooled :class:`~repro.workloads.streaming.ChunkedTrace`
-under a per-process temp directory) instead of whole arrays, so a
-trace 10x the memo budget streams through either engine with peak
-memory bounded by the chunk size; ``SystemConfig.trace_file`` replays
-a recorded trace (chunked directory, ``.npz``, or external text)
-through the same path. Results are bit-identical to the materialized
-fast path (``tests/sim/test_stream_parity.py``).
+Traces are :class:`~repro.workloads.streaming.TraceSource`s, and every
+source replays the same way: one bounded chunk of Python columns at a
+time (:func:`~repro.workloads.trace.resolved_chunk_stream`). A
+synthetic trace is held in RAM as numpy arrays only;
+``SystemConfig.trace_file`` replays a recorded trace instead — a
+chunked directory streams from disk, an ``.npz`` or text file is
+parsed once into arrays. Results are bit-identical across
+representations (``tests/sim/test_stream_parity.py``).
 
 Observability: pass ``observe=True`` (or export ``REPRO_OBS=1``) and
 the run carries a :class:`~repro.obs.recorder.RunObservability` on
@@ -52,12 +50,8 @@ parity suite pins this).
 
 from __future__ import annotations
 
-import atexit
-import hashlib
-import shutil
-import tempfile
+import threading
 from collections import OrderedDict
-from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.dram.power import DramPowerModel
@@ -65,15 +59,9 @@ from repro.interfaces import ActivationTracker
 from repro.memctrl import build_controller
 from repro.sim.config import SystemConfig
 from repro.sim.results import RunResult
-from repro.trackers.registry import build_tracker, spec_engine, spec_stream_chunk
+from repro.trackers.registry import build_tracker, spec_engine
 from repro.workloads.characteristics import workload
-from repro.workloads.streaming import (
-    ChunkedTrace,
-    ExternalTraceReader,
-    TraceChunk,
-    TraceSource,
-    open_trace_source,
-)
+from repro.workloads.streaming import TraceSource, open_trace_source
 from repro.workloads.synthetic import SyntheticWorkloadGenerator
 from repro.workloads.trace import Trace
 
@@ -81,130 +69,65 @@ from repro.workloads.trace import Trace
 #: Traces are deterministic functions of both, so sharing across
 #: simulations — including across the tasks a pool worker executes,
 #: and across engines — is safe and saves regenerating a trace for
-#: every tracker column. The memo is a bounded LRU: the cap keeps a
-#: full 36-workload single-config sweep entirely resident (so pool
-#: workers hit exactly as before), while a long multi-config sweep in
-#: one process evicts least-recently-replayed traces instead of
-#: growing without limit. An in-RAM entry holds numpy arrays only;
-#: the Python columns replay iterates live on one trace per process
-#: (see :class:`~repro.workloads.trace.Trace`).
-#:
-#: Entries are *sources*, not necessarily arrays: a streamed workload
-#: (``stream_chunk > 0``) memoizes a :class:`ChunkedTrace` whose
-#: segments live on disk under the per-process spool directory — the
-#: memo then costs file handles and a manifest, not gigabytes of RAM.
-#: The bool records whether this process spooled the segments itself
-#: (and so owns deleting them on eviction); sources opened from user
-#: paths are never deleted.
-_TRACE_MEMO: "OrderedDict[Tuple[str, str], Tuple[TraceSource, bool]]" = (
-    OrderedDict()
-)
+#: every tracker column. An entry holds a trace's numpy arrays and
+#: nothing else (a chunked directory: its manifest), and the memo is
+#: an LRU bounded by entries and by those arrays' bytes. Pool threads
+#: share it, so every lookup, insert and eviction holds
+#: ``_TRACE_MEMO_LOCK``.
+_TRACE_MEMO: "OrderedDict[Tuple[str, str], TraceSource]" = OrderedDict()
+_TRACE_MEMO_LOCK = threading.Lock()
 
-#: Maximum traces kept per process (> the 36-workload suite).
+#: Both bounds keep a whole 1/32 suite resident (36 workloads hold
+#: ~6.0 M requests, ~120 MB), so a sweep's pool workers regenerate
+#: nothing. The byte budget evicts large-scale traces; the entry cap
+#: keeps a long-lived server flat when every job brings small traces
+#: of a new config. The newest entry stays even when it alone is over
+#: budget: its replay is about to read it.
 _TRACE_MEMO_MAX = 64
-
-#: Lazily-created per-process directory holding spooled chunk
-#: segments; removed wholesale at interpreter exit.
-_SPOOL_DIR: Optional[Path] = None
-
-
-def _spool_dir() -> Path:
-    global _SPOOL_DIR
-    if _SPOOL_DIR is None:
-        _SPOOL_DIR = Path(tempfile.mkdtemp(prefix="repro-trace-spool-"))
-        atexit.register(shutil.rmtree, _SPOOL_DIR, ignore_errors=True)
-    return _SPOOL_DIR
-
-
-def _memo_evict(entry: Tuple[TraceSource, bool]) -> None:
-    source, owned = entry
-    if owned and isinstance(source, ChunkedTrace):
-        source.delete()
+_TRACE_MEMO_BYTES = 256 << 20
 
 
 def _clear_trace_memo() -> None:
-    """Drop every memo entry, deleting spooled segments (tests)."""
-    while _TRACE_MEMO:
-        _, entry = _TRACE_MEMO.popitem(last=False)
-        _memo_evict(entry)
+    """Drop every memo entry (tests)."""
+    with _TRACE_MEMO_LOCK:
+        _TRACE_MEMO.clear()
 
 
-def _build_trace_source(
-    config: SystemConfig, workload_name: str, memo_key: Tuple[str, str]
-) -> Tuple[TraceSource, bool]:
-    """Construct the trace source one memo entry describes.
+def _memo_bytes(source: TraceSource) -> int:
+    return source.nbytes if isinstance(source, Trace) else 0
 
-    Returns ``(source, owned)`` where ``owned`` marks spool segments
-    this process wrote (and must delete on eviction).
-    """
+
+def _build_trace_source(config: SystemConfig, workload_name: str) -> TraceSource:
     if config.trace_file is not None:
-        source = open_trace_source(
-            config.trace_file, chunk_requests=config.stream_chunk
-        )
-        if isinstance(source, ExternalTraceReader):
-            # Re-parsing text on every replay would dominate runtime;
-            # spool it once into mmapped segments and stream those.
-            spool = _spool_subdir(memo_key)
-            return (
-                ChunkedTrace.write(
-                    source.chunks(),
-                    spool,
-                    name=source.name,
-                    chunk_requests=config.stream_chunk,
-                ),
-                True,
-            )
-        return source, False
+        return open_trace_source(config.trace_file)
     generator = SyntheticWorkloadGenerator(config.generator_config())
-    if config.stream_chunk > 0:
-        spool = _spool_subdir(memo_key)
-        chunk_stream = (
-            TraceChunk.of(window)
-            for window in generator.iter_windows(workload(workload_name))
-        )
-        return (
-            ChunkedTrace.write(
-                chunk_stream,
-                spool,
-                name=workload_name,
-                chunk_requests=config.stream_chunk,
-            ),
-            True,
-        )
-    return generator.generate(workload(workload_name)), False
-
-
-def _spool_subdir(memo_key: Tuple[str, str]) -> Path:
-    digest = hashlib.sha256(repr(memo_key).encode()).hexdigest()[:16]
-    path = _spool_dir() / digest
-    if path.exists():  # stale segments from a dropped entry
-        shutil.rmtree(path, ignore_errors=True)
-    return path
+    return generator.generate(workload(workload_name))
 
 
 def trace_for_workload(config: SystemConfig, workload_name: str) -> TraceSource:
     """Generate (or recall) the trace of one workload on one system.
 
-    With the default config this returns the familiar in-RAM
-    ``Trace``; with ``stream_chunk > 0`` it returns a spooled
-    :class:`ChunkedTrace` (bounded-memory replay), and with
-    ``trace_file`` set it opens/spools the recorded trace instead of
-    generating synthetically. All three are memoized per process under
-    ``(config.trace_key(), workload_name)`` — the streaming axis is
-    part of ``trace_key``, so materialized and chunked variants of one
-    workload are distinct entries.
+    With the default config this returns the synthetic in-RAM
+    ``Trace``; with ``trace_file`` set it opens the recorded trace
+    instead (see :func:`~repro.workloads.streaming.open_trace_source`).
+    Both are memoized per process under ``(config.trace_key(),
+    workload_name)``.
     """
     memo_key = (config.trace_key(), workload_name)
-    entry = _TRACE_MEMO.get(memo_key)
-    if entry is None:
-        entry = _build_trace_source(config, workload_name, memo_key)
-        _TRACE_MEMO[memo_key] = entry
-        if len(_TRACE_MEMO) > _TRACE_MEMO_MAX:
-            _, evicted = _TRACE_MEMO.popitem(last=False)
-            _memo_evict(evicted)
-    else:
-        _TRACE_MEMO.move_to_end(memo_key)
-    return entry[0]
+    with _TRACE_MEMO_LOCK:
+        source = _TRACE_MEMO.get(memo_key)
+        if source is None:
+            source = _build_trace_source(config, workload_name)
+            _TRACE_MEMO[memo_key] = source
+            held = sum(_memo_bytes(entry) for entry in _TRACE_MEMO.values())
+            while len(_TRACE_MEMO) > 1 and (
+                held > _TRACE_MEMO_BYTES or len(_TRACE_MEMO) > _TRACE_MEMO_MAX
+            ):
+                _, evicted = _TRACE_MEMO.popitem(last=False)
+                held -= _memo_bytes(evicted)
+        else:
+            _TRACE_MEMO.move_to_end(memo_key)
+    return source
 
 
 def simulate_workload(
@@ -213,15 +136,7 @@ def simulate_workload(
     workload_name: str = "GUPS",
     observe: Optional[bool] = None,
 ) -> "RunResult":
-    """One grid cell from names alone (the parallel-sweep work unit).
-
-    A ``stream_chunk=`` spec parameter is resolved onto the config
-    *before* trace construction, so a per-run streaming override
-    reaches the memo and the cache key, not just the engine.
-    """
-    chunk = spec_stream_chunk(spec)
-    if chunk is not None and chunk != config.stream_chunk:
-        config = config.with_stream_chunk(chunk)
+    """One grid cell from names alone (the parallel-sweep work unit)."""
     return simulate(
         trace_for_workload(config, workload_name),
         config,

@@ -223,12 +223,6 @@ UNIVERSAL_PARAMS: Dict[str, Param] = {
         help="memory-controller engine the simulation runs on"
         " (overrides SystemConfig.engine)",
     ),
-    "stream_chunk": Param(
-        int,
-        check=lambda chunk: _at_least(chunk, 0),
-        help="trace-streaming chunk size in requests (overrides"
-        " SystemConfig.stream_chunk; 0 = materialize the trace in RAM)",
-    ),
 }
 
 
@@ -431,17 +425,6 @@ def spec_engine(spec: Union[str, TrackerSpec]) -> Optional[str]:
     return dict(parse_spec(spec).params).get("engine")
 
 
-def spec_stream_chunk(spec: Union[str, TrackerSpec]) -> Optional[int]:
-    """The ``stream_chunk=`` override a spec carries, if any.
-
-    Like ``engine``, ``stream_chunk`` is a universal parameter that
-    configures the *simulation* (how the trace is fed to the engine)
-    rather than the tracker, so the simulator extracts it here and
-    ``build_tracker`` ignores it.
-    """
-    return dict(parse_spec(spec).params).get("stream_chunk")
-
-
 def build_tracker(
     spec: Union[str, TrackerSpec], context: TrackerContext
 ) -> ActivationTracker:
@@ -453,7 +436,6 @@ def build_tracker(
     if trh is not None:
         context = context.with_trh(trh)
     params.pop("engine", None)  # simulation-level; see spec_engine()
-    params.pop("stream_chunk", None)  # simulation-level; spec_stream_chunk()
     return info.builder(context, **params)
 
 

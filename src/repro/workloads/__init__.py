@@ -12,10 +12,11 @@ trace module a caller touches.
 
 from repro._lazy import lazy_exports
 
-#: Default requests per chunk when a caller streams without choosing:
-#: ~64K requests keep the per-chunk Python-list columns in the tens of
-#: megabytes while amortizing per-chunk numpy/parse overhead. Defined
-#: here, outside the numpy modules, so ``hydra-sim --help`` can show it.
+#: Requests per replay chunk of an in-RAM trace, and the default
+#: segment size of chunked and text traces: ~64K requests keep the
+#: per-chunk Python-list columns in the tens of megabytes while
+#: amortizing per-chunk numpy/parse overhead. Defined here, outside
+#: the numpy modules, so ``hydra-sim --help`` can show it.
 DEFAULT_STREAM_CHUNK = 1 << 16
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {

@@ -25,11 +25,6 @@ def merge_traces(traces: Sequence[Trace], name: str = "mix") -> Trace:
     merged trace interleaves all requests in global arrival order and
     re-derives inter-arrival gaps. Memory pressure adds up, exactly as
     co-running programs' demands do.
-
-    The inputs' lazily-built ``_columns``/``_resolved`` caches are not
-    reused (they describe pre-merge element order); the merged trace
-    rebuilds its own from the merged arrays, which yields bit-identical
-    per-request topology — see ``Trace.concatenate``.
     """
     if not traces:
         raise ValueError("need at least one trace")
@@ -57,12 +52,6 @@ def attack_alongside(
     ``attack_rows`` is cycled at ``attack_rate_per_ns`` for the
     duration of the victim trace — the co-located-attacker threat
     model (§2.3: an unprivileged process sharing the memory system).
-
-    Like :func:`merge_traces` (and ``Trace.concatenate``), the result
-    is a fresh ``Trace`` whose lazy ``_columns``/``_resolved`` caches
-    start cold — the inputs' caches are derivations of their arrays
-    and are simply rebuilt from the merged arrays on first iteration,
-    so the mix resolves topology identically to its parts.
     """
     if attack_rate_per_ns <= 0:
         raise ValueError("attack_rate_per_ns must be positive")

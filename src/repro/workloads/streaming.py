@@ -1,21 +1,23 @@
 """Streaming trace substrate: chunked sources in bounded memory.
 
-A :class:`~repro.workloads.trace.Trace` holds a whole trace in RAM —
-the right trade for the 36-workload figure sweeps, but a hard cap on
-the long-duration campaigns ultra-low T_RH tracking is *for* (billions
-of activations across thousands of 64 ms windows). This module grows
-the substrate from "one big array" to "a stream of bounded chunks":
+A :class:`~repro.workloads.trace.Trace` holds a whole trace's numpy
+arrays in RAM (~21 B per request) — the right trade for the
+36-workload figure sweeps, but a cap on the long-duration campaigns
+ultra-low T_RH tracking is *for* (billions of activations across
+thousands of 64 ms windows). This module adds sources whose requests
+never sit in RAM whole:
 
 - :class:`TraceSource` — the protocol every trace-consuming layer
   (both memory-controller engines, ``simulate``, the characterization
-  tools) actually relies on. ``Trace`` satisfies it unchanged.
-- :class:`TraceChunk` — one bounded slice of a trace as parallel numpy
-  arrays; the unit of streaming I/O.
+  tools) actually relies on. ``Trace`` satisfies it.
+- :class:`~repro.workloads.trace.TraceChunk` — one bounded slice of a
+  trace as parallel numpy arrays; the unit of replay and of streaming
+  I/O (re-exported here).
 - :class:`ChunkedTrace` — a trace stored as memory-mapped ``.npy``
   segments on disk plus a JSON manifest. Iteration materializes one
   chunk at a time (including the per-chunk resolved-topology columns
-  the fast engine consumes), so peak memory is bounded by the chunk
-  size, not the trace length.
+  the engines consume), so peak memory is bounded by the chunk size,
+  not the trace length.
 - :class:`ExternalTraceReader` / :func:`write_external_trace` — a
   DRAMSim/USIMM-style line-oriented text format (grammar in
   DESIGN.md §13) so real recorded traces replay through the simulator
@@ -24,9 +26,11 @@ the substrate from "one big array" to "a stream of bounded chunks":
   map from a path's suffix (directory, ``.npz``, text) to a format,
   for reading and for writing.
 
-The chunk-boundary invariant all of this rests on: a chunked stream
-yields exactly the tuples the materialized trace would, in the same
-order, computed with the same arithmetic — so both engines produce
+The chunk-boundary invariant all of this rests on: every source,
+``Trace`` included, replays through one stream
+(:func:`~repro.workloads.trace.resolved_chunk_stream`), so a chunked
+source yields exactly the tuples the in-RAM trace would, in the same
+order, computed with the same arithmetic — and both engines produce
 bit-identical ``RunResult``s from either representation (pinned by
 ``tests/sim/test_stream_parity.py``).
 """
@@ -36,7 +40,6 @@ from __future__ import annotations
 import json
 import math
 import shutil
-from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     IO,
@@ -53,7 +56,13 @@ import numpy as np
 
 from repro.durable import atomic_write_text
 from repro.workloads import DEFAULT_STREAM_CHUNK
-from repro.workloads.trace import Trace, check_requests
+from repro.workloads.trace import (
+    ChunkReplay,
+    Trace,
+    TraceChunk,
+    check_requests,
+    chunk_tuple_stream,
+)
 
 try:  # pragma: no cover - exercised only on Python < 3.8
     from typing import Protocol, runtime_checkable
@@ -103,92 +112,10 @@ class TraceSource(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class TraceChunk:
-    """One bounded slice of a trace, as parallel numpy arrays.
-
-    The dtypes match :class:`~repro.workloads.trace.Trace` exactly
-    (float64 / int64 / int32 / bool), so chunked round-trips preserve
-    every bit.
-    """
-
-    gaps_ns: np.ndarray
-    rows: np.ndarray
-    lines: np.ndarray
-    writes: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    @staticmethod
-    def of(trace: Trace) -> "TraceChunk":
-        """View one whole ``Trace`` as a single chunk (no copy)."""
-        return TraceChunk(trace.gaps_ns, trace.rows, trace.lines, trace.writes)
-
-    def slice(self, start: int, stop: int) -> "TraceChunk":
-        return TraceChunk(
-            self.gaps_ns[start:stop],
-            self.rows[start:stop],
-            self.lines[start:stop],
-            self.writes[start:stop],
-        )
-
-
-def _chunk_tuple_stream(
-    chunks: Iterable[TraceChunk],
-) -> Iterator[Tuple[float, int, int, bool]]:
-    """The generic 4-tuple stream, one chunk of lists at a time."""
-    for chunk in chunks:
-        yield from zip(
-            np.asarray(chunk.gaps_ns, dtype=np.float64).tolist(),
-            np.asarray(chunk.rows, dtype=np.int64).tolist(),
-            np.asarray(chunk.lines, dtype=np.int32).tolist(),
-            np.asarray(chunk.writes, dtype=bool).tolist(),
-        )
-
-
-def _resolved_chunk_stream(
-    chunks: Iterable[TraceChunk], rows_per_bank: int, banks_per_channel: int
-) -> Iterator[Tuple[float, int, int, int, int, int, bool]]:
-    """Per-chunk resolved-topology stream (the fast engine's diet).
-
-    Identical arithmetic to ``Trace.resolved_stream`` — vectorized
-    int64 floor division/modulo on non-negative row ids — applied one
-    chunk at a time, so only one chunk's columns are ever resident.
-    """
-    if rows_per_bank <= 0 or banks_per_channel <= 0:
-        raise ValueError("topology divisors must be positive")
-    for chunk in chunks:
-        rows = np.asarray(chunk.rows, dtype=np.int64)
-        bank_index = rows // rows_per_bank
-        yield from zip(
-            np.asarray(chunk.gaps_ns, dtype=np.float64).tolist(),
-            rows.tolist(),
-            (rows % rows_per_bank).tolist(),
-            bank_index.tolist(),
-            (bank_index // banks_per_channel).tolist(),
-            np.asarray(chunk.lines, dtype=np.int32).tolist(),
-            np.asarray(chunk.writes, dtype=bool).tolist(),
-        )
-
-
-class _StreamingSourceBase:
+class _StreamingSourceBase(ChunkReplay):
     """Shared ``TraceSource`` plumbing for chunk-backed sources."""
 
     name: str = "trace"
-
-    def chunks(self) -> Iterator[TraceChunk]:
-        raise NotImplementedError
-
-    def __iter__(self) -> Iterator[Tuple[float, int, int, bool]]:
-        return _chunk_tuple_stream(self.chunks())
-
-    def resolved_stream(
-        self, rows_per_bank: int, banks_per_channel: int
-    ) -> Iterator[Tuple[float, int, int, int, int, int, bool]]:
-        return _resolved_chunk_stream(
-            self.chunks(), rows_per_bank, banks_per_channel
-        )
 
     def materialize(self) -> Trace:
         """Concatenate every chunk into one in-RAM ``Trace``.
@@ -298,7 +225,7 @@ class ChunkedTrace(_StreamingSourceBase):
             )
 
     def delete(self) -> None:
-        """Remove the backing directory (spooled-segment cleanup)."""
+        """Remove the backing directory."""
         shutil.rmtree(self.directory, ignore_errors=True)
 
     # ------------------------------------------------------------------
@@ -351,7 +278,7 @@ class ChunkedTrace(_StreamingSourceBase):
     ) -> "ChunkedTrace":
         """Spool one in-RAM trace (tests, conversion tooling)."""
         return cls.write(
-            [TraceChunk.of(trace)],
+            trace.chunks(),
             directory,
             name=trace.name,
             chunk_requests=chunk_requests,
@@ -525,7 +452,7 @@ def write_external_trace(
         nonlocal total
         handle.write(f"# repro external trace: {source.name}\n")
         handle.write("# <gap_ns> <R|W> <row_id> <n_lines>\n")
-        for gap, row, n_lines, is_write in _chunk_tuple_stream(source.chunks()):
+        for gap, row, n_lines, is_write in chunk_tuple_stream(source.chunks()):
             kind = "W" if is_write else "R"
             handle.write(f"{gap!r} {kind} {row} {n_lines}\n")
             total += 1

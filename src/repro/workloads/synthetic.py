@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -126,18 +126,23 @@ class SyntheticWorkloadGenerator:
             raise ValueError("geometry has no usable rows")
 
     def generate(self, workload: WorkloadCharacteristics) -> Trace:
-        """Build the multi-window trace for one workload."""
-        windows: List[Trace] = list(self.iter_windows(workload))
-        return Trace.concatenate(windows, name=workload.name)
+        """Build the multi-window trace for one workload.
+
+        The windows' arrays become the trace's parts as they are, so
+        the trace is never held twice on the way.
+        """
+        return Trace.concatenate(
+            list(self.iter_windows(workload)), name=workload.name
+        )
 
     def iter_windows(self, workload: WorkloadCharacteristics):
         """Yield the trace one tracking window at a time.
 
-        The streaming substrate's generation path: each window is an
-        independent seeded draw (``_stable_seed(seed, name, index)``),
-        so yielding them lazily and spooling to disk produces exactly
-        the arrays :meth:`generate` would concatenate — with peak
-        memory bounded by one window instead of ``n_windows``.
+        Each window is an independent seeded draw
+        (``_stable_seed(seed, name, index)``), so writing them to disk
+        as they come produces exactly the requests :meth:`generate`
+        holds — with peak memory bounded by one window instead of
+        ``n_windows``.
         """
         for window_index in range(self.config.n_windows):
             yield self._generate_window(workload, window_index)

@@ -6,6 +6,10 @@ inter-arrival gap, a global row id, and a burst length in 64 B lines.
 Traces are stored as parallel numpy arrays for compactness and can be
 saved/loaded (npz) so expensive generations are reusable.
 
+Every trace source replays the same way: its requests come in bounded
+:class:`TraceChunk` slices, and :func:`resolved_chunk_stream` turns one
+slice at a time into the Python tuples the engines consume.
+
 :func:`characterize` reproduces Table 3's statistics from any trace
 source — the round-trip check that our synthetic generator actually
 matches the paper's workload descriptions.
@@ -13,11 +17,21 @@ matches the paper's workload descriptions.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
+
+from repro.workloads import DEFAULT_STREAM_CHUNK
 
 if TYPE_CHECKING:
     from repro.workloads.streaming import TraceSource
@@ -34,27 +48,128 @@ class TraceStatistics:
     line_transfers: int
 
 
-#: The one trace per process that keeps its Python-scalar columns:
-#: the most recently replayed (see :class:`Trace`). Pool threads replay
-#: traces concurrently, so the swap and the store share one lock.
-_column_holder: Optional["Trace"] = None
-_column_lock = threading.Lock()
+@dataclass(frozen=True)
+class TraceChunk:
+    """One bounded slice of a trace, as parallel numpy arrays.
 
-
-class Trace:
-    """Immutable sequence of (gap_ns, row_id, n_lines, is_write).
-
-    Replay iterates Python-scalar columns built from the numpy arrays
-    (``tolist`` plus the topology div/mod of :meth:`resolved_stream`).
-    They cost ~150 B per request against ~21 B of numpy, so only one
-    trace per process keeps them: the most recently replayed. When
-    another trace builds its columns, the previous holder's are
-    dropped. Back-to-back replays of one trace (every tracker of a
-    serial comparison) convert once; switching traces re-converts,
-    which costs a few percent of a replay.
+    The dtypes match :class:`Trace` exactly (float64 / int64 / int32 /
+    bool), so chunked round-trips preserve every bit.
     """
 
-    __slots__ = ("gaps_ns", "rows", "lines", "writes", "name", "_columns", "_resolved")
+    gaps_ns: np.ndarray
+    rows: np.ndarray
+    lines: np.ndarray
+    writes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @staticmethod
+    def of(trace: "Trace") -> "TraceChunk":
+        """View one whole ``Trace`` as a single chunk (no copy when the
+        trace has one part)."""
+        return TraceChunk(trace.gaps_ns, trace.rows, trace.lines, trace.writes)
+
+    def slice(self, start: int, stop: int) -> "TraceChunk":
+        return TraceChunk(
+            self.gaps_ns[start:stop],
+            self.rows[start:stop],
+            self.lines[start:stop],
+            self.writes[start:stop],
+        )
+
+
+def chunk_tuple_stream(
+    chunks: Iterable[TraceChunk],
+) -> Iterator[Tuple[float, int, int, bool]]:
+    """The generic 4-tuple stream, one chunk of lists at a time."""
+    return chain.from_iterable(
+        zip(
+            np.asarray(chunk.gaps_ns, dtype=np.float64).tolist(),
+            np.asarray(chunk.rows, dtype=np.int64).tolist(),
+            np.asarray(chunk.lines, dtype=np.int32).tolist(),
+            np.asarray(chunk.writes, dtype=bool).tolist(),
+        )
+        for chunk in chunks
+    )
+
+
+def _resolved_chunk(
+    chunk: TraceChunk, rows_per_bank: int, banks_per_channel: int
+) -> Iterator[Tuple[float, int, int, int, int, int, bool]]:
+    rows = np.asarray(chunk.rows, dtype=np.int64)
+    bank_index = rows // rows_per_bank
+    return zip(
+        np.asarray(chunk.gaps_ns, dtype=np.float64).tolist(),
+        rows.tolist(),
+        (rows % rows_per_bank).tolist(),
+        bank_index.tolist(),
+        (bank_index // banks_per_channel).tolist(),
+        np.asarray(chunk.lines, dtype=np.int32).tolist(),
+        np.asarray(chunk.writes, dtype=bool).tolist(),
+    )
+
+
+def resolved_chunk_stream(
+    chunks: Iterable[TraceChunk], rows_per_bank: int, banks_per_channel: int
+) -> Iterator[Tuple[float, int, int, int, int, int, bool]]:
+    """Yield ``(gap_ns, row_id, local_row, bank_index, channel,
+    n_lines, is_write)`` per request, one chunk at a time.
+
+    The integer divisions a controller would otherwise re-derive per
+    request (``row // rows_per_bank`` etc.) are computed vectorized in
+    numpy per chunk, so only one chunk's Python columns are ever
+    resident. Values are bit-identical to the per-request scalar
+    arithmetic (:func:`repro.memctrl.base._resolve`): row ids are
+    non-negative, so numpy int64 floor division and modulo match
+    Python's exactly. The chunks' ``zip`` iterators are chained in C,
+    so a request costs the engine loop no Python frame.
+    """
+    if rows_per_bank <= 0 or banks_per_channel <= 0:
+        raise ValueError("topology divisors must be positive")
+    return chain.from_iterable(
+        _resolved_chunk(chunk, rows_per_bank, banks_per_channel)
+        for chunk in chunks
+    )
+
+
+class ChunkReplay:
+    """The replay surface every trace source shares: both streams walk
+    the source's ``chunks()``."""
+
+    __slots__ = ()
+
+    def chunks(self) -> Iterator[TraceChunk]:
+        raise NotImplementedError
+
+    def __iter__(self) -> Iterator[Tuple[float, int, int, bool]]:
+        """Iterate as plain Python tuples."""
+        return chunk_tuple_stream(self.chunks())
+
+    def resolved_stream(
+        self, rows_per_bank: int, banks_per_channel: int
+    ) -> Iterator[Tuple[float, int, int, int, int, int, bool]]:
+        """Iterate with bank/channel topology pre-resolved per request
+        (see :func:`resolved_chunk_stream`)."""
+        return resolved_chunk_stream(
+            self.chunks(), rows_per_bank, banks_per_channel
+        )
+
+
+class Trace(ChunkReplay):
+    """Immutable sequence of (gap_ns, row_id, n_lines, is_write).
+
+    The requests live in numpy arrays only, ~21 B each. They may be
+    held as several parts: :meth:`concatenate` (and so the synthetic
+    generator, one part per tracking window) keeps its inputs' arrays
+    instead of copying them, so building a trace never holds it twice.
+    The whole-trace columns ``gaps_ns``, ``rows``, ``lines`` and
+    ``writes`` join the parts on each access; replay never does, it
+    walks the parts in :data:`~repro.workloads.DEFAULT_STREAM_CHUNK`
+    slices (:meth:`chunks`), exactly as a chunked on-disk trace does.
+    """
+
+    __slots__ = ("_parts", "name")
 
     def __init__(
         self,
@@ -67,106 +182,59 @@ class Trace:
         n = len(rows)
         if not (len(gaps_ns) == len(lines) == len(writes) == n):
             raise ValueError("trace arrays must have equal length")
-        self.gaps_ns = np.asarray(gaps_ns, dtype=np.float64)
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.lines = np.asarray(lines, dtype=np.int32)
-        self.writes = np.asarray(writes, dtype=bool)
+        self._parts: Tuple[TraceChunk, ...] = (
+            TraceChunk(
+                np.asarray(gaps_ns, dtype=np.float64),
+                np.asarray(rows, dtype=np.int64),
+                np.asarray(lines, dtype=np.int32),
+                np.asarray(writes, dtype=bool),
+            ),
+        )
         self.name = name
-        #: Lazily materialized Python-scalar columns, kept while this
-        #: trace is the process's column holder.
-        self._columns: Optional[Tuple[list, list, list, list]] = None
-        #: Lazily resolved per-request topology columns, keyed by
-        #: ``(rows_per_bank, banks_per_channel)`` (one geometry per
-        #: simulated system, but attack mixes reuse traces across
-        #: scaled geometries). Dropped with ``_columns``.
-        self._resolved: Dict[Tuple[int, int], tuple] = {}
 
-    def _keep(
-        self,
-        columns: Optional[Tuple[list, list, list, list]] = None,
-        geometry: Optional[Tuple[int, int]] = None,
-        resolved: Optional[tuple] = None,
-    ) -> None:
-        """Store built columns, becoming the process's column holder.
+    def _column(self, field: str) -> np.ndarray:
+        if len(self._parts) == 1:
+            return getattr(self._parts[0], field)
+        return np.concatenate([getattr(part, field) for part in self._parts])
 
-        The previous holder's columns are dropped in the same step.
-        """
-        global _column_holder
-        with _column_lock:
-            holder = _column_holder
-            if holder is not self:
-                if holder is not None:
-                    holder._columns = None
-                    holder._resolved = {}
-                _column_holder = self
-            if columns is not None:
-                self._columns = columns
-            if resolved is not None:
-                self._resolved[geometry] = resolved
+    @property
+    def gaps_ns(self) -> np.ndarray:
+        return self._column("gaps_ns")
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._column("rows")
+
+    @property
+    def lines(self) -> np.ndarray:
+        return self._column("lines")
+
+    @property
+    def writes(self) -> np.ndarray:
+        return self._column("writes")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return sum(len(part) for part in self._parts)
 
-    def _column_lists(self) -> Tuple[list, list, list, list]:
-        columns = self._columns
-        if columns is None:
-            columns = (
-                self.gaps_ns.tolist(),
-                self.rows.tolist(),
-                self.lines.tolist(),
-                self.writes.tolist(),
-            )
-            self._keep(columns=columns)
-        return columns
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the numpy arrays holding the requests."""
+        return sum(
+            part.gaps_ns.nbytes + part.rows.nbytes
+            + part.lines.nbytes + part.writes.nbytes
+            for part in self._parts
+        )
 
-    def __iter__(self) -> Iterator[Tuple[float, int, int, bool]]:
-        """Iterate as plain Python tuples (fast path for the core loop)."""
-        return zip(*self._column_lists())
-
-    def resolved_stream(
-        self, rows_per_bank: int, banks_per_channel: int
-    ) -> Iterator[Tuple[float, int, int, int, int, int, bool]]:
-        """Iterate with bank/channel topology pre-resolved per request.
-
-        Yields ``(gap_ns, row_id, local_row, bank_index, channel,
-        n_lines, is_write)``. The integer divisions a controller would
-        otherwise re-derive per request (``row // rows_per_bank`` etc.)
-        are computed vectorized in numpy, once per (trace, geometry)
-        pair, and cached. Values are bit-identical to the per-request
-        scalar arithmetic: row ids are non-negative, so numpy int64
-        floor division and modulo match Python's exactly.
-        """
-        if rows_per_bank <= 0 or banks_per_channel <= 0:
-            raise ValueError("topology divisors must be positive")
-        key = (rows_per_bank, banks_per_channel)
-        resolved = self._resolved.get(key)
-        if resolved is None:
-            bank_index = self.rows // rows_per_bank
-            resolved = (
-                (self.rows % rows_per_bank).tolist(),
-                bank_index.tolist(),
-                (bank_index // banks_per_channel).tolist(),
-            )
-            self._keep(geometry=key, resolved=resolved)
-        gaps, rows, lines, writes = self._column_lists()
-        local_rows, bank_indices, channels = resolved
-        return zip(gaps, rows, local_rows, bank_indices, channels, lines, writes)
-
-    def chunks(self):
-        """This trace as a single-chunk stream (TraceSource surface).
-
-        Lets every chunk-walking tool (streaming characterization,
-        format conversion, spooling) treat a whole-in-RAM trace and a
-        :class:`~repro.workloads.streaming.ChunkedTrace` uniformly.
-        The yielded chunk is a zero-copy view.
-        """
-        from repro.workloads.streaming import TraceChunk
-
-        yield TraceChunk.of(self)
+    def chunks(self) -> Iterator[TraceChunk]:
+        """The trace as zero-copy slices of at most
+        :data:`~repro.workloads.DEFAULT_STREAM_CHUNK` requests."""
+        for part in self._parts:
+            for start in range(0, len(part), DEFAULT_STREAM_CHUNK):
+                yield part.slice(start, start + DEFAULT_STREAM_CHUNK)
 
     @property
     def total_lines(self) -> int:
-        return int(self.lines.sum())
+        return sum(int(part.lines.sum()) for part in self._parts)
 
     @property
     def duration_hint_ns(self) -> float:
@@ -192,26 +260,14 @@ class Trace:
 
     @staticmethod
     def concatenate(traces: Sequence["Trace"], name: str = "trace") -> "Trace":
-        """Concatenate traces back-to-back into one new trace.
-
-        The inputs' lazily-built ``_columns``/``_resolved`` caches are
-        *not* carried over — the result starts with cold caches and
-        rebuilds them on first iteration. This is deliberate: the
-        caches are plain derivations of the array data (``tolist`` and
-        integer div/mod), so rebuilding cannot change any value — the
-        concatenated trace resolves topology identically to its parts
-        (pinned by ``tests/workloads/test_trace.py``). The same holds
-        for the merged traces :mod:`repro.workloads.mixes` builds.
-        """
+        """Join traces back-to-back into one new trace, without copying:
+        the result holds its inputs' arrays as its parts."""
         if not traces:
             raise ValueError("need at least one trace")
-        return Trace(
-            gaps_ns=np.concatenate([t.gaps_ns for t in traces]),
-            rows=np.concatenate([t.rows for t in traces]),
-            lines=np.concatenate([t.lines for t in traces]),
-            writes=np.concatenate([t.writes for t in traces]),
-            name=name,
-        )
+        joined = Trace.__new__(Trace)
+        joined._parts = tuple(part for trace in traces for part in trace._parts)
+        joined.name = name
+        return joined
 
     def save(self, path: str) -> None:
         np.savez_compressed(

@@ -398,6 +398,42 @@ class TestBatchedRecords:
             broker.handle(job_id).result(timeout=120)
         broker.shutdown()
         assert broker.store.load_status(job_id).state == RUNNING
+        # Failed only in memory: the broker keeps the job and says so.
+        assert job_id in broker._jobs
+        assert broker.status(job_id).state == FAILED
+
+
+class TestFinishedJobsLeaveMemory:
+    def test_stepped_jobs_leave_memory_and_stay_servable(self, tmp_path):
+        broker = make_broker(tmp_path)
+        grid = GridSpec(trackers=("baseline",), workloads=("leela",), config=CONFIG)
+        job_ids = []
+        for _ in range(12):
+            job_id = broker.submit(grid, start=False)
+            broker.step(job_id)
+            job_ids.append(job_id)
+            assert broker._jobs == {}
+        reference = payload_bytes(broker.result(job_ids[0]))
+        for job_id in job_ids:
+            assert broker.status(job_id).state == COMPLETED
+            assert payload_bytes(broker.result(job_id)) == reference
+            assert broker.handle(job_id).status().state == COMPLETED
+            assert broker.step(job_id).state == COMPLETED
+            assert broker.cancel(job_id).state == COMPLETED
+            assert len(broker.events(job_id)) == 1
+        assert set(job_ids) <= {status.job_id for status in broker.jobs()}
+        with pytest.raises(BrokerError):
+            broker.cancel("nope")
+        with pytest.raises(BrokerError):
+            broker.step("nope")
+
+    def test_threaded_job_leaves_memory(self, tmp_path):
+        broker = make_broker(tmp_path, pool="thread", workers=2)
+        job_id = broker.submit(GRID)
+        result = broker.handle(job_id).result(timeout=120)
+        broker.shutdown()
+        assert broker._jobs == {}
+        assert payload_bytes(broker.result(job_id)) == payload_bytes(result)
 
 
 def _prefilled_broker(directory, **kwargs):

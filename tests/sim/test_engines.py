@@ -22,7 +22,7 @@ from repro.memctrl import (
 from repro.service import SweepBroker, worker
 from repro.service.http import SweepService
 from repro.sim import SystemConfig, cell_key, simulate, simulate_workload
-from repro.sim import simulator, sweep
+from repro.sim import sweep
 from repro.sim.grid import GridSpec
 from repro.sim.results import RunResult
 from repro.trackers.registry import canonical_spec, parse_spec, spec_engine
@@ -242,32 +242,18 @@ SPEC_BEATS_CONFIG = {
     "engine=fast over queued": (
         "hydra@engine=fast", CONFIG.with_engine("queued"), CONFIG
     ),
-    "stream_chunk=512 over 4096": (
-        "hydra@stream_chunk=512",
-        CONFIG.with_stream_chunk(4096),
-        CONFIG.with_stream_chunk(512),
-    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SPEC_BEATS_CONFIG))
-def test_spec_parameter_beats_config_field(case, monkeypatch):
+def test_spec_parameter_beats_config_field(case):
     """The spec's value wins, byte-identically to setting it on the
     config."""
     spec, other, same = SPEC_BEATS_CONFIG[case]
-    configs = []
-    run = simulator.simulate
-
-    def spy(trace, config, spec, observe=None):
-        configs.append(config)
-        return run(trace, config, spec, observe)
-
-    monkeypatch.setattr(simulator, "simulate", spy)
     via_spec = simulate_workload(other, spec, "xz")
     via_config = simulate_workload(same, "hydra", "xz")
     assert via_spec.to_dict() == via_config.to_dict()
     assert via_spec.engine == same.engine
-    assert configs[0].stream_chunk == same.stream_chunk
 
 
 def _http_submit_error(tmp_path, grid: dict) -> str:
@@ -325,8 +311,8 @@ def test_removed_vector_engine_rejected(entry, tmp_path):
     assert REMOVED_MESSAGE in REMOVED_ENGINE_ENTRY_POINTS[entry](tmp_path)
 
 
-#: Universal parameters out of range: T_RH below 1, a negative chunk.
-BAD_UNIVERSAL_SPECS = ["hydra@trh=0", "hydra@trh=-3", "hydra@stream_chunk=-5"]
+#: Universal parameters out of range: T_RH below 1.
+BAD_UNIVERSAL_SPECS = ["hydra@trh=0", "hydra@trh=-3"]
 
 
 @pytest.mark.parametrize("spec", BAD_UNIVERSAL_SPECS)

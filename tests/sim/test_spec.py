@@ -1,7 +1,7 @@
 """What a simulation runs: a spec string plus a SystemConfig.
 
 There is no third description: the spec names the tracker (and may
-override the config's ``engine``/``stream_chunk``), the config names
+override the config's ``engine``), the config names
 everything else, and ``simulate`` takes nothing more.
 """
 

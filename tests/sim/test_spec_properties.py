@@ -3,7 +3,7 @@
 A spec may be spelt many ways: any parameter order, spaces around
 ``@``, ``=`` and ``,``, and several spellings of a boolean. Every
 spelling must canonicalize to one string, keep its simulation-level
-parameters (``engine``, ``stream_chunk``) and share one cache key. A
+parameter (``engine``) and share one cache key. A
 grid must round-trip through JSON and keep its key under respelling.
 """
 
@@ -17,7 +17,6 @@ from repro.trackers.registry import (
     canonical_spec,
     format_param_value,
     spec_engine,
-    spec_stream_chunk,
     tracker_info,
 )
 from repro.workloads.characteristics import all_names
@@ -29,7 +28,6 @@ CONFIGS = [
     None,
     CONFIG,
     CONFIG.with_engine("queued"),
-    CONFIG.with_stream_chunk(4096),
     CONFIG.with_trh(125),
 ]
 
@@ -42,7 +40,6 @@ BOOL_SPELLINGS = {
 #: Valid values of the parameters every tracker accepts.
 UNIVERSAL_VALUES = {
     "engine": st.sampled_from(ENGINES),
-    "stream_chunk": st.integers(min_value=0, max_value=1 << 20),
     "trh": st.integers(min_value=1, max_value=200_000),
 }
 
@@ -95,7 +92,6 @@ def test_respelt_spec_is_one_spec(pair):
     assert canonical_spec(canonical) == canonical
     for spelling in (plain, respelt):
         assert spec_engine(spelling) == spec_engine(canonical)
-        assert spec_stream_chunk(spelling) == spec_stream_chunk(canonical)
         assert cell_key(CONFIG, spelling, "xz") == cell_key(
             CONFIG, canonical, "xz"
         )

@@ -1,15 +1,17 @@
-"""Golden parity: chunked/streamed traces ≡ materialized traces.
+"""Golden parity: every trace representation replays identically.
 
-The streaming substrate's whole value rests on one claim: how a trace
-is *stored* never changes what the simulator *computes*. These tests
-pin it end-to-end — the same workload run from an in-RAM ``Trace``, a
-chunked on-disk ``ChunkedTrace``, and a round-tripped external text
-file must produce byte-identical ``RunResult`` payloads on both
-engines, floats compared exactly. Also covered: the per-window
-observability series across chunk boundaries, the streaming axis in
-cache keys, spec-level ``stream_chunk`` resolution, and the memo's
-spooled-segment lifecycle.
+How a trace is *stored* never changes what the simulator *computes*.
+These tests pin it end-to-end — the same workload run from an in-RAM
+``Trace``, a chunked on-disk ``ChunkedTrace``, a round-tripped
+external text file and plain tuples must produce byte-identical
+``RunResult`` payloads on both engines, floats compared exactly. Also
+covered: replay across the in-RAM trace's own chunk boundaries, the
+per-window observability series across chunk boundaries, the
+trace-file axis in cache keys, and the per-process trace memo.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,13 +25,14 @@ from repro.sim.simulator import (
     simulate_workload,
     trace_for_workload,
 )
-from repro.sim import simulator
-from repro.trackers.registry import parse_spec
+from repro.workloads import DEFAULT_STREAM_CHUNK
 from repro.workloads.streaming import (
     ChunkedTrace,
     ExternalTraceReader,
     write_external_trace,
 )
+from repro.workloads.trace import Trace
+from tests.memctrl.test_fused_loop import PlainTuples
 
 #: Small enough that the whole matrix stays fast; windows still reset.
 CONFIG = SystemConfig(scale=1 / 128, n_windows=2)
@@ -70,20 +73,39 @@ def test_all_representations_bit_identical(tmp_path, engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_simulate_workload_streaming_axis_identical(engine):
-    """The full memo + spool path, not just hand-built sources."""
+def test_replay_crosses_in_memory_chunk_boundaries(tmp_path, engine):
+    """A trace longer than one replay chunk: the in-RAM ``Trace`` (two
+    parts, three chunks), the same requests as plain tuples resolved
+    one at a time by the scalar reference, and a chunked directory cut
+    at an odd segment size all produce one result."""
+    rng = np.random.default_rng(26)
     config = CONFIG.with_engine(engine)
-    materialized = simulate_workload(config, "hydra", "GUPS")
-    streamed = simulate_workload(
-        config.with_stream_chunk(CHUNK), "hydra", "GUPS"
-    )
-    assert streamed.to_dict() == materialized.to_dict()
-
-
-def test_spec_param_streaming_identical():
-    materialized = simulate_workload(CONFIG, "hydra", "GUPS")
-    streamed = simulate_workload(CONFIG, f"hydra@stream_chunk={CHUNK}", "GUPS")
-    assert streamed.to_dict() == materialized.to_dict()
+    rows_limit = config.geometry.rows_per_bank * config.geometry.total_banks
+    parts = []
+    for length in (DEFAULT_STREAM_CHUNK + 1234, 9001):
+        parts.append(
+            Trace(
+                gaps_ns=rng.uniform(1.0, 9.0, length),
+                rows=rng.integers(0, rows_limit, length),
+                lines=rng.integers(1, 5, length),
+                writes=rng.random(length) < 0.2,
+                name="long",
+            )
+        )
+    trace = Trace.concatenate(parts, name="long")
+    assert len(trace) > DEFAULT_STREAM_CHUNK
+    assert [len(chunk) for chunk in trace.chunks()] == [
+        DEFAULT_STREAM_CHUNK, 1234, 9001
+    ]
+    chunked = ChunkedTrace.from_trace(trace, tmp_path / "odd", chunk_requests=4099)
+    assert chunked.n_segments > 1
+    results = [
+        simulate(source, config, "hydra").to_dict()
+        for source in (trace, PlainTuples(trace), chunked)
+    ]
+    assert results[0]["requests"] == len(trace)
+    assert results[1] == results[0]
+    assert results[2] == results[0]
 
 
 def test_trace_file_replay_identical(tmp_path):
@@ -93,7 +115,7 @@ def test_trace_file_replay_identical(tmp_path):
     path = tmp_path / "gups.trc"
     write_external_trace(trace, path)
     direct = simulate(trace, CONFIG, "hydra").to_dict()
-    replay_config = CONFIG.with_trace_file(str(path)).with_stream_chunk(CHUNK)
+    replay_config = CONFIG.with_trace_file(str(path))
     replayed = simulate_workload(replay_config, "hydra", "GUPS").to_dict()
     # The replayed trace is named after the file stem; everything the
     # simulation computed must match exactly.
@@ -118,17 +140,10 @@ def test_observability_series_survives_chunk_boundaries(tmp_path):
 
 class TestStreamingKeys:
     def test_defaults_add_no_suffix(self):
-        """Pre-streaming keys are byte-identical (cache stays warm) —
-        also pinned by the golden suite; this is the targeted check."""
-        assert CONFIG.cache_key() == CONFIG.with_stream_chunk(0).cache_key()
-        assert "-sc" not in CONFIG.cache_key()
+        """Synthetic-trace keys carry no trace-file suffix (the golden
+        suite pins the whole strings); this is the targeted check."""
+        assert "-tf" not in CONFIG.cache_key()
         assert "-tf" not in CONFIG.trace_key()
-
-    def test_stream_chunk_separates_keys(self):
-        streamed = CONFIG.with_stream_chunk(CHUNK)
-        assert streamed.cache_key() != CONFIG.cache_key()
-        assert streamed.trace_key() != CONFIG.trace_key()
-        assert f"-sc{CHUNK}" in streamed.cache_key()
 
     def test_trace_file_separates_keys(self):
         replay = CONFIG.with_trace_file("/tmp/a.trc")
@@ -137,94 +152,87 @@ class TestStreamingKeys:
         other = CONFIG.with_trace_file("/tmp/b.trc")
         assert other.cache_key() != replay.cache_key()
 
-    def test_negative_stream_chunk_rejected(self):
-        with pytest.raises(ValueError):
-            CONFIG.with_stream_chunk(-1)
 
+class TestTraceMemo:
+    def test_memo_holds_numpy_arrays_only(self):
+        """A memoized trace costs its arrays (8+8+4+1 B per request),
+        and replaying it adds no whole-trace state."""
+        trace = trace_for_workload(CONFIG, "GUPS")
+        assert isinstance(trace, Trace)
+        assert trace.nbytes == 21 * len(trace)
+        simulate_workload(CONFIG, "hydra", "GUPS")
+        assert trace_for_workload(CONFIG, "GUPS") is trace
+        assert trace.nbytes == 21 * len(trace)
+        assert set(Trace.__slots__) == {"_parts", "name"}
 
-def _simulated_config(monkeypatch, config, spec):
-    """The config ``simulate_workload`` hands to ``simulate``."""
-    seen = []
-    monkeypatch.setattr(
-        simulator,
-        "simulate",
-        lambda trace, config, spec, observe=None: seen.append(config),
-    )
-    monkeypatch.setattr(
-        simulator, "trace_for_workload", lambda config, name: None
-    )
-    simulate_workload(config, spec, "GUPS")
-    return seen[0]
+    def test_memo_is_bounded_by_bytes(self, monkeypatch):
+        names = ("GUPS", "mcf", "lbm")
+        sizes = {}
+        for name in names:
+            sizes[name] = trace_for_workload(CONFIG, name).nbytes
+        _clear_trace_memo()
+        budget = sizes["GUPS"] + sizes["mcf"]
+        monkeypatch.setattr("repro.sim.simulator._TRACE_MEMO_BYTES", budget)
+        for name in names:
+            trace_for_workload(CONFIG, name)
+        held = [key[1] for key in _TRACE_MEMO]
+        assert held[-1] == "lbm"
+        assert "GUPS" not in held  # least recently replayed goes first
+        assert sum(sizes[name] for name in held) <= budget
+        # An entry over budget on its own is still kept while it is newest.
+        monkeypatch.setattr("repro.sim.simulator._TRACE_MEMO_BYTES", 1)
+        trace = trace_for_workload(CONFIG, "GUPS")
+        assert list(_TRACE_MEMO.values()) == [trace]
 
-
-class TestRunSpecStreamChunk:
-    """A run's ``stream_chunk`` comes from its spec, then its config."""
-
-    def test_resolution_order(self, monkeypatch):
-        chunked = CONFIG.with_stream_chunk(CHUNK)
-        cases = [
-            (CONFIG, "hydra", 0),
-            (CONFIG, f"hydra@stream_chunk={CHUNK}", CHUNK),
-            (chunked, "hydra", CHUNK),
-            (chunked, "hydra@stream_chunk=32", 32),
+    def test_memo_is_bounded_by_entries(self, monkeypatch):
+        """Small traces of ever new configs (a long-lived server's cold
+        jobs) stop at the entry cap, far below the byte budget."""
+        monkeypatch.setattr("repro.sim.simulator._TRACE_MEMO_MAX", 3)
+        for seed in range(5):
+            trace_for_workload(SystemConfig(scale=1 / 1024, seed=seed), "GUPS")
+        assert len(_TRACE_MEMO) == 3
+        assert [key[0] for key in _TRACE_MEMO] == [
+            SystemConfig(scale=1 / 1024, seed=seed).trace_key()
+            for seed in (2, 3, 4)
         ]
-        for config, spec, expected in cases:
-            resolved = _simulated_config(monkeypatch, config, spec)
-            assert resolved.stream_chunk == expected, (config, spec)
 
-    def test_conflicting_values_raise(self):
-        with pytest.raises(ValueError, match="duplicate parameter"):
-            parse_spec("hydra@stream_chunk=64,stream_chunk=32")
+    def test_concurrent_lookups_with_evictions_stay_exact(self, monkeypatch):
+        """Pool threads share the memo: lookups racing evictions must
+        neither raise nor hand back another workload's trace."""
+        names = ("GUPS", "mcf", "lbm", "xz")
+        lengths = {name: len(trace_for_workload(CONFIG, name)) for name in names}
+        _clear_trace_memo()
+        monkeypatch.setattr("repro.sim.simulator._TRACE_MEMO_BYTES", 1)
+        errors = []
 
-    def test_matching_values_allowed(self, monkeypatch):
-        config = CONFIG.with_stream_chunk(64)
-        assert (
-            _simulated_config(monkeypatch, config, "hydra@stream_chunk=64")
-            is config
-        )
+        def lookup(offset):
+            try:
+                for step in range(40):
+                    name = names[(offset + step) % len(names)]
+                    trace = trace_for_workload(CONFIG, name)
+                    if trace.name != name or len(trace) != lengths[name]:
+                        errors.append(name)
+            except Exception as exc:  # reported below, with the rest
+                errors.append(repr(exc))
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="stream_chunk"):
-            parse_spec("hydra@stream_chunk=-1")
-
-    def test_apply_stream_chunk(self, monkeypatch):
-        applied = _simulated_config(
-            monkeypatch, CONFIG, f"hydra@stream_chunk={CHUNK}"
-        )
-        assert applied == CONFIG.with_stream_chunk(CHUNK)
-        assert _simulated_config(monkeypatch, CONFIG, "hydra") is CONFIG
-
-
-class TestMemoSpool:
-    def test_streamed_workload_memoizes_chunked_source(self):
-        config = CONFIG.with_stream_chunk(CHUNK)
-        source = trace_for_workload(config, "GUPS")
-        assert isinstance(source, ChunkedTrace)
-        assert source.directory.exists()
-        # Memo hit: same object, no respool.
-        assert trace_for_workload(config, "GUPS") is source
-
-    def test_materialized_and_chunked_are_distinct_entries(self):
-        materialized = trace_for_workload(CONFIG, "GUPS")
-        chunked = trace_for_workload(CONFIG.with_stream_chunk(CHUNK), "GUPS")
-        assert materialized is not chunked
-        assert isinstance(chunked, ChunkedTrace)
-        np.testing.assert_array_equal(
-            chunked.materialize().rows, materialized.rows
-        )
-
-    def test_eviction_deletes_spooled_segments(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.sim.simulator._TRACE_MEMO_MAX", 1
-        )
-        first = trace_for_workload(CONFIG.with_stream_chunk(CHUNK), "GUPS")
-        assert first.directory.exists()
-        trace_for_workload(CONFIG.with_stream_chunk(CHUNK + 1), "GUPS")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lookup, args=(i,)) for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
         assert len(_TRACE_MEMO) == 1
-        assert not first.directory.exists()
 
     def test_eviction_never_deletes_user_directories(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.sim.simulator._TRACE_MEMO_MAX", 1)
+        monkeypatch.setattr("repro.sim.simulator._TRACE_MEMO_BYTES", 1)
         trace = trace_for_workload(CONFIG, "GUPS")
         user_dir = tmp_path / "mine"
         ChunkedTrace.from_trace(trace, user_dir, chunk_requests=CHUNK)
@@ -232,17 +240,20 @@ class TestMemoSpool:
         config = CONFIG.with_trace_file(str(user_dir))
         opened = trace_for_workload(config, "GUPS")
         assert isinstance(opened, ChunkedTrace)
-        trace_for_workload(CONFIG.with_stream_chunk(CHUNK), "GUPS")  # evicts
+        trace_for_workload(CONFIG, "GUPS")  # evicts the directory
+        assert (config.trace_key(), "GUPS") not in _TRACE_MEMO
         assert user_dir.exists()
+        assert simulate_workload(config, "hydra", "GUPS").requests == len(trace)
 
-    def test_external_trace_file_is_spooled_once(self, tmp_path):
-        """Streaming replay of a text file parses it once into mmapped
-        segments; the memo then serves the spooled segments."""
+    def test_external_trace_file_is_parsed_once(self, tmp_path):
+        """A text trace replayed via ``trace_file`` is parsed once into
+        in-RAM arrays; the memo then serves those."""
         trace = trace_for_workload(CONFIG, "GUPS")
         path = tmp_path / "gups.trc"
         write_external_trace(trace, path)
-        config = CONFIG.with_trace_file(str(path)).with_stream_chunk(CHUNK)
+        config = CONFIG.with_trace_file(str(path))
         source = trace_for_workload(config, "GUPS")
-        assert isinstance(source, ChunkedTrace)
+        assert isinstance(source, Trace)
         assert source.name == "gups"
+        np.testing.assert_array_equal(source.rows, trace.rows)
         assert trace_for_workload(config, "GUPS") is source

@@ -15,6 +15,18 @@ def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
 
 
+#: Tracker specs the registry rejects, with a piece of its message.
+BAD_TRACKER_SPECS = [
+    (["run", "GUPS", "--tracker", "hydra@foo=3"], "no parameter 'foo'"),
+    (["run", "--tracker", "nosuch"], "unknown tracker 'nosuch'"),
+    (["run", "--tracker", "hydra@stream_chunk=4096"], "no parameter 'stream_chunk'"),
+    (["sweep", "--tracker", "hydra@foo=3"], "no parameter 'foo'"),
+    (["submit", "--trackers", "hydra,nosuch"], "unknown tracker 'nosuch'"),
+    (["arena", "--trackers", "graphene@trh=0"], "must be >= 1"),
+    (["fuzz", "--trackers", "nosuch"], "unknown tracker 'nosuch'"),
+]
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -57,6 +69,25 @@ class TestParser:
             main(argv)
         assert info.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        BAD_TRACKER_SPECS,
+        ids=[" ".join(argv) for argv, _ in BAD_TRACKER_SPECS],
+    )
+    def test_bad_tracker_spec_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in err
+
+    def test_tracker_lists_parse_to_specs(self):
+        args = build_parser().parse_args(["submit", "--trackers", "baseline,hydra"])
+        assert args.trackers == ["baseline", "hydra"]
+        assert build_parser().parse_args(["submit"]).trackers == ["hydra"]
+        assert build_parser().parse_args(["arena"]).trackers is None
 
 
 class TestStorageCommand:
@@ -153,36 +184,6 @@ class TestRunCommand:
         args = build_parser().parse_args(["run"])
         assert args.workload == "GUPS"
 
-    def test_run_streamed_matches_materialized(self, capsys):
-        """--stream-chunk changes memory behaviour, not results."""
-        base_args = ["run", "leela", "--scale-denominator", "256"]
-        assert main(base_args) == 0
-        materialized = capsys.readouterr().out
-        assert main(base_args + ["--stream-chunk", "700"]) == 0
-        streamed = capsys.readouterr().out
-        assert streamed == materialized
-
-    def test_observe_honours_spec_stream_chunk(self, monkeypatch, capsys):
-        """--observe streams a spec's stream_chunk= like an unobserved
-        run does, instead of replaying an in-RAM trace."""
-        import repro.sim.simulator as simulator
-
-        replayed = []
-        real = simulator.simulate
-
-        def spy(trace, config, spec="hydra", observe=None):
-            replayed.append((type(trace).__name__, spec))
-            return real(trace, config, spec, observe=observe)
-
-        monkeypatch.setattr(simulator, "simulate", spy)
-        code = main(
-            ["run", "leela", "--tracker", "hydra@stream_chunk=4096",
-             "--observe", "--scale-denominator", "256"]
-        )
-        assert code == 0
-        assert ("ChunkedTrace", "hydra@stream_chunk=4096") in replayed
-        assert "per-window series" in capsys.readouterr().out
-
     def test_run_replays_trace_file(self, tmp_path, capsys):
         trc = tmp_path / "small.trc"
         assert main(
@@ -192,7 +193,7 @@ class TestRunCommand:
         capsys.readouterr()
         code = main(
             ["run", "--trace-file", str(trc),
-             "--scale-denominator", "256", "--stream-chunk", "700"]
+             "--scale-denominator", "256"]
         )
         assert code == 0
         out = capsys.readouterr().out

@@ -37,29 +37,6 @@ class TestMergeTraces:
         with pytest.raises(ValueError):
             merge_traces([])
 
-    def test_merge_drops_caches_but_resolves_identically(self):
-        """Regression for the documented cache-drop contract: merging
-        an input with warm lazy caches yields a cold-cache mix whose
-        rebuilt per-request topology matches resolving the merged
-        arrays directly."""
-        a = Trace.from_rows([1, 130, 257], gap_ns=10.0)
-        b = Trace.from_rows([384, 2], gap_ns=7.0)
-        list(a.resolved_stream(128, 2))
-        list(b.resolved_stream(128, 2))  # the last replayed keeps caches
-        assert b._columns is not None and b._resolved
-        merged = merge_traces([a, b])
-        assert merged._columns is None
-        assert merged._resolved == {}
-        rebuilt = Trace(
-            gaps_ns=merged.gaps_ns.copy(),
-            rows=merged.rows.copy(),
-            lines=merged.lines.copy(),
-            writes=merged.writes.copy(),
-        )
-        assert list(merged.resolved_stream(128, 2)) == list(
-            rebuilt.resolved_stream(128, 2)
-        )
-
 
 class TestAttackAlongside:
     def test_injects_attack_at_rate(self):

@@ -33,49 +33,39 @@ class TestTraceContainer:
         with pytest.raises(ValueError):
             Trace.concatenate([])
 
-    def test_concatenate_drops_caches_but_resolves_identically(self):
-        """Regression for the documented cache-drop contract: an input
-        with warm ``_columns``/``_resolved`` caches produces a
-        cold-cache concatenation whose rebuilt topology is
-        bit-identical to streaming the parts back-to-back."""
+    def test_concatenate_resolves_like_its_parts(self):
+        """The joined trace keeps its inputs' arrays as parts (no copy)
+        and streams exactly like the parts back-to-back."""
         a = Trace.from_rows([1, 130, 257], gap_ns=5.0)
         b = Trace.from_rows([384, 2, 511], gap_ns=7.0)
-        # Replay both inputs; the last one replayed holds warm caches.
-        list(a.resolved_stream(128, 2))
-        list(b.resolved_stream(128, 2))
-        assert b._columns is not None and b._resolved
         combined = Trace.concatenate([a, b])
-        assert combined._columns is None
-        assert combined._resolved == {}
+        assert np.shares_memory(next(combined.chunks()).rows, a.rows)
         expected = list(a.resolved_stream(128, 2)) + list(
             b.resolved_stream(128, 2)
         )
         assert list(combined.resolved_stream(128, 2)) == expected
         assert list(combined) == list(a) + list(b)
+        assert combined.rows.tolist() == [1, 130, 257, 384, 2, 511]
+        assert combined.nbytes == a.nbytes + b.nbytes
 
-    def test_only_the_last_replayed_trace_keeps_columns(self):
-        """One trace per process holds Python columns: replaying B
-        drops A's, and both still stream bit-identically."""
-        a = Trace.from_rows([1, 130, 257, 1], gap_ns=5.0)
-        b = Trace.from_rows([384, 2, 511], gap_ns=7.0)
-        a_stream, a_plain = list(a.resolved_stream(128, 2)), list(a)
-        b_stream, b_plain = list(b.resolved_stream(128, 2)), list(b)
-        assert a._columns is None and a._resolved == {}
-        assert b._columns is not None and b._resolved
-        fresh_a = Trace(a.gaps_ns, a.rows, a.lines, a.writes)
-        fresh_b = Trace(b.gaps_ns, b.rows, b.lines, b.writes)
-        assert a_stream == list(fresh_a.resolved_stream(128, 2))
-        assert b_stream == list(fresh_b.resolved_stream(128, 2))
-        assert a_plain == list(fresh_a) and b_plain == list(fresh_b)
-        # Replaying A again rebuilds identical columns.
-        assert list(a.resolved_stream(128, 2)) == a_stream
-        assert list(a) == a_plain
+    def test_chunks_are_bounded_views(self, monkeypatch):
+        """Replay walks each part in slices of at most
+        DEFAULT_STREAM_CHUNK requests, without copying."""
+        monkeypatch.setattr("repro.workloads.trace.DEFAULT_STREAM_CHUNK", 4)
+        a = Trace.from_rows(list(range(10)))
+        b = Trace.from_rows([20, 21])
+        combined = Trace.concatenate([a, b])
+        chunks = list(combined.chunks())
+        assert [len(chunk) for chunk in chunks] == [4, 4, 2, 2]
+        assert all(np.shares_memory(c.rows, a.rows) for c in chunks[:3])
+        assert list(combined.resolved_stream(4, 2)) == list(
+            Trace(combined.gaps_ns, combined.rows, combined.lines,
+                  combined.writes).resolved_stream(4, 2)
+        )
 
     def test_concurrent_replays_of_many_traces_stay_exact(self):
-        """Thread pools replay different traces at once, each taking
-        the one column slot from the others; every replay must still
-        stream its own trace exactly, and the slot must end up held by
-        one trace at most."""
+        """Thread pools replay different traces at once; every replay
+        must still stream its own trace exactly."""
         rng = np.random.default_rng(7)
         traces = [
             Trace.from_rows(rng.integers(0, 4096, 500).tolist(), gap_ns=g)
@@ -107,9 +97,6 @@ class TestTraceContainer:
         finally:
             sys.setswitchinterval(interval)
         assert mismatches == []
-        # No lost update: at most one trace still holds columns.
-        holding = [t for t in traces if t._columns is not None or t._resolved]
-        assert len(holding) <= 1
 
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(ValueError):
