@@ -98,8 +98,19 @@ def _tracker_spec(value: str) -> str:
 
 
 def _tracker_specs(value: str) -> List[str]:
-    """Comma-separated tracker specs, each checked like ``--tracker``."""
-    return [_tracker_spec(spec) for spec in value.split(",")]
+    """Comma-separated tracker specs, each checked like ``--tracker``.
+
+    Commas also separate a spec's parameters, so a fragment with ``=``
+    but no ``@`` continues the previous spec (tracker names never
+    contain ``=``): ``hydra@rcc_kb=28,rcc_ways=8,baseline`` is two specs.
+    """
+    specs: List[str] = []
+    for fragment in value.split(","):
+        if specs and "=" in fragment and "@" not in fragment:
+            specs[-1] += "," + fragment
+        else:
+            specs.append(fragment)
+    return [_tracker_spec(spec) for spec in specs]
 
 
 #: The system options several subcommands share, by flag. Each parser

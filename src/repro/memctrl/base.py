@@ -27,7 +27,7 @@ benchmarks — is engine-agnostic: pick an engine by name
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
 
 from repro.dram.address import AddressMapper
 from repro.dram.bank import (
@@ -42,6 +42,9 @@ from repro.dram.timing import DramGeometry, DramTiming
 from repro.interfaces import ActivationTracker, NullTracker
 from repro.memctrl.feedback import TrackerFeedback, WindowResetSchedule
 from repro.memctrl.mitigation import VictimRefreshPolicy
+
+if TYPE_CHECKING:
+    from repro.workloads.trace import LineTotals
 
 #: The selectable scheduling engines, in documentation order.
 ENGINES: Tuple[str, ...] = ("fast", "queued")
@@ -99,23 +102,41 @@ class EngineRunOutcome:
         return self.total_latency_ns / self.requests if self.requests else 0.0
 
 
-def _resolve(trace, rows_per_bank: int, banks_per_channel: int):
+_INF = float("inf")
+
+
+def _resolve(trace, rows_per_bank: int, totals: "LineTotals"):
     """Resolve plain ``(gap_ns, row_id, n_lines, is_write)`` tuples.
 
     The scalar twin of ``Trace.resolved_stream`` for iterables that
-    lack one: the same 7-tuples, computed one request at a time.
+    lack one: the same 6-tuples and the same ``totals``, computed one
+    request at a time. Each request is held to the recorded-trace
+    rules (:func:`~repro.workloads.trace.check_requests`, same
+    ``ValueError``) before it is yielded: a negative gap would run
+    start times backwards, and a negative row would index a bank from
+    the end of the bank list.
     """
-    for gap_ns, row_id, n_lines, is_write in trace:
-        bank_index = row_id // rows_per_bank
+    lines = 0
+    write_lines = 0
+    for index, (gap_ns, row_id, n_lines, is_write) in enumerate(trace):
+        if not 0 <= gap_ns < _INF or row_id < 0 or n_lines < 1:
+            from repro.workloads.trace import request_error
+
+            where = getattr(trace, "name", "trace")
+            raise request_error(where, index, gap_ns, row_id, n_lines)
+        lines += n_lines
+        if is_write:
+            write_lines += n_lines
         yield (
             gap_ns,
             row_id,
             row_id % rows_per_bank,
-            bank_index,
-            bank_index // banks_per_channel,
+            row_id // rows_per_bank,
             n_lines,
             is_write,
         )
+    totals.lines += lines
+    totals.write_lines += write_lines
 
 
 class BaseMemoryController:
@@ -185,6 +206,13 @@ class BaseMemoryController:
         self._banks_per_channel = (
             geometry.ranks_per_channel * geometry.banks_per_rank
         )
+        #: Channel, and channel bus, of each bank index: the resolved
+        #: stream carries only the bank index.
+        self._bank_channels = [
+            index // self._banks_per_channel
+            for index in range(geometry.total_banks)
+        ]
+        self._bank_buses = [self.buses[channel] for channel in self._bank_channels]
         self._window = WindowResetSchedule(timing, self.tracker)
         self.end_time = 0.0
 
@@ -196,24 +224,28 @@ class BaseMemoryController:
         """Replay one trace with at most ``mlp`` outstanding requests."""
         raise NotImplementedError
 
-    def _resolved_stream(self, trace) -> Iterator[tuple]:
+    def _resolved_stream(self, trace, totals: "LineTotals") -> Iterator[tuple]:
         """The one request stream both engines' loops consume.
 
-        Yields ``(gap_ns, row_id, local_row, bank_index, channel,
-        n_lines, is_write)``. Any
+        Yields ``(gap_ns, row_id, local_row, bank_index, n_lines,
+        is_write)`` and adds the requests' line sums to ``totals``
+        (:class:`~repro.workloads.trace.LineTotals`); an engine maps a
+        bank index to its bus and channel through the per-bank lists
+        ``_bank_buses`` and ``_bank_channels``. Any
         :class:`~repro.workloads.streaming.TraceSource` exposing
         ``resolved_stream`` (an in-RAM
         :class:`~repro.workloads.trace.Trace`, a chunked on-disk trace,
-        an external-format reader) resolves its bank and channel
-        indices per chunk in numpy; any other iterable of ``(gap_ns,
-        row_id, n_lines, is_write)`` tuples is resolved one request at
-        a time by :func:`_resolve`. Both forms are pulled lazily, so a
-        bounded-memory source stays bounded.
+        an external-format reader) resolves its bank indices and line
+        sums per chunk in numpy; any other iterable of ``(gap_ns,
+        row_id, n_lines, is_write)`` tuples is checked and resolved one
+        request at a time by :func:`_resolve`. Both forms are pulled
+        lazily, so a bounded-memory source stays bounded, and ``totals``
+        is complete once the stream is drained.
         """
         resolved = getattr(trace, "resolved_stream", None)
         if resolved is None:
-            return _resolve(trace, self._rows_per_bank, self._banks_per_channel)
-        return iter(resolved(self._rows_per_bank, self._banks_per_channel))
+            return _resolve(trace, self._rows_per_bank, totals)
+        return iter(resolved(self._rows_per_bank, totals))
 
     # ------------------------------------------------------------------
     # Tracker feedback loop

@@ -23,12 +23,15 @@ FR-FCFS engine lives in :mod:`repro.memctrl.queued`.
 
 from __future__ import annotations
 
+from math import inf, ulp
+
 from repro.interfaces import MetaAccess
 from repro.memctrl.base import (
     BaseMemoryController,
     ControllerStats,
     EngineRunOutcome,
 )
+from repro.workloads.trace import LineTotals
 
 __all__ = ["ControllerStats", "MemoryController"]
 
@@ -62,19 +65,22 @@ class MemoryController(BaseMemoryController):
         flushed once after the loop: the controller stats, and the
         demand DRAM counters, which go to ``demand_activity`` rather
         than each ``Bank.stats`` (hits are ``count - misses``,
-        activations equal misses, read lines are line transfers minus
-        write lines). These are pure integer sums, and the float
-        ``total_delay_ns`` accumulates in request order, so results
-        stay bit-identical (DESIGN.md §9). ``self.end_time`` is taken
-        from the final window: a slot's completion never decreases
-        (the next request in it starts no earlier, and every timing
-        and delay is non-negative), so the window's maximum is the
-        maximum over all completions.
+        activations equal misses). The line counts are the stream's
+        per-chunk sums (:class:`~repro.workloads.trace.LineTotals`).
+        These are pure integer sums, and the float ``total_delay_ns``
+        accumulates in request order, so results stay bit-identical
+        (DESIGN.md §9). The refresh-blackout test skips its ``%`` for a
+        time inside a stretch an earlier exact ``%`` proved clear of
+        the blackout, and runs it unchanged otherwise.
+        ``self.end_time`` is taken from the final window: a slot's
+        completion never decreases (the next request in it starts no
+        earlier, and every timing and delay is non-negative), so the
+        window's maximum is the maximum over all completions.
         """
         if mlp <= 0:
             raise ValueError("mlp must be positive")
         banks = self.banks
-        buses = self.buses
+        bank_buses = self._bank_buses
         stats = self.stats
         window_sched = self._window
         advance_window = self._advance_window
@@ -103,12 +109,17 @@ class MemoryController(BaseMemoryController):
         total_latency = 0.0
         count = 0
         total_delay_ns = stats.total_delay_ns
-        demand_line_transfers = 0
         misses = 0
         precharges = 0
-        write_lines = 0
-        stream = self._resolved_stream(trace)
-        for gap_ns, row_id, local_row, bank_index, channel, n_lines, is_write in stream:
+        # [clear_lo, clear_hi]: a stretch of the current tREFI interval
+        # that an exact ``%`` has shown to lie past its tRFC blackout,
+        # so a time inside it needs no ``%`` (DESIGN.md §9). Empty
+        # (clear_hi = -inf) at first and after a blackout hit.
+        clear_lo = 0.0
+        clear_hi = -inf
+        totals = LineTotals()
+        stream = self._resolved_stream(trace, totals)
+        for gap_ns, row_id, local_row, bank_index, n_lines, is_write in stream:
             earliest = issue + gap_ns
             slot = count % mlp
             start = window[slot]
@@ -122,8 +133,25 @@ class MemoryController(BaseMemoryController):
             #    inlined (see Bank.access for the annotated original) --
             bank = banks[bank_index]
             # No negative clamp: start >= window[slot] >= 0.
-            offset = start % t_refi
-            t = start + (t_rfc - offset) if offset < t_rfc else start
+            if clear_lo <= start <= clear_hi:
+                t = start
+            else:
+                offset = start % t_refi
+                if offset < t_rfc:
+                    t = start + (t_rfc - offset)
+                    clear_hi = -inf
+                else:
+                    t = start
+                    if 0.0 <= start < inf:
+                        # ``%`` is exact for a finite start >= 0, and the
+                        # next REF is at start + (t_refi - offset): the
+                        # rounded sum is within 1.5 of its ulps of it,
+                        # so 4 ulps below the sum lies before the REF.
+                        clear_lo = start
+                        clear_hi = start + (t_refi - offset)
+                        clear_hi -= 4 * ulp(clear_hi)
+                    else:
+                        clear_hi = -inf
             if bank.open_row == local_row:
                 row_ready = bank._row_ready_at
                 col_start = t if t >= row_ready else row_ready
@@ -138,9 +166,12 @@ class MemoryController(BaseMemoryController):
                         act_at = row_ready
                     act_at += t_rp
                     precharges += 1
-                offset = act_at % t_refi
-                if offset < t_rfc:
-                    act_at += t_rfc - offset
+                # act_at >= t >= clear_lo whenever the stretch is not
+                # empty, so one bound decides.
+                if act_at > clear_hi:
+                    offset = act_at % t_refi
+                    if offset < t_rfc:
+                        act_at += t_rfc - offset
                 act_window = bank._act_window
                 if act_window is not None:
                     act_at = act_window.reserve(act_at)
@@ -149,17 +180,14 @@ class MemoryController(BaseMemoryController):
                 col_start = bank._row_ready_at = act_at + t_rcd
                 activated = True
             first_data = col_start + t_cas
-            bus = buses[channel]
+            bus = bank_buses[bank_index]
             free_at = bus.free_at
             xfer_start = first_data if first_data >= free_at else free_at
             duration = n_lines * t_burst
             completion = xfer_start + duration
             bus.free_at = completion
             bus.busy_time += duration
-            if is_write:
-                write_lines += n_lines
             # -- end of the inlined bank access --
-            demand_line_transfers += n_lines
             if activated:
                 # -- _feedback.drive(row_id, act_at, self), inlined --
                 response = on_activation(row_id)
@@ -172,7 +200,7 @@ class MemoryController(BaseMemoryController):
             total_latency += completion - start
             count += 1
         stats.demand_accesses += count
-        stats.demand_line_transfers += demand_line_transfers
+        stats.demand_line_transfers += totals.lines
         stats.tracker_activations += misses
         stats.total_delay_ns = total_delay_ns
         activity = self.demand_activity
@@ -180,8 +208,8 @@ class MemoryController(BaseMemoryController):
         activity.row_buffer_misses += misses
         activity.activations += misses
         activity.precharges += precharges
-        activity.write_lines += write_lines
-        activity.read_lines += demand_line_transfers - write_lines
+        activity.write_lines += totals.write_lines
+        activity.read_lines += totals.lines - totals.write_lines
         end = max(window) if count else 0.0
         if end > self.end_time:
             self.end_time = end
@@ -193,7 +221,7 @@ class MemoryController(BaseMemoryController):
 
     def perform_meta_access(self, meta: MetaAccess, at: float) -> bool:
         meta_bank_index = meta.row_id // self._rows_per_bank
-        meta_bus = self.buses[meta_bank_index // self._banks_per_channel]
+        meta_bus = self._bank_buses[meta_bank_index]
         self.stats.meta_accesses += 1
         self.stats.meta_line_transfers += meta.n_lines
         if meta.is_write:

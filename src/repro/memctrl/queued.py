@@ -41,6 +41,7 @@ from repro.memctrl.base import (
     ControllerStats,
     EngineRunOutcome,
 )
+from repro.workloads.trace import LineTotals
 
 __all__ = ["QueuedMemoryController", "QueuedStats"]
 
@@ -128,7 +129,8 @@ class QueuedMemoryController(BaseMemoryController):
         timing scalars are hoisted, per-bank and per-bus *state* is
         re-read on every access (write drains and tracker feedback
         mutate it mid-batch), and integer counters are batched into
-        locals and flushed once; the demand reads' DRAM counters go to
+        locals and flushed once, and the line counts are the stream's
+        per-chunk sums; the demand reads' DRAM counters go to
         ``demand_activity`` (DESIGN.md §9). Writes still go through
         ``Bank.access``, so they count in the banks, and
         ``total_delay_ns`` is added to in place, in the same order as
@@ -136,8 +138,10 @@ class QueuedMemoryController(BaseMemoryController):
         """
         if mlp <= 0:
             raise ValueError("mlp must be positive")
-        stream = self._resolved_stream(trace)
+        totals = LineTotals()
+        stream = self._resolved_stream(trace, totals)
         banks = self.banks
+        bank_channels = self._bank_channels
         buses = self.buses
         stats = self.stats
         read_queues = self._read_queues
@@ -166,9 +170,7 @@ class QueuedMemoryController(BaseMemoryController):
         issue = 0.0
         total_latency = 0.0
         count = 0
-        line_transfers = 0
         reads = 0
-        read_lines = 0
         misses = 0
         precharges = 0
         hit_first_picks = 0
@@ -179,9 +181,7 @@ class QueuedMemoryController(BaseMemoryController):
             # -- admission: pull requests until mlp reads are queued --
             batch = []
             batched = 0
-            for (
-                gap_ns, row_id, local_row, bank_index, channel, n_lines, is_write
-            ) in stream:
+            for gap_ns, row_id, local_row, bank_index, n_lines, is_write in stream:
                 slot = count % mlp
                 earliest = issue + gap_ns
                 start = window[slot]
@@ -192,7 +192,7 @@ class QueuedMemoryController(BaseMemoryController):
                     advance_window(start)
                     next_reset = window_sched.next_reset
                 count += 1
-                line_transfers += n_lines
+                channel = bank_channels[bank_index]
                 if is_write:
                     writes = write_queues[channel]
                     writes.append((start, row_id, n_lines))
@@ -276,7 +276,6 @@ class QueuedMemoryController(BaseMemoryController):
                         completion = xfer_start + duration
                         bus.free_at = completion
                         bus.busy_time += duration
-                        read_lines += n_lines
                         # -- end of the inlined bank access --
                         if activated:
                             # -- _feedback.drive(row_id, act_at, self),
@@ -300,7 +299,7 @@ class QueuedMemoryController(BaseMemoryController):
                 total_latency += completion - request[2]
             reads += batched
         stats.demand_accesses += count
-        stats.demand_line_transfers += line_transfers
+        stats.demand_line_transfers += totals.lines
         stats.tracker_activations += misses
         stats.read_queue_peak = read_peak
         stats.row_hit_first_picks += hit_first_picks
@@ -309,7 +308,9 @@ class QueuedMemoryController(BaseMemoryController):
         activity.row_buffer_misses += misses
         activity.activations += misses
         activity.precharges += precharges
-        activity.read_lines += read_lines
+        # Every admitted read is served before the stream is pulled
+        # again, so the reads' lines are the stream's non-write lines.
+        activity.read_lines += totals.lines - totals.write_lines
         # Drained writes raised ``self.end_time`` themselves; the reads'
         # maximum and the final window join it here (max is exact and
         # order-free).

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -60,7 +60,8 @@ class ManifestRecord:
     kind: str = "cell"
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        # Field order, as ``asdict`` gives it, without its deep copy.
+        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "ManifestRecord":
@@ -93,7 +94,7 @@ class ArenaOracleRecord:
     kind: str = "arena-oracle"
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "ArenaOracleRecord":
@@ -127,7 +128,7 @@ class FuzzOracleRecord:
     kind: str = "fuzz-oracle"
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "FuzzOracleRecord":

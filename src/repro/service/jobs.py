@@ -28,7 +28,7 @@ again; a resumed broker re-enters RUNNING only from PENDING/RUNNING.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -70,7 +70,8 @@ class JobStatus:
         return self.state in TERMINAL_STATES
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        # Field order, as ``asdict`` gives it, without its deep copy.
+        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "JobStatus":

@@ -58,6 +58,7 @@ from repro.durable import atomic_write_text
 from repro.workloads import DEFAULT_STREAM_CHUNK
 from repro.workloads.trace import (
     ChunkReplay,
+    LineTotals,
     Trace,
     TraceChunk,
     check_requests,
@@ -102,9 +103,10 @@ class TraceSource(Protocol):
         ...
 
     def resolved_stream(
-        self, rows_per_bank: int, banks_per_channel: int
-    ) -> Iterator[Tuple[float, int, int, int, int, int, bool]]:
-        """Yield requests with bank/channel topology pre-resolved."""
+        self, rows_per_bank: int, totals: LineTotals
+    ) -> Iterator[Tuple[float, int, int, int, int, bool]]:
+        """Yield requests with the bank topology pre-resolved, adding
+        their line sums to ``totals``."""
         ...
 
     def chunks(self) -> Iterator["TraceChunk"]:

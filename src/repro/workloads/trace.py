@@ -94,27 +94,47 @@ def chunk_tuple_stream(
     )
 
 
+class LineTotals:
+    """Integer line sums of the requests a resolved stream converted.
+
+    The stream adds each chunk's sums when it converts the chunk, so
+    once an engine has drained the stream these are the trace's totals:
+    ``lines`` over every request and ``write_lines`` over the writes.
+    Integer sums are exact and order-free, so an engine that reads them
+    after its loop reports the bits a per-request count would
+    (DESIGN.md §9).
+    """
+
+    __slots__ = ("lines", "write_lines")
+
+    def __init__(self) -> None:
+        self.lines = 0
+        self.write_lines = 0
+
+
 def _resolved_chunk(
-    chunk: TraceChunk, rows_per_bank: int, banks_per_channel: int
-) -> Iterator[Tuple[float, int, int, int, int, int, bool]]:
+    chunk: TraceChunk, rows_per_bank: int, totals: LineTotals
+) -> Iterator[Tuple[float, int, int, int, int, bool]]:
     rows = np.asarray(chunk.rows, dtype=np.int64)
-    bank_index = rows // rows_per_bank
+    lines = np.asarray(chunk.lines, dtype=np.int32)
+    writes = np.asarray(chunk.writes, dtype=bool)
+    totals.lines += int(lines.sum(dtype=np.int64))
+    totals.write_lines += int(lines.sum(dtype=np.int64, where=writes))
     return zip(
         np.asarray(chunk.gaps_ns, dtype=np.float64).tolist(),
         rows.tolist(),
         (rows % rows_per_bank).tolist(),
-        bank_index.tolist(),
-        (bank_index // banks_per_channel).tolist(),
-        np.asarray(chunk.lines, dtype=np.int32).tolist(),
-        np.asarray(chunk.writes, dtype=bool).tolist(),
+        (rows // rows_per_bank).tolist(),
+        lines.tolist(),
+        writes.tolist(),
     )
 
 
 def resolved_chunk_stream(
-    chunks: Iterable[TraceChunk], rows_per_bank: int, banks_per_channel: int
-) -> Iterator[Tuple[float, int, int, int, int, int, bool]]:
-    """Yield ``(gap_ns, row_id, local_row, bank_index, channel,
-    n_lines, is_write)`` per request, one chunk at a time.
+    chunks: Iterable[TraceChunk], rows_per_bank: int, totals: LineTotals
+) -> Iterator[Tuple[float, int, int, int, int, bool]]:
+    """Yield ``(gap_ns, row_id, local_row, bank_index, n_lines,
+    is_write)`` per request, one chunk at a time.
 
     The integer divisions a controller would otherwise re-derive per
     request (``row // rows_per_bank`` etc.) are computed vectorized in
@@ -122,14 +142,14 @@ def resolved_chunk_stream(
     resident. Values are bit-identical to the per-request scalar
     arithmetic (:func:`repro.memctrl.base._resolve`): row ids are
     non-negative, so numpy int64 floor division and modulo match
-    Python's exactly. The chunks' ``zip`` iterators are chained in C,
-    so a request costs the engine loop no Python frame.
+    Python's exactly. Each chunk's line sums go to ``totals`` as the
+    chunk is converted. The chunks' ``zip`` iterators are chained in
+    C, so a request costs the engine loop no Python frame.
     """
-    if rows_per_bank <= 0 or banks_per_channel <= 0:
-        raise ValueError("topology divisors must be positive")
+    if rows_per_bank <= 0:
+        raise ValueError("rows_per_bank must be positive")
     return chain.from_iterable(
-        _resolved_chunk(chunk, rows_per_bank, banks_per_channel)
-        for chunk in chunks
+        _resolved_chunk(chunk, rows_per_bank, totals) for chunk in chunks
     )
 
 
@@ -147,13 +167,11 @@ class ChunkReplay:
         return chunk_tuple_stream(self.chunks())
 
     def resolved_stream(
-        self, rows_per_bank: int, banks_per_channel: int
-    ) -> Iterator[Tuple[float, int, int, int, int, int, bool]]:
-        """Iterate with bank/channel topology pre-resolved per request
+        self, rows_per_bank: int, totals: LineTotals
+    ) -> Iterator[Tuple[float, int, int, int, int, bool]]:
+        """Iterate with the bank topology pre-resolved per request
         (see :func:`resolved_chunk_stream`)."""
-        return resolved_chunk_stream(
-            self.chunks(), rows_per_bank, banks_per_channel
-        )
+        return resolved_chunk_stream(self.chunks(), rows_per_bank, totals)
 
 
 class Trace(ChunkReplay):
@@ -313,20 +331,31 @@ def check_requests(
     first offending request.
     """
     gaps = np.asarray(gaps, dtype=np.float64)
-    bad_gap = ~(np.isfinite(gaps) & (gaps >= 0))
-    bad = bad_gap | (np.asarray(rows) < 0) | (np.asarray(lines) < 1)
+    bad = ~(np.isfinite(gaps) & (gaps >= 0))
+    bad |= (np.asarray(rows) < 0) | (np.asarray(lines) < 1)
     if bad.any():
         index = int(np.argmax(bad))
-        if bad_gap[index]:
-            raise ValueError(
-                f"{where}: request {index}: gap_ns must be finite and"
-                f" >= 0, got gap_ns={float(gaps[index])!r}"
-            )
-        raise ValueError(
-            f"{where}: request {index}: row_id must be >= 0 and"
-            f" n_lines >= 1, got row_id={int(rows[index])}"
-            f" n_lines={int(lines[index])}"
+        raise request_error(
+            where, index, float(gaps[index]), int(rows[index]), int(lines[index])
         )
+
+
+def request_error(
+    where: str, index: int, gap_ns: float, row_id: int, n_lines: int
+) -> ValueError:
+    """The error for request ``index`` of ``where``, which breaks a rule
+    of :func:`check_requests`: its gap if the gap is bad, else its row
+    or burst length."""
+    if not 0 <= gap_ns < float("inf"):
+        return ValueError(
+            f"{where}: request {index}: gap_ns must be finite and"
+            f" >= 0, got gap_ns={float(gap_ns)!r}"
+        )
+    return ValueError(
+        f"{where}: request {index}: row_id must be >= 0 and"
+        f" n_lines >= 1, got row_id={int(row_id)}"
+        f" n_lines={int(n_lines)}"
+    )
 
 
 def characterize(

@@ -12,8 +12,10 @@ timing) and on (no golden cell exercises them), on Table 3 workloads
 and on random plain-tuple traces.
 """
 
+import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from repro.memctrl.controller import MemoryController
 from repro.sim import simulator
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import make_tracker, simulate, trace_for_workload
+from repro.workloads.trace import Trace
 
 #: mcf at T_RH=125 drives every feedback path in ~6k requests:
 #: Hydra's and CRA's metadata traffic, victim refreshes from Hydra,
@@ -248,3 +251,125 @@ def test_plain_tuples_match_reference(trace, mlp, rank_windows):
     assert _activity(fused) == _activity(reference)
     assert fused.end_time == reference.end_time
     assert fused.tracker.stats == reference.tracker.stats
+
+
+def _gaps_landing_on(times):
+    """Gaps whose running sum, added as the engines add it (``issue +
+    gap``), lands on each of ``times`` (ascending): exactly where some
+    gap reaches it, else on the nearest time a gap reaches (a sum can
+    round past a target whose ulp is coarser than the issue time's)."""
+    gaps = []
+    issue = 0.0
+    for target in times:
+        # An earlier sum may have rounded past this target.
+        gap = max(target - issue, 0.0)
+        candidates = [gap]
+        for _ in range(4):
+            candidates.append(math.nextafter(candidates[-1], math.inf))
+            candidates.insert(0, math.nextafter(candidates[0], -math.inf))
+        gap = min(
+            (g for g in candidates if g >= 0.0),
+            key=lambda g: (abs(issue + g - target), abs(g - gap)),
+        )
+        gaps.append(gap)
+        issue += gap
+    return gaps
+
+
+#: Arrivals on a refresh boundary: tREFI interval ``k``, at its REF
+#: (k·tREFI) or at the end of its blackout (k·tREFI + tRFC), moved by
+#: -1, 0 or +1 ulp, then repeated with zero gaps. Late intervals make
+#: the ulps coarse.
+boundary_requests = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=40)
+        | st.integers(min_value=100_000, max_value=100_003),
+        st.booleans(),
+        st.sampled_from((-1, 0, 1)),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from(ROWS),
+        st.integers(min_value=1, max_value=4),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _boundary_timing(rank_windows):
+    return DramTiming(
+        t_faw=30.0 if rank_windows else 0.0,
+        t_rrd=6.0 if rank_windows else 0.0,
+    ).scaled(1 / 256)
+
+
+def _boundary_arrivals(points, timing):
+    """``(arrival, row, n_lines, is_write)`` per request, in draw order."""
+    arrivals = []
+    for k, after_blackout, ulps, repeats, row, n_lines, is_write in points:
+        at = k * timing.t_refi + (timing.t_rfc if after_blackout else 0.0)
+        for _ in range(abs(ulps)):
+            at = math.nextafter(at, math.copysign(math.inf, ulps))
+        if at >= 0.0:
+            arrivals.extend([(at, row, n_lines, is_write)] * (1 + repeats))
+    return arrivals
+
+
+def _assert_matches_reference(trace, timing):
+    """The fused loop and the reference agree on ``trace`` under Hydra
+    feedback."""
+    controllers = []
+    outcomes = []
+    for engine in (MemoryController, ReferenceMemoryController):
+        tracker = HydraTracker(
+            HydraConfig(
+                geometry=GEOMETRY,
+                trh=40,
+                gct_entries=16,
+                rcc_entries=8,
+                rcc_ways=4,
+            )
+        )
+        controller = engine(GEOMETRY, timing, tracker)
+        outcomes.append(controller.run_trace(trace, mlp=16))
+        controllers.append(controller)
+    fused, reference = controllers
+    assert outcomes[0] == outcomes[1]
+    assert fused.stats == reference.stats
+    assert _activity(fused) == _activity(reference)
+    assert fused.end_time == reference.end_time
+    assert fused.tracker.stats == reference.tracker.stats
+
+
+@given(points=boundary_requests, rank_windows=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_refresh_boundary_arrivals_match_reference(points, rank_windows):
+    """The refresh-blackout guard skips ``%`` only where an exact ``%``
+    proved a stretch clear; arrivals on and one ulp either side of
+    every REF and blackout end must resolve as the reference does."""
+    timing = _boundary_timing(rank_windows)
+    arrivals = sorted(_boundary_arrivals(points, timing), key=lambda a: a[0])
+    gaps = _gaps_landing_on([arrival[0] for arrival in arrivals])
+    trace = [
+        (gap, row, n_lines, is_write)
+        for gap, (_, row, n_lines, is_write) in zip(gaps, arrivals)
+    ]
+    _assert_matches_reference(trace, timing)
+
+
+@given(points=boundary_requests, rank_windows=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_backward_boundary_arrivals_match_reference(points, rank_windows):
+    """A ``Trace`` is not checked on construction, so its gaps may be
+    negative and starts may go backwards, below a stretch's start: the
+    guard tests both ends of the stretch, so this stays exact too."""
+    timing = _boundary_timing(rank_windows)
+    arrivals = _boundary_arrivals(points, timing)
+    times = [0.0] + [arrival[0] for arrival in arrivals]
+    trace = Trace(
+        gaps_ns=np.diff(times),
+        rows=np.array([arrival[1] for arrival in arrivals], dtype=np.int64),
+        lines=np.array([arrival[2] for arrival in arrivals], dtype=np.int32),
+        writes=np.array([arrival[3] for arrival in arrivals], dtype=bool),
+    )
+    _assert_matches_reference(trace, timing)

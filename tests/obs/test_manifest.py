@@ -217,3 +217,63 @@ class TestResolveManifestPath:
         monkeypatch.delenv(MANIFEST_ENV_VAR, raising=False)
         monkeypatch.delenv(OBS_ENV_VAR, raising=False)
         assert resolve_manifest_path(None, tmp_path) is None
+
+
+class TestToDictMatchesAsdict:
+    """``to_dict`` builds a field-order dict instead of calling
+    ``dataclasses.asdict``; the bytes written must not change."""
+
+    def _records(self):
+        from repro.obs.manifest import FuzzOracleRecord
+
+        return [
+            record(job_id="job-7"),
+            record(workload="mcf", from_cache=True),
+            ArenaOracleRecord(
+                spec="hydra", trh=500, security_class="deterministic",
+                sequence="single-sided", secure=True, violations=0,
+                max_unmitigated=499, mitigations=12, activations=9000,
+                exercised=True,
+            ),
+            FuzzOracleRecord(
+                spec="para@p=0.01", trh=125, security_class="probabilistic",
+                program="hammer r7 x200", program_seed=42, verdict="secure",
+                secure=True, violations=0, max_unmitigated=80,
+                mitigations=3, activations=400, exercised=False,
+            ),
+        ]
+
+    def test_dicts_equal_asdict_in_field_order(self):
+        from dataclasses import asdict
+
+        for rec in self._records():
+            assert list(rec.to_dict().items()) == list(asdict(rec).items())
+
+    def test_manifest_lines_are_byte_identical(self, tmp_path):
+        from dataclasses import asdict
+
+        records = self._records()
+        path = tmp_path / "manifest.jsonl"
+        ManifestWriter(path).append(records)
+        expected = "".join(
+            json.dumps(asdict(rec), sort_keys=True) + "\n" for rec in records
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_status_json_is_byte_identical(self, tmp_path):
+        from dataclasses import asdict
+
+        from repro.service.jobs import JobStatus, JobStore
+
+        status = JobStatus(
+            job_id="job-3", state="failed", grid_key="g" * 16, total_cells=72,
+            completed_cells=40, cache_hits=12, retries=1, error="boom: ü",
+            created_at=1.5, updated_at=2.25,
+        )
+        assert list(status.to_dict().items()) == list(asdict(status).items())
+        store = JobStore(tmp_path)
+        store.job_dir(status.job_id).mkdir(parents=True)
+        store.write_status(status)
+        assert store.status_path(status.job_id).read_bytes() == json.dumps(
+            asdict(status), sort_keys=True
+        ).encode("utf-8")

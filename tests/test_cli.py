@@ -89,6 +89,37 @@ class TestParser:
         assert build_parser().parse_args(["submit"]).trackers == ["hydra"]
         assert build_parser().parse_args(["arena"]).trackers is None
 
+    @pytest.mark.parametrize("command", ["submit", "arena", "fuzz"])
+    def test_tracker_lists_keep_multi_parameter_specs(self, command):
+        """A fragment with ``=`` but no ``@`` continues the previous
+        spec's parameters."""
+        args = build_parser().parse_args(
+            [command, "--trackers", "hydra@rcc_kb=28,rcc_ways=8,baseline"]
+        )
+        assert args.trackers == ["hydra@rcc_kb=28,rcc_ways=8", "baseline"]
+        args = build_parser().parse_args(
+            [command, "--trackers", "graphene,hydra@trh=1000,rcc_kb=28"]
+        )
+        assert args.trackers == ["graphene", "hydra@trh=1000,rcc_kb=28"]
+
+    @pytest.mark.parametrize(
+        "trackers, message",
+        [
+            ("hydra@rcc_kb=28,foo=3", "no parameter 'foo'"),
+            ("rcc_kb=28,hydra", "unknown tracker"),
+            ("hydra,rcc_kb=28", "unknown tracker"),
+        ],
+    )
+    def test_stray_parameter_fragment_is_a_usage_error(
+        self, trackers, message, capsys
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(["submit", "--trackers", trackers])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in err
+
 
 class TestStorageCommand:
     def test_prints_tables(self, capsys):

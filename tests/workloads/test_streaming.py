@@ -24,7 +24,7 @@ from repro.workloads.streaming import (
     source_request_count,
     write_external_trace,
 )
-from repro.workloads.trace import Trace, characterize
+from repro.workloads.trace import LineTotals, Trace, characterize
 
 
 def _trace(n=1000, seed=7, name="t"):
@@ -107,8 +107,8 @@ class TestChunkedTrace:
     def test_resolved_stream_matches_trace(self, tmp_path):
         trace = _trace(300)
         chunked = ChunkedTrace.from_trace(trace, tmp_path / "c", chunk_requests=77)
-        assert list(chunked.resolved_stream(128, 4)) == list(
-            trace.resolved_stream(128, 4)
+        assert list(chunked.resolved_stream(128, LineTotals())) == list(
+            trace.resolved_stream(128, LineTotals())
         )
 
     def test_chunks_are_memory_mapped(self, tmp_path):

@@ -6,7 +6,12 @@ import threading
 import numpy as np
 import pytest
 
-from repro.workloads.trace import Trace, characterize, statistics_by_window
+from repro.workloads.trace import (
+    LineTotals,
+    Trace,
+    characterize,
+    statistics_by_window,
+)
 
 
 class TestTraceContainer:
@@ -40,10 +45,10 @@ class TestTraceContainer:
         b = Trace.from_rows([384, 2, 511], gap_ns=7.0)
         combined = Trace.concatenate([a, b])
         assert np.shares_memory(next(combined.chunks()).rows, a.rows)
-        expected = list(a.resolved_stream(128, 2)) + list(
-            b.resolved_stream(128, 2)
+        expected = list(a.resolved_stream(128, LineTotals())) + list(
+            b.resolved_stream(128, LineTotals())
         )
-        assert list(combined.resolved_stream(128, 2)) == expected
+        assert list(combined.resolved_stream(128, LineTotals())) == expected
         assert list(combined) == list(a) + list(b)
         assert combined.rows.tolist() == [1, 130, 257, 384, 2, 511]
         assert combined.nbytes == a.nbytes + b.nbytes
@@ -58,9 +63,9 @@ class TestTraceContainer:
         chunks = list(combined.chunks())
         assert [len(chunk) for chunk in chunks] == [4, 4, 2, 2]
         assert all(np.shares_memory(c.rows, a.rows) for c in chunks[:3])
-        assert list(combined.resolved_stream(4, 2)) == list(
+        assert list(combined.resolved_stream(4, LineTotals())) == list(
             Trace(combined.gaps_ns, combined.rows, combined.lines,
-                  combined.writes).resolved_stream(4, 2)
+                  combined.writes).resolved_stream(4, LineTotals())
         )
 
     def test_concurrent_replays_of_many_traces_stay_exact(self):
@@ -72,14 +77,14 @@ class TestTraceContainer:
             for g in (3.0, 5.0, 7.0, 11.0, 13.0, 17.0)
         ]
         expected = [
-            list(Trace(t.gaps_ns, t.rows, t.lines, t.writes).resolved_stream(128, 4))
+            list(Trace(t.gaps_ns, t.rows, t.lines, t.writes).resolved_stream(128, LineTotals()))
             for t in traces
         ]
         mismatches = []
 
         def replay(index):
             for _ in range(20):
-                if list(traces[index].resolved_stream(128, 4)) != expected[index]:
+                if list(traces[index].resolved_stream(128, LineTotals())) != expected[index]:
                     mismatches.append(index)
 
         interval = sys.getswitchinterval()
