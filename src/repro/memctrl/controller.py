@@ -220,22 +220,20 @@ class MemoryController(BaseMemoryController):
     # FeedbackHandler hooks -------------------------------------------
 
     def perform_meta_access(self, meta: MetaAccess, at: float) -> bool:
-        meta_bank_index = meta.row_id // self._rows_per_bank
-        meta_bus = self._bank_buses[meta_bank_index]
-        self.stats.meta_accesses += 1
-        self.stats.meta_line_transfers += meta.n_lines
-        if meta.is_write:
+        row_id, n_lines, is_write = meta
+        rows_per_bank = self._rows_per_bank
+        bank_index = row_id // rows_per_bank
+        bus = self._bank_buses[bank_index]
+        stats = self.stats
+        stats.meta_accesses += 1
+        stats.meta_line_transfers += n_lines
+        if is_write:
             # Writes sit in the write queue and drain with lower
             # priority than reads (USIMM prioritizes reads, Table 2
             # text): they cost data-bus slots, but their bank occupancy
             # overlaps idle periods, so they are bus-only traffic.
-            meta_bus.transfer(at, meta.n_lines)
+            bus.transfer(at, n_lines)
             return False
-        meta_result = self.banks[meta_bank_index].access(
-            at,
-            meta.row_id % self._rows_per_bank,
-            meta.n_lines,
-            meta_bus,
-            False,
-        )
-        return meta_result.activated
+        return self.banks[bank_index].access(
+            at, row_id % rows_per_bank, n_lines, bus, False
+        ).activated

@@ -115,30 +115,37 @@ class TrackerFeedback:
         scans the worklist for the next activation that produces a
         response — the exact handler-call order of the original
         deque-based BFS (a cursor-indexed list is FIFO too, without
-        the per-activation deque allocation).
+        the per-activation deque allocation). Bound methods are looked
+        up once per call, and the victim policy only for a response
+        that mitigates.
         """
-        tracker = self.tracker
-        victims_of = self.policy.victims_of
+        on_activation = self.tracker.on_activation
+        on_tracker_activation = handler.on_tracker_activation
+        perform_meta_access = handler.perform_meta_access
         max_depth = self.max_depth
         delay = 0.0 + response.delay_ns
         pending = []  # (row, depth) worklist, consumed via cursor
+        push = pending.append
         cursor = 0
         depth = 0
         while True:
             requeue = depth < max_depth
             for meta in response.meta_accesses:
-                if handler.perform_meta_access(meta, at) and requeue:
-                    pending.append((meta.row_id, depth + 1))
-            for aggressor in response.mitigate_rows:
-                for victim in victims_of(aggressor):
-                    if handler.perform_victim_refresh(victim, at) and requeue:
-                        pending.append((victim, depth + 1))
+                if perform_meta_access(meta, at) and requeue:
+                    push((meta.row_id, depth + 1))
+            if response.mitigate_rows:
+                victims_of = self.policy.victims_of
+                perform_victim_refresh = handler.perform_victim_refresh
+                for aggressor in response.mitigate_rows:
+                    for victim in victims_of(aggressor):
+                        if perform_victim_refresh(victim, at) and requeue:
+                            push((victim, depth + 1))
             response = None
             while cursor < len(pending):
                 row, depth = pending[cursor]
                 cursor += 1
-                handler.on_tracker_activation(row)
-                response = tracker.on_activation(row)
+                on_tracker_activation(row)
+                response = on_activation(row)
                 if response is not None:
                     delay += response.delay_ns
                     break

@@ -21,7 +21,7 @@ and resets the counter.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.rct import RowCountTable
 from repro.dram.timing import DramGeometry
@@ -110,6 +110,19 @@ class CraTracker(ActivationTracker):
         self.mitigations = 0
         self.extra_read_lines = 0
         self.extra_write_lines = 0
+        # Values ``on_activation`` reads, hoisted as in ``HydraTracker``:
+        # the meta-row guard's two ints, the counter list and the LRU
+        # sets. ``RowCountTable.reset_all`` and ``LineMetadataCache.
+        # reset`` clear in place, so the references survive window
+        # resets.
+        self._rows_per_bank = geometry.rows_per_bank
+        self._meta_base_local = self.table.meta_base_local
+        self._counts = self.table._counts
+        self._cache_sets = self.cache._sets
+        #: line id -> the line's ``(read, writeback)`` metadata
+        #: accesses. They depend on the line alone, so the memo
+        #: outlives window resets.
+        self._line_meta: Dict[int, Tuple[MetaAccess, MetaAccess]] = {}
 
     def _line_of(self, row_id: int) -> int:
         return row_id // self._counters_per_line
@@ -117,37 +130,54 @@ class CraTracker(ActivationTracker):
     def _meta_row_of_line(self, line_id: int) -> int:
         return self.table.meta_row_of(line_id * self._counters_per_line)
 
+    def _memo_line_meta(self, line_id: int) -> Tuple[MetaAccess, MetaAccess]:
+        row = self._meta_row_of_line(line_id)
+        meta = (MetaAccess(row, 1, False), MetaAccess(row, 1, True))
+        self._line_meta[line_id] = meta
+        return meta
+
     def on_activation(self, row_id: int) -> Optional[TrackerResponse]:
-        if self.table.is_meta_row(row_id):
+        # One frame: ``table.is_meta_row``/``read``/``write``,
+        # ``_line_of`` and ``cache.access(line, make_dirty=True)``
+        # inlined; those originals stay as the reference that
+        # tests/trackers/test_cra.py drives this body against.
+        if row_id % self._rows_per_bank >= self._meta_base_local:
             # CRA as published does not guard its own counter rows
             # (Hydra's §5.2.2 RIT-ACT has no CRA equivalent); counter-
             # row activations are simply not tracked.
             return None
-        count = self.table.read(row_id) + 1
-        mitigate: Tuple[int, ...] = ()
+        counts = self._counts
+        count = counts[row_id] + 1
         if count >= self.threshold:
             self.mitigations += 1
-            self.table.write(row_id, 0)
-            mitigate = (row_id,)
+            counts[row_id] = 0
+            mitigate: Tuple[int, ...] = (row_id,)
         else:
-            self.table.write(row_id, count)
-        hit, dirty_victim = self.cache.access(self._line_of(row_id), make_dirty=True)
-        if hit and not mitigate:
-            return None
-        meta: List[MetaAccess] = []
-        if not hit:
-            self.extra_read_lines += 1
-            meta.append(
-                MetaAccess(self._meta_row_of_line(self._line_of(row_id)), 1, False)
-            )
-            if dirty_victim is not None:
+            counts[row_id] = count
+            mitigate = ()
+        line = row_id // self._counters_per_line
+        cache = self.cache
+        cache_set = self._cache_sets[line % cache.sets]
+        if line in cache_set:
+            cache.hits += 1
+            cache_set.move_to_end(line)
+            cache_set[line] = True
+            return TrackerResponse(mitigate) if mitigate else None
+        cache.misses += 1
+        self.extra_read_lines += 1
+        line_meta = self._line_meta
+        read = (line_meta.get(line) or self._memo_line_meta(line))[0]
+        if len(cache_set) >= cache.ways:
+            victim, victim_dirty = cache_set.popitem(last=False)
+            cache.evictions += 1
+            cache_set[line] = True
+            if victim_dirty:
                 self.extra_write_lines += 1
-                meta.append(
-                    MetaAccess(self._meta_row_of_line(dirty_victim), 1, True)
-                )
-        if not meta and not mitigate:
-            return None
-        return TrackerResponse(mitigate_rows=mitigate, meta_accesses=tuple(meta))
+                write = (line_meta.get(victim) or self._memo_line_meta(victim))[1]
+                return TrackerResponse(mitigate, (read, write))
+        else:
+            cache_set[line] = True
+        return TrackerResponse(mitigate, (read,))
 
     def on_window_reset(self) -> None:
         self.table.reset_all()

@@ -112,15 +112,16 @@ class LineTotals:
         self.write_lines = 0
 
 
-def _resolved_chunk(
+def _resolved_columns(
     chunk: TraceChunk, rows_per_bank: int, totals: LineTotals
-) -> Iterator[Tuple[float, int, int, int, int, bool]]:
+) -> Tuple[list, list, list, list, list, list]:
+    """One chunk's six Python columns; its line sums go to ``totals``."""
     rows = np.asarray(chunk.rows, dtype=np.int64)
     lines = np.asarray(chunk.lines, dtype=np.int32)
     writes = np.asarray(chunk.writes, dtype=bool)
     totals.lines += int(lines.sum(dtype=np.int64))
     totals.write_lines += int(lines.sum(dtype=np.int64, where=writes))
-    return zip(
+    return (
         np.asarray(chunk.gaps_ns, dtype=np.float64).tolist(),
         rows.tolist(),
         (rows % rows_per_bank).tolist(),
@@ -149,7 +150,7 @@ def resolved_chunk_stream(
     if rows_per_bank <= 0:
         raise ValueError("rows_per_bank must be positive")
     return chain.from_iterable(
-        _resolved_chunk(chunk, rows_per_bank, totals) for chunk in chunks
+        zip(*_resolved_columns(chunk, rows_per_bank, totals)) for chunk in chunks
     )
 
 
@@ -174,6 +175,21 @@ class ChunkReplay:
         return resolved_chunk_stream(self.chunks(), rows_per_bank, totals)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that cannot be written through, so a
+    ``Trace``'s requests cannot change under its held columns."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+#: The last in-RAM ``Trace`` of at most one slice that was replayed, as
+#: ``(trace, rows_per_bank, held)``. ``held`` is ``None`` after the
+#: trace's first replay in a row, and its converted columns with their
+#: line sums from the second on (:meth:`Trace.resolved_stream`).
+_last_replay: Tuple[Optional["Trace"], int, Optional[tuple]] = (None, 0, None)
+
+
 class Trace(ChunkReplay):
     """Immutable sequence of (gap_ns, row_id, n_lines, is_write).
 
@@ -182,9 +198,15 @@ class Trace(ChunkReplay):
     generator, one part per tracking window) keeps its inputs' arrays
     instead of copying them, so building a trace never holds it twice.
     The whole-trace columns ``gaps_ns``, ``rows``, ``lines`` and
-    ``writes`` join the parts on each access; replay never does, it
-    walks the parts in :data:`~repro.workloads.DEFAULT_STREAM_CHUNK`
-    slices (:meth:`chunks`), exactly as a chunked on-disk trace does.
+    ``writes`` join the parts on each access; replay walks the parts in
+    :data:`~repro.workloads.DEFAULT_STREAM_CHUNK` slices
+    (:meth:`chunks`), exactly as a chunked on-disk trace does, except
+    that back-to-back replays of a one-slice trace reuse its converted
+    columns (:meth:`resolved_stream`). The constructor holds every
+    request to the recorded-trace rules (:func:`check_requests`, the
+    error naming the trace) and keeps read-only views of the arrays;
+    :meth:`concatenate` joins traces that were checked when they were
+    built.
     """
 
     __slots__ = ("_parts", "name")
@@ -200,14 +222,14 @@ class Trace(ChunkReplay):
         n = len(rows)
         if not (len(gaps_ns) == len(lines) == len(writes) == n):
             raise ValueError("trace arrays must have equal length")
-        self._parts: Tuple[TraceChunk, ...] = (
-            TraceChunk(
-                np.asarray(gaps_ns, dtype=np.float64),
-                np.asarray(rows, dtype=np.int64),
-                np.asarray(lines, dtype=np.int32),
-                np.asarray(writes, dtype=bool),
-            ),
+        part = TraceChunk(
+            _read_only(np.asarray(gaps_ns, dtype=np.float64)),
+            _read_only(np.asarray(rows, dtype=np.int64)),
+            _read_only(np.asarray(lines, dtype=np.int32)),
+            _read_only(np.asarray(writes, dtype=bool)),
         )
+        check_requests(part.gaps_ns, part.rows, part.lines, name)
+        self._parts: Tuple[TraceChunk, ...] = (part,)
         self.name = name
 
     def _column(self, field: str) -> np.ndarray:
@@ -249,6 +271,43 @@ class Trace(ChunkReplay):
         for part in self._parts:
             for start in range(0, len(part), DEFAULT_STREAM_CHUNK):
                 yield part.slice(start, start + DEFAULT_STREAM_CHUNK)
+
+    def resolved_stream(
+        self, rows_per_bank: int, totals: LineTotals
+    ) -> Iterator[Tuple[float, int, int, int, int, bool]]:
+        """Iterate with the bank topology pre-resolved per request
+        (see :func:`resolved_chunk_stream`).
+
+        A trace of at most one slice that is replayed again right after
+        itself, with the same ``rows_per_bank``, reads the columns it
+        converted before: its second replay in a row converts the whole
+        trace once and holds the six columns in one module-level slot,
+        and each later replay in the row reads them. A first replay
+        only records which trace it was, so a trace replayed once (one
+        cell per trace, as in a figure sweep) holds nothing. Longer
+        traces and a changed ``rows_per_bank`` stream chunk by chunk.
+        The slot holds one trace and its columns at most. A replay
+        reads it once and checks the trace and ``rows_per_bank`` on that
+        snapshot, and the held lists are never mutated, so threads
+        racing on the slot can cost each other a conversion but never
+        read another trace's columns.
+        """
+        global _last_replay
+        if len(self) > DEFAULT_STREAM_CHUNK or rows_per_bank <= 0:
+            return super().resolved_stream(rows_per_bank, totals)
+        last, last_rows_per_bank, held = _last_replay
+        if last is not self or last_rows_per_bank != rows_per_bank:
+            _last_replay = (self, rows_per_bank, None)
+            return super().resolved_stream(rows_per_bank, totals)
+        if held is None:
+            converted = LineTotals()
+            columns = _resolved_columns(TraceChunk.of(self), rows_per_bank, converted)
+            held = (columns, converted.lines, converted.write_lines)
+            _last_replay = (self, rows_per_bank, held)
+        columns, lines, write_lines = held
+        totals.lines += lines
+        totals.write_lines += write_lines
+        return zip(*columns)
 
     @property
     def total_lines(self) -> int:
@@ -305,14 +364,16 @@ class Trace(ChunkReplay):
         recorded-trace rules (:func:`check_requests`).
         """
         with np.load(path, allow_pickle=False) as data:
+            # Built under the path, so a refusal names the file; the
+            # trace then takes its recorded name.
             trace = Trace(
                 gaps_ns=data["gaps_ns"],
                 rows=data["rows"],
                 lines=data["lines"],
                 writes=data["writes"],
-                name=str(data["name"]),
+                name=str(path),
             )
-        check_requests(trace.gaps_ns, trace.rows, trace.lines, str(path))
+            trace.name = str(data["name"])
         return trace
 
 
@@ -325,10 +386,10 @@ def check_requests(
     ``n_lines >= 1``: an infinite gap would advance the refresh windows
     forever, a NaN or negative one runs time backwards, a negative row
     would index a bank from the end of the bank list, and an empty
-    burst is not an access. Checked vectorized when a recorded trace
-    (an ``.npz`` file, or one chunked segment) is loaded, before any
-    of its requests run. The ``ValueError`` names ``where`` and the
-    first offending request.
+    burst is not an access. Checked vectorized when a ``Trace`` is
+    built (an ``.npz`` load included) and when a chunked segment is
+    opened, before any of its requests run. The ``ValueError`` names
+    ``where`` and the first offending request.
     """
     gaps = np.asarray(gaps, dtype=np.float64)
     bad = ~(np.isfinite(gaps) & (gaps >= 0))

@@ -359,17 +359,28 @@ def test_refresh_boundary_arrivals_match_reference(points, rank_windows):
 
 @given(points=boundary_requests, rank_windows=st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_backward_boundary_arrivals_match_reference(points, rank_windows):
-    """A ``Trace`` is not checked on construction, so its gaps may be
-    negative and starts may go backwards, below a stretch's start: the
-    guard tests both ends of the stretch, so this stays exact too."""
+def test_backward_arrivals_are_refused(points, rank_windows):
+    """Arrivals in draw order may go backwards. A ``Trace`` refuses the
+    negative gap that takes them there when it is built, so no source
+    hands the fused loop a backward start; traces in order still match
+    the reference."""
     timing = _boundary_timing(rank_windows)
     arrivals = _boundary_arrivals(points, timing)
-    times = [0.0] + [arrival[0] for arrival in arrivals]
-    trace = Trace(
-        gaps_ns=np.diff(times),
-        rows=np.array([arrival[1] for arrival in arrivals], dtype=np.int64),
-        lines=np.array([arrival[2] for arrival in arrivals], dtype=np.int32),
-        writes=np.array([arrival[3] for arrival in arrivals], dtype=bool),
-    )
-    _assert_matches_reference(trace, timing)
+    gaps = np.diff([0.0] + [arrival[0] for arrival in arrivals])
+
+    def build():
+        return Trace(
+            gaps_ns=gaps,
+            rows=np.array([arrival[1] for arrival in arrivals], dtype=np.int64),
+            lines=np.array([arrival[2] for arrival in arrivals], dtype=np.int32),
+            writes=np.array([arrival[3] for arrival in arrivals], dtype=bool),
+        )
+
+    backward = np.flatnonzero(gaps < 0)
+    if len(backward):
+        with pytest.raises(
+            ValueError, match=rf"^trace: request {backward[0]}: gap_ns must"
+        ):
+            build()
+    else:
+        _assert_matches_reference(build(), timing)

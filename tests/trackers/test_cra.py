@@ -1,8 +1,13 @@
 """Tests for CRA (per-row DRAM counters + line-granularity cache)."""
 
+from typing import List, Optional, Tuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dram.timing import DramGeometry
+from repro.trackers.base import MetaAccess, TrackerResponse
 from repro.trackers.cra import CraTracker, LineMetadataCache
 
 GEOMETRY = DramGeometry(
@@ -122,3 +127,89 @@ class TestCraTracker:
 
     def test_dram_reservation_positive(self):
         assert self.make().dram_reserved_bytes() > 0
+
+
+def reference_on_activation(
+    tracker: CraTracker, row_id: int
+) -> Optional[TrackerResponse]:
+    """``CraTracker.on_activation`` as it was before it became one frame,
+    through ``RowCountTable``, ``_line_of``, ``_meta_row_of_line`` and
+    ``LineMetadataCache.access``: the reference the fused body must
+    match."""
+    if tracker.table.is_meta_row(row_id):
+        return None
+    count = tracker.table.read(row_id) + 1
+    mitigate: Tuple[int, ...] = ()
+    if count >= tracker.threshold:
+        tracker.mitigations += 1
+        tracker.table.write(row_id, 0)
+        mitigate = (row_id,)
+    else:
+        tracker.table.write(row_id, count)
+    hit, dirty_victim = tracker.cache.access(
+        tracker._line_of(row_id), make_dirty=True
+    )
+    if hit and not mitigate:
+        return None
+    meta: List[MetaAccess] = []
+    if not hit:
+        tracker.extra_read_lines += 1
+        meta.append(
+            MetaAccess(tracker._meta_row_of_line(tracker._line_of(row_id)), 1, False)
+        )
+        if dirty_victim is not None:
+            tracker.extra_write_lines += 1
+            meta.append(MetaAccess(tracker._meta_row_of_line(dirty_victim), 1, True))
+    if not meta and not mitigate:
+        return None
+    return TrackerResponse(mitigate_rows=mitigate, meta_accesses=tuple(meta))
+
+
+def _state(tracker: CraTracker):
+    cache = tracker.cache
+    return (
+        cache.hits,
+        cache.misses,
+        cache.evictions,
+        tracker.extra_read_lines,
+        tracker.extra_write_lines,
+        tracker.mitigations,
+        list(tracker.table._counts),
+        [list(cache_set.items()) for cache_set in cache._sets],
+    )
+
+
+#: Demand rows of both banks, rows sharing a counter line, and the
+#: counter rows themselves (1020-1023 and 2044-2047), plus window resets.
+CRA_EVENTS = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=2 * 1024 - 1),
+        st.sampled_from([0, 1, 63, 64, 255, 256, 1019, 1020, 1023, 1024, 2047]),
+        st.just(None),
+    ),
+    max_size=400,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    events=CRA_EVENTS,
+    trh=st.integers(min_value=2, max_value=24),
+    sets=st.sampled_from([1, 2, 4]),
+    ways=st.sampled_from([1, 2, 4]),
+)
+def test_on_activation_matches_reference(events, trh, sets, ways):
+    """Every response and every counter, the table and the cache's LRU
+    order included, match the reference; a one-set cache evicts dirty
+    lines from the first few distinct lines on."""
+    fused, reference = (
+        CraTracker(GEOMETRY, trh=trh, cache_bytes=sets * ways * 64, cache_ways=ways)
+        for _ in range(2)
+    )
+    for row in events:
+        if row is None:
+            fused.on_window_reset()
+            reference.on_window_reset()
+        else:
+            assert fused.on_activation(row) == reference_on_activation(reference, row)
+    assert _state(fused) == _state(reference)

@@ -38,6 +38,26 @@ def _trace(n=1000, seed=7, name="t"):
     )
 
 
+class _UncheckedTrace:
+    """Requests kept as given, bad ones included, with what
+    ``Trace.save``, ``ChunkedTrace.from_trace`` and
+    ``write_external_trace`` read of a trace. ``Trace`` refuses such
+    requests when built, so the tests record them this way; loading
+    them back is what must refuse them."""
+
+    name = "trace"
+    save = Trace.save
+
+    def __init__(self, gaps_ns, rows, lines):
+        self.gaps_ns = np.asarray(gaps_ns, dtype=np.float64)
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.lines = np.asarray(lines, dtype=np.int32)
+        self.writes = np.zeros(len(self.rows), dtype=bool)
+
+    def chunks(self):
+        yield TraceChunk(self.gaps_ns, self.rows, self.lines, self.writes)
+
+
 class TestTraceChunk:
     def test_of_is_a_view(self):
         trace = _trace(10)
@@ -256,14 +276,7 @@ class TestRecordedTraceValidation:
 
     @staticmethod
     def _bad_trace(rows, lines):
-        # The constructor does not validate, so a bad trace can be
-        # recorded; loading it back is what must refuse it.
-        return Trace(
-            gaps_ns=np.full(len(rows), 10.0),
-            rows=np.asarray(rows, dtype=np.int64),
-            lines=np.asarray(lines, dtype=np.int32),
-            writes=np.zeros(len(rows), dtype=bool),
-        )
+        return _UncheckedTrace(np.full(len(rows), 10.0), rows, lines)
 
     @staticmethod
     def _replay(path, engine):
@@ -321,12 +334,7 @@ class TestRecordedTraceValidation:
     def _bad_gap_trace(gap):
         gaps = np.full(4, 10.0)
         gaps[2] = gap
-        return Trace(
-            gaps_ns=gaps,
-            rows=np.arange(1, 5, dtype=np.int64),
-            lines=np.ones(4, dtype=np.int32),
-            writes=np.zeros(4, dtype=bool),
-        )
+        return _UncheckedTrace(gaps, np.arange(1, 5), np.ones(4))
 
     @pytest.mark.parametrize("gap", sorted(BAD_GAPS))
     def test_text_reader_rejects_bad_gap(self, tmp_path, gap):

@@ -6,10 +6,12 @@ import threading
 import numpy as np
 import pytest
 
+from repro.workloads import trace as trace_module
 from repro.workloads.trace import (
     LineTotals,
     Trace,
     characterize,
+    resolved_chunk_stream,
     statistics_by_window,
 )
 
@@ -119,6 +121,116 @@ class TestTraceContainer:
         loaded = Trace.load(path)
         assert loaded.rows.tolist() == [5, 6, 7]
         assert loaded.gaps_ns.tolist() == [2.5] * 3
+
+
+def _random_trace(n, seed, parts=1):
+    """``n`` random requests, joined from ``parts`` traces."""
+    rng = np.random.default_rng(seed)
+    pieces = [
+        Trace(
+            gaps_ns=rng.uniform(0.0, 20.0, size),
+            rows=rng.integers(0, 4096, size),
+            lines=rng.integers(1, 5, size),
+            writes=rng.random(size) < 0.3,
+        )
+        for size in np.diff(np.linspace(0, n, parts + 1).astype(int))
+    ]
+    return Trace.concatenate(pieces)
+
+
+def _fresh(trace, rows_per_bank):
+    """What a chunk-by-chunk replay of ``trace`` yields, and its totals."""
+    totals = LineTotals()
+    tuples = list(resolved_chunk_stream(trace.chunks(), rows_per_bank, totals))
+    return tuples, (totals.lines, totals.write_lines)
+
+
+def _replay(trace, rows_per_bank):
+    totals = LineTotals()
+    tuples = list(trace.resolved_stream(rows_per_bank, totals))
+    return tuples, (totals.lines, totals.write_lines)
+
+
+def _held():
+    """The trace whose converted columns the slot holds, or None."""
+    last, _, held = trace_module._last_replay
+    return last if held is not None else None
+
+
+class TestHeldColumns:
+    """Back-to-back replays of one short in-RAM trace reuse the columns
+    its second replay converted, and nothing else ever does."""
+
+    @pytest.fixture(autouse=True)
+    def empty_slot(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "_last_replay", (None, 0, None))
+
+    @pytest.mark.parametrize("parts", [1, 3])
+    def test_back_to_back_replays_match_a_fresh_stream(self, parts):
+        trace = _random_trace(2000, seed=1, parts=parts)
+        expected = _fresh(trace, 128)
+        held = []
+        for _ in range(3):
+            assert _replay(trace, 128) == expected
+            held.append(_held() is trace)
+        assert held == [False, True, True]
+
+    def test_requests_cannot_change_under_held_columns(self):
+        rows = np.arange(10)
+        trace = Trace.from_rows(rows)
+        for column in (trace.gaps_ns, trace.rows, trace.lines, trace.writes):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+
+    def test_alternating_traces_never_hold(self):
+        a, b = _random_trace(500, seed=2), _random_trace(500, seed=3)
+        expected = {a: _fresh(a, 128), b: _fresh(b, 128)}
+        for trace in (a, b) * 3:
+            assert _replay(trace, 128) == expected[trace]
+            assert _held() is None
+
+    def test_long_trace_never_held(self):
+        trace = _random_trace(trace_module.DEFAULT_STREAM_CHUNK + 1, seed=4, parts=2)
+        expected = _fresh(trace, 128)
+        for _ in range(3):
+            assert _replay(trace, 128) == expected
+            assert _held() is None
+
+    def test_changed_rows_per_bank_not_served_held_columns(self):
+        trace = _random_trace(1000, seed=5)
+        held = []
+        for rows_per_bank in (128, 128, 256, 128, 64, 64):
+            assert _replay(trace, rows_per_bank) == _fresh(trace, rows_per_bank)
+            assert trace_module._last_replay[1] == rows_per_bank
+            held.append(_held() is trace)
+        assert held == [False, True, False, False, False, True]
+
+    def test_concurrent_replays_stay_exact(self):
+        """Threads replaying two traces, each many times in a row, flip
+        the slot under one another; every replay stays exact."""
+        traces = [_random_trace(3000, seed=6), _random_trace(3000, seed=7, parts=2)]
+        expected = [_fresh(trace, 128) for trace in traces]
+        mismatches = []
+
+        def replay(index):
+            for _ in range(15):
+                if _replay(traces[index], 128) != expected[index]:
+                    mismatches.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=replay, args=(i % 2,)) for i in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == []
 
 
 class TestCharacterize:

@@ -12,6 +12,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from repro.workloads.streaming import (
     open_trace_source,
     write_external_trace,
 )
-from repro.workloads.trace import Trace, characterize, check_requests
+from repro.workloads.trace import Trace, TraceChunk, characterize, check_requests
 
 GOOD_GAPS = st.floats(min_value=0.0, allow_infinity=False)
 BAD_GAPS = st.one_of(
@@ -32,8 +33,9 @@ BAD_GAPS = st.one_of(
 
 @st.composite
 def recorded_requests(draw, plant_bad=True):
-    """A trace of up to 30 good requests, with a bad gap, row or burst
-    length planted at a few drawn indices when ``plant_bad``."""
+    """The arrays of up to 30 good requests, as a ``TraceChunk``, with a
+    bad gap, row or burst length planted at a few drawn indices when
+    ``plant_bad`` (a ``Trace`` refuses those when built)."""
     request = st.tuples(
         GOOD_GAPS,
         st.integers(min_value=0, max_value=2**40),
@@ -52,7 +54,12 @@ def recorded_requests(draw, plant_bad=True):
                 rows[index] = draw(st.integers(min_value=-(2**40), max_value=-1))
             else:
                 lines[index] = draw(st.integers(min_value=-4, max_value=0))
-    return Trace(gaps_ns=gaps, rows=rows, lines=lines, writes=writes, name="p")
+    return TraceChunk(
+        np.asarray(gaps, dtype=np.float64),
+        np.asarray(rows, dtype=np.int64),
+        np.asarray(lines, dtype=np.int32),
+        np.asarray(writes, dtype=bool),
+    )
 
 
 def first_bad_request(trace):
@@ -74,19 +81,24 @@ def assert_same_requests(a, b):
 
 @settings(max_examples=200, deadline=None)
 @given(recorded_requests())
-def test_check_requests_refuses_exactly_the_bad_traces(trace):
-    first = first_bad_request(trace)
-    arrays = (trace.gaps_ns, trace.rows, trace.lines)
+def test_check_requests_refuses_exactly_the_bad_traces(chunk):
+    """``check_requests`` and the ``Trace`` constructor alike."""
+    first = first_bad_request(chunk)
+    arrays = (chunk.gaps_ns, chunk.rows, chunk.lines)
     if first is None:
         check_requests(*arrays, "where")
+        Trace(*arrays, chunk.writes, name="where")
     else:
         with pytest.raises(ValueError, match=rf"^where: request {first}: "):
             check_requests(*arrays, "where")
+        with pytest.raises(ValueError, match=rf"^where: request {first}: "):
+            Trace(*arrays, chunk.writes, name="where")
 
 
 @settings(max_examples=50, deadline=None)
 @given(recorded_requests(plant_bad=False))
-def test_good_trace_round_trips_through_text_and_npz(trace):
+def test_good_trace_round_trips_through_text_and_npz(chunk):
+    trace = Trace(chunk.gaps_ns, chunk.rows, chunk.lines, chunk.writes, name="p")
     with tempfile.TemporaryDirectory() as tmp:
         text = Path(tmp) / "t.trc"
         assert write_external_trace(trace, text) == len(trace)
