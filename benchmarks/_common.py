@@ -1,11 +1,12 @@
 """Shared infrastructure for the per-table/per-figure benchmarks.
 
-Every benchmark regenerates one table or figure of the paper: it runs
-the relevant simulations through a disk-cached
-:class:`~repro.sim.sweep.ExperimentRunner`, prints rows shaped like
-the paper's, asserts the *shape* of the result (who wins, by roughly
-what factor), and records the outcome under ``benchmarks/results/`` so
-EXPERIMENTS.md can cite the measured numbers.
+Every benchmark regenerates one table or figure of the paper. Where
+the paper's result has an entry in :mod:`repro.sim.experiments`, the
+benchmark runs that entry (the one definition of the payload), prints
+rows shaped like the paper's from it, asserts the *shape* of the
+result (who wins, by roughly what factor), and records it under
+``benchmarks/results/`` so EXPERIMENTS.md can cite the measured
+numbers. ``hydra-sim experiment NAME`` prints the same payload.
 
 Environment knobs:
 
@@ -20,15 +21,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Sequence
 
 from repro.sim.config import SystemConfig, default_scale
-from repro.sim.results import Comparison, ComparisonResult, geometric_mean
-from repro.sim.sweep import ExperimentRunner
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-_RUNNERS: Dict[str, ExperimentRunner] = {}
 
 
 def bench_config(**overrides) -> SystemConfig:
@@ -38,16 +34,6 @@ def bench_config(**overrides) -> SystemConfig:
     return SystemConfig(**params)
 
 
-def runner_for(config: SystemConfig) -> ExperimentRunner:
-    """Session-shared runner per configuration (keeps traces cached)."""
-    key = config.cache_key()
-    runner = _RUNNERS.get(key)
-    if runner is None:
-        runner = ExperimentRunner(config)
-        _RUNNERS[key] = runner
-    return runner
-
-
 def record_result(name: str, payload) -> None:
     """Persist one experiment's outcome for EXPERIMENTS.md."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
@@ -55,47 +41,29 @@ def record_result(name: str, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def comparison_table(
-    comparisons: ComparisonResult, title: str
-) -> Dict[str, object]:
-    """Print a Figure-5-style table and return its data."""
+def print_comparison(column: dict, title: str) -> None:
+    """Print one tracker's Figure-5-style table from its payload
+    column (``workloads``, ``suite_geomeans``, ``suite_slowdowns``)."""
     print(f"\n=== {title} ===")
     print(f"{'workload':<12} {'norm.perf':>9} {'slowdown%':>10}")
-    rows = {}
-    for comp in comparisons:
-        rows[comp.workload] = {
-            "normalized_performance": round(comp.normalized_performance, 4),
-            "slowdown_percent": round(comp.slowdown_percent, 3),
-        }
+    for workload, row in column["workloads"].items():
         print(
-            f"{comp.workload:<12} {comp.normalized_performance:>9.4f} "
-            f"{comp.slowdown_percent:>10.2f}"
+            f"{workload:<12} {row['normalized_performance']:>9.4f} "
+            f"{row['slowdown_percent']:>10.2f}"
         )
-    means = comparisons.suite_geomeans()
-    slowdowns = comparisons.slowdowns()
     print("-" * 33)
-    for suite in means:
-        print(f"{suite:<12} {means[suite]:>9.4f} {slowdowns[suite]:>10.2f}")
-    return {
-        "workloads": rows,
-        "suite_geomeans": {k: round(v, 4) for k, v in means.items()},
-        "suite_slowdowns": {k: round(v, 3) for k, v in slowdowns.items()},
-    }
+    slowdowns = column["suite_slowdowns"]
+    for suite, mean in column["suite_geomeans"].items():
+        print(f"{suite:<12} {mean:>9.4f} {slowdowns[suite]:>10.2f}")
 
 
-def all_slowdown(comparisons: Sequence[Comparison]) -> float:
-    """Percent slowdown geomean over the workloads actually present.
-
-    With the full grid this is the paper's ALL(36) number; a reduced
-    workload list (quick local runs) gets the geomean of its own
-    comparisons instead of a bare ``KeyError: 'ALL(36)'``.
-    """
-    if not comparisons:
-        raise ValueError("all_slowdown needs at least one comparison")
-    slowdowns = ComparisonResult(comparisons).slowdowns()
-    if "ALL(36)" in slowdowns:
-        return slowdowns["ALL(36)"]
-    mean = geometric_mean(
-        [c.normalized_performance for c in comparisons]
-    )
-    return 100.0 * (1.0 / mean - 1.0)
+def print_slowdown_rows(payload: dict, label: str, labels: dict) -> None:
+    """Print a Figure-7/9/10-style table: one row of suite slowdowns
+    per swept setting (``labels`` maps payload key → row label)."""
+    suites = list(next(iter(payload.values())))
+    print(f"{label:<10}" + "".join(f"{s:>12}" for s in suites))
+    for key, row_label in labels.items():
+        print(
+            f"{row_label:<10}"
+            + "".join(f"{payload[key][s]:>12.2f}" for s in suites)
+        )

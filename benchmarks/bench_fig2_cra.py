@@ -7,34 +7,28 @@ row-granular access streams have too little spatial locality for a
 line-granularity cache.
 """
 
-from _common import (
-    all_slowdown,
-    bench_config,
-    comparison_table,
-    record_result,
-    runner_for,
-)
+from _common import bench_config, print_comparison, record_result
+
+from repro.sim.experiments import run_experiment
 
 CACHE_SIZES_KB = (64, 128, 256)
 
 
 def test_fig2_cra_metadata_cache_sweep(benchmark):
-    def run_sweep():
-        runner = runner_for(bench_config())
-        return {
-            size_kb: runner.compare(f"cra@cache_kb={size_kb}")
-            for size_kb in CACHE_SIZES_KB
-        }
+    payload = benchmark.pedantic(
+        run_experiment, args=("fig2", bench_config()), rounds=1, iterations=1
+    )
 
-    results = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-
-    payload = {}
-    for size_kb, comparisons in results.items():
-        payload[f"cra_{size_kb}kb"] = comparison_table(
-            comparisons, f"Figure 2: CRA with {size_kb} KB metadata cache"
+    for size_kb in CACHE_SIZES_KB:
+        print_comparison(
+            payload[f"cra_{size_kb}kb"],
+            f"Figure 2: CRA with {size_kb} KB metadata cache",
         )
 
-    slowdowns = {kb: all_slowdown(results[kb]) for kb in CACHE_SIZES_KB}
+    slowdowns = {
+        kb: payload[f"cra_{kb}kb"]["suite_slowdowns"]["ALL(36)"]
+        for kb in CACHE_SIZES_KB
+    }
     print(f"\nCRA average slowdown by cache size: {slowdowns}")
 
     # Shape: significant average slowdown at 64 KB, monotonically

@@ -5,36 +5,21 @@ needs 680 KB of CAM, CRA needs only a cache but slows the system ~25%,
 and Hydra delivers ~0.7% average slowdown from 57 KB of SRAM.
 """
 
-from _common import (
-    all_slowdown,
-    bench_config,
-    comparison_table,
-    record_result,
-    runner_for,
-)
+from _common import bench_config, print_comparison, record_result
+
+from repro.sim.experiments import run_experiment
 
 
 def test_fig5_tracker_performance(benchmark):
-    config = bench_config()
-    runner = runner_for(config)
+    payload = benchmark.pedantic(
+        run_experiment, args=("fig5", bench_config()), rounds=1, iterations=1
+    )
 
-    def run_all():
-        return {
-            name: runner.compare(name)
-            for name in ("graphene", "cra", "hydra")
-        }
+    for name in ("graphene", "cra", "hydra"):
+        print_comparison(payload[name], f"Figure 5: {name} normalized performance")
 
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    payload = {}
-    for name, comparisons in results.items():
-        payload[name] = comparison_table(
-            comparisons, f"Figure 5: {name} normalized performance"
-        )
-
-    graphene = all_slowdown(results["graphene"])
-    cra = all_slowdown(results["cra"])
-    hydra = all_slowdown(results["hydra"])
+    all36 = payload["all36_slowdown_percent"]
+    graphene, cra, hydra = all36["graphene"], all36["cra"], all36["hydra"]
     print(
         f"\nALL(36) slowdown: graphene={graphene:.2f}% "
         f"cra={cra:.2f}% hydra={hydra:.2f}% "
@@ -48,20 +33,10 @@ def test_fig5_tracker_performance(benchmark):
     assert cra > 5 * hydra  # CRA >> Hydra
     # Per-workload: xz is Hydra's worst case (>3% in the paper);
     # at minimum it must be among the slowest three.
-    hydra_by_wl = sorted(
-        results["hydra"], key=lambda c: c.normalized_performance
-    )
-    worst_three = {c.workload for c in hydra_by_wl[:3]}
+    hydra_rows = payload["hydra"]["workloads"]
+    worst_three = sorted(
+        hydra_rows, key=lambda w: hydra_rows[w]["normalized_performance"]
+    )[:3]
     assert "xz" in worst_three
 
-    record_result(
-        "fig5_performance",
-        {
-            **payload,
-            "all36_slowdown_percent": {
-                "graphene": round(graphene, 3),
-                "cra": round(cra, 3),
-                "hydra": round(hydra, 3),
-            },
-        },
-    )
+    record_result("fig5_performance", payload)

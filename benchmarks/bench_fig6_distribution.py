@@ -6,24 +6,17 @@ are 90.7% / 9.0% / 0.3% — the GCT's filtering is what makes the
 DRAM-backed design viable.
 """
 
-import numpy as np
+from _common import bench_config, record_result
 
-from _common import bench_config, record_result, runner_for
-
-from repro.workloads.characteristics import all_names
+from repro.sim.experiments import run_experiment
 
 
 def test_fig6_update_distribution(benchmark):
-    config = bench_config()
-    runner = runner_for(config)
-
-    def run_all():
-        return {
-            name: runner.run("hydra", name).extra["distribution"]
-            for name in all_names()
-        }
-
-    distributions = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    payload = benchmark.pedantic(
+        run_experiment, args=("fig6", bench_config()), rounds=1, iterations=1
+    )
+    distributions = payload["per_workload"]
+    means = payload["averages"]
 
     print("\n=== Figure 6: distribution of count updates (%) ===")
     print(f"{'workload':<12} {'GCT-only':>9} {'RCC-hit':>9} {'RCT(DRAM)':>10}")
@@ -33,10 +26,6 @@ def test_fig6_update_distribution(benchmark):
             f"{100 * dist['rcc_hit']:>9.1f} "
             f"{100 * dist['rct_access']:>10.2f}"
         )
-    means = {
-        key: float(np.mean([d[key] for d in distributions.values()]))
-        for key in ("gct_only", "rcc_hit", "rct_access")
-    }
     print(
         f"{'AVERAGE':<12} {100 * means['gct_only']:>9.1f} "
         f"{100 * means['rcc_hit']:>9.1f} {100 * means['rct_access']:>10.2f}"
@@ -52,13 +41,4 @@ def test_fig6_update_distribution(benchmark):
     assert distributions["parest"]["rcc_hit"] > 0.1
     assert distributions["deepsjeng"]["gct_only"] > 0.99
 
-    record_result(
-        "fig6_distribution",
-        {
-            "per_workload": {
-                k: {kk: round(vv, 5) for kk, vv in v.items()}
-                for k, v in distributions.items()
-            },
-            "averages": {k: round(v, 5) for k, v in means.items()},
-        },
-    )
+    record_result("fig6_distribution", payload)

@@ -6,35 +6,23 @@ activation needs per-row state and the RCC thrashes (paper: 20%).
 The ordering NoGCT >> NoRCC >> Hydra is the design's justification.
 """
 
-from _common import (
-    all_slowdown,
-    bench_config,
-    comparison_table,
-    record_result,
-    runner_for,
-)
+from _common import bench_config, print_comparison, record_result
+
+from repro.sim.experiments import run_experiment
 
 VARIANTS = ("hydra", "hydra-norcc", "hydra-nogct")
 
 
 def test_fig8_gct_rcc_ablation(benchmark):
-    config = bench_config()
-    runner = runner_for(config)
+    payload = benchmark.pedantic(
+        run_experiment, args=("fig8", bench_config()), rounds=1, iterations=1
+    )
 
-    def run_all():
-        return {name: runner.compare(name) for name in VARIANTS}
+    for name in VARIANTS:
+        print_comparison(payload[name], f"Figure 8: {name}")
 
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    payload = {}
-    for name, comparisons in results.items():
-        payload[name] = comparison_table(
-            comparisons, f"Figure 8: {name}"
-        )
-
-    hydra = all_slowdown(results["hydra"])
-    norcc = all_slowdown(results["hydra-norcc"])
-    nogct = all_slowdown(results["hydra-nogct"])
+    all36 = payload["all36_slowdown_percent"]
+    hydra, norcc, nogct = (all36[name] for name in VARIANTS)
     print(
         f"\nALL(36) slowdown: hydra={hydra:.2f}% norcc={norcc:.2f}% "
         f"nogct={nogct:.2f}% (paper: 0.7 / 4.5 / 20)"
@@ -45,9 +33,4 @@ def test_fig8_gct_rcc_ablation(benchmark):
     assert norcc > 2.0
     assert nogct > 8.0
 
-    payload["all36_slowdown_percent"] = {
-        "hydra": round(hydra, 3),
-        "hydra-norcc": round(norcc, 3),
-        "hydra-nogct": round(nogct, 3),
-    }
     record_result("fig8_ablation", payload)

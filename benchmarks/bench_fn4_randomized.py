@@ -7,40 +7,23 @@ design performs within 0.1% of the static scheme." This benchmark
 reproduces that comparison on a representative workload slice.
 """
 
-from _common import bench_config, record_result, runner_for
+from _common import bench_config, record_result
 
-WORKLOADS = [
-    "bwaves", "parest", "xz", "cactuBSSN", "deepsjeng",
-    "ferret", "freq", "bc_t", "GUPS",
-]
+from repro.sim.experiments import FN4_WORKLOADS, run_experiment
 
 
 def test_fn4_randomized_mapping(benchmark):
-    config = bench_config()
-    runner = runner_for(config)
-
-    def run_both():
-        return {
-            "hydra": runner.compare("hydra", WORKLOADS),
-            "hydra-randomized": runner.compare("hydra-randomized", WORKLOADS),
-        }
-
-    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    payload = benchmark.pedantic(
+        run_experiment, args=("fn4", bench_config()), rounds=1, iterations=1
+    )
 
     print("\n=== Footnote 4: static vs randomized mapping ===")
     print(f"{'workload':<12} {'static':>9} {'randomized':>11}")
-    static = {c.workload: c for c in results["hydra"]}
-    randomized = {c.workload: c for c in results["hydra-randomized"]}
-    deltas = []
-    payload = {}
-    for name in WORKLOADS:
-        s = static[name].normalized_performance
-        r = randomized[name].normalized_performance
-        deltas.append(abs(s - r))
-        payload[name] = {"static": round(s, 4), "randomized": round(r, 4)}
-        print(f"{name:<12} {s:>9.4f} {r:>11.4f}")
-    worst = max(deltas)
-    print(f"max |delta| = {100 * worst:.2f}% (paper: within ~0.1%)")
+    for name in FN4_WORKLOADS:
+        row = payload[name]
+        print(f"{name:<12} {row['static']:>9.4f} {row['randomized']:>11.4f}")
+    worst = payload["max_abs_delta_percent"]
+    print(f"max |delta| = {worst:.2f}% (paper: within ~0.1%)")
 
     # Shape: randomization is never a meaningful cost. At this scale
     # it is in fact slightly *faster* on hot-row workloads: with the
@@ -49,13 +32,9 @@ def test_fn4_randomized_mapping(benchmark):
     # neighbours land in cold groups the GCT absorbs. The assertion
     # bounds the divergence and requires randomized never be slower
     # by more than noise.
-    assert worst < 0.03
-    for name in WORKLOADS:
+    assert worst < 3.0
+    for name in FN4_WORKLOADS:
         assert (
-            randomized[name].normalized_performance
-            >= static[name].normalized_performance - 0.005
+            payload[name]["randomized"] >= payload[name]["static"] - 0.005
         ), name
-    record_result(
-        "fn4_randomized_mapping",
-        {**payload, "max_abs_delta_percent": round(100 * worst, 3)},
-    )
+    record_result("fn4_randomized_mapping", payload)

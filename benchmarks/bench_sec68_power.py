@@ -9,16 +9,17 @@ multi-watt DRAM subsystem).
 import numpy as np
 import pytest
 
-from _common import bench_config, record_result, runner_for
+from _common import bench_config, record_result
 
 from repro.analysis.sram_power import hydra_sram_power
 from repro.core.config import HydraConfig
+from repro.sim.sweep import ExperimentRunner
 from repro.workloads.characteristics import all_names
 
 
 def test_sec68_power_overheads(benchmark):
     config = bench_config()
-    runner = runner_for(config)
+    runner = ExperimentRunner(config)
 
     def run_all():
         overheads = {}

@@ -9,11 +9,9 @@ earlier papers evaluated.
 
 import pytest
 
-from _common import record_result
+from _common import bench_config, record_result
 
-from repro.trackers.storage import storage_table
-
-KIB = 1024
+from repro.sim.experiments import run_experiment
 
 #: The paper's published values (KB per rank), for comparison.
 PAPER_TABLE1 = {
@@ -25,33 +23,27 @@ PAPER_TABLE1 = {
 
 
 def test_table1_prior_tracker_storage(benchmark):
-    rows = benchmark.pedantic(storage_table, rounds=1, iterations=1)
+    payload = benchmark.pedantic(
+        run_experiment, args=("table1", bench_config()), rounds=1, iterations=1
+    )
 
     print("\n=== Table 1: per-rank storage (KB) ===")
-    schemes = list(rows[0].bytes_by_scheme)
+    schemes = list(next(iter(payload.values())))
     print(f"{'T_RH':<8}" + "".join(f"{s:>10}" for s in schemes))
-    payload = {}
-    for row in rows:
-        cells = "".join(
-            f"{row.bytes_by_scheme[s] / KIB:>10.0f}" for s in schemes
-        )
-        print(f"{row.trh:<8}{cells}")
-        payload[row.trh] = {
-            s: round(row.bytes_by_scheme[s] / KIB, 1) for s in schemes
-        }
+    for trh, row in payload.items():
+        print(f"{trh:<8}" + "".join(f"{row[s]:>10.0f}" for s in schemes))
 
-    by_trh = {row.trh: row.bytes_by_scheme for row in rows}
     # Calibration: within 10% of every published point.
     for trh, expected in PAPER_TABLE1.items():
         for scheme, kib in expected.items():
-            assert by_trh[trh][scheme] / KIB == pytest.approx(
+            assert payload[trh][scheme] == pytest.approx(
                 kib, rel=0.10
             ), (trh, scheme)
     # Headline: at T_RH <= 500 every prior scheme exceeds the 64 KB goal.
     for trh in (250, 500):
-        for scheme, size in by_trh[trh].items():
-            assert size > 64 * KIB, (trh, scheme)
+        for scheme, kib in payload[trh].items():
+            assert kib > 64, (trh, scheme)
     # And at the legacy T_RH=32K, SRAM trackers are far below OCPR.
-    assert by_trh[32000]["Graphene"] < by_trh[32000]["OCPR"] / 100
+    assert payload[32000]["Graphene"] < payload[32000]["OCPR"] / 100
 
     record_result("table1_storage", payload)

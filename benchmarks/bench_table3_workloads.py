@@ -9,15 +9,16 @@ performance figure.
 
 import pytest
 
-from _common import bench_config, record_result, runner_for
+from _common import bench_config, record_result
 
+from repro.sim.sweep import ExperimentRunner
 from repro.workloads.characteristics import TABLE3
 from repro.workloads.trace import characterize
 
 
 def test_table3_workload_characteristics(benchmark):
     config = bench_config(n_windows=1)
-    runner = runner_for(config)
+    runner = ExperimentRunner(config)
 
     def generate_all():
         return {w.name: runner.trace_for(w.name) for w in TABLE3}

@@ -7,39 +7,30 @@ GCT (32K x 8-bit) = 32 KB, RCC (8K x 24-bit) = 24 KB, RIT-ACT
 
 import pytest
 
-from _common import record_result
+from _common import bench_config, record_result
 
-from repro.core.config import HydraConfig
-from repro.core.storage import hydra_storage
+from repro.sim.experiments import run_experiment
 
 
 def test_table4_hydra_storage(benchmark):
-    report = benchmark.pedantic(
-        hydra_storage, args=(HydraConfig(),), rounds=1, iterations=1
+    payload = benchmark.pedantic(
+        run_experiment, args=("table4", bench_config()), rounds=1, iterations=1
     )
 
     print("\n=== Table 4: Hydra storage overhead (32GB, 2 channels) ===")
-    for name, value in report.rows().items():
-        print(f"{name:<8} {value}")
+    for name in ("gct", "rcc", "rit_act", "total"):
+        print(f"{name:<8} {payload[f'{name}_kib']:.1f} KB")
+    reserved_fraction = payload["dram_reserved_mib"] / (32 * 1024)
     print(
-        f"DRAM reservation: {report.dram_reserved_bytes / 1024 / 1024:.1f} MB "
-        f"({100 * report.dram_reserved_bytes / (32 * 1024 ** 3):.3f}% of 32GB)"
+        f"DRAM reservation: {payload['dram_reserved_mib']:.1f} MB "
+        f"({100 * reserved_fraction:.3f}% of 32GB)"
     )
 
-    assert report.gct_bytes == 32 * 1024
-    assert report.rcc_bytes == 24 * 1024
-    assert report.rit_act_bytes == 512
-    assert report.sram_total_kib == pytest.approx(56.5)
-    assert report.dram_reserved_bytes == 4 * 1024 * 1024
-    assert report.dram_reserved_bytes / (32 * 1024**3) < 0.0002
+    assert payload["gct_kib"] == 32
+    assert payload["rcc_kib"] == 24
+    assert payload["rit_act_kib"] == 0.5
+    assert payload["total_kib"] == pytest.approx(56.5)
+    assert payload["dram_reserved_mib"] == 4
+    assert reserved_fraction < 0.0002
 
-    record_result(
-        "table4_hydra_storage",
-        {
-            "gct_kib": report.gct_bytes / 1024,
-            "rcc_kib": report.rcc_bytes / 1024,
-            "rit_act_kib": report.rit_act_bytes / 1024,
-            "total_kib": report.sram_total_kib,
-            "dram_reserved_mib": report.dram_reserved_bytes / 1024 / 1024,
-        },
-    )
+    record_result("table4_hydra_storage", payload)

@@ -7,35 +7,30 @@ magnitude below every alternative on both technologies.
 
 import pytest
 
-from _common import record_result
+from _common import bench_config, record_result
 
-from repro.trackers.storage import total_sram_table
-
-KIB = 1024
+from repro.sim.experiments import run_experiment
 
 
 def test_table5_total_sram(benchmark):
-    table = benchmark.pedantic(total_sram_table, rounds=1, iterations=1)
+    payload = benchmark.pedantic(
+        run_experiment, args=("table5", bench_config()), rounds=1, iterations=1
+    )
 
     print("\n=== Table 5: total SRAM, 32GB / 2 ranks (KB) ===")
     print(f"{'scheme':<12} {'DDR4':>10} {'DDR5':>10}")
-    payload = {}
-    for scheme, cols in table.items():
-        print(
-            f"{scheme:<12} {cols['ddr4'] / KIB:>10.1f} {cols['ddr5'] / KIB:>10.1f}"
-        )
-        payload[scheme] = {
-            "ddr4_kib": round(cols["ddr4"] / KIB, 1),
-            "ddr5_kib": round(cols["ddr5"] / KIB, 1),
-        }
+    for scheme, cols in payload.items():
+        print(f"{scheme:<12} {cols['ddr4_kib']:>10.1f} {cols['ddr5_kib']:>10.1f}")
 
-    assert table["Hydra"]["ddr4"] == pytest.approx(56.5 * KIB, rel=0.01)
-    assert table["Graphene"]["ddr4"] == pytest.approx(680 * KIB, rel=0.01)
+    ddr4 = {scheme: cols["ddr4_kib"] for scheme, cols in payload.items()}
+    ddr5 = {scheme: cols["ddr5_kib"] for scheme, cols in payload.items()}
+    assert ddr4["Hydra"] == pytest.approx(56.5, rel=0.01)
+    assert ddr4["Graphene"] == pytest.approx(680, rel=0.01)
     for scheme in ("Graphene", "TWiCE", "CAT"):
-        assert table[scheme]["ddr5"] == 2 * table[scheme]["ddr4"]
+        assert ddr5[scheme] == 2 * ddr4[scheme]
     for scheme in ("D-CBF", "Hydra"):
-        assert table[scheme]["ddr5"] == table[scheme]["ddr4"]
+        assert ddr5[scheme] == ddr4[scheme]
     for scheme in ("Graphene", "TWiCE", "CAT", "D-CBF"):
-        assert table[scheme]["ddr4"] > 10 * table["Hydra"]["ddr4"]
+        assert ddr4[scheme] > 10 * ddr4["Hydra"]
 
     record_result("table5_total_sram", payload)

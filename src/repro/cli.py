@@ -9,8 +9,9 @@ Subcommands:
 - ``list-trackers`` — print the tracker registry: every registered
   tracker with its tunable parameters.
 - ``storage``       — print the Table 1/4/5 storage report.
-- ``security``      — run the §5 attack programs against Hydra under
-  the Theorem-1 oracle (exit 1 on any violation).
+- ``security``      — run the §5 attack battery (the ``sec5``
+  experiment) against Hydra under the Theorem-1 oracle (exit 1 on any
+  violation).
 - ``arena``         — race every registered tracker down a T_RH
   ladder and print the slowdown / storage / security Pareto report.
 - ``list-attacks``  — print the attack-program registry.
@@ -19,11 +20,16 @@ Subcommands:
 - ``trace``         — inspect / convert / head / record trace files
   (chunked directories, ``.npz``, external text) without loading
   them whole.
+- ``experiment``    — print one paper result as JSON, from
+  :mod:`repro.sim.experiments`; at the default options it is the
+  committed ``benchmarks/results`` file.
 
 Everywhere a tracker is named (``--tracker``), a parameterized spec
 string is accepted too: ``hydra@trh=1000,rcc_kb=28``,
 ``cra@cache_kb=128``, ``para@probability=0.01``, ... A spec the
 registry rejects is a usage error (exit 2), like any bad option value.
+So is a trace or manifest file that is missing or malformed: one
+``hydra-sim: error:`` line carrying the reader's message.
 
 Attacks use the same spec grammar (``--attack
 many_sided@aggs=18,rounds=4096``): ``run --attack`` injects the
@@ -60,8 +66,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, List, NoReturn, Optional
 
 from repro.memctrl import ENGINES
 from repro.workloads import all_names
@@ -84,6 +91,68 @@ def _count_type(minimum: int, meaning: str) -> Callable[[str], int]:
 
 
 _jobs_type = _count_type(0, "0 = one per CPU")
+
+
+def _positive_float(value: str) -> float:
+    try:
+        number = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}")
+    if not number > 0:
+        raise argparse.ArgumentTypeError("must be > 0")
+    return number
+
+
+def _workload_names(value: str) -> List[str]:
+    """Comma-separated names of the synthetic workloads."""
+    names = [name for name in value.split(",") if name]
+    unknown = [name for name in names if name not in all_names()]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {unknown[0]!r}; see 'hydra-sim run --help'"
+        )
+    return names
+
+
+def _attack_spec(value: str) -> str:
+    """An attack spec the attack registry accepts, returned unchanged."""
+    from repro.attacks.registry import parse_attack_spec
+
+    try:
+        parse_attack_spec(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return value
+
+
+def _experiment_name(value: str) -> str:
+    """A registered experiment name, or ``list``."""
+    from repro.sim.experiments import available_experiments
+
+    names = available_experiments()
+    if value != "list" and value not in names:
+        raise argparse.ArgumentTypeError(
+            f"unknown experiment {value!r}; available: list, {', '.join(names)}"
+        )
+    return value
+
+
+def _input_error(message: object) -> NoReturn:
+    """Refuse a bad input file the way argparse refuses a bad option:
+    one line on stderr, exit 2."""
+    sys.stderr.write(f"hydra-sim: error: {message}\n")
+    raise SystemExit(2)
+
+
+@contextmanager
+def _reading_input() -> Iterator[None]:
+    """Turn a missing, unreadable or malformed input file into
+    :func:`_input_error` with the reader's message. Wraps reading
+    only, never a simulation."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        _input_error(exc)
 
 
 def _tracker_spec(value: str) -> str:
@@ -218,6 +287,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.sim.sweep import ExperimentRunner
 
     runner = ExperimentRunner(_config(args))
+    if args.trace_file is not None:
+        # Open (and, for a text trace, parse) the file before any
+        # simulation; the per-process trace memo hands the simulation
+        # this same source.
+        with _reading_input():
+            runner.trace_for(args.workload)
     if args.attack:
         # Attack runs mix a compiled program into the workload trace;
         # the mixed trace is unique to this invocation, so simulate
@@ -325,7 +400,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     grid = api.GridSpec(
         trackers=tuple(args.trackers),
-        workloads=tuple(args.workloads.split(",")) if args.workloads else (),
+        workloads=tuple(args.workloads or ()),
         config=_config(args),
     )
     handle = api.sweep(grid, service=f"{args.host}:{args.port}")
@@ -423,62 +498,33 @@ def _cmd_storage(args: argparse.Namespace) -> int:
 
 
 def _cmd_security(args: argparse.Namespace) -> int:
-    from repro.analysis.security import verify_tracker
-    from repro.attacks import compile_program, resolve
-    from repro.attacks.programs import (
-        double_sided_program,
-        half_double_program,
-        many_sided_program,
-        rct_region_program,
-        single_sided_program,
-        thrash_then_hammer_program,
-    )
-    from repro.core import HydraTracker
+    from repro.sim.experiments import run_experiment
 
     config = _config(args)
-    hydra_cfg = config.hydra_config()
-    geometry = hydra_cfg.geometry
-    threshold = hydra_cfg.th
-    programs = {
-        "single-sided": single_sided_program(1000, 20 * threshold),
-        "double-sided": double_sided_program(2000, 10 * threshold),
-        "many-sided": many_sided_program(list(range(3000, 3024)), 2 * threshold),
-        "half-double": half_double_program(4000, 20 * threshold),
-        "thrash": thrash_then_hammer_program(
-            5000, list(range(6000, 6512)), 4 * threshold, interleave=8
-        ),
-        "rct-region": rct_region_program(geometry, 10 * threshold),
-    }
-    # Patterns derived from the geometry are checked against it.
-    checked = {"rct-region"}
-    patterns = {
-        name: compile_program(
-            resolve(program, geometry=geometry if name in checked else None)
-        )
-        for name, program in programs.items()
-    }
+    threshold = config.hydra_config().th
     failures = 0
-    for name, sequence in patterns.items():
-        tracker = HydraTracker(hydra_cfg)
-        report = verify_tracker(tracker, geometry, sequence, threshold)
-        status = "SECURE" if report.secure else "VIOLATED"
-        if not report.secure:
+    for name, row in run_experiment("sec5", config).items():
+        if not row["secure"]:
             failures += 1
         print(
-            f"{name:<14} {status:<9} activations={report.activations:>8} "
-            f"mitigations={report.mitigations:>6} "
-            f"max-unmitigated={report.max_unmitigated_count}/{threshold}"
+            f"{name:<14} {'SECURE' if row['secure'] else 'VIOLATED':<9}"
+            f" activations={row['activations']:>8}"
+            f" mitigations={row['mitigations']:>6}"
+            f" max-unmitigated={row['max_unmitigated']}/{threshold}"
         )
     return 1 if failures else 0
 
 
 def _csv_ints(value: str) -> List[int]:
     try:
-        return [int(item) for item in value.split(",") if item.strip()]
+        numbers = [int(item) for item in value.split(",") if item.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {value!r}"
         )
+    if any(number < 1 for number in numbers):
+        raise argparse.ArgumentTypeError(f"every T_RH must be >= 1, got {value!r}")
+    return numbers
 
 
 def _cmd_arena(args: argparse.Namespace) -> int:
@@ -498,11 +544,7 @@ def _cmd_arena(args: argparse.Namespace) -> int:
         config,
         trackers=args.trackers,
         trh_ladder=args.trh_ladder or DEFAULT_TRH_LADDER,
-        workloads=(
-            args.workloads.split(",")
-            if args.workloads
-            else DEFAULT_ARENA_WORKLOADS
-        ),
+        workloads=args.workloads or DEFAULT_ARENA_WORKLOADS,
         sequences=tuple(args.attack) if args.attack else ORACLE_SEQUENCES,
         jobs=args.jobs,
         manifest_path=args.manifest,
@@ -601,8 +643,9 @@ def _cmd_trace_inspect(args: argparse.Namespace) -> int:
     )
     from repro.workloads.trace import characterize
 
-    source = open_trace_source(args.path, chunk_requests=args.chunk)
-    stats = characterize(source, hot_threshold=args.hot_threshold)
+    with _reading_input():
+        source = open_trace_source(args.path, chunk_requests=args.chunk)
+        stats = characterize(source, hot_threshold=args.hot_threshold)
     print(f"trace             : {source.name}")
     print(f"requests          : {source_request_count(source)}")
     print(f"duration (intent) : {source_duration_ns(source) / 1e6:.3f} ms")
@@ -617,8 +660,9 @@ def _cmd_trace_inspect(args: argparse.Namespace) -> int:
 def _cmd_trace_convert(args: argparse.Namespace) -> int:
     from repro.workloads.streaming import open_trace_source, write_trace_source
 
-    source = open_trace_source(args.source, chunk_requests=args.chunk)
-    print(write_trace_source(source, args.destination, args.chunk))
+    with _reading_input():
+        source = open_trace_source(args.source, chunk_requests=args.chunk)
+        print(write_trace_source(source, args.destination, args.chunk))
     return 0
 
 
@@ -627,15 +671,16 @@ def _cmd_trace_head(args: argparse.Namespace) -> int:
 
     from repro.workloads.streaming import open_trace_source
 
-    source = open_trace_source(args.path, chunk_requests=args.chunk)
-    print(f"# {source.name}")
-    print("# <gap_ns> <R|W> <row_id> <n_lines>")
     shown = 0
-    for gap, row, n_lines, is_write in islice(
-        iter(source), args.start, args.start + args.count
-    ):
-        print(f"{gap!r} {'W' if is_write else 'R'} {row} {n_lines}")
-        shown += 1
+    with _reading_input():
+        source = open_trace_source(args.path, chunk_requests=args.chunk)
+        print(f"# {source.name}")
+        print("# <gap_ns> <R|W> <row_id> <n_lines>")
+        for gap, row, n_lines, is_write in islice(
+            iter(source), args.start, args.start + args.count
+        ):
+            print(f"{gap!r} {'W' if is_write else 'R'} {row} {n_lines}")
+            shown += 1
     if not shown:
         print(f"# (no requests at offset {args.start})")
     return 0
@@ -671,7 +716,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     output = Path(args.output) if args.output else None
     if args.manifest:
-        text = render_manifest(Path(args.manifest))
+        with _reading_input():
+            text = render_manifest(Path(args.manifest))
         if output is not None:
             output.write_text(text)
     else:
@@ -726,6 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--attack",
+        type=_attack_spec,
         default=None,
         metavar="SPEC",
         help="inject a compiled attack program alongside the workload"
@@ -734,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--attack-rate",
-        type=float,
+        type=_positive_float,
         default=0.01,
         metavar="PER_NS",
         help="with --attack: attacker activations per nanosecond"
@@ -808,6 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--workloads",
+        type=_workload_names,
         default=None,
         metavar="NAMES",
         help="comma-separated workload names (default: all 36)",
@@ -843,7 +891,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(storage, "--trh")
     storage.set_defaults(func=_cmd_storage)
 
-    security = sub.add_parser("security", help="verify attack resilience")
+    security = sub.add_parser(
+        "security",
+        help="verify Hydra against the §5 attack battery (exit 1 on any"
+        " violation)",
+    )
     _add_options(security, "--scale-denominator", "--trh")
     security.set_defaults(func=_cmd_security)
 
@@ -873,6 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     arena.add_argument(
         "--workloads",
+        type=_workload_names,
         default=None,
         metavar="W1,W2,...",
         help="comma-separated workloads for the slowdown axis (default:"
@@ -916,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(fuzz, "--scale-denominator", "--trh", "--jobs")
     fuzz.add_argument(
         "--programs",
-        type=int,
+        type=_count_type(1, "programs per tracker"),
         default=8,
         metavar="N",
         help="generated programs per tracker (default 8)",
@@ -931,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--act-budget",
-        type=int,
+        type=_count_type(1, "activations per program"),
         default=None,
         metavar="N",
         help="per-program activation budget (default 60000, shrunk"
@@ -963,10 +1016,15 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.set_defaults(func=_cmd_fuzz)
 
     exp = sub.add_parser(
-        "experiment", help="run one named paper experiment (fig5, table1, ...)"
+        "experiment",
+        help="print one paper result (fig5, table1, sec5, ...) as JSON",
     )
     _add_options(exp, *_SIMULATION, "--jobs")
-    exp.add_argument("name", help="experiment id; use 'list' to enumerate")
+    exp.add_argument(
+        "name",
+        type=_experiment_name,
+        help="experiment id; use 'list' to enumerate",
+    )
     exp.set_defaults(func=_cmd_experiment)
 
     trace = sub.add_parser(
@@ -987,7 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
 
         p.add_argument(
             "--chunk",
-            type=int,
+            type=_count_type(1, "requests per chunk"),
             default=DEFAULT_STREAM_CHUNK,
             metavar="N",
             help="streaming chunk / segment size in requests"
@@ -1000,7 +1058,7 @@ def build_parser() -> argparse.ArgumentParser:
     inspect.add_argument("path", help="trace to inspect (any format)")
     inspect.add_argument(
         "--hot-threshold",
-        type=int,
+        type=_count_type(0, "activations per window"),
         default=250,
         metavar="N",
         help="activation count above which a row counts as hot"
@@ -1028,11 +1086,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     head.add_argument("path", help="trace to read (any format)")
     head.add_argument(
-        "-n", "--count", type=int, default=10, metavar="N",
+        "-n", "--count", type=_count_type(1, "requests to print"),
+        default=10, metavar="N",
         help="requests to print (default 10)",
     )
     head.add_argument(
-        "--start", type=int, default=0, metavar="I",
+        "--start", type=_count_type(0, "0 = the first request"),
+        default=0, metavar="I",
         help="first request index to print (default 0)",
     )
     _add_chunk(head)

@@ -61,6 +61,18 @@ class TestParser:
             ["run", "--scale-denominator", "-4"],
             ["sweep", "--scale-denominator", "x"],
             ["serve", "--workers", "-3"],
+            ["run", "--attack", "bogus"],
+            ["run", "--attack-rate", "-1"],
+            ["run", "--attack-rate", "x"],
+            ["fuzz", "--programs", "0"],
+            ["fuzz", "--act-budget", "-5"],
+            ["trace", "head", "README.md", "--count", "-3"],
+            ["trace", "head", "README.md", "--start", "-3"],
+            ["trace", "inspect", "README.md", "--hot-threshold", "-1"],
+            ["trace", "record", "GUPS", "out.trc", "--chunk", "0"],
+            ["arena", "--trh-ladder", "0"],
+            ["arena", "--workloads", "bogus"],
+            ["submit", "--workloads", "GUPS,bogus"],
         ],
         ids=" ".join,
     )
@@ -143,6 +155,15 @@ class TestExperimentCommand:
         assert main(["experiment", "list"]) == 0
         out = capsys.readouterr().out
         assert "fig5" in out and "table1" in out
+
+    def test_unknown_name_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["experiment", "fig99"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "unknown experiment 'fig99'" in err
+        assert "fig5" in err and "sec5" in err
 
     def test_analytic_experiment_runs(self, capsys):
         assert main(["experiment", "table4"]) == 0
@@ -304,6 +325,44 @@ class TestTraceCommand:
         assert chunked_stats == text_stats
 
 
+#: Commands naming an input file that is missing or malformed, with
+#: a piece of the reader's message. ``{bad}`` is a text trace whose
+#: first request line does not parse.
+BAD_INPUT_FILES = [
+    (["trace", "inspect", "{missing}"], "no trace file at"),
+    (["trace", "convert", "{missing}", "{out}"], "no trace file at"),
+    (["trace", "head", "{missing}"], "no trace file at"),
+    (["trace", "inspect", "{bad}"], "bad.trc:2: expected '<gap_ns> <R|W>"),
+    (["trace", "convert", "{bad}", "{out}"], "bad.trc:2: expected"),
+    (["trace", "head", "{bad}"], "bad.trc:2: expected"),
+    (["run", "--trace-file", "{missing}"], "no trace file at"),
+    (["run", "--trace-file", "{bad}"], "bad.trc:2: expected"),
+    (["report", "--manifest", "{missing}"], "No such file or directory"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    BAD_INPUT_FILES,
+    ids=[" ".join(argv) for argv, _ in BAD_INPUT_FILES],
+)
+def test_bad_input_file_is_a_one_line_usage_error(argv, message, tmp_path, capsys):
+    bad = tmp_path / "bad.trc"
+    bad.write_text("# header\nthis is not a request\n")
+    paths = dict(
+        missing=str(tmp_path / "missing.trc"),
+        bad=str(bad),
+        out=str(tmp_path / "out.trc"),
+    )
+    with pytest.raises(SystemExit) as info:
+        main([word.format(**paths) for word in argv])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hydra-sim: error: ")
+    assert err.count("\n") == 1
+    assert message in err
+
+
 class TestAttackCommands:
     def test_list_attacks_prints_registry(self, capsys):
         assert main(["list-attacks"]) == 0
@@ -323,13 +382,15 @@ class TestAttackCommands:
         assert "single_sided" in out
         assert "execution time" in out
 
-    def test_run_rejects_unknown_attack_spec(self):
-        with pytest.raises(ValueError, match="unknown attack"):
+    def test_run_rejects_unknown_attack_spec(self, capsys):
+        with pytest.raises(SystemExit) as info:
             main(
                 ["run", "leela", "--tracker", "hydra",
                  "--scale-denominator", "256",
                  "--attack", "nonsense"]
             )
+        assert info.value.code == 2
+        assert "unknown attack 'nonsense'" in capsys.readouterr().err
 
     def test_arena_attack_flag_is_repeatable(self):
         args = build_parser().parse_args(
