@@ -27,7 +27,7 @@ def main() -> None:
           f"(row-groups of {config.group_size} rows)")
     print(f"  RCC entries = {config.rcc_entries}, {config.rcc_ways}-way")
     full_scale = hydra_storage(HydraConfig(geometry=PAPER_GEOMETRY))
-    print(f"  full-scale SRAM cost: {full_scale.rows()['Total']} (Table 4)\n")
+    print(f"  full-scale SRAM cost: {full_scale.sram_total_kib:.1f} KB (Table 4)\n")
 
     # A double-sided attack on the rows around victim 5000, hiding in
     # benign traffic touching thousands of other rows.

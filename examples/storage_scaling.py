@@ -44,8 +44,14 @@ def main() -> None:
     print()
 
     print("=== Table 4: Hydra breakdown (32 GB system) ===")
-    for name, value in hydra_storage(HydraConfig()).rows().items():
-        print(f"  {name:<8} {value}")
+    report = hydra_storage(HydraConfig())
+    for name, size in (
+        ("GCT", report.gct_bytes),
+        ("RCC", report.rcc_bytes),
+        ("RIT-ACT", report.rit_act_bytes),
+        ("Total", report.sram_total_bytes),
+    ):
+        print(f"  {name:<8} {size / KIB:.1f} KB")
     print()
 
     print("=== Table 5: whole-system SRAM (KB), DDR4 vs DDR5 ===")

@@ -306,7 +306,7 @@ def mark_pareto(cells: Sequence[ArenaCell]) -> None:
 
 def _storage_axes(spec: str, cfg: SystemConfig) -> Tuple[int, int, int]:
     """(sram, llc_reserved, dram_reserved) for one spec at one rung."""
-    tracker = build_tracker(spec, cfg.tracker_context())
+    tracker = build_tracker(spec, cfg)
     stats = tracker.extra_stats()
     llc = int(stats.get("llc_reserved_bytes", 0))
     return tracker.sram_bytes(), llc, tracker.dram_reserved_bytes()

@@ -3,8 +3,8 @@
 :func:`judge_attack` is the one function both security harnesses call
 per cell — the arena's oracle battery
 (:mod:`repro.analysis.arena`) and the attack fuzzer
-(:mod:`repro.attacks.fuzz`). It builds the tracker from the system's
-tracker context, drives it with the attack under the §5 security
+(:mod:`repro.attacks.fuzz`). It builds the tracker for the system's
+config, drives it with the attack under the §5 security
 oracle (:func:`~repro.analysis.security.verify_tracker`), records
 whether the attack could exercise the T_RH/2 threshold at all, and
 judges the report against the tracker's declared security class (the
@@ -55,7 +55,7 @@ def judge_attack(
     threshold = max(1, cfg.trh // 2)
     act_max = cfg.timing.max_activations_per_window()
     report = verify_tracker(
-        build_tracker(spec, cfg.tracker_context()),
+        build_tracker(spec, cfg),
         cfg.geometry,
         compiled,
         threshold=threshold,

@@ -1,9 +1,10 @@
 """Declarative attack registry and spec-string configuration.
 
-The mirror image of :mod:`repro.trackers.registry`, for adversaries:
-every attack program the simulator knows registers itself here with a
-name and a typed parameter schema, and anywhere the stack accepts an
-attack it accepts a **spec string** in the same grammar trackers use::
+The attack instance of :class:`~repro.trackers.registry.SpecRegistry`:
+every attack program the simulator knows registers itself in
+:data:`ATTACKS` with a name and a typed parameter schema, and anywhere
+the stack accepts an attack it accepts a **spec string** in the same
+grammar trackers use::
 
     single_sided
     many_sided@aggs=18,rounds=4096
@@ -25,8 +26,8 @@ geometry) → :class:`~repro.attacks.compile.CompiledAttack`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Any, Mapping, Optional, Union
 
 from repro.attacks.compile import CompiledAttack, compile_program
 from repro.attacks.ops import Program
@@ -37,13 +38,10 @@ from repro.dram.timing import (
     DramGeometry,
     DramTiming,
 )
-from repro.trackers.registry import (
-    Param,
-    format_param_value,
-    parse_param_items,
-)
+from repro.trackers.registry import Spec, SpecInfo, SpecRegistry
 
 __all__ = [
+    "ATTACKS",
     "AttackContext",
     "AttackInfo",
     "AttackSpec",
@@ -81,112 +79,24 @@ class AttackContext:
 
     @classmethod
     def from_system(cls, config: Any) -> "AttackContext":
-        """Context from anything geometry/timing/trh-shaped
-        (:class:`~repro.sim.config.SystemConfig`, a tracker context)."""
+        """Context from anything geometry/timing/trh-shaped, such as
+        a :class:`~repro.sim.config.SystemConfig`."""
         return cls(
             geometry=config.geometry, timing=config.timing, trh=config.trh
         )
 
 
-@dataclass(frozen=True)
-class AttackInfo:
-    """One registered attack: its program builder and parameter schema."""
+#: The attack registry; the built-in zoo lives in
+#: :mod:`repro.attacks.programs`.
+ATTACKS = SpecRegistry("attack", ("repro.attacks.programs",))
 
-    name: str
-    builder: Callable[..., Program]
-    params: Mapping[str, Param] = field(default_factory=dict)
-    summary: str = ""
-
-
-_REGISTRY: Dict[str, AttackInfo] = {}
-
-
-def register_attack(
-    name: str,
-    *,
-    params: Optional[Mapping[str, Param]] = None,
-    summary: str = "",
-) -> Callable[[Callable[..., Program]], Callable[..., Program]]:
-    """Decorator adding one attack-program builder to the registry.
-
-    The decorated callable receives an :class:`AttackContext` plus any
-    spec parameters (coerced to their declared types) as keyword
-    arguments, and returns a :class:`Program`.
-    """
-
-    def decorate(builder: Callable[..., Program]) -> Callable[..., Program]:
-        if name in _REGISTRY:
-            raise ValueError(f"attack {name!r} registered twice")
-        _REGISTRY[name] = AttackInfo(
-            name=name,
-            builder=builder,
-            params=dict(params or {}),
-            summary=summary,
-        )
-        return builder
-
-    return decorate
-
-
-def _ensure_registered() -> None:
-    # The built-in zoo lives in repro.attacks.programs; importing it
-    # populates the registry. Lazy so this module stays a leaf.
-    import repro.attacks.programs  # noqa: F401
-
-
-def available_attacks() -> List[str]:
-    """Sorted names of every registered attack program."""
-    _ensure_registered()
-    return sorted(_REGISTRY)
-
-
-def attack_info(name: str) -> AttackInfo:
-    """Registry entry for ``name`` (a bare name, not a spec)."""
-    _ensure_registered()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown attack {name!r}; available: "
-            + ", ".join(sorted(_REGISTRY))
-        ) from None
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    """A parsed ``name@key=value,...`` spec (params coerced + sorted)."""
-
-    name: str
-    params: Tuple[Tuple[str, Any], ...] = ()
-
-    def canonical(self) -> str:
-        if not self.params:
-            return self.name
-        rendered = ",".join(
-            f"{key}={format_param_value(value)}"
-            for key, value in self.params
-        )
-        return f"{self.name}@{rendered}"
-
-
-def parse_attack_spec(spec: Union[str, AttackSpec]) -> AttackSpec:
-    """Parse and validate an attack spec against the registry."""
-    if isinstance(spec, AttackSpec):
-        return spec
-    name, _, rest = spec.partition("@")
-    name = name.strip()
-    info = attack_info(name)
-    if not rest.strip():
-        if "@" in spec:
-            raise ValueError(f"empty parameter list in spec {spec!r}")
-        return AttackSpec(name=name)
-    params = parse_param_items(spec, f"attack {name}", rest, info.params)
-    return AttackSpec(name=name, params=tuple(sorted(params.items())))
-
-
-def canonical_attack_spec(spec: Union[str, AttackSpec]) -> str:
-    """Normalized string form (stable across spacing/ordering)."""
-    return parse_attack_spec(spec).canonical()
+AttackInfo = SpecInfo
+AttackSpec = Spec
+register_attack = ATTACKS.register
+available_attacks = ATTACKS.available
+attack_info = ATTACKS.info
+parse_attack_spec = ATTACKS.parse
+canonical_attack_spec = ATTACKS.canonical
 
 
 def build_attack(

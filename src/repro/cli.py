@@ -103,6 +103,13 @@ def _positive_float(value: str) -> float:
     return number
 
 
+def _trh(value: str) -> int:
+    """A RowHammer threshold every tracker can be built for."""
+    from repro.trackers.registry import MIN_TRH
+
+    return _count_type(MIN_TRH, "the lowest T_RH trackers support")(value)
+
+
 def _workload_names(value: str) -> List[str]:
     """Comma-separated names of the synthetic workloads."""
     names = [name for name in value.split(",") if name]
@@ -190,7 +197,12 @@ _SYSTEM_OPTIONS = {
         default=32,
         help="simulate 1/N of the full system (default 32; 1 = full)",
     ),
-    "--trh": dict(type=int, default=500, help="RowHammer threshold"),
+    "--trh": dict(
+        type=_trh,
+        default=500,
+        help="RowHammer threshold (Hydra's structures scale as"
+        " SystemConfig.with_trh, like a spec's trh=)",
+    ),
     "--engine": dict(
         choices=ENGINES,
         default="fast",
@@ -223,10 +235,11 @@ def _config(args: argparse.Namespace) -> SystemConfig:
 
     given = {
         name: getattr(args, name)
-        for name in ("trh", "engine", "trace_file")
+        for name in ("engine", "trace_file")
         if hasattr(args, name)
     }
-    return SystemConfig(scale=1.0 / args.scale_denominator, **given)
+    config = SystemConfig(scale=1.0 / args.scale_denominator, **given)
+    return config.with_trh(args.trh) if hasattr(args, "trh") else config
 
 
 #: Per-window series columns worth a terminal column, in print order
@@ -453,21 +466,23 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_list_trackers(args: argparse.Namespace) -> int:
-    from repro.trackers.registry import UNIVERSAL_PARAMS, available_trackers, tracker_info
-
-    print("tracker spec grammar: name | name@key=value[,key=value...]")
-    universals = ", ".join(
-        f"{key} ({param.type.__name__})"
-        for key, param in sorted(UNIVERSAL_PARAMS.items())
-    )
-    print(f"universal parameters: {universals}")
+def _print_registry(registry, derived: str) -> int:
+    """Print a spec registry: its grammar and universal parameters,
+    then each entry's summary and parameter schema."""
+    print(f"{registry.kind} spec grammar: name | name@key=value[,key=value...]")
+    if registry.universal:
+        universals = ", ".join(
+            f"{key} ({param.type.__name__})"
+            for key, param in sorted(registry.universal.items())
+        )
+        print(f"universal parameters: {universals}")
+    print(f"defaults marked 'derived' come from {derived}")
     print()
-    for name in available_trackers():
-        info = tracker_info(name)
+    for name in registry.available():
+        info = registry.info(name)
         print(f"{name:<18} {info.summary}")
         for key, param in sorted(info.params.items()):
-            default = "from config" if param.default is None else param.default
+            default = "derived" if param.default is None else param.default
             detail = f" — {param.help}" if param.help else ""
             print(
                 f"    {key:<20} {param.type.__name__:<6} "
@@ -476,24 +491,29 @@ def _cmd_list_trackers(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_storage(args: argparse.Namespace) -> int:
-    from repro.core import HydraConfig, hydra_storage
-    from repro.trackers.storage import storage_table, total_sram_table
+def _cmd_list_trackers(args: argparse.Namespace) -> int:
+    from repro.trackers.registry import TRACKERS
 
+    return _print_registry(TRACKERS, "the simulated system")
+
+
+def _cmd_storage(args: argparse.Namespace) -> int:
+    from repro.sim.config import SystemConfig
+    from repro.sim.experiments import run_experiment
+
+    config = SystemConfig().with_trh(args.trh)
     print("Table 1 — per-rank SRAM (KB):")
-    for row in storage_table():
-        cells = ", ".join(
-            f"{name}={bytes_ / 1024:.0f}" for name, bytes_ in row.bytes_by_scheme.items()
-        )
-        print(f"  T_RH={row.trh:<6} {cells}")
-    print("\nTable 4 — Hydra breakdown:")
-    for name, value in hydra_storage(HydraConfig(trh=args.trh)).rows().items():
-        print(f"  {name:<8} {value}")
-    print("\nTable 5 — total SRAM, 32GB system (KB):")
-    for name, cols in total_sram_table(trh=args.trh).items():
-        print(
-            f"  {name:<10} DDR4={cols['ddr4'] / 1024:.1f}  DDR5={cols['ddr5'] / 1024:.1f}"
-        )
+    for trh, row in run_experiment("table1", config).items():
+        cells = ", ".join(f"{name}={kib:.0f}" for name, kib in row.items())
+        print(f"  T_RH={trh:<6} {cells}")
+    table4 = run_experiment("table4", config)
+    print(f"\nTable 4 — Hydra breakdown, T_RH={args.trh}:")
+    for name in ("gct", "rcc", "rit_act", "total"):
+        print(f"  {name:<8} {table4[name + '_kib']:.1f} KB")
+    print(f"  DRAM reserved: {table4['dram_reserved_mib']:.1f} MB")
+    print(f"\nTable 5 — total SRAM, 32GB system (KB), T_RH={args.trh}:")
+    for name, cols in run_experiment("table5", config).items():
+        print(f"  {name:<10} DDR4={cols['ddr4_kib']:.1f}  DDR5={cols['ddr5_kib']:.1f}")
     return 0
 
 
@@ -522,9 +542,7 @@ def _csv_ints(value: str) -> List[int]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {value!r}"
         )
-    if any(number < 1 for number in numbers):
-        raise argparse.ArgumentTypeError(f"every T_RH must be >= 1, got {value!r}")
-    return numbers
+    return [_trh(str(number)) for number in numbers]
 
 
 def _cmd_arena(args: argparse.Namespace) -> int:
@@ -559,27 +577,9 @@ def _cmd_arena(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_attacks(args: argparse.Namespace) -> int:
-    from repro.attacks import attack_info, available_attacks
+    from repro.attacks.registry import ATTACKS
 
-    print("attack spec grammar: name | name@key=value[,key=value...]")
-    print(
-        "defaults marked 'from context' are derived from the geometry"
-        " and T_RH under test"
-    )
-    print()
-    for name in available_attacks():
-        info = attack_info(name)
-        print(f"{name:<14} {info.summary}")
-        for key, param in sorted(info.params.items()):
-            default = (
-                "from context" if param.default is None else param.default
-            )
-            detail = f" — {param.help}" if param.help else ""
-            print(
-                f"    {key:<16} {param.type.__name__:<6} "
-                f"default={default}{detail}"
-            )
-    return 0
+    return _print_registry(ATTACKS, "the geometry and T_RH under test")
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:

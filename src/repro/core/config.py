@@ -106,22 +106,3 @@ class HydraConfig:
             gct_entries=gct,
             rcc_entries=max(self.rcc_ways, rcc),
         )
-
-    def with_threshold(self, trh: int, structure_scale: int = 1) -> "HydraConfig":
-        """Retarget T_RH, optionally scaling structures (Figure 7).
-
-        The paper scales GCT/RCC proportionally (2x at T_RH=250,
-        4x at T_RH=125).
-        """
-        if structure_scale < 1:
-            raise ValueError("structure_scale must be >= 1")
-        gct = self.gct_entries * structure_scale
-        if self.geometry.total_rows % gct:
-            # GCT cannot have more entries than rows.
-            gct = self.geometry.total_rows
-        return replace(
-            self,
-            trh=trh,
-            gct_entries=gct,
-            rcc_entries=self.rcc_entries * structure_scale,
-        )

@@ -20,7 +20,7 @@ counter rows unseen.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.config import HydraConfig
 from repro.core.gct import GroupCountTable
@@ -31,9 +31,11 @@ from repro.trackers.base import ActivationTracker, MetaAccess, TrackerResponse
 from repro.trackers.registry import (
     RCC_ENTRY_BYTES,
     Param,
-    TrackerContext,
     register_tracker,
 )
+
+if TYPE_CHECKING:
+    from repro.sim.config import SystemConfig
 
 
 @dataclass
@@ -350,7 +352,7 @@ _HYDRA_PARAMS = {
 
 
 def _hydra_from_context(
-    ctx: TrackerContext,
+    ctx: SystemConfig,
     gct_entries: Optional[int] = None,
     rcc_entries: Optional[int] = None,
     rcc_kb: Optional[int] = None,
@@ -360,7 +362,7 @@ def _hydra_from_context(
     enable_rcc: bool = True,
     randomize_mapping: bool = False,
 ) -> HydraTracker:
-    """Build a Hydra instance from context + full-scale overrides."""
+    """Build a Hydra instance from the config + full-scale overrides."""
     if rcc_kb is not None:
         if rcc_entries is not None:
             raise ValueError("give rcc_entries or rcc_kb, not both")
@@ -397,21 +399,21 @@ register_tracker(
 @register_tracker(
     "hydra-nogct", summary="Figure-8 ablation: per-row tracking only"
 )
-def _hydra_nogct_from_context(ctx: TrackerContext) -> HydraTracker:
+def _hydra_nogct_from_context(ctx: SystemConfig) -> HydraTracker:
     return _hydra_from_context(ctx, enable_gct=False)
 
 
 @register_tracker(
     "hydra-norcc", summary="Figure-8 ablation: no row-count cache"
 )
-def _hydra_norcc_from_context(ctx: TrackerContext) -> HydraTracker:
+def _hydra_norcc_from_context(ctx: SystemConfig) -> HydraTracker:
     return _hydra_from_context(ctx, enable_rcc=False)
 
 
 @register_tracker(
     "hydra-randomized", summary="Hydra with footnote-4 randomized mapping"
 )
-def _hydra_randomized_from_context(ctx: TrackerContext) -> HydraTracker:
+def _hydra_randomized_from_context(ctx: SystemConfig) -> HydraTracker:
     tracker = _hydra_from_context(ctx, randomize_mapping=True)
     tracker.name = "hydra-randomized"
     return tracker

@@ -8,7 +8,7 @@ the 32 GB baseline system: 32 KB GCT + 24 KB RCC + 0.5 KB RIT-ACT.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.config import HydraConfig
 
@@ -29,15 +29,6 @@ class HydraStorageReport:
     @property
     def sram_total_kib(self) -> float:
         return self.sram_total_bytes / 1024.0
-
-    def rows(self) -> Dict[str, str]:
-        """Table-4-shaped rows for the benchmark harness."""
-        return {
-            "GCT": f"{self.gct_bytes / 1024:.1f} KB",
-            "RCC": f"{self.rcc_bytes / 1024:.1f} KB",
-            "RIT-ACT": f"{self.rit_act_bytes / 1024:.1f} KB",
-            "Total": f"{self.sram_total_kib:.1f} KB",
-        }
 
 
 def hydra_storage(config: Optional[HydraConfig] = None) -> HydraStorageReport:

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Any, Dict, Optional
 from repro.core.config import HydraConfig
 from repro.dram.timing import PAPER_GEOMETRY, PAPER_TIMING, DramGeometry, DramTiming
 from repro.memctrl.base import normalize_engine
-from repro.trackers.registry import TrackerContext
 
 if TYPE_CHECKING:
     from repro.workloads.synthetic import GeneratorConfig
@@ -98,7 +97,7 @@ class SystemConfig:
     rcc_ways: int = 16
     tg_fraction: float = 0.80
     #: Multiplier applied to Hydra structures for low-T_RH points
-    #: (Figure 7 uses 2x at 250 and 4x at 125).
+    #: (Figure 7 uses 2x at 250 and 4x at 125); ``with_trh`` sets it.
     structure_scale: int = 1
     #: CRA metadata cache capacity at full scale (Figure 2 sweeps it).
     cra_cache_full_bytes: int = 64 * 1024
@@ -144,44 +143,40 @@ class SystemConfig:
             return PAPER_TIMING
         return PAPER_TIMING.scaled(self.scale)
 
-    def tracker_context(self) -> TrackerContext:
-        """The tracker-relevant slice of this system.
-
-        This is what spec-built trackers are constructed from (see
-        :mod:`repro.trackers.registry`); every tracker-parameter
-        derivation lives on the context so spec strings and
-        SystemConfig produce identical trackers.
-        """
-        return TrackerContext(
-            geometry=self.geometry,
-            timing=self.timing,
-            trh=self.trh,
-            scale=self.scale,
-            gct_entries_full=self.gct_entries_full,
-            rcc_entries_full=self.rcc_entries_full,
-            rcc_ways=self.rcc_ways,
-            tg_fraction=self.tg_fraction,
-            structure_scale=self.structure_scale,
-            cra_cache_full_bytes=self.cra_cache_full_bytes,
-            blast_radius=self.blast_radius,
-        )
-
     def hydra_config(
         self,
         enable_gct: bool = True,
         enable_rcc: bool = True,
         randomize_mapping: bool = False,
     ) -> HydraConfig:
-        """The Hydra design point, scaled with the system."""
-        return self.tracker_context().hydra_config(
+        """The Hydra design point, scaled with the system.
+
+        This is the single derivation of a :class:`HydraConfig` from
+        system-level parameters; the ``hydra`` spec builds from it.
+        """
+        full = HydraConfig(
+            geometry=PAPER_GEOMETRY,
+            trh=self.trh,
+            gct_entries=self.gct_entries_full * self.structure_scale,
+            rcc_entries=self.rcc_entries_full * self.structure_scale,
+            rcc_ways=self.rcc_ways,
+            tg_fraction=self.tg_fraction,
+            blast_radius=self.blast_radius,
             enable_gct=enable_gct,
             enable_rcc=enable_rcc,
             randomize_mapping=randomize_mapping,
         )
+        if self.scale == 1.0:
+            return full
+        return full.scaled(self.scale)
 
-    def cra_cache_bytes(self) -> int:
+    def cra_cache_bytes(self, full_bytes: Optional[int] = None) -> int:
         """CRA metadata cache, scaled, kept to whole 16-way sets."""
-        return self.tracker_context().cra_cache_bytes()
+        if full_bytes is None:
+            full_bytes = self.cra_cache_full_bytes
+        scaled = int(full_bytes * self.scale)
+        minimum = 16 * 64  # one 16-way set of 64 B lines
+        return max(minimum, scaled - scaled % minimum)
 
     def generator_config(self) -> GeneratorConfig:
         from repro.workloads.synthetic import GeneratorConfig
@@ -199,11 +194,17 @@ class SystemConfig:
     # Experiment variations
     # ------------------------------------------------------------------
 
-    def with_trh(self, trh: int, structure_scale: Optional[int] = None) -> "SystemConfig":
-        """Retarget T_RH, scaling Hydra structures as Figure 7 does."""
-        if structure_scale is None:
-            structure_scale = max(1, 500 // trh)
-        return replace(self, trh=trh, structure_scale=structure_scale)
+    def with_trh(self, trh: int) -> "SystemConfig":
+        """Retarget T_RH, scaling Hydra structures as Figure 7 does.
+
+        This is the one T_RH scaling rule: structures grow by
+        ``500 // trh`` (2x at 250, 4x at 125), rounded down to a power
+        of two so the GCT stays one.
+        """
+        ratio = max(1, 500 // trh)
+        return replace(
+            self, trh=trh, structure_scale=1 << (ratio.bit_length() - 1)
+        )
 
     def with_gct_entries(self, gct_entries_full: int) -> "SystemConfig":
         return replace(self, gct_entries_full=gct_entries_full)

@@ -207,10 +207,9 @@ def table1_storage(runner: ExperimentRunner) -> dict:
 @experiment("table4")
 def table4_hydra_storage(runner: ExperimentRunner) -> dict:
     """``table4_hydra_storage.json``"""
-    from repro.core.config import HydraConfig
     from repro.core.storage import hydra_storage
 
-    report = hydra_storage(HydraConfig(trh=runner.config.trh))
+    report = hydra_storage(SystemConfig().with_trh(runner.config.trh).hydra_config())
     return {
         "gct_kib": report.gct_bytes / 1024,
         "rcc_kib": report.rcc_bytes / 1024,

@@ -151,7 +151,7 @@ def make_tracker(name: str, config: SystemConfig) -> ActivationTracker:
     ``name`` is anything the registry accepts: a bare tracker name or
     a parameterized spec like ``hydra@trh=1000,rcc_kb=28``.
     """
-    return build_tracker(name, config.tracker_context())
+    return build_tracker(name, config)
 
 
 def simulate(
@@ -175,7 +175,7 @@ def simulate(
     ``$REPRO_OBS``. The returned result is identical either way except
     for the non-serialized ``observability`` field.
     """
-    tracker = build_tracker(spec, config.tracker_context())
+    tracker = build_tracker(spec, config)
     controller = build_controller(
         spec_engine(spec) or config.engine,
         geometry=config.geometry,

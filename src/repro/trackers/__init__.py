@@ -38,7 +38,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.trackers.registry": (
         "SECURITY_CLASSES",
         "Param",
-        "TrackerContext",
         "TrackerInfo",
         "TrackerSpec",
         "available_trackers",

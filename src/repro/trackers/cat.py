@@ -22,11 +22,14 @@ T_RH=500) is provisioned to avoid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import Param, TrackerContext, register_tracker
+from repro.trackers.registry import Param, register_tracker
+
+if TYPE_CHECKING:
+    from repro.sim.config import SystemConfig
 
 
 @dataclass
@@ -174,7 +177,7 @@ class CatTracker(ActivationTracker):
     },
 )
 def _cat_from_context(
-    ctx: TrackerContext,
+    ctx: SystemConfig,
     split_fraction: float = 0.25,
     counters_per_bank: Optional[int] = None,
 ) -> CatTracker:

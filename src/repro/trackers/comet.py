@@ -28,11 +28,14 @@ needed to keep collision-induced spurious mitigations rare).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.dram.timing import DramGeometry
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import Param, TrackerContext, register_tracker
+from repro.trackers.registry import Param, register_tracker
+
+if TYPE_CHECKING:
+    from repro.sim.config import SystemConfig
 
 #: Large odd multipliers for the four CMS hash functions (Knuth-style,
 #: same construction as the D-CBF hashes).
@@ -226,7 +229,7 @@ class CometTracker(ActivationTracker):
     },
 )
 def _comet_from_context(
-    ctx: TrackerContext,
+    ctx: SystemConfig,
     counters_per_hash: Optional[int] = None,
     rat_entries: int = 32,
 ) -> CometTracker:

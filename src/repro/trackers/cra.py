@@ -21,12 +21,15 @@ and resets the counter.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.rct import RowCountTable
 from repro.dram.timing import DramGeometry
 from repro.trackers.base import ActivationTracker, MetaAccess, TrackerResponse
-from repro.trackers.registry import Param, TrackerContext, register_tracker
+from repro.trackers.registry import Param, register_tracker
+
+if TYPE_CHECKING:
+    from repro.sim.config import SystemConfig
 
 
 class LineMetadataCache:
@@ -239,7 +242,7 @@ class CraTracker(ActivationTracker):
     },
 )
 def _cra_from_context(
-    ctx: TrackerContext,
+    ctx: SystemConfig,
     cache_kb: Optional[int] = None,
     cache_ways: int = 16,
 ) -> CraTracker:

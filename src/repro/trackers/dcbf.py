@@ -16,11 +16,14 @@ the denial-of-service arithmetic of footnote 6.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.dram.timing import DramTiming
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import Param, TrackerContext, register_tracker
+from repro.trackers.registry import Param, register_tracker
+
+if TYPE_CHECKING:
+    from repro.sim.config import SystemConfig
 
 #: Large odd multipliers for the three hash functions (Knuth-style).
 _HASH_MULTIPLIERS = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9)
@@ -128,7 +131,7 @@ class DcbfTracker(ActivationTracker):
     },
 )
 def _dcbf_from_context(
-    ctx: TrackerContext, counters_per_filter: Optional[int] = None
+    ctx: SystemConfig, counters_per_filter: Optional[int] = None
 ) -> DcbfTracker:
     if counters_per_filter is None:
         counters_per_filter = max(1024, int((1 << 18) * ctx.scale))

@@ -21,11 +21,14 @@ activation of every bank.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import Param, TrackerContext, register_tracker
+from repro.trackers.registry import Param, register_tracker
+
+if TYPE_CHECKING:
+    from repro.sim.config import SystemConfig
 
 
 class _SpaceSavingTable:
@@ -176,7 +179,7 @@ class GrapheneTracker(ActivationTracker):
     },
 )
 def _graphene_from_context(
-    ctx: TrackerContext, entries_per_bank: Optional[int] = None
+    ctx: SystemConfig, entries_per_bank: Optional[int] = None
 ) -> GrapheneTracker:
     return GrapheneTracker(
         ctx.geometry,

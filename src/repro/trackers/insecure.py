@@ -32,10 +32,13 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import Param, TrackerContext, register_tracker
+from repro.trackers.registry import Param, register_tracker
+
+if TYPE_CHECKING:
+    from repro.sim.config import SystemConfig
 
 
 class MrlocTracker(ActivationTracker):
@@ -171,7 +174,7 @@ class ProhitTracker(ActivationTracker):
     },
 )
 def _mrloc_from_context(
-    ctx: TrackerContext,
+    ctx: SystemConfig,
     queue_entries: int = 16,
     base_probability: float = 0.002,
     locality_boost: float = 8.0,
@@ -200,7 +203,7 @@ def _mrloc_from_context(
     },
 )
 def _prohit_from_context(
-    ctx: TrackerContext,
+    ctx: SystemConfig,
     hot_entries: int = 4,
     cold_entries: int = 8,
     insert_probability: float = 0.01,

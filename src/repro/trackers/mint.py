@@ -27,11 +27,14 @@ that is exactly the paper's timing; under light load it makes MINT
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import Param, TrackerContext, register_tracker
+from repro.trackers.registry import Param, register_tracker
+
+if TYPE_CHECKING:
+    from repro.sim.config import SystemConfig
 
 
 def mint_interval_slots(timing: DramTiming) -> int:
@@ -136,7 +139,7 @@ class MintTracker(ActivationTracker):
     },
 )
 def _mint_from_context(
-    ctx: TrackerContext,
+    ctx: SystemConfig,
     interval_slots: Optional[int] = None,
     seed: int = 0x4D494E54,
 ) -> MintTracker:

@@ -19,12 +19,15 @@ exactly this bound.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import Param, TrackerContext, register_tracker
+from repro.trackers.registry import Param, register_tracker
 from repro.trackers.graphene import _SpaceSavingTable
+
+if TYPE_CHECKING:
+    from repro.sim.config import SystemConfig
 
 
 class MithrilTracker(ActivationTracker):
@@ -105,7 +108,7 @@ class MithrilTracker(ActivationTracker):
     },
 )
 def _mithril_from_context(
-    ctx: TrackerContext,
+    ctx: SystemConfig,
     rfm_interval: Optional[int] = None,
     entries_per_bank: Optional[int] = None,
 ) -> MithrilTracker:

@@ -10,11 +10,14 @@ as the ground-truth oracle for security tests.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.dram.timing import DramGeometry
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import TrackerContext, register_tracker
+from repro.trackers.registry import register_tracker
+
+if TYPE_CHECKING:
+    from repro.sim.config import SystemConfig
 
 
 class OcprTracker(ActivationTracker):
@@ -54,5 +57,5 @@ class OcprTracker(ActivationTracker):
 @register_tracker(
     "ocpr", summary="exact per-row SRAM counters (the idealized tracker)"
 )
-def _ocpr_from_context(ctx: TrackerContext) -> OcprTracker:
+def _ocpr_from_context(ctx: SystemConfig) -> OcprTracker:
     return OcprTracker(ctx.geometry, trh=ctx.trh)

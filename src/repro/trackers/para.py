@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import Param, TrackerContext, register_tracker
+from repro.trackers.registry import Param, register_tracker
+
+if TYPE_CHECKING:
+    from repro.sim.config import SystemConfig
 
 
 def para_probability(trh: int, failure_exponent: int = 40) -> float:
@@ -89,7 +92,7 @@ class ParaTracker(ActivationTracker):
     },
 )
 def _para_from_context(
-    ctx: TrackerContext,
+    ctx: SystemConfig,
     probability: Optional[float] = None,
     failure_exponent: int = 40,
     seed: int = 0xFADE,

@@ -31,14 +31,17 @@ ultra-low thresholds, the paper's headline.
 from __future__ import annotations
 
 import random
-from typing import Deque, List, Optional
+from typing import TYPE_CHECKING, Deque, List, Optional
 
 from collections import deque
 
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.trackers.base import ActivationTracker, TrackerResponse
 from repro.trackers.mint import mint_interval_slots
-from repro.trackers.registry import Param, TrackerContext, register_tracker
+from repro.trackers.registry import Param, register_tracker
+
+if TYPE_CHECKING:
+    from repro.sim.config import SystemConfig
 
 #: PrIDE's headline configuration: 5-entry FIFOs, 1/8 insertion.
 DEFAULT_PTMP_ENTRIES = 5
@@ -159,7 +162,7 @@ class PtmpTracker(ActivationTracker):
     },
 )
 def _ptmp_from_context(
-    ctx: TrackerContext,
+    ctx: SystemConfig,
     entries: int = DEFAULT_PTMP_ENTRIES,
     probability: float = DEFAULT_PTMP_PROBABILITY,
     interval_slots: Optional[int] = None,

@@ -1,11 +1,11 @@
-"""Declarative tracker registry and spec-string configuration.
+"""Declarative spec registries: trackers here, attacks beside them.
 
 Every tracker studied by the reproduction registers itself here with a
-name and a typed parameter schema, and is constructed from a shared
-:class:`TrackerContext` — the slice of a system configuration a
-tracker is allowed to see (geometry, timing, T_RH, scale, and the
-paper's design-point knobs). Anywhere the simulation stack accepts a
-tracker name, it equally accepts a **spec string**::
+name and a typed parameter schema, and is constructed from the
+:class:`~repro.sim.config.SystemConfig` it runs in (geometry, timing,
+T_RH, scale, and the paper's design-point knobs). Anywhere the
+simulation stack accepts a tracker name, it equally accepts a **spec
+string**::
 
     hydra
     hydra@trh=1000,rcc_kb=28
@@ -23,31 +23,42 @@ Registering a new tracker takes ~10 lines in its own module::
         summary="one-line description for `repro list-trackers`",
         params={"knob": Param(int, default=8, help="what it does")},
     )
-    def _mytracker_from_context(ctx: TrackerContext, knob: int = 8):
+    def _mytracker_from_config(ctx: SystemConfig, knob: int = 8):
         return MyTracker(ctx.geometry, trh=ctx.trh, knob=knob)
 
-The parameter ``trh`` is universal: for any tracker,
-``name@trh=N`` retargets the RowHammer threshold exactly like
-``SystemConfig.with_trh(N)`` (including the Figure-7 structure-scaling
-policy), so spec-built trackers match SystemConfig-built ones
-bit-for-bit.
+The parameter ``trh`` is universal: for any tracker, ``name@trh=N``
+(N >= :data:`MIN_TRH`) builds the tracker from
+``SystemConfig.with_trh(N)``, the one T_RH scaling rule, so spec-built
+trackers match SystemConfig-built ones bit-for-bit.
+
+The grammar, the registration and the lookup live once, in
+:class:`SpecRegistry`; :data:`TRACKERS` is its tracker instance and
+:mod:`repro.attacks.registry` holds the attack one. The module-level
+names (``register_tracker``, ``parse_spec``, ...) are that instance's
+methods.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
-
-from repro.dram.timing import (
-    PAPER_GEOMETRY,
-    PAPER_TIMING,
-    DramGeometry,
-    DramTiming,
+from dataclasses import dataclass, field
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
 )
+
 from repro.interfaces import ActivationTracker, NullTracker
 from repro.memctrl.base import normalize_engine
+
+if TYPE_CHECKING:
+    from repro.sim.config import SystemConfig
 
 #: Modules whose import populates the registry: every built-in tracker
 #: registers in one of these, named here one by one (the package
@@ -65,82 +76,9 @@ _BUILTIN_MODULES = tuple(
 #: Bytes per RCC entry (valid + tag + SRRIP + counter — Table 4).
 RCC_ENTRY_BYTES = 3
 
-
-# ----------------------------------------------------------------------
-# Construction context
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrackerContext:
-    """Everything a tracker builder may derive its sizing from.
-
-    Mirrors the tracker-relevant slice of
-    :class:`~repro.sim.config.SystemConfig` (which builds one via
-    ``tracker_context()``): the scaled geometry/timing actually
-    simulated, plus the full-scale design-point parameters the scaling
-    policy starts from.
-    """
-
-    geometry: DramGeometry = PAPER_GEOMETRY
-    timing: DramTiming = PAPER_TIMING
-    trh: int = 500
-    scale: float = 1.0
-    gct_entries_full: int = 32768
-    rcc_entries_full: int = 8192
-    rcc_ways: int = 16
-    tg_fraction: float = 0.80
-    structure_scale: int = 1
-    cra_cache_full_bytes: int = 64 * 1024
-    blast_radius: int = 2
-
-    def with_trh(
-        self, trh: int, structure_scale: Optional[int] = None
-    ) -> "TrackerContext":
-        """Retarget T_RH, scaling structures as Figure 7 does."""
-        if structure_scale is None:
-            structure_scale = max(1, 500 // trh)
-        return replace(self, trh=trh, structure_scale=structure_scale)
-
-    def hydra_config(
-        self,
-        enable_gct: bool = True,
-        enable_rcc: bool = True,
-        randomize_mapping: bool = False,
-    ):
-        """The Hydra design point, scaled with the system.
-
-        This is the single derivation of a
-        :class:`~repro.core.config.HydraConfig` from system-level
-        parameters; ``SystemConfig.hydra_config`` delegates here.
-        """
-        # Imported lazily: repro.core imports the trackers package, so
-        # a module-level import here would be circular.
-        from repro.core.config import HydraConfig
-
-        full = HydraConfig(
-            geometry=PAPER_GEOMETRY,
-            trh=self.trh,
-            gct_entries=self.gct_entries_full * self.structure_scale,
-            rcc_entries=self.rcc_entries_full * self.structure_scale,
-            rcc_ways=self.rcc_ways,
-            tg_fraction=self.tg_fraction,
-            blast_radius=self.blast_radius,
-            enable_gct=enable_gct,
-            enable_rcc=enable_rcc,
-            randomize_mapping=randomize_mapping,
-        )
-        if self.scale == 1.0:
-            return full
-        return full.scaled(self.scale)
-
-    def cra_cache_bytes(self, full_bytes: Optional[int] = None) -> int:
-        """CRA metadata cache, scaled, kept to whole 16-way sets."""
-        if full_bytes is None:
-            full_bytes = self.cra_cache_full_bytes
-        scaled = int(full_bytes * self.scale)
-        minimum = 16 * 64  # one 16-way set of 64 B lines
-        return max(minimum, scaled - scaled % minimum)
+#: The lowest T_RH a spec or ``--trh`` accepts: Hydra, Graphene and
+#: START need T_RH/2 >= 2 to size their thresholds.
+MIN_TRH = 4
 
 
 # ----------------------------------------------------------------------
@@ -150,10 +88,10 @@ class TrackerContext:
 
 @dataclass(frozen=True)
 class Param:
-    """One typed, documented tracker parameter.
+    """One typed, documented spec parameter.
 
-    ``default=None`` means the value is derived from the
-    :class:`TrackerContext` when not given explicitly. ``check``, when
+    ``default=None`` means the value is derived from the system the
+    entry is built for when not given explicitly. ``check``, when
     set, validates the coerced value at parse time and returns it
     (possibly normalized); its ``ValueError`` is reported with the
     spec for context.
@@ -188,117 +126,20 @@ SECURITY_CLASSES = (
 
 
 @dataclass(frozen=True)
-class TrackerInfo:
-    """One registered tracker: its builder and parameter schema."""
+class SpecInfo:
+    """One registered entry: its builder and parameter schema."""
 
     name: str
-    builder: Callable[..., ActivationTracker]
+    builder: Callable[..., Any]
     params: Mapping[str, Param] = field(default_factory=dict)
     summary: str = ""
-    #: One of :data:`SECURITY_CLASSES` (the design's *claim*, which
-    #: the arena's oracle verdicts are checked against).
-    security_class: str = "deterministic"
-
-
-_REGISTRY: Dict[str, TrackerInfo] = {}
-
-
-def _at_least(value: int, minimum: int) -> int:
-    if value < minimum:
-        raise ValueError(f"must be >= {minimum}, got {value}")
-    return value
-
-
-#: Parameters accepted by every tracker, resolved against the context
-#: before the tracker-specific builder runs.
-UNIVERSAL_PARAMS: Dict[str, Param] = {
-    "trh": Param(
-        int,
-        check=lambda trh: _at_least(trh, 1),
-        help="RowHammer threshold (applies SystemConfig.with_trh's policy)",
-    ),
-    "engine": Param(
-        str,
-        check=normalize_engine,
-        help="memory-controller engine the simulation runs on"
-        " (overrides SystemConfig.engine)",
-    ),
-}
-
-
-def register_tracker(
-    name: str,
-    *,
-    params: Optional[Mapping[str, Param]] = None,
-    summary: str = "",
-    security_class: str = "deterministic",
-) -> Callable[[Callable[..., ActivationTracker]], Callable[..., ActivationTracker]]:
-    """Class/function decorator adding one tracker to the registry.
-
-    The decorated callable receives a :class:`TrackerContext` plus any
-    spec parameters (already coerced to their declared types) as
-    keyword arguments, and returns the constructed tracker.
-    """
-    schema = dict(params or {})
-    for reserved in UNIVERSAL_PARAMS:
-        if reserved in schema:
-            raise ValueError(
-                f"parameter {reserved!r} is universal and cannot be redeclared"
-            )
-    if security_class not in SECURITY_CLASSES:
-        raise ValueError(
-            f"unknown security class {security_class!r}; expected one of "
-            + ", ".join(SECURITY_CLASSES)
-        )
-
-    def decorate(builder: Callable[..., ActivationTracker]):
-        if name in _REGISTRY:
-            raise ValueError(f"tracker {name!r} registered twice")
-        _REGISTRY[name] = TrackerInfo(
-            name=name,
-            builder=builder,
-            params=schema,
-            summary=summary,
-            security_class=security_class,
-        )
-        return builder
-
-    return decorate
-
-
-@functools.lru_cache(maxsize=None)
-def _ensure_registered() -> None:
-    """Import every registering module, once: every spec parse comes
-    through here, so a later call is one cache lookup."""
-    for module in _BUILTIN_MODULES:
-        importlib.import_module(module)
-
-
-def available_trackers() -> List[str]:
-    """Sorted names of every registered tracker."""
-    _ensure_registered()
-    return sorted(_REGISTRY)
-
-
-def tracker_info(name: str) -> TrackerInfo:
-    """Registry entry for ``name`` (a bare name, not a spec)."""
-    _ensure_registered()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown tracker {name!r}; available: "
-            + ", ".join(sorted(_REGISTRY))
-        ) from None
-
-
-# ----------------------------------------------------------------------
-# Spec strings
-# ----------------------------------------------------------------------
+    #: Trackers only: one of :data:`SECURITY_CLASSES` (the design's
+    #: *claim*, which the arena's oracle verdicts are checked against).
+    security_class: Optional[str] = None
 
 
 @dataclass(frozen=True)
-class TrackerSpec:
+class Spec:
     """A parsed ``name@key=value,...`` spec (params coerced + sorted)."""
 
     name: str
@@ -309,22 +150,15 @@ class TrackerSpec:
         if not self.params:
             return self.name
         rendered = ",".join(
-            f"{key}={_format_value(value)}" for key, value in self.params
+            f"{key}={format_param_value(value)}" for key, value in self.params
         )
         return f"{self.name}@{rendered}"
 
 
-def _format_value(value: Any) -> str:
+def format_param_value(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return repr(value) if isinstance(value, float) else str(value)
-
-
-#: Public aliases: the ``name@key=value,...`` grammar is shared with
-#: the attack-program registry (:mod:`repro.attacks.registry`), which
-#: reuses these helpers so both spec languages parse and render
-#: identically.
-format_param_value = _format_value
 
 
 def parse_param_items(
@@ -387,34 +221,166 @@ def _coerce(spec: str, name: str, param: Param, raw: str) -> Any:
     return value
 
 
-def parse_spec(spec: Union[str, TrackerSpec]) -> TrackerSpec:
-    """Parse and validate a spec string against the registry.
+class SpecRegistry:
+    """Named builders with typed schemas, addressed by spec strings.
 
-    Raises ``ValueError`` naming the unknown tracker (with the list of
-    registered ones) or the unknown/ill-typed parameter (with the
-    tracker's schema) — spec errors must be self-explanatory because
-    specs travel through CLIs, environment files, and sweep grids.
+    ``kind`` names the entries in messages ("unknown tracker 'x'").
+    ``modules`` are imported on the first query; importing them
+    registers the built-in entries. ``universal`` parameters are
+    accepted by every entry on top of its own schema, and no entry
+    may redeclare one.
     """
-    if isinstance(spec, TrackerSpec):
-        return spec
-    name, _, rest = spec.partition("@")
-    name = name.strip()
-    info = tracker_info(name)
-    if not rest.strip():
-        if "@" in spec:
-            raise ValueError(f"empty parameter list in spec {spec!r}")
-        return TrackerSpec(name=name)
-    schema = {**UNIVERSAL_PARAMS, **info.params}
-    params = parse_param_items(spec, f"tracker {name}", rest, schema)
-    return TrackerSpec(name=name, params=tuple(sorted(params.items())))
+
+    def __init__(
+        self,
+        kind: str,
+        modules: Tuple[str, ...],
+        universal: Optional[Mapping[str, Param]] = None,
+    ) -> None:
+        self.kind = kind
+        self.universal: Dict[str, Param] = dict(universal or {})
+        self._modules = modules
+        self._entries: Dict[str, SpecInfo] = {}
+        self._loaded = False
+
+    def register(
+        self,
+        name: str,
+        *,
+        params: Optional[Mapping[str, Param]] = None,
+        summary: str = "",
+        security_class: Optional[str] = None,
+    ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+        """Decorator adding one builder to the registry.
+
+        The decorated callable receives the system it builds for plus
+        any spec parameters (already coerced to their declared types)
+        as keyword arguments.
+        """
+        schema = dict(params or {})
+        for reserved in self.universal:
+            if reserved in schema:
+                raise ValueError(
+                    f"parameter {reserved!r} is universal and cannot be"
+                    " redeclared"
+                )
+
+        def decorate(builder: Callable[..., Any]) -> Callable[..., Any]:
+            if name in self._entries:
+                raise ValueError(f"{self.kind} {name!r} registered twice")
+            self._entries[name] = SpecInfo(
+                name=name,
+                builder=builder,
+                params=schema,
+                summary=summary,
+                security_class=security_class,
+            )
+            return builder
+
+        return decorate
+
+    def _ensure_registered(self) -> None:
+        """Import every registering module, once: every spec parse
+        comes through here, so a later call is one attribute test."""
+        if not self._loaded:
+            for module in self._modules:
+                importlib.import_module(module)
+            self._loaded = True
+
+    def available(self) -> List[str]:
+        """Sorted names of every registered entry."""
+        self._ensure_registered()
+        return sorted(self._entries)
+
+    def info(self, name: str) -> SpecInfo:
+        """Registry entry for ``name`` (a bare name, not a spec)."""
+        self._ensure_registered()
+        try:
+            return self._entries[name]
+        except KeyError:
+            raise ValueError(
+                f"unknown {self.kind} {name!r}; available: "
+                + ", ".join(sorted(self._entries))
+            ) from None
+
+    def parse(self, spec: Union[str, Spec]) -> Spec:
+        """Parse and validate a spec string against the registry.
+
+        Raises ``ValueError`` naming the unknown entry (with the list
+        of registered ones) or the unknown/ill-typed parameter (with
+        the entry's schema).
+        """
+        if isinstance(spec, Spec):
+            return spec
+        name, _, rest = spec.partition("@")
+        name = name.strip()
+        info = self.info(name)
+        if not rest.strip():
+            if "@" in spec:
+                raise ValueError(f"empty parameter list in spec {spec!r}")
+            return Spec(name=name)
+        schema = {**self.universal, **info.params}
+        params = parse_param_items(spec, f"{self.kind} {name}", rest, schema)
+        return Spec(name=name, params=tuple(sorted(params.items())))
+
+    def canonical(self, spec: Union[str, Spec]) -> str:
+        """Normalized string form (stable across spacing/ordering)."""
+        return self.parse(spec).canonical()
 
 
-def canonical_spec(spec: Union[str, TrackerSpec]) -> str:
-    """Normalized string form (stable across spacing/ordering)."""
-    return parse_spec(spec).canonical()
+def _at_least(value: int, minimum: int) -> int:
+    if value < minimum:
+        raise ValueError(f"must be >= {minimum}, got {value}")
+    return value
 
 
-def spec_engine(spec: Union[str, TrackerSpec]) -> Optional[str]:
+#: Parameters accepted by every tracker, resolved against the system
+#: before the tracker-specific builder runs.
+UNIVERSAL_PARAMS: Dict[str, Param] = {
+    "trh": Param(
+        int,
+        check=lambda trh: _at_least(trh, MIN_TRH),
+        help="RowHammer threshold (builds from SystemConfig.with_trh)",
+    ),
+    "engine": Param(
+        str,
+        check=normalize_engine,
+        help="memory-controller engine the simulation runs on"
+        " (overrides SystemConfig.engine)",
+    ),
+}
+
+#: The tracker registry.
+TRACKERS = SpecRegistry("tracker", _BUILTIN_MODULES, UNIVERSAL_PARAMS)
+
+TrackerInfo = SpecInfo
+TrackerSpec = Spec
+available_trackers = TRACKERS.available
+tracker_info = TRACKERS.info
+parse_spec = TRACKERS.parse
+canonical_spec = TRACKERS.canonical
+
+
+def register_tracker(
+    name: str,
+    *,
+    params: Optional[Mapping[str, Param]] = None,
+    summary: str = "",
+    security_class: str = "deterministic",
+) -> Callable[[Callable[..., ActivationTracker]], Callable[..., ActivationTracker]]:
+    """:meth:`SpecRegistry.register` for trackers, which declare one of
+    :data:`SECURITY_CLASSES`."""
+    if security_class not in SECURITY_CLASSES:
+        raise ValueError(
+            f"unknown security class {security_class!r}; expected one of "
+            + ", ".join(SECURITY_CLASSES)
+        )
+    return TRACKERS.register(
+        name, params=params, summary=summary, security_class=security_class
+    )
+
+
+def spec_engine(spec: Union[str, Spec]) -> Optional[str]:
     """The ``engine=`` override a spec carries, if any.
 
     ``engine`` is a universal parameter but configures the *simulation*
@@ -426,17 +392,17 @@ def spec_engine(spec: Union[str, TrackerSpec]) -> Optional[str]:
 
 
 def build_tracker(
-    spec: Union[str, TrackerSpec], context: TrackerContext
+    spec: Union[str, Spec], config: SystemConfig
 ) -> ActivationTracker:
-    """Construct the tracker a spec describes for the given context."""
+    """Construct the tracker a spec describes for the given system."""
     parsed = parse_spec(spec)
     info = tracker_info(parsed.name)
     params = dict(parsed.params)
     trh = params.pop("trh", None)
     if trh is not None:
-        context = context.with_trh(trh)
+        config = config.with_trh(trh)
     params.pop("engine", None)  # simulation-level; see spec_engine()
-    return info.builder(context, **params)
+    return info.builder(config, **params)
 
 
 @register_tracker(
@@ -444,5 +410,5 @@ def build_tracker(
     summary="no tracking, no mitigation (insecure)",
     security_class="insecure",
 )
-def _baseline_from_context(ctx: TrackerContext) -> NullTracker:
+def _baseline_from_context(ctx: SystemConfig) -> NullTracker:
     return NullTracker()

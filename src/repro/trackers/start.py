@@ -45,11 +45,14 @@ axis charges both.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import Param, TrackerContext, register_tracker
+from repro.trackers.registry import Param, register_tracker
+
+if TYPE_CHECKING:
+    from repro.sim.config import SystemConfig
 
 #: One 64 B LLC line holds 32 two-byte counters.
 LINE_BYTES = 64
@@ -211,7 +214,7 @@ class StartTracker(ActivationTracker):
     },
 )
 def _start_from_context(
-    ctx: TrackerContext, lines_per_bank: Optional[int] = None
+    ctx: SystemConfig, lines_per_bank: Optional[int] = None
 ) -> StartTracker:
     return StartTracker(
         ctx.geometry,

@@ -90,15 +90,15 @@ def dcbf_bytes_per_rank(trh: int, **_: object) -> int:
 def hydra_bytes_total(trh: int = 500) -> int:
     """Hydra SRAM for the whole 32 GB system (both ranks), Table 4/5.
 
-    Structures scale inversely with T_RH below the 500 design point
-    (Figure 7 scales them 2x at 250 and 4x at 125).
+    Structures scale with ``SystemConfig.with_trh`` below the 500
+    design point (Figure 7: 2x at 250, 4x at 125).
     """
-    from repro.core.config import HydraConfig
     from repro.core.storage import hydra_storage
+    from repro.sim.config import SystemConfig
 
-    scale = max(1, 500 // trh)
-    config = HydraConfig().with_threshold(trh, structure_scale=scale)
-    return hydra_storage(config).sram_total_bytes
+    return hydra_storage(
+        SystemConfig().with_trh(trh).hydra_config()
+    ).sram_total_bytes
 
 
 SCHEME_MODELS: Dict[str, Callable[..., int]] = {

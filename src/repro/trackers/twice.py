@@ -23,11 +23,14 @@ soundness is preserved even when under-provisioned.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import Param, TrackerContext, register_tracker
+from repro.trackers.registry import Param, register_tracker
+
+if TYPE_CHECKING:
+    from repro.sim.config import SystemConfig
 
 
 class _BankTable:
@@ -158,7 +161,7 @@ class TwiceTracker(ActivationTracker):
     },
 )
 def _twice_from_context(
-    ctx: TrackerContext,
+    ctx: SystemConfig,
     entries_per_bank: Optional[int] = None,
     prune_interval_acts: int = 2048,
 ) -> TwiceTracker:

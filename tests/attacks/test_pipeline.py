@@ -64,8 +64,8 @@ class TestHammerAndVerify:
         assert len(judged.report.violations) == 16
 
     def test_tracker_context_scales_structures(self):
-        """The judge builds trackers from the rung's tracker context,
-        whose structures scale as Figure 7's do."""
-        tctx = SystemConfig(scale=1 / 256).with_trh(125).tracker_context()
+        """The judge builds trackers from the rung's config, whose
+        structures scale as Figure 7's do."""
+        tctx = SystemConfig(scale=1 / 256).with_trh(125)
         assert tctx.trh == 125
         assert tctx.structure_scale == 4  # 500 // 125

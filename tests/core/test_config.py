@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.config import HydraConfig
 from repro.dram.timing import PAPER_GEOMETRY
+from repro.sim.config import SystemConfig
+from repro.trackers.registry import MIN_TRH
 
 
 class TestDefaults:
@@ -78,18 +80,22 @@ class TestScaling:
 
 
 class TestThresholdRetargeting:
+    """T_RH is retargeted on the system (``SystemConfig.with_trh``),
+    whose Hydra design point is ``hydra_config()``."""
+
     def test_figure7_scaling(self):
         """Figure 7: structures scale 2x at T_RH=250, 4x at 125."""
-        cfg = HydraConfig().with_threshold(250, structure_scale=2)
+        cfg = SystemConfig().with_trh(250).hydra_config()
         assert cfg.trh == 250
         assert cfg.th == 125
         assert cfg.gct_entries == 65536
         assert cfg.rcc_entries == 16384
+        assert SystemConfig().with_trh(125).hydra_config().gct_entries == 131072
 
     def test_gct_capped_at_row_count(self):
-        cfg = HydraConfig().with_threshold(125, structure_scale=256)
+        cfg = SystemConfig().with_trh(MIN_TRH).hydra_config()
         assert cfg.gct_entries <= cfg.geometry.total_rows
 
     def test_rejects_zero_structure_scale(self):
         with pytest.raises(ValueError):
-            HydraConfig().with_threshold(250, structure_scale=0)
+            SystemConfig(structure_scale=0)

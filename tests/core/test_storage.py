@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import HydraConfig
 from repro.core.storage import hydra_storage
+from repro.sim.config import SystemConfig
 
 
 class TestTable4:
@@ -19,11 +20,6 @@ class TestTable4:
         report = hydra_storage(HydraConfig())
         assert report.dram_reserved_bytes == 4 * 1024 * 1024
 
-    def test_rows_formatting(self):
-        rows = hydra_storage(HydraConfig()).rows()
-        assert rows["Total"] == "56.5 KB"
-        assert rows["GCT"] == "32.0 KB"
-
     def test_ablations_drop_structures(self):
         nogct = hydra_storage(HydraConfig(enable_gct=False))
         assert nogct.gct_bytes == 0
@@ -33,9 +29,7 @@ class TestTable4:
     def test_scaling_with_structures(self):
         """Figure 7: 2x structures at T_RH=250 roughly doubles SRAM."""
         base = hydra_storage(HydraConfig())
-        doubled = hydra_storage(
-            HydraConfig().with_threshold(250, structure_scale=2)
-        )
+        doubled = hydra_storage(SystemConfig().with_trh(250).hydra_config())
         assert doubled.gct_bytes == 2 * base.gct_bytes
         assert doubled.rcc_bytes == 2 * base.rcc_bytes
 

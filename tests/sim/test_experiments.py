@@ -42,6 +42,14 @@ class TestAnalyticExperiments:
         payload = run_experiment("table5", CONFIG)
         assert payload["Hydra"]["ddr4_kib"] == payload["Hydra"]["ddr5_kib"]
 
+    @pytest.mark.parametrize("trh", [250, 125])
+    def test_table4_total_is_table5_hydra_row(self, trh):
+        """Both tables size Hydra by ``SystemConfig.with_trh``."""
+        config = CONFIG.with_trh(trh)
+        total = run_experiment("table4", config)["total_kib"]
+        assert total == run_experiment("table5", config)["Hydra"]["ddr4_kib"]
+        assert total > 2 * 56
+
 
 @pytest.mark.parametrize(
     "name, result_file",

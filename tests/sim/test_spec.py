@@ -127,7 +127,7 @@ class TestResolution:
         assert engine == "fast"
 
     def test_build_tracker_from_spec_string(self):
-        tracker = build_tracker("hydra@trh=1000", CONFIG.tracker_context())
+        tracker = build_tracker("hydra@trh=1000", CONFIG)
         assert isinstance(tracker, HydraTracker)
         assert tracker.config == CONFIG.with_trh(1000).hydra_config()
 

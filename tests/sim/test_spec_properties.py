@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.memctrl import ENGINES
 from repro.sim import GridSpec, SystemConfig, cell_key
 from repro.trackers.registry import (
+    MIN_TRH,
     available_trackers,
     canonical_spec,
     format_param_value,
@@ -40,7 +41,7 @@ BOOL_SPELLINGS = {
 #: Valid values of the parameters every tracker accepts.
 UNIVERSAL_VALUES = {
     "engine": st.sampled_from(ENGINES),
-    "trh": st.integers(min_value=1, max_value=200_000),
+    "trh": st.integers(min_value=MIN_TRH, max_value=200_000),
 }
 
 SPACE = st.sampled_from(["", " ", "  "])

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _config, build_parser, main
+from repro.sim.config import SystemConfig
+from repro.trackers.registry import MIN_TRH
 
 
 @pytest.fixture(autouse=True)
@@ -22,7 +24,12 @@ BAD_TRACKER_SPECS = [
     (["run", "--tracker", "hydra@stream_chunk=4096"], "no parameter 'stream_chunk'"),
     (["sweep", "--tracker", "hydra@foo=3"], "no parameter 'foo'"),
     (["submit", "--trackers", "hydra,nosuch"], "unknown tracker 'nosuch'"),
-    (["arena", "--trackers", "graphene@trh=0"], "must be >= 1"),
+    (["arena", "--trackers", "graphene@trh=0"], "must be >= 4"),
+    (["run", "--tracker", "hydra@trh=3"], "must be >= 4"),
+    (["run", "--trh", "0"], "must be >= 4"),
+    (["storage", "--trh", "0"], "must be >= 4"),
+    (["security", "--trh", "2"], "must be >= 4"),
+    (["arena", "--trh-ladder", "166,3"], "must be >= 4"),
     (["fuzz", "--trackers", "nosuch"], "unknown tracker 'nosuch'"),
 ]
 
@@ -94,6 +101,17 @@ class TestParser:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert message in err
+
+    def test_cli_trh_is_the_spec_trh_system(self):
+        """``--trh N`` describes the system ``hydra@trh=N`` is built
+        for: ``SystemConfig.with_trh(N)``, one cache key."""
+        parser = build_parser()
+        base = SystemConfig(scale=1 / 256)
+        for trh in range(MIN_TRH, 601):
+            args = parser.parse_args(
+                ["run", "--trh", str(trh), "--scale-denominator", "256"]
+            )
+            assert _config(args).cache_key() == base.with_trh(trh).cache_key()
 
     def test_tracker_lists_parse_to_specs(self):
         args = build_parser().parse_args(["submit", "--trackers", "baseline,hydra"])

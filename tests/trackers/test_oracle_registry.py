@@ -58,7 +58,7 @@ def _battery(name: str):
         cfg = CONFIG.with_trh(trh)
         act_max = cfg.timing.max_activations_per_window()
         for seq_name, sequence in _sequences(cfg).items():
-            tracker = build_tracker(name, cfg.tracker_context())
+            tracker = build_tracker(name, cfg)
             outcomes[(trh, seq_name)] = verify_tracker(
                 tracker,
                 cfg.geometry,
@@ -105,7 +105,7 @@ def test_single_sided_always_pressures_the_oracle(name):
     that doesn't mitigate early (and the report must say so)."""
     trh = 1000
     cfg = CONFIG.with_trh(trh)
-    tracker = build_tracker(name, cfg.tracker_context())
+    tracker = build_tracker(name, cfg)
     report = verify_tracker(
         tracker,
         cfg.geometry,

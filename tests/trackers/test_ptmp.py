@@ -134,9 +134,10 @@ class TestRegistration:
         assert info.security_class == "probabilistic"
 
     def test_buildable_from_spec(self):
-        from repro.trackers.registry import TrackerContext, build_tracker
+        from repro.sim.config import SystemConfig
+        from repro.trackers.registry import build_tracker
 
-        ctx = TrackerContext(geometry=GEOMETRY)
+        ctx = SystemConfig(scale=1 / 256)
         tracker = build_tracker(
             "ptmp@entries=7,probability=0.25,interval_slots=16", ctx
         )

@@ -18,6 +18,7 @@ from repro.trackers.mithril import MithrilTracker
 from repro.trackers.ocpr import OcprTracker
 from repro.trackers.para import ParaTracker
 from repro.trackers.registry import (
+    MIN_TRH,
     TrackerSpec,
     available_trackers,
     build_tracker,
@@ -129,6 +130,25 @@ class TestRegistryParity:
             assert tracker_info(name).summary
 
 
+class TestThresholdRule:
+    """``SystemConfig.with_trh`` is the one T_RH scaling rule."""
+
+    def test_spec_trh_builds_the_with_trh_hydra(self):
+        for trh in range(MIN_TRH, 601):
+            built = make_tracker(f"hydra@trh={trh}", CONFIG)
+            expected = HydraTracker(CONFIG.with_trh(trh).hydra_config())
+            assert built.config == expected.config, trh
+            assert built.sram_bytes() == expected.sram_bytes(), trh
+
+    @pytest.mark.parametrize(
+        "trh, scale",
+        [(32000, 1), (500, 1), (250, 2), (166, 2), (125, 4), (100, 4),
+         (50, 8), (10, 32), (4, 64)],
+    )
+    def test_structure_scale_rounds_down_to_a_power_of_two(self, trh, scale):
+        assert SystemConfig().with_trh(trh).structure_scale == scale
+
+
 class TestSpecParsing:
     def test_bare_name(self):
         spec = parse_spec("hydra")
@@ -202,9 +222,7 @@ class TestSpecErrors:
 
     def test_rcc_kb_and_entries_conflict(self):
         with pytest.raises(ValueError, match="not both"):
-            build_tracker(
-                "hydra@rcc_kb=24,rcc_entries=8192", CONFIG.tracker_context()
-            )
+            build_tracker("hydra@rcc_kb=24,rcc_entries=8192", CONFIG)
 
 
 class TestParameterizedBuilds:
