@@ -77,12 +77,16 @@ if TYPE_CHECKING:
     from repro.sim.config import SystemConfig
 
 
+def _int(value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
+
+
 def _count_type(minimum: int, meaning: str) -> Callable[[str], int]:
     def parse(value: str) -> int:
-        try:
-            count = int(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
+        count = _int(value)
         if count < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum} ({meaning})")
         return count
@@ -104,10 +108,13 @@ def _positive_float(value: str) -> float:
 
 
 def _trh(value: str) -> int:
-    """A RowHammer threshold every tracker can be built for."""
-    from repro.trackers.registry import MIN_TRH
+    """A RowHammer threshold ``SystemConfig`` accepts (``check_trh``)."""
+    from repro.sim.config import check_trh
 
-    return _count_type(MIN_TRH, "the lowest T_RH trackers support")(value)
+    try:
+        return check_trh(_int(value))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _workload_names(value: str) -> List[str]:
@@ -1135,6 +1142,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    from repro.sim.config import default_jobs
+
+    try:
+        default_jobs()  # a bad $REPRO_JOBS is refused before any work
+    except ValueError as exc:
+        _input_error(exc)
     return args.func(args)
 
 

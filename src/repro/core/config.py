@@ -13,6 +13,11 @@ from dataclasses import dataclass, replace
 from repro.dram.timing import PAPER_GEOMETRY, DramGeometry
 
 
+#: The lowest T_RH the system accepts: Hydra, Graphene and START need
+#: T_RH/2 >= 2 to size their thresholds.
+MIN_TRH = 4
+
+
 def _is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
@@ -49,8 +54,8 @@ class HydraConfig:
     mapping_seed: int = 0x48594452  # "HYDR"
 
     def __post_init__(self) -> None:
-        if self.trh < 4:
-            raise ValueError("T_RH must be at least 4")
+        if self.trh < MIN_TRH:
+            raise ValueError(f"T_RH must be at least {MIN_TRH}")
         if not _is_power_of_two(self.gct_entries):
             raise ValueError("gct_entries must be a power of two")
         if self.rcc_entries <= 0 or self.rcc_ways <= 0:

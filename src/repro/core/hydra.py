@@ -341,8 +341,8 @@ _HYDRA_PARAMS = {
         help="full-scale RCC size in KB (3 B/entry, Table 4; alternative"
         " to rcc_entries)",
     ),
-    "rcc_ways": Param(int, 16, "RCC associativity"),
-    "tg_fraction": Param(float, 0.80, "T_G as a fraction of T_H"),
+    "rcc_ways": Param(int, help="RCC associativity"),
+    "tg_fraction": Param(float, help="T_G as a fraction of T_H"),
     "enable_gct": Param(bool, True, "disable for the Hydra-NoGCT ablation"),
     "enable_rcc": Param(bool, True, "disable for the Hydra-NoRCC ablation"),
     "randomize_mapping": Param(

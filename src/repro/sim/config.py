@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.core.config import HydraConfig
+from repro.core.config import MIN_TRH, HydraConfig
 from repro.dram.timing import PAPER_GEOMETRY, PAPER_TIMING, DramGeometry, DramTiming
 from repro.memctrl.base import normalize_engine
 
@@ -47,12 +47,22 @@ def default_cache_dir() -> "Path":
     return Path.cwd() / ".repro_cache"
 
 
+def _env_count(name: str, default: int, minimum: int) -> int:
+    """An integer environment variable (unset or empty: ``default``);
+    a malformed value is refused by name."""
+    raw = os.environ.get(name) or str(default)
+    try:
+        value = int(raw)
+        if value >= minimum:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be an integer >= {minimum}, got {raw!r}")
+
+
 def default_scale() -> float:
     """Experiment scale: 1/32 by default, overridable via REPRO_SCALE."""
-    denominator = int(os.environ.get(SCALE_ENV_VAR, DEFAULT_SCALE_DENOMINATOR))
-    if denominator < 1:
-        raise ValueError(f"{SCALE_ENV_VAR} must be >= 1")
-    return 1.0 / denominator
+    return 1.0 / _env_count(SCALE_ENV_VAR, DEFAULT_SCALE_DENOMINATOR, 1)
 
 
 def default_jobs() -> int:
@@ -60,10 +70,7 @@ def default_jobs() -> int:
 
     ``REPRO_JOBS=0`` asks for one worker per available CPU.
     """
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env is None or env == "":
-        return 1
-    return resolve_jobs(env)
+    return resolve_jobs(_env_count(JOBS_ENV_VAR, 1, 0))
 
 
 def resolve_jobs(jobs) -> int:
@@ -81,6 +88,29 @@ def resolve_jobs(jobs) -> int:
     if count < 0:
         raise ValueError(f"jobs must be >= 0, got {count}")
     return count
+
+
+#: Lower bounds of the int fields that the Hydra design point does not
+#: bound itself (``SystemConfig.__post_init__`` builds that point too).
+_AT_LEAST = {"trh": MIN_TRH, "mlp": 1, "n_windows": 1, "chunk_lines": 1}
+
+
+def _check_field(name: str, value: Any) -> int:
+    """Refuse a wrong-typed or out-of-bound value for the int field
+    ``name`` of :class:`SystemConfig`; return it unchanged."""
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    minimum = _AT_LEAST.get(name)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def check_trh(trh: Any) -> int:
+    """A T_RH every tracker can be built for (>= :data:`MIN_TRH`): the
+    check behind ``SystemConfig``, ``with_trh``, a spec's ``trh=`` and
+    the CLI's ``--trh``."""
+    return _check_field("trh", trh)
 
 
 @dataclass(frozen=True)
@@ -121,11 +151,18 @@ class SystemConfig:
     trace_file: Optional[str] = None
 
     def __post_init__(self) -> None:
+        """Refuse a system no cell could run, where it is made. Every
+        boundary (a spec's ``trh=``, the CLI, ``GridSpec``, ``POST
+        /jobs``) defers to these checks instead of restating them."""
+        for spec in fields(self):
+            if spec.type == "int":
+                _check_field(spec.name, getattr(self, spec.name))
         if not 0 < self.scale <= 1:
             raise ValueError("scale must be in (0, 1]")
-        if self.structure_scale < 1:
-            raise ValueError("structure_scale must be >= 1")
         normalize_engine(self.engine)
+        # The Hydra design point bounds the GCT/RCC sizing, rcc_ways,
+        # tg_fraction, blast_radius and structure_scale.
+        self.hydra_config()
 
     # ------------------------------------------------------------------
     # Derived hardware
@@ -201,7 +238,7 @@ class SystemConfig:
         ``500 // trh`` (2x at 250, 4x at 125), rounded down to a power
         of two so the GCT stays one.
         """
-        ratio = max(1, 500 // trh)
+        ratio = max(1, 500 // check_trh(trh))
         return replace(
             self, trh=trh, structure_scale=1 << (ratio.bit_length() - 1)
         )
@@ -209,15 +246,9 @@ class SystemConfig:
     def with_gct_entries(self, gct_entries_full: int) -> "SystemConfig":
         return replace(self, gct_entries_full=gct_entries_full)
 
-    def with_tg_fraction(self, tg_fraction: float) -> "SystemConfig":
-        return replace(self, tg_fraction=tg_fraction)
-
-    def with_cra_cache(self, full_bytes: int) -> "SystemConfig":
-        return replace(self, cra_cache_full_bytes=full_bytes)
-
     def with_engine(self, engine: str) -> "SystemConfig":
         """The same system run on a different scheduling engine."""
-        return replace(self, engine=normalize_engine(engine))
+        return replace(self, engine=engine)
 
     def with_trace_file(self, trace_file: Optional[str]) -> "SystemConfig":
         """The same system replaying a recorded trace file."""

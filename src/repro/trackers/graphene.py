@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Set
 
+from repro.core.config import MIN_TRH
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.trackers.base import ActivationTracker, TrackerResponse
 from repro.trackers.registry import Param, register_tracker
@@ -112,7 +113,7 @@ class _SpaceSavingTable:
 
 def graphene_entries_per_bank(trh: int, act_max: int) -> int:
     """Entries one bank's table needs at threshold ``trh`` (§4.1)."""
-    if trh < 4:
+    if trh < MIN_TRH:
         raise ValueError("trh too small")
     mitigation_threshold = trh // 2
     return -(-act_max // mitigation_threshold) + 1

@@ -43,7 +43,6 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -54,11 +53,10 @@ from typing import (
     Union,
 )
 
+from repro.core.config import MIN_TRH  # noqa: F401  (re-exported)
 from repro.interfaces import ActivationTracker, NullTracker
 from repro.memctrl.base import normalize_engine
-
-if TYPE_CHECKING:
-    from repro.sim.config import SystemConfig
+from repro.sim.config import SystemConfig, check_trh
 
 #: Modules whose import populates the registry: every built-in tracker
 #: registers in one of these, named here one by one (the package
@@ -75,11 +73,6 @@ _BUILTIN_MODULES = tuple(
 
 #: Bytes per RCC entry (valid + tag + SRRIP + counter — Table 4).
 RCC_ENTRY_BYTES = 3
-
-#: The lowest T_RH a spec or ``--trh`` accepts: Hydra, Graphene and
-#: START need T_RH/2 >= 2 to size their thresholds.
-MIN_TRH = 4
-
 
 # ----------------------------------------------------------------------
 # Registry entries
@@ -328,18 +321,12 @@ class SpecRegistry:
         return self.parse(spec).canonical()
 
 
-def _at_least(value: int, minimum: int) -> int:
-    if value < minimum:
-        raise ValueError(f"must be >= {minimum}, got {value}")
-    return value
-
-
 #: Parameters accepted by every tracker, resolved against the system
 #: before the tracker-specific builder runs.
 UNIVERSAL_PARAMS: Dict[str, Param] = {
     "trh": Param(
         int,
-        check=lambda trh: _at_least(trh, MIN_TRH),
+        check=check_trh,
         help="RowHammer threshold (builds from SystemConfig.with_trh)",
     ),
     "engine": Param(

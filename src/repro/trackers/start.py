@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro.core.config import MIN_TRH
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.trackers.base import ActivationTracker, TrackerResponse
 from repro.trackers.registry import Param, register_tracker
@@ -62,7 +63,7 @@ ROWS_PER_LINE = LINE_BYTES // COUNTER_BYTES
 
 def start_lines_per_bank(trh: int, act_max: int, rows_per_bank: int) -> int:
     """Per-row counter lines one bank can ever need (see module doc)."""
-    if trh < 4:
+    if trh < MIN_TRH:
         raise ValueError("trh too small")
     escalation = max(1, trh // 4)
     worst_case_groups = -(-act_max // escalation)

@@ -58,6 +58,32 @@ class TestSweepFacade:
         with pytest.raises(TypeError, match="GridSpec"):
             api.sweep(["baseline"], state_dir=tmp_path, cache_dir=tmp_path)
 
+    def test_sweep_refuses_bad_config_before_any_cell(
+        self, tmp_path, monkeypatch
+    ):
+        """A config no tracker can be built for is refused where the
+        grid is read, so no cell is simulated or cached first."""
+        from repro.service import worker
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_cell called for a refused grid")
+
+        monkeypatch.setattr(worker, "run_cell", refuse)
+        text = json.dumps({
+            "trackers": ["baseline", "hydra"],
+            "workloads": ["GUPS"],
+            "config": {**CONFIG.to_dict(), "trh": 2},
+        })
+        with pytest.raises(ValueError, match="trh must be >= 4"):
+            api.sweep(
+                GridSpec.from_json(text),
+                pool="thread",
+                state_dir=tmp_path / "state",
+                cache_dir=tmp_path / "cache",
+            )
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "state").exists()
+
 
 class TestCompareFacade:
     def test_compare_matches_runner(self, tmp_path):

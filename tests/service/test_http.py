@@ -62,6 +62,19 @@ class TestDispatch:
         assert status == 400
         assert "config" in payload["error"]
 
+    @pytest.mark.parametrize("trh", [2, "500"])
+    def test_submit_rejects_bad_config(self, service, broker, trh):
+        """A config the system refuses is a 400 at submit time: no job
+        exists, and nothing is written under the state directory."""
+        grid = {**GRID.to_dict(), "config": {**CONFIG.to_dict(), "trh": trh}}
+        body = json.dumps({"grid": grid}).encode()
+        status, payload = service.dispatch("POST", "/jobs", body)
+        assert status == 400
+        assert "trh" in payload["error"]
+        assert broker.jobs() == []
+        jobs_dir = broker.store.jobs_dir
+        assert not jobs_dir.exists() or not any(jobs_dir.iterdir())
+
     def test_status_and_list(self, service, broker):
         _, submitted = service.dispatch("POST", "/jobs", submit_body())
         job_id = submitted["job_id"]

@@ -1,8 +1,16 @@
 """Tests for the top-level SystemConfig."""
 
+import json
+
 import pytest
 
-from repro.sim.config import SystemConfig, baseline_table2, default_scale
+from repro.sim.config import (
+    SystemConfig,
+    baseline_table2,
+    default_jobs,
+    default_scale,
+)
+from repro.sim.grid import GridSpec
 
 
 class TestDerivedHardware:
@@ -44,9 +52,6 @@ class TestVariations:
         cfg = SystemConfig().with_gct_entries(16384)
         assert cfg.gct_entries_full == 16384
 
-    def test_with_tg_fraction(self):
-        assert SystemConfig().with_tg_fraction(0.5).tg_fraction == 0.5
-
     def test_cache_keys_distinguish_configs(self):
         a = SystemConfig()
         assert a.cache_key() != a.with_trh(250).cache_key()
@@ -61,6 +66,48 @@ class TestVariations:
             SystemConfig(scale=1.5)
 
 
+#: One field out of bounds each; every one used to construct cleanly
+#: and fail only inside a simulation.
+BAD_FIELDS = [
+    {"trh": 2},
+    {"mlp": 0},
+    {"n_windows": 0},
+    {"chunk_lines": 0},
+    {"rcc_ways": 0},
+    {"tg_fraction": 1.5},
+    {"blast_radius": -1},
+    {"gct_entries_full": 3},
+]
+
+
+class TestValidation:
+    """A ``SystemConfig`` is valid by construction."""
+
+    @pytest.mark.parametrize("field", BAD_FIELDS, ids=str)
+    def test_out_of_bound_field_refused(self, field):
+        with pytest.raises(ValueError):
+            SystemConfig(scale=1 / 256, **field)
+
+    def test_wrong_typed_trh_refused_by_name(self):
+        with pytest.raises(TypeError, match="trh"):
+            SystemConfig(trh="500")
+
+    @pytest.mark.parametrize("trh", [0, -5, 3])
+    def test_with_trh_refuses_by_name_before_dividing(self, trh):
+        with pytest.raises(ValueError, match="trh must be >= 4"):
+            SystemConfig().with_trh(trh)
+
+    @pytest.mark.parametrize("field", BAD_FIELDS, ids=str)
+    def test_grid_json_refuses_bad_config(self, field):
+        config = {**SystemConfig(scale=1 / 256).to_dict(), **field}
+        text = json.dumps(
+            {"trackers": ["baseline", "hydra"], "workloads": ["GUPS"],
+             "config": config}
+        )
+        with pytest.raises(ValueError):
+            GridSpec.from_json(text)
+
+
 class TestEnvironment:
     def test_default_scale_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "64")
@@ -70,6 +117,15 @@ class TestEnvironment:
         monkeypatch.setenv("REPRO_SCALE", "0")
         with pytest.raises(ValueError):
             default_scale()
+
+    @pytest.mark.parametrize(
+        "name, read", [("REPRO_SCALE", default_scale), ("REPRO_JOBS", default_jobs)]
+    )
+    @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+    def test_bad_env_named_in_error(self, monkeypatch, name, read, value):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            read()
 
 
 class TestTable2:

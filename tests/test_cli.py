@@ -381,6 +381,20 @@ def test_bad_input_file_is_a_one_line_usage_error(argv, message, tmp_path, capsy
     assert message in err
 
 
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bad_repro_jobs_is_a_one_line_usage_error(value, tmp_path, monkeypatch, capsys):
+    """An unset ``--jobs`` defers to $REPRO_JOBS; a malformed value is
+    refused by name before anything is simulated or cached."""
+    monkeypatch.setenv("REPRO_JOBS", value)
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--tracker", "baseline", "--scale-denominator", "4096"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err == (
+        f"hydra-sim: error: REPRO_JOBS must be an integer >= 0, got {value!r}\n"
+    )
+    assert not any(tmp_path.iterdir())
+
+
 class TestAttackCommands:
     def test_list_attacks_prints_registry(self, capsys):
         assert main(["list-attacks"]) == 0
