@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.durable import atomic_write_text
+from repro.durable import atomic_write_text, read_bytes
 from repro.sim.grid import GridSpec
 from repro.sim.results import GridResult
 
@@ -98,7 +98,6 @@ class JobStore:
         return self.job_dir(job_id) / "manifest.jsonl"
 
     def create(self, job_id: str, spec: GridSpec, status: JobStatus) -> None:
-        self.job_dir(job_id).mkdir(parents=True, exist_ok=True)
         atomic_write_text(
             self.spec_path(job_id), json.dumps(spec.to_dict(), sort_keys=True)
         )
@@ -111,16 +110,22 @@ class JobStore:
         )
 
     def load_spec(self, job_id: str) -> GridSpec:
-        return GridSpec.from_dict(
-            json.loads(self.spec_path(job_id).read_text())
-        )
+        path = self.spec_path(job_id)
+        data = read_bytes(path)
+        if data is None:
+            raise OSError(f"cannot read {path}")
+        return GridSpec.from_dict(json.loads(data.decode()))
 
     def load_status(self, job_id: str) -> Optional[JobStatus]:
-        try:
-            data = json.loads(self.status_path(job_id).read_text())
-        except (OSError, json.JSONDecodeError):
+        """The persisted status, or None when it is absent, torn, or
+        not a status (so one bad file cannot fail ``GET /jobs``)."""
+        data = read_bytes(self.status_path(job_id))
+        if data is None:
             return None
-        return JobStatus.from_dict(data)
+        try:
+            return JobStatus.from_dict(json.loads(data.decode()))
+        except (ValueError, AttributeError, TypeError):
+            return None
 
     def list_jobs(self) -> List[str]:
         """Every persisted job id, oldest first (by status mtime)."""

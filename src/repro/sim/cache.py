@@ -27,8 +27,10 @@ created ``<key>.lease`` file naming an owner and an expiry. A worker
 that wins the lease simulates and stores; one that loses polls the
 cache until the entry lands — or until the lease goes stale, at which
 point the lease is reclaimed instead of wedging the grid. A lease is
-stale once its TTL runs out, or at once when its owner names a
-process on this host that no longer exists (a ``kill -9``'d sweep).
+stale once its TTL runs out, at once when its owner names a
+process on this host that no longer exists (a ``kill -9``'d sweep),
+and at once when it is torn (empty or unparsable: its holder died
+between creating the file and writing it).
 Leases are an *optimization*, never a correctness
 gate: if the protocol ever double-grants under a pathological race,
 both winners simulate the same deterministic cell and the atomic
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from repro.durable import atomic_write_text
+from repro.durable import atomic_write_text, create_exclusive, read_bytes
 
 #: How long a lease protects a key before other workers may reclaim
 #: it. Generous relative to a cell simulation (seconds) so a healthy
@@ -53,6 +55,10 @@ from repro.durable import atomic_write_text
 #: another host delays a grid by at most this. A dead holder on this
 #: host is reclaimed at once (see :func:`_holder_dead`).
 DEFAULT_LEASE_TTL_S = 300.0
+
+#: ``json.loads`` minus its per-call dispatch and its bytes-encoding
+#: sniff: entries are read as bytes and decoded as UTF-8 first.
+_decode_json = json.JSONDecoder().decode
 
 
 @dataclass(frozen=True)
@@ -90,18 +96,17 @@ class ResultCache:
     def load(self, key: str) -> Optional[Dict[str, Any]]:
         """Return the stored payload, or None on miss or corruption.
 
-        A corrupt file (not JSON, or not even text) is unlinked so the
-        next fill replaces it.
+        A corrupt file (not UTF-8, not JSON, or not a JSON object) is
+        unlinked so the next fill replaces it. An unreadable path (a
+        directory, say) is a miss.
         """
         path = os.path.join(self._directory, key + ".json")
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except OSError:
+        data = read_bytes(path)
+        if data is None:
             return None
         try:
-            payload = json.loads(data)
-        except ValueError:  # JSONDecodeError or UnicodeDecodeError
+            payload = _decode_json(data.decode())
+        except ValueError:  # UnicodeDecodeError or JSONDecodeError
             self._evict(path)
             return None
         if not isinstance(payload, dict):
@@ -136,30 +141,37 @@ class ResultCache:
         An existing live lease means someone else is filling the key
         (returns False); a *stale* one — expired, or held by a dead
         process on this host — is reclaimed: the stale file is
-        unlinked and the create retried once. The
+        unlinked and the create retried once. A *torn* lease — empty
+        or unparsable, left by a holder killed between its create and
+        its write — is stale too. The
         unlink+create pair is not atomic, so under a pathological
         interleaving two reclaimers can both believe they won — see
         the module docstring for why that is harmless here.
         """
         clock = time.time if now is None else (lambda: now)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        path = self._lease_file(key)
         for attempt in range(2):
-            if self._try_create_lease(key, owner, ttl_s, clock()):
+            if self._try_create_lease(path, owner, ttl_s, clock()):
                 return True
-            holder = self.lease_info(key)
-            if holder is None:
+            data = read_bytes(path)
+            if data is None:
                 continue  # holder released between our create and read
-            if not holder.expired(clock()) and not _holder_dead(holder.owner):
+            holder = _parse_lease(key, data)
+            if (
+                holder is not None
+                and not holder.expired(clock())
+                and not _holder_dead(holder.owner)
+            ):
                 return False
-            # Stale: the holder crashed (or stalled past its TTL).
-            # Reclaim by unlinking the stale file, then retry the
+            # Stale (the holder crashed or stalled past its TTL) or
+            # torn. Reclaim by unlinking the file, then retry the
             # atomic create; a racing reclaimer may beat us to it.
             try:
-                self.lease_path(key).unlink()
+                os.unlink(path)
                 self.leases_reclaimed += 1
             except OSError:
                 pass
-        return self._try_create_lease(key, owner, ttl_s, clock())
+        return self._try_create_lease(path, owner, ttl_s, clock())
 
     def release(self, key: str, owner: str) -> None:
         """Drop ``owner``'s lease on ``key`` (a stranger's survives)."""
@@ -167,41 +179,26 @@ class ResultCache:
         if info is None or info.owner != owner:
             return
         try:
-            self.lease_path(key).unlink()
+            os.unlink(self._lease_file(key))
         except OSError:
             pass
 
     def lease_info(self, key: str) -> Optional[LeaseInfo]:
-        """The current lease on ``key``, or None (corrupt = none)."""
-        try:
-            text = self.lease_path(key).read_text()
-        except OSError:
-            return None
-        try:
-            data = json.loads(text)
-            return LeaseInfo(
-                key=key,
-                owner=str(data["owner"]),
-                expires_at=float(data["expires_at"]),
-            )
-        except (ValueError, KeyError, TypeError):
-            # A torn or foreign lease file: treat as absent; the
-            # expiry path will clean it up.
-            return None
+        """The current lease on ``key``, or None when there is none or
+        it is torn (which :meth:`lease` reclaims)."""
+        data = read_bytes(self._lease_file(key))
+        return None if data is None else _parse_lease(key, data)
 
+    def _lease_file(self, key: str) -> str:
+        return os.path.join(self._directory, key + ".lease")
+
+    @staticmethod
     def _try_create_lease(
-        self, key: str, owner: str, ttl_s: float, now: float
+        path: str, owner: str, ttl_s: float, now: float
     ) -> bool:
-        try:
-            fd = os.open(
-                self.lease_path(key),
-                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-            )
-        except FileExistsError:
-            return False
-        with os.fdopen(fd, "w") as handle:
-            json.dump({"owner": owner, "expires_at": now + ttl_s}, handle)
-        return True
+        return create_exclusive(
+            path, json.dumps({"owner": owner, "expires_at": now + ttl_s})
+        )
 
     def _evict(self, path: Union[str, Path]) -> None:
         try:
@@ -209,6 +206,20 @@ class ResultCache:
         except OSError:
             pass  # a racing process may have replaced or removed it
         self.evictions += 1
+
+
+def _parse_lease(key: str, data: bytes) -> Optional[LeaseInfo]:
+    """A lease file's content as a :class:`LeaseInfo`, or None when it
+    is torn: empty, not JSON, or without an owner and an expiry."""
+    try:
+        fields = _decode_json(data.decode())
+        return LeaseInfo(
+            key=key,
+            owner=str(fields["owner"]),
+            expires_at=float(fields["expires_at"]),
+        )
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
 def _holder_dead(owner: str) -> bool:

@@ -54,7 +54,7 @@ from typing import (
 
 import numpy as np
 
-from repro.durable import atomic_write_text
+from repro.durable import atomic_write_text, read_bytes
 from repro.workloads import DEFAULT_STREAM_CHUNK
 from repro.workloads.trace import (
     ChunkReplay,
@@ -162,12 +162,12 @@ class ChunkedTrace(_StreamingSourceBase):
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         manifest_path = self.directory / "manifest.json"
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except FileNotFoundError:
+        data = read_bytes(manifest_path)
+        if data is None:
             raise ValueError(
                 f"{self.directory} is not a chunked trace (no manifest.json)"
-            ) from None
+            )
+        manifest = json.loads(data.decode())
         if manifest.get("format") != CHUNKED_FORMAT:
             raise ValueError(
                 f"{manifest_path} is not a {CHUNKED_FORMAT} manifest"

@@ -522,3 +522,45 @@ class TestResumeUnreadableSpec:
         assert revived.status(good).state == COMPLETED
         # A second restart leaves the failed job alone.
         assert make_broker(tmp_path).resume(start=False) == []
+
+
+class TestJobFiles:
+    """``spec.json`` and ``status.json`` bytes, read back with ``open``."""
+
+    def test_spec_and_status_are_sorted_json_dumps(self, tmp_path):
+        store = JobStore(tmp_path / "state")
+        status = JobStatus(
+            job_id="job-1", state=PENDING, grid_key="abc", total_cells=4,
+            created_at=1.5, updated_at=2.5,
+        )
+        store.create("job-1", GRID, status)
+        with open(store.spec_path("job-1"), "rb") as handle:
+            assert handle.read() == json.dumps(
+                GRID.to_dict(), sort_keys=True
+            ).encode()
+        with open(store.status_path("job-1"), "rb") as handle:
+            assert handle.read() == json.dumps(
+                status.to_dict(), sort_keys=True
+            ).encode()
+        assert store.load_spec("job-1") == GRID
+        assert store.load_status("job-1") == status
+
+    def test_missing_job_files(self, tmp_path):
+        store = JobStore(tmp_path / "state")
+        assert store.load_status("missing") is None
+        with pytest.raises(OSError):
+            store.load_spec("missing")
+
+    @pytest.mark.parametrize(
+        "content", [b"", b'{"job_id": "to', b"[1, 2]", b'{"job_id": "x"}']
+    )
+    def test_bad_status_file_is_none(self, tmp_path, content):
+        # Torn, not an object, or missing fields: the job is skipped,
+        # and the other jobs are still listed.
+        broker = make_broker(tmp_path)
+        good = broker.submit(GRID, start=False)
+        store = broker.store
+        store.job_dir("bad").mkdir(parents=True)
+        store.status_path("bad").write_bytes(content)
+        assert store.load_status("bad") is None
+        assert [s.job_id for s in broker.jobs()] == [good]

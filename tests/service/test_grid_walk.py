@@ -110,6 +110,33 @@ class TestCrossPathParity:
         assert "cannot simulate leela" in status.error
 
 
+def _snapshot(directory):
+    """Every file name in ``directory`` with its mtime."""
+    return {p.name: p.stat().st_mtime_ns for p in directory.iterdir()}
+
+
+class TestWarmWalkWritesNothing:
+    def test_second_run_grid_and_broker_job_touch_no_cache_file(
+        self, tmp_path
+    ):
+        cache_dir = tmp_path / "cache"
+        ExperimentRunner(CONFIG, cache_dir=cache_dir).run_grid(
+            GRID, progress=False
+        )
+        before = _snapshot(cache_dir)
+        assert sorted(before) == sorted(f"{c.key}.json" for c in GRID.cells())
+
+        runner = ExperimentRunner(CONFIG, cache_dir=cache_dir)
+        runner.run_grid(GRID, progress=False)
+        broker = _broker(tmp_path)
+        job_id = broker.submit(GRID, start=False)
+        broker.step(job_id)
+
+        assert broker.status(job_id).cache_hits == len(before)
+        assert runner.cache.stores == broker.cache.stores == 0
+        assert _snapshot(cache_dir) == before
+
+
 class TestDeliver:
     def _walk(self, tmp_path, window):
         """The walk's submits, waits and yields, in the order they ran."""

@@ -96,6 +96,30 @@ class TestRunGridLeases:
         assert list(box["grid"]["baseline"]) == ["leela", "gcc"]
         assert not list((tmp_path / "cache").glob("*.lease"))
 
+    def test_torn_lease_does_not_wedge_its_cell(self, tmp_path):
+        """A holder killed between creating its lease and writing it
+        leaves an empty file; ``run_cell`` reclaims it and fills."""
+        config = SystemConfig(scale=1 / 4096)
+        cache = ResultCache(tmp_path)
+        key = cell_key(config, "baseline", "GUPS")
+        cache.lease_path(key).write_bytes(b"")
+        box = {}
+
+        def fill():
+            box["cell"] = run_cell(
+                config, "baseline", "GUPS", str(tmp_path), cache=cache
+            )
+
+        thread = threading.Thread(target=fill, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "run_cell still waits on a torn lease"
+        payload, from_cache, _ = box["cell"]
+        assert not from_cache
+        assert cache.load(key) == payload
+        assert cache.leases_reclaimed == 1
+        assert not cache.lease_path(key).exists()
+
     def test_failed_cell_is_retried_then_its_error_raised(
         self, tmp_path, monkeypatch
     ):

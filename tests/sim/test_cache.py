@@ -88,6 +88,85 @@ class TestCorruptEviction:
         assert cache.load("abc") == {"x": 2}
 
 
+class TestLoadEdgeCases:
+    """The raw-fd read path: misses, evictions, big payloads, no fd leak."""
+
+    #: Corrupt entries ``load`` must evict: empty, not UTF-8, truncated
+    #: JSON, and JSON that is not an object.
+    CORRUPT = {
+        "empty": b"",
+        "latin1": b'{"x": "\xff\xfe"}',
+        "truncated": b'{"x": [1, 2',
+        "list": b"[1, 2, 3]",
+    }
+
+    def test_directory_at_entry_path_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.path_for("abc").mkdir()
+        assert cache.load("abc") is None
+        assert cache.path_for("abc").is_dir()
+        assert cache.evictions == 0
+
+    @pytest.mark.parametrize("name", sorted(CORRUPT))
+    def test_corrupt_entry_is_evicted_and_counted(self, tmp_path, name):
+        cache = ResultCache(tmp_path)
+        cache.path_for("abc").write_bytes(self.CORRUPT[name])
+        assert cache.load("abc") is None
+        assert not cache.path_for("abc").exists()
+        assert cache.evictions == 1
+
+    def test_payload_larger_than_one_read_loads_whole(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        payload = {"blob": "x" * (3 << 16), "tail": list(range(100))}
+        cache.store("big", payload)
+        assert cache.path_for("big").stat().st_size > 3 << 16
+        assert cache.load("big") == payload
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_thousand_loads_leak_no_fd(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.store("good", {"x": 1})
+        cache.store("big", {"blob": "y" * (1 << 17)})
+        cache.path_for("dir").mkdir()
+        cases = ["good", "big", "dir", "absent"] + sorted(self.CORRUPT)
+        before = len(os.listdir("/proc/self/fd"))
+        for i in range(1000):
+            key = cases[i % len(cases)]
+            if key in self.CORRUPT:
+                cache.path_for(key).write_bytes(self.CORRUPT[key])
+            cache.load(key)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert cache.evictions == sum(
+            1 for i in range(1000) if cases[i % len(cases)] in self.CORRUPT
+        )
+
+
+class TestWrittenBytes:
+    """The on-disk formats, read back with plain ``open``."""
+
+    def test_entry_is_exactly_json_dumps(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        payload = {"b": [1, 2.5, None], "a": "text", "nested": {"k": True}}
+        cache.store("abc", payload)
+        with open(tmp_path / "abc.json", "rb") as handle:
+            assert handle.read() == json.dumps(payload).encode()
+
+    def test_lease_holds_owner_and_expiry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        assert cache.lease("abc", "worker-1", ttl_s=60, now=100.0)
+        with open(tmp_path / "abc.lease", "rb") as handle:
+            assert json.loads(handle.read()) == {
+                "owner": "worker-1", "expires_at": 160.0,
+            }
+
+    def test_lease_creates_missing_directory(self, tmp_path):
+        cache = ResultCache(tmp_path / "deep" / "cache")
+        assert cache.lease("abc", "worker-1", ttl_s=60, now=100.0)
+        assert cache.lease_info("abc").owner == "worker-1"
+
+
 class TestLeases:
     """The in-flight marker API (atomic create, TTL, stale reclaim)."""
 
@@ -139,6 +218,16 @@ class TestLeases:
         cache.lease_path("abc").parent.mkdir(parents=True, exist_ok=True)
         cache.lease_path("abc").write_text("{torn")
         assert cache.lease_info("abc") is None
+
+    @pytest.mark.parametrize("torn", [b"", b"{torn"])
+    def test_torn_lease_is_reclaimed(self, tmp_path, torn):
+        # A holder killed between its O_EXCL create and its write
+        # leaves a file no one can parse; it must not wedge the key.
+        cache = ResultCache(tmp_path)
+        cache.lease_path("abc").write_bytes(torn)
+        assert cache.lease("abc", "worker-2", ttl_s=60, now=100.0)
+        assert cache.lease_info("abc").owner == "worker-2"
+        assert cache.leases_reclaimed == 1
 
     def test_lease_does_not_block_store_or_load(self, tmp_path):
         # Leases are advisory: the data path ignores them entirely.
