@@ -367,6 +367,8 @@ def _hydra_from_context(
         if rcc_entries is not None:
             raise ValueError("give rcc_entries or rcc_kb, not both")
         ways = rcc_ways if rcc_ways is not None else ctx.rcc_ways
+        if ways < 1:
+            raise ValueError("rcc_ways must be >= 1")
         entries = (rcc_kb * 1024 // RCC_ENTRY_BYTES) // ways * ways
         rcc_entries = max(ways, entries)
     overrides: Dict[str, object] = {}

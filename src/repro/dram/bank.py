@@ -199,7 +199,13 @@ class AccessResult(NamedTuple):
 
 
 class Bank:
-    """One DRAM bank: open-row state plus next-command availability."""
+    """One DRAM bank: open-row state plus next-command availability.
+
+    ``open_row`` is the global row id of the open row, or ``None``. A
+    bank only ever compares it against rows of its own, and a global id
+    names one row of a bank as uniquely as the bank-local index does,
+    so callers pass the global id and compute no ``%``.
+    """
 
     def __init__(
         self,
@@ -235,7 +241,8 @@ class Bank:
         bus: ChannelBus,
         is_write: bool = False,
     ) -> AccessResult:
-        """Perform an access of ``n_lines`` 64 B lines within ``row``.
+        """Perform an access of ``n_lines`` 64 B lines within ``row``,
+        the global id of a row of this bank.
 
         Returns timing info; updates bank state and activity stats.
         The body inlines :meth:`RefreshTimeline.adjust` and

@@ -109,7 +109,7 @@ def _resolve(trace, rows_per_bank: int, totals: "LineTotals"):
     """Resolve plain ``(gap_ns, row_id, n_lines, is_write)`` tuples.
 
     The scalar twin of ``Trace.resolved_stream`` for iterables that
-    lack one: the same 6-tuples and the same ``totals``, computed one
+    lack one: the same 5-tuples and the same ``totals``, computed one
     request at a time. Each request is held to the recorded-trace
     rules (:func:`~repro.workloads.trace.check_requests`, same
     ``ValueError``) before it is yielded: a negative gap would run
@@ -118,6 +118,7 @@ def _resolve(trace, rows_per_bank: int, totals: "LineTotals"):
     """
     lines = 0
     write_lines = 0
+    index = -1
     for index, (gap_ns, row_id, n_lines, is_write) in enumerate(trace):
         if not 0 <= gap_ns < _INF or row_id < 0 or n_lines < 1:
             from repro.workloads.trace import request_error
@@ -127,14 +128,8 @@ def _resolve(trace, rows_per_bank: int, totals: "LineTotals"):
         lines += n_lines
         if is_write:
             write_lines += n_lines
-        yield (
-            gap_ns,
-            row_id,
-            row_id % rows_per_bank,
-            row_id // rows_per_bank,
-            n_lines,
-            is_write,
-        )
+        yield (gap_ns, row_id, row_id // rows_per_bank, n_lines, is_write)
+    totals.requests += index + 1
     totals.lines += lines
     totals.write_lines += write_lines
 
@@ -227,16 +222,17 @@ class BaseMemoryController:
     def _resolved_stream(self, trace, totals: "LineTotals") -> Iterator[tuple]:
         """The one request stream both engines' loops consume.
 
-        Yields ``(gap_ns, row_id, local_row, bank_index, n_lines,
-        is_write)`` and adds the requests' line sums to ``totals``
+        Yields ``(gap_ns, row_id, bank_index, n_lines, is_write)`` and
+        adds the request count and line sums to ``totals``
         (:class:`~repro.workloads.trace.LineTotals`); an engine maps a
         bank index to its bus and channel through the per-bank lists
-        ``_bank_buses`` and ``_bank_channels``. Any
+        ``_bank_buses`` and ``_bank_channels``, and keys the bank's
+        open row by the global ``row_id``. Any
         :class:`~repro.workloads.streaming.TraceSource` exposing
         ``resolved_stream`` (an in-RAM
         :class:`~repro.workloads.trace.Trace`, a chunked on-disk trace,
-        an external-format reader) resolves its bank indices and line
-        sums per chunk in numpy; any other iterable of ``(gap_ns,
+        an external-format reader) resolves its bank indices and sums
+        per chunk in numpy; any other iterable of ``(gap_ns,
         row_id, n_lines, is_write)`` tuples is checked and resolved one
         request at a time by :func:`_resolve`. Both forms are pulled
         lazily, so a bounded-memory source stays bounded, and ``totals``

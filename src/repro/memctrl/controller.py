@@ -65,13 +65,15 @@ class MemoryController(BaseMemoryController):
         flushed once after the loop: the controller stats, and the
         demand DRAM counters, which go to ``demand_activity`` rather
         than each ``Bank.stats`` (hits are ``count - misses``,
-        activations equal misses). The line counts are the stream's
-        per-chunk sums (:class:`~repro.workloads.trace.LineTotals`).
-        These are pure integer sums, and the float ``total_delay_ns``
-        accumulates in request order, so results stay bit-identical
-        (DESIGN.md §9). The refresh-blackout test skips its ``%`` for a
-        time inside a stretch an earlier exact ``%`` proved clear of
-        the blackout, and runs it unchanged otherwise.
+        activations equal misses). The request and line counts are the
+        stream's per-chunk sums
+        (:class:`~repro.workloads.trace.LineTotals`), so the loop keeps
+        only a wrapping window slot. These are pure integer sums, and
+        the float ``total_delay_ns`` accumulates in request order, so
+        results stay bit-identical (DESIGN.md §9). The refresh-blackout
+        test skips its ``%`` for a time inside a stretch an earlier
+        exact ``%`` proved clear of the blackout, and runs it unchanged
+        otherwise.
         ``self.end_time`` is taken from the final window: a slot's
         completion never decreases (the next request in it starts no
         earlier, and every timing and delay is non-negative), so the
@@ -105,9 +107,10 @@ class MemoryController(BaseMemoryController):
         t_burst = timing.t_burst
         next_reset = window_sched.next_reset
         window = [0.0] * mlp
+        # The window slot the request reuses, advanced round-robin.
+        slot = -1
         issue = 0.0
         total_latency = 0.0
-        count = 0
         total_delay_ns = stats.total_delay_ns
         misses = 0
         precharges = 0
@@ -119,9 +122,11 @@ class MemoryController(BaseMemoryController):
         clear_hi = -inf
         totals = LineTotals()
         stream = self._resolved_stream(trace, totals)
-        for gap_ns, row_id, local_row, bank_index, n_lines, is_write in stream:
+        for gap_ns, row_id, bank_index, n_lines, is_write in stream:
             earliest = issue + gap_ns
-            slot = count % mlp
+            slot += 1
+            if slot == mlp:
+                slot = 0
             start = window[slot]
             if start < earliest:
                 start = earliest
@@ -129,7 +134,7 @@ class MemoryController(BaseMemoryController):
             if start >= next_reset:
                 advance_window(start)
                 next_reset = window_sched.next_reset
-            # -- bank.access(start, local_row, n_lines, bus, is_write),
+            # -- bank.access(start, row_id, n_lines, bus, is_write),
             #    inlined (see Bank.access for the annotated original) --
             bank = banks[bank_index]
             # No negative clamp: start >= window[slot] >= 0.
@@ -152,7 +157,7 @@ class MemoryController(BaseMemoryController):
                         clear_hi -= 4 * ulp(clear_hi)
                     else:
                         clear_hi = -inf
-            if bank.open_row == local_row:
+            if bank.open_row == row_id:
                 row_ready = bank._row_ready_at
                 col_start = t if t >= row_ready else row_ready
                 activated = False
@@ -175,7 +180,7 @@ class MemoryController(BaseMemoryController):
                 act_window = bank._act_window
                 if act_window is not None:
                     act_at = act_window.reserve(act_at)
-                bank.open_row = local_row
+                bank.open_row = row_id
                 bank._next_act_at = act_at + t_rc
                 col_start = bank._row_ready_at = act_at + t_rcd
                 activated = True
@@ -198,7 +203,7 @@ class MemoryController(BaseMemoryController):
                         total_delay_ns += delay
             window[slot] = completion
             total_latency += completion - start
-            count += 1
+        count = totals.requests
         stats.demand_accesses += count
         stats.demand_line_transfers += totals.lines
         stats.tracker_activations += misses
@@ -221,8 +226,7 @@ class MemoryController(BaseMemoryController):
 
     def perform_meta_access(self, meta: MetaAccess, at: float) -> bool:
         row_id, n_lines, is_write = meta
-        rows_per_bank = self._rows_per_bank
-        bank_index = row_id // rows_per_bank
+        bank_index = row_id // self._rows_per_bank
         bus = self._bank_buses[bank_index]
         stats = self.stats
         stats.meta_accesses += 1
@@ -235,5 +239,5 @@ class MemoryController(BaseMemoryController):
             bus.transfer(at, n_lines)
             return False
         return self.banks[bank_index].access(
-            at, row_id % rows_per_bank, n_lines, bus, False
+            at, row_id, n_lines, bus, False
         ).activated

@@ -92,9 +92,8 @@ class QueuedMemoryController(BaseMemoryController):
         )
         self.write_queue_high = write_queue_high
         self.write_queue_low = write_queue_low
-        #: A queued read is a list ``[bank, local_row, arrival, row_id,
-        #: n_lines, slot, completion]``; service fills in the
-        #: completion.
+        #: A queued read is a list ``[bank, row_id, arrival, n_lines,
+        #: slot, completion]``; service fills in the completion.
         self._read_queues: List[List[list]] = [
             [] for _ in range(geometry.channels)
         ]
@@ -129,8 +128,8 @@ class QueuedMemoryController(BaseMemoryController):
         timing scalars are hoisted, per-bank and per-bus *state* is
         re-read on every access (write drains and tracker feedback
         mutate it mid-batch), and integer counters are batched into
-        locals and flushed once, and the line counts are the stream's
-        per-chunk sums; the demand reads' DRAM counters go to
+        locals and flushed once, and the request and line counts are the
+        stream's per-chunk sums; the demand reads' DRAM counters go to
         ``demand_activity`` (DESIGN.md §9). Writes still go through
         ``Bank.access``, so they count in the banks, and
         ``total_delay_ns`` is added to in place, in the same order as
@@ -167,9 +166,10 @@ class QueuedMemoryController(BaseMemoryController):
         t_burst = timing.t_burst
         next_reset = window_sched.next_reset
         window = [0.0] * mlp
+        # The window slot the request reuses, advanced round-robin.
+        slot = -1
         issue = 0.0
         total_latency = 0.0
-        count = 0
         reads = 0
         misses = 0
         precharges = 0
@@ -181,8 +181,10 @@ class QueuedMemoryController(BaseMemoryController):
             # -- admission: pull requests until mlp reads are queued --
             batch = []
             batched = 0
-            for gap_ns, row_id, local_row, bank_index, n_lines, is_write in stream:
-                slot = count % mlp
+            for gap_ns, row_id, bank_index, n_lines, is_write in stream:
+                slot += 1
+                if slot == mlp:
+                    slot = 0
                 earliest = issue + gap_ns
                 start = window[slot]
                 if start < earliest:
@@ -191,7 +193,6 @@ class QueuedMemoryController(BaseMemoryController):
                 if start >= next_reset:
                     advance_window(start)
                     next_reset = window_sched.next_reset
-                count += 1
                 channel = bank_channels[bank_index]
                 if is_write:
                     writes = write_queues[channel]
@@ -201,9 +202,7 @@ class QueuedMemoryController(BaseMemoryController):
                     window[slot] = start  # writes retire into the queue
                     continue
                 queue = read_queues[channel]
-                request = [
-                    banks[bank_index], local_row, start, row_id, n_lines, slot, 0.0
-                ]
+                request = [banks[bank_index], row_id, start, n_lines, slot, 0.0]
                 queue.append(request)
                 batch.append(request)
                 if len(queue) > read_peak:
@@ -238,14 +237,14 @@ class QueuedMemoryController(BaseMemoryController):
                         if picked:
                             hit_first_picks += 1
                         request = queue.pop(picked)
-                        bank, local_row, arrival, row_id, n_lines, _, _ = request
-                        # -- bank.access(max(arrival, now), local_row,
+                        bank, row_id, arrival, n_lines, _, _ = request
+                        # -- bank.access(max(arrival, now), row_id,
                         #    n_lines, bus), inlined (see Bank.access) --
                         at = arrival if arrival >= now else now
                         # No negative clamp: arrival >= window[slot] >= 0.
                         offset = at % t_refi
                         t = at + (t_rfc - offset) if offset < t_rfc else at
-                        if bank.open_row == local_row:
+                        if bank.open_row == row_id:
                             row_ready = bank._row_ready_at
                             col_start = t if t >= row_ready else row_ready
                             activated = False
@@ -265,7 +264,7 @@ class QueuedMemoryController(BaseMemoryController):
                             act_window = bank._act_window
                             if act_window is not None:
                                 act_at = act_window.reserve(act_at)
-                            bank.open_row = local_row
+                            bank.open_row = row_id
                             bank._next_act_at = act_at + t_rc
                             col_start = bank._row_ready_at = act_at + t_rcd
                             activated = True
@@ -286,7 +285,7 @@ class QueuedMemoryController(BaseMemoryController):
                                 if delay:
                                     completion += delay
                                     stats.total_delay_ns += delay
-                        request[6] = completion
+                        request[5] = completion
                         if completion > end_time:
                             end_time = completion
                         now = completion
@@ -294,10 +293,11 @@ class QueuedMemoryController(BaseMemoryController):
                     maybe_drain_writes(channel, now)
             # -- retire the batch in admission order --
             for request in batch:
-                completion = request[6]
-                window[request[5]] = completion
+                completion = request[5]
+                window[request[4]] = completion
                 total_latency += completion - request[2]
             reads += batched
+        count = totals.requests
         stats.demand_accesses += count
         stats.demand_line_transfers += totals.lines
         stats.tracker_activations += misses
@@ -368,7 +368,7 @@ class QueuedMemoryController(BaseMemoryController):
         arrival, row_id, n_lines = write
         result = self.banks[row_id // self._rows_per_bank].access(
             max(arrival, now),
-            row_id % self._rows_per_bank,
+            row_id,
             n_lines,
             self.buses[channel],
             is_write=True,
@@ -399,7 +399,7 @@ class QueuedMemoryController(BaseMemoryController):
         bank_index = meta.row_id // self._rows_per_bank
         result = self.banks[bank_index].access(
             at,
-            meta.row_id % self._rows_per_bank,
+            meta.row_id,
             meta.n_lines,
             self.buses[channel],
             False,

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.sim.config import SystemConfig
-from repro.trackers.registry import canonical_spec
+from repro.trackers.registry import build_tracker, canonical_spec, parse_spec
 from repro.workloads.characteristics import all_names
 
 #: Bump to invalidate cached results when the model changes materially.
@@ -90,12 +90,21 @@ class GridSpec:
         object.__setattr__(self, "trackers", tuple(self.trackers))
         object.__setattr__(self, "workloads", tuple(self.workloads))
         # Validate eagerly: an invalid tracker spec or workload fails
-        # here, before any work is enqueued or shipped to a broker.
-        # Spellings are *kept* as given — GridResult columns stay
-        # keyed by what the caller wrote — while ``canonical()`` /
-        # ``grid_key()`` provide the normalized identity.
+        # here, before any work is enqueued or shipped to a broker. A
+        # spec that carries parameters is built once against the
+        # config, so a parameter its builder refuses
+        # (``hydra@gct_entries=1000``) fails here too; a plain name
+        # builds nothing. Spellings are *kept* as given — GridResult
+        # columns stay keyed by what the caller wrote — while
+        # ``canonical()`` / ``grid_key()`` provide the normalized
+        # identity.
         for tracker in self.trackers:
-            canonical_spec(tracker)
+            spec = parse_spec(tracker)
+            if spec.params and self.config is not None:
+                try:
+                    build_tracker(spec, self.config)
+                except ValueError as exc:
+                    raise ValueError(f"tracker spec {tracker!r}: {exc}") from None
         known = set(all_names())
         for name in self.workloads:
             if name not in known:

@@ -32,8 +32,8 @@ because specs are strings, parallel sweeps get parameter *and engine*
 sweeps for free.
 
 Traces are :class:`~repro.workloads.streaming.TraceSource`s, and every
-source replays the same way: one bounded chunk of Python columns at a
-time (:func:`~repro.workloads.trace.resolved_chunk_stream`). A
+source replays the same way: one bounded chunk at a time, read through
+lazy column views (:func:`~repro.workloads.trace.resolved_chunk_stream`). A
 synthetic trace is held in RAM as numpy arrays only;
 ``SystemConfig.trace_file`` replays a recorded trace instead — a
 chunked directory streams from disk, an ``.npz`` or text file is

@@ -14,10 +14,10 @@ never sit in RAM whole:
   trace as parallel numpy arrays; the unit of replay and of streaming
   I/O (re-exported here).
 - :class:`ChunkedTrace` — a trace stored as memory-mapped ``.npy``
-  segments on disk plus a JSON manifest. Iteration materializes one
-  chunk at a time (including the per-chunk resolved-topology columns
-  the engines consume), so peak memory is bounded by the chunk size,
-  not the trace length.
+  segments on disk plus a JSON manifest. Iteration maps one chunk at
+  a time (the engines read it through lazy column views, plus one
+  per-chunk array of bank indices), so peak memory is bounded by the
+  chunk size, not the trace length.
 - :class:`ExternalTraceReader` / :func:`write_external_trace` — a
   DRAMSim/USIMM-style line-oriented text format (grammar in
   DESIGN.md §13) so real recorded traces replay through the simulator
@@ -104,9 +104,10 @@ class TraceSource(Protocol):
 
     def resolved_stream(
         self, rows_per_bank: int, totals: LineTotals
-    ) -> Iterator[Tuple[float, int, int, int, int, bool]]:
-        """Yield requests with the bank topology pre-resolved, adding
-        their line sums to ``totals``."""
+    ) -> Iterator[Tuple[float, int, int, int, bool]]:
+        """Yield ``(gap_ns, row_id, bank_index, n_lines, is_write)``
+        per request, adding the request count and line sums to
+        ``totals``."""
         ...
 
     def chunks(self) -> Iterator["TraceChunk"]:
@@ -154,8 +155,8 @@ class ChunkedTrace(_StreamingSourceBase):
         <dir>/seg-00001.gaps.npy        ...
 
     ``chunks()`` opens one segment at a time with
-    ``np.load(mmap_mode="r")``; downstream streams materialize at most
-    one segment's columns, so replay memory is bounded by
+    ``np.load(mmap_mode="r")``; downstream streams read one segment at
+    a time through column views, so replay memory is bounded by
     ``chunk_requests`` regardless of trace length.
     """
 

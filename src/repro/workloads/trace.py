@@ -79,71 +79,81 @@ class TraceChunk:
         )
 
 
+def _view(array: np.ndarray, dtype) -> memoryview:
+    """``array`` as a contiguous, native-endian ``dtype`` column (no copy
+    when it already is one). Iterating the view makes each request's
+    Python ``float``, ``int`` or ``bool`` only when it is read, the
+    value and type ``tolist()`` would give."""
+    return memoryview(np.ascontiguousarray(array, dtype=dtype))
+
+
 def chunk_tuple_stream(
     chunks: Iterable[TraceChunk],
 ) -> Iterator[Tuple[float, int, int, bool]]:
-    """The generic 4-tuple stream, one chunk of lists at a time."""
+    """The generic 4-tuple stream, one chunk of column views at a time."""
     return chain.from_iterable(
         zip(
-            np.asarray(chunk.gaps_ns, dtype=np.float64).tolist(),
-            np.asarray(chunk.rows, dtype=np.int64).tolist(),
-            np.asarray(chunk.lines, dtype=np.int32).tolist(),
-            np.asarray(chunk.writes, dtype=bool).tolist(),
+            _view(chunk.gaps_ns, np.float64),
+            _view(chunk.rows, np.int64),
+            _view(chunk.lines, np.int32),
+            _view(chunk.writes, bool),
         )
         for chunk in chunks
     )
 
 
 class LineTotals:
-    """Integer line sums of the requests a resolved stream converted.
+    """Integer sums over the requests a resolved stream converted.
 
     The stream adds each chunk's sums when it converts the chunk, so
     once an engine has drained the stream these are the trace's totals:
-    ``lines`` over every request and ``write_lines`` over the writes.
-    Integer sums are exact and order-free, so an engine that reads them
-    after its loop reports the bits a per-request count would
-    (DESIGN.md §9).
+    ``requests``, ``lines`` over every request and ``write_lines`` over
+    the writes. Integer sums are exact and order-free, so an engine
+    that reads them after its loop reports the bits a per-request count
+    would (DESIGN.md §9).
     """
 
-    __slots__ = ("lines", "write_lines")
+    __slots__ = ("requests", "lines", "write_lines")
 
     def __init__(self) -> None:
+        self.requests = 0
         self.lines = 0
         self.write_lines = 0
 
 
 def _resolved_columns(
     chunk: TraceChunk, rows_per_bank: int, totals: LineTotals
-) -> Tuple[list, list, list, list, list, list]:
-    """One chunk's six Python columns; its line sums go to ``totals``."""
-    rows = np.asarray(chunk.rows, dtype=np.int64)
-    lines = np.asarray(chunk.lines, dtype=np.int32)
-    writes = np.asarray(chunk.writes, dtype=bool)
+) -> Tuple[memoryview, ...]:
+    """One chunk's five column views; its sums go to ``totals``."""
+    rows = np.ascontiguousarray(chunk.rows, dtype=np.int64)
+    lines = np.ascontiguousarray(chunk.lines, dtype=np.int32)
+    writes = np.ascontiguousarray(chunk.writes, dtype=bool)
+    totals.requests += len(rows)
     totals.lines += int(lines.sum(dtype=np.int64))
     totals.write_lines += int(lines.sum(dtype=np.int64, where=writes))
     return (
-        np.asarray(chunk.gaps_ns, dtype=np.float64).tolist(),
-        rows.tolist(),
-        (rows % rows_per_bank).tolist(),
-        (rows // rows_per_bank).tolist(),
-        lines.tolist(),
-        writes.tolist(),
+        _view(chunk.gaps_ns, np.float64),
+        memoryview(rows),
+        memoryview(rows // rows_per_bank),
+        memoryview(lines),
+        memoryview(writes),
     )
 
 
 def resolved_chunk_stream(
     chunks: Iterable[TraceChunk], rows_per_bank: int, totals: LineTotals
-) -> Iterator[Tuple[float, int, int, int, int, bool]]:
-    """Yield ``(gap_ns, row_id, local_row, bank_index, n_lines,
-    is_write)`` per request, one chunk at a time.
+) -> Iterator[Tuple[float, int, int, int, bool]]:
+    """Yield ``(gap_ns, row_id, bank_index, n_lines, is_write)`` per
+    request, one chunk at a time.
 
-    The integer divisions a controller would otherwise re-derive per
-    request (``row // rows_per_bank`` etc.) are computed vectorized in
-    numpy per chunk, so only one chunk's Python columns are ever
-    resident. Values are bit-identical to the per-request scalar
-    arithmetic (:func:`repro.memctrl.base._resolve`): row ids are
-    non-negative, so numpy int64 floor division and modulo match
-    Python's exactly. Each chunk's line sums go to ``totals`` as the
+    The bank index a controller would otherwise derive per request
+    (``row // rows_per_bank``) is computed vectorized in numpy per
+    chunk; row ids are non-negative, so numpy int64 floor division
+    matches Python's exactly (:func:`repro.memctrl.base._resolve` is
+    the scalar twin). Each column is a ``memoryview`` over contiguous
+    numpy data, so a request's Python values are made only as the
+    engine reads them and no per-chunk Python lists are ever built.
+    Each chunk's request count and line sums go to ``totals`` as the
     chunk is converted. The chunks' ``zip`` iterators are chained in
     C, so a request costs the engine loop no Python frame.
     """
@@ -169,25 +179,18 @@ class ChunkReplay:
 
     def resolved_stream(
         self, rows_per_bank: int, totals: LineTotals
-    ) -> Iterator[Tuple[float, int, int, int, int, bool]]:
-        """Iterate with the bank topology pre-resolved per request
+    ) -> Iterator[Tuple[float, int, int, int, bool]]:
+        """Iterate with each request's bank index resolved
         (see :func:`resolved_chunk_stream`)."""
         return resolved_chunk_stream(self.chunks(), rows_per_bank, totals)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     """A view of ``array`` that cannot be written through, so a
-    ``Trace``'s requests cannot change under its held columns."""
+    ``Trace``'s requests cannot change under a replay's column views."""
     view = array.view()
     view.flags.writeable = False
     return view
-
-
-#: The last in-RAM ``Trace`` of at most one slice that was replayed, as
-#: ``(trace, rows_per_bank, held)``. ``held`` is ``None`` after the
-#: trace's first replay in a row, and its converted columns with their
-#: line sums from the second on (:meth:`Trace.resolved_stream`).
-_last_replay: Tuple[Optional["Trace"], int, Optional[tuple]] = (None, 0, None)
 
 
 class Trace(ChunkReplay):
@@ -200,13 +203,11 @@ class Trace(ChunkReplay):
     The whole-trace columns ``gaps_ns``, ``rows``, ``lines`` and
     ``writes`` join the parts on each access; replay walks the parts in
     :data:`~repro.workloads.DEFAULT_STREAM_CHUNK` slices
-    (:meth:`chunks`), exactly as a chunked on-disk trace does, except
-    that back-to-back replays of a one-slice trace reuse its converted
-    columns (:meth:`resolved_stream`). The constructor holds every
-    request to the recorded-trace rules (:func:`check_requests`, the
-    error naming the trace) and keeps read-only views of the arrays;
-    :meth:`concatenate` joins traces that were checked when they were
-    built.
+    (:meth:`chunks`), exactly as a chunked on-disk trace does. The
+    constructor holds every request to the recorded-trace rules
+    (:func:`check_requests`, the error naming the trace) and keeps
+    read-only views of the arrays; :meth:`concatenate` joins traces
+    that were checked when they were built.
     """
 
     __slots__ = ("_parts", "name")
@@ -271,43 +272,6 @@ class Trace(ChunkReplay):
         for part in self._parts:
             for start in range(0, len(part), DEFAULT_STREAM_CHUNK):
                 yield part.slice(start, start + DEFAULT_STREAM_CHUNK)
-
-    def resolved_stream(
-        self, rows_per_bank: int, totals: LineTotals
-    ) -> Iterator[Tuple[float, int, int, int, int, bool]]:
-        """Iterate with the bank topology pre-resolved per request
-        (see :func:`resolved_chunk_stream`).
-
-        A trace of at most one slice that is replayed again right after
-        itself, with the same ``rows_per_bank``, reads the columns it
-        converted before: its second replay in a row converts the whole
-        trace once and holds the six columns in one module-level slot,
-        and each later replay in the row reads them. A first replay
-        only records which trace it was, so a trace replayed once (one
-        cell per trace, as in a figure sweep) holds nothing. Longer
-        traces and a changed ``rows_per_bank`` stream chunk by chunk.
-        The slot holds one trace and its columns at most. A replay
-        reads it once and checks the trace and ``rows_per_bank`` on that
-        snapshot, and the held lists are never mutated, so threads
-        racing on the slot can cost each other a conversion but never
-        read another trace's columns.
-        """
-        global _last_replay
-        if len(self) > DEFAULT_STREAM_CHUNK or rows_per_bank <= 0:
-            return super().resolved_stream(rows_per_bank, totals)
-        last, last_rows_per_bank, held = _last_replay
-        if last is not self or last_rows_per_bank != rows_per_bank:
-            _last_replay = (self, rows_per_bank, None)
-            return super().resolved_stream(rows_per_bank, totals)
-        if held is None:
-            converted = LineTotals()
-            columns = _resolved_columns(TraceChunk.of(self), rows_per_bank, converted)
-            held = (columns, converted.lines, converted.write_lines)
-            _last_replay = (self, rows_per_bank, held)
-        columns, lines, write_lines = held
-        totals.lines += lines
-        totals.write_lines += write_lines
-        return zip(*columns)
 
     @property
     def total_lines(self) -> int:

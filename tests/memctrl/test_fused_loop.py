@@ -44,7 +44,8 @@ class ReferenceMemoryController(MemoryController):
     """The per-request path the fused loop replaced.
 
     ``run_trace`` is the original ``drive_in_order`` window loop and
-    ``access`` the original per-request demand access.
+    ``access`` the original per-request demand access, with the bank's
+    open row keyed by the global row id.
     """
 
     def run_trace(self, trace, mlp: int = 16) -> EngineRunOutcome:
@@ -79,9 +80,7 @@ class ReferenceMemoryController(MemoryController):
         bank_index = row_id // self._rows_per_bank
         bank = self.banks[bank_index]
         bus = self.buses[bank_index // self._banks_per_channel]
-        result = bank.access(
-            at, row_id % self._rows_per_bank, n_lines, bus, is_write
-        )
+        result = bank.access(at, row_id, n_lines, bus, is_write)
         self.stats.demand_accesses += 1
         self.stats.demand_line_transfers += n_lines
         completion = result.completion

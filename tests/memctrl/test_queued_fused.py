@@ -70,8 +70,9 @@ class ReferenceQueuedController(QueuedMemoryController):
 
     ``run_trace`` and ``_service_one_read`` are the original code. The
     only edits follow the shared write path: a buffered write is an
-    ``(arrival, row_id, n_lines)`` tuple, and ``_maybe_drain_writes``
-    lost its always-False ``forced_only`` argument.
+    ``(arrival, row_id, n_lines)`` tuple, ``_maybe_drain_writes`` lost
+    its always-False ``forced_only`` argument, and a bank's open row is
+    keyed by the global row id.
     """
 
     def run_trace(self, trace, mlp: int = 16) -> EngineRunOutcome:
@@ -143,7 +144,7 @@ class ReferenceQueuedController(QueuedMemoryController):
         picked_index = 0
         for index, candidate in enumerate(queue):
             bank = self.banks[candidate.row_id // self._rows_per_bank]
-            if bank.open_row == candidate.row_id % self._rows_per_bank:
+            if bank.open_row == candidate.row_id:
                 picked_index = index
                 if index > 0:
                     self.stats.row_hit_first_picks += 1
@@ -154,7 +155,7 @@ class ReferenceQueuedController(QueuedMemoryController):
         bus = self.buses[channel]
         result = bank.access(
             max(request.arrival, now),
-            request.row_id % self._rows_per_bank,
+            request.row_id,
             request.n_lines,
             bus,
             request.is_write,

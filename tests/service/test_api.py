@@ -84,6 +84,40 @@ class TestSweepFacade:
         assert not (tmp_path / "cache").exists()
         assert not (tmp_path / "state").exists()
 
+    def test_sweep_refuses_bad_tracker_parameter_before_any_cell(
+        self, tmp_path, monkeypatch
+    ):
+        """A spec parameter the builder refuses fails where the grid is
+        read, not in a worker after its retries."""
+        from repro.service import worker
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_cell called for a refused grid")
+
+        monkeypatch.setattr(worker, "run_cell", refuse)
+        text = json.dumps({
+            "trackers": ["baseline", "hydra@gct_entries=1000"],
+            "workloads": ["GUPS"],
+            "config": CONFIG.to_dict(),
+        })
+        with pytest.raises(ValueError, match="hydra@gct_entries=1000"):
+            api.sweep(
+                GridSpec.from_json(text),
+                pool="thread",
+                state_dir=tmp_path / "state",
+                cache_dir=tmp_path / "cache",
+            )
+        # A configless grid is given the default config and checked too.
+        with pytest.raises(ValueError, match="power of two"):
+            api.sweep(
+                GridSpec(trackers=("hydra@gct_entries=1000",)),
+                pool="thread",
+                state_dir=tmp_path / "state",
+                cache_dir=tmp_path / "cache",
+            )
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "state").exists()
+
 
 class TestCompareFacade:
     def test_compare_matches_runner(self, tmp_path):

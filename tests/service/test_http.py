@@ -75,6 +75,19 @@ class TestDispatch:
         jobs_dir = broker.store.jobs_dir
         assert not jobs_dir.exists() or not any(jobs_dir.iterdir())
 
+    def test_submit_rejects_bad_tracker_parameter(self, service, broker):
+        """A spec parameter the tracker's builder refuses is a 400 at
+        submit time too, naming the spec; no job directory is written."""
+        grid = {**GRID.to_dict(), "trackers": ["baseline", "hydra@gct_entries=1000"]}
+        body = json.dumps({"grid": grid}).encode()
+        status, payload = service.dispatch("POST", "/jobs", body)
+        assert status == 400
+        assert "hydra@gct_entries=1000" in payload["error"]
+        assert "power of two" in payload["error"]
+        assert broker.jobs() == []
+        jobs_dir = broker.store.jobs_dir
+        assert not jobs_dir.exists() or not any(jobs_dir.iterdir())
+
     def test_status_and_list(self, service, broker):
         _, submitted = service.dispatch("POST", "/jobs", submit_body())
         job_id = submitted["job_id"]

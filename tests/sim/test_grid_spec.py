@@ -1,7 +1,10 @@
 """GridSpec value-object tests: validation, cells, canonical JSON."""
 
+import re
+
 import pytest
 
+from repro.sim import grid as grid_module
 from repro.sim.config import SystemConfig
 from repro.sim.grid import GridSpec
 from repro.sim.sweep import ExperimentRunner, cell_key
@@ -22,6 +25,32 @@ class TestConstruction:
     def test_rejects_unknown_workload(self):
         with pytest.raises(ValueError, match="unknown workload"):
             GridSpec(trackers=("hydra",), workloads=("nope",))
+
+    @pytest.mark.parametrize(
+        "spec, reason",
+        [
+            ("hydra@gct_entries=1000", "power of two"),
+            ("hydra@rcc_kb=1,rcc_ways=0", "rcc_ways must be >= 1"),
+            ("hydra@tg_fraction=2.0", "tg_fraction"),
+        ],
+    )
+    def test_refuses_a_parameter_its_builder_refuses(self, spec, reason):
+        """A spec with parameters is built once against the grid's
+        config, and the refusal names the spec and the reason."""
+        with pytest.raises(ValueError, match=re.escape(f"tracker spec {spec!r}: ")):
+            GridSpec(trackers=("baseline", spec), config=CONFIG)
+        configless = GridSpec(trackers=(spec,))  # no config to build against
+        with pytest.raises(ValueError, match=reason):
+            configless.with_config(CONFIG)
+
+    def test_builds_only_specs_with_parameters(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            grid_module, "build_tracker", lambda spec, config: built.append(spec)
+        )
+        GridSpec(trackers=("baseline", "hydra", "hydra@trh=500"), config=CONFIG)
+        GridSpec(trackers=("hydra@gct_entries=1000",))
+        assert [spec.canonical() for spec in built] == ["hydra@trh=500"]
 
     def test_keeps_given_spellings(self):
         spec = GridSpec(trackers=("hydra@rcc_kb=28,trh=1000",))

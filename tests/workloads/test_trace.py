@@ -2,16 +2,18 @@
 
 import sys
 import threading
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
 
+from repro.memctrl.base import _resolve
 from repro.workloads import trace as trace_module
 from repro.workloads.trace import (
     LineTotals,
     Trace,
     characterize,
-    resolved_chunk_stream,
     statistics_by_window,
 )
 
@@ -139,41 +141,31 @@ def _random_trace(n, seed, parts=1):
 
 
 def _fresh(trace, rows_per_bank):
-    """What a chunk-by-chunk replay of ``trace`` yields, and its totals."""
+    """What the scalar twin yields for ``trace``'s plain tuples, and
+    its totals."""
     totals = LineTotals()
-    tuples = list(resolved_chunk_stream(trace.chunks(), rows_per_bank, totals))
-    return tuples, (totals.lines, totals.write_lines)
+    tuples = list(_resolve(list(trace), rows_per_bank, totals))
+    return tuples, (totals.requests, totals.lines, totals.write_lines)
 
 
 def _replay(trace, rows_per_bank):
     totals = LineTotals()
     tuples = list(trace.resolved_stream(rows_per_bank, totals))
-    return tuples, (totals.lines, totals.write_lines)
-
-
-def _held():
-    """The trace whose converted columns the slot holds, or None."""
-    last, _, held = trace_module._last_replay
-    return last if held is not None else None
+    return tuples, (totals.requests, totals.lines, totals.write_lines)
 
 
 class TestHeldColumns:
-    """Back-to-back replays of one short in-RAM trace reuse the columns
-    its second replay converted, and nothing else ever does."""
-
-    @pytest.fixture(autouse=True)
-    def empty_slot(self, monkeypatch):
-        monkeypatch.setattr(trace_module, "_last_replay", (None, 0, None))
+    """A ``Trace`` holds its columns read-only, and every replay reads
+    them through its own lazy views: repeated and concurrent replays
+    stream exactly what the scalar twin does, and a replay builds no
+    per-slice Python columns."""
 
     @pytest.mark.parametrize("parts", [1, 3])
     def test_back_to_back_replays_match_a_fresh_stream(self, parts):
         trace = _random_trace(2000, seed=1, parts=parts)
         expected = _fresh(trace, 128)
-        held = []
-        for _ in range(3):
+        for _ in range(5):
             assert _replay(trace, 128) == expected
-            held.append(_held() is trace)
-        assert held == [False, True, True]
 
     def test_requests_cannot_change_under_held_columns(self):
         rows = np.arange(10)
@@ -182,47 +174,22 @@ class TestHeldColumns:
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 1
 
-    def test_alternating_traces_never_hold(self):
-        a, b = _random_trace(500, seed=2), _random_trace(500, seed=3)
-        expected = {a: _fresh(a, 128), b: _fresh(b, 128)}
-        for trace in (a, b) * 3:
-            assert _replay(trace, 128) == expected[trace]
-            assert _held() is None
-
-    def test_long_trace_never_held(self):
-        trace = _random_trace(trace_module.DEFAULT_STREAM_CHUNK + 1, seed=4, parts=2)
-        expected = _fresh(trace, 128)
-        for _ in range(3):
-            assert _replay(trace, 128) == expected
-            assert _held() is None
-
-    def test_changed_rows_per_bank_not_served_held_columns(self):
-        trace = _random_trace(1000, seed=5)
-        held = []
-        for rows_per_bank in (128, 128, 256, 128, 64, 64):
-            assert _replay(trace, rows_per_bank) == _fresh(trace, rows_per_bank)
-            assert trace_module._last_replay[1] == rows_per_bank
-            held.append(_held() is trace)
-        assert held == [False, True, False, False, False, True]
-
     def test_concurrent_replays_stay_exact(self):
-        """Threads replaying two traces, each many times in a row, flip
-        the slot under one another; every replay stays exact."""
-        traces = [_random_trace(3000, seed=6), _random_trace(3000, seed=7, parts=2)]
-        expected = [_fresh(trace, 128) for trace in traces]
+        """Six threads replay one trace at once, many times each; every
+        replay stays exact."""
+        trace = _random_trace(3000, seed=6, parts=2)
+        expected = _fresh(trace, 128)
         mismatches = []
 
-        def replay(index):
+        def replay():
             for _ in range(15):
-                if _replay(traces[index], 128) != expected[index]:
-                    mismatches.append(index)
+                if _replay(trace, 128) != expected:
+                    mismatches.append(1)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [
-                threading.Thread(target=replay, args=(i % 2,)) for i in range(6)
-            ]
+            threads = [threading.Thread(target=replay) for _ in range(6)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -231,6 +198,19 @@ class TestHeldColumns:
         finally:
             sys.setswitchinterval(interval)
         assert mismatches == []
+
+    def test_draining_a_slice_builds_no_python_columns(self):
+        """One full slice drains with only its bank-index array
+        (8 B/request) allocated; converting the slice to Python lists
+        would cost ~6.5 MB here."""
+        trace = _random_trace(trace_module.DEFAULT_STREAM_CHUNK, seed=8)
+        tracemalloc.start()
+        try:
+            deque(trace.resolved_stream(128, LineTotals()), maxlen=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCharacterize:
