@@ -29,7 +29,9 @@ from repro.core.rcc import RowCountCache
 from repro.core.rct import RowCountTable
 from repro.trackers.base import ActivationTracker, MetaAccess, TrackerResponse
 from repro.trackers.registry import (
+    KB_SIZE,
     RCC_ENTRY_BYTES,
+    SYSTEM_SIZE,
     Param,
     register_tracker,
 )
@@ -331,17 +333,20 @@ class HydraTracker(ActivationTracker):
 
 _HYDRA_PARAMS = {
     "gct_entries": Param(
-        int, help="full-scale GCT entries (default 32768 x structure scale)"
+        int, help="full-scale GCT entries (default 32768 x structure scale)",
+        bounds=SYSTEM_SIZE,
     ),
     "rcc_entries": Param(
-        int, help="full-scale RCC entries (default 8192 x structure scale)"
+        int, help="full-scale RCC entries (default 8192 x structure scale)",
+        bounds=SYSTEM_SIZE,
     ),
     "rcc_kb": Param(
         int,
         help="full-scale RCC size in KB (3 B/entry, Table 4; alternative"
         " to rcc_entries)",
+        bounds=KB_SIZE,
     ),
-    "rcc_ways": Param(int, help="RCC associativity"),
+    "rcc_ways": Param(int, help="RCC associativity", bounds=SYSTEM_SIZE),
     "tg_fraction": Param(float, help="T_G as a fraction of T_H"),
     "enable_gct": Param(bool, True, "disable for the Hydra-NoGCT ablation"),
     "enable_rcc": Param(bool, True, "disable for the Hydra-NoRCC ablation"),
@@ -367,8 +372,6 @@ def _hydra_from_context(
         if rcc_entries is not None:
             raise ValueError("give rcc_entries or rcc_kb, not both")
         ways = rcc_ways if rcc_ways is not None else ctx.rcc_ways
-        if ways < 1:
-            raise ValueError("rcc_ways must be >= 1")
         entries = (rcc_kb * 1024 // RCC_ENTRY_BYTES) // ways * ways
         rcc_entries = max(ways, entries)
     overrides: Dict[str, object] = {}

@@ -70,9 +70,6 @@ class RefreshTimeline:
             return 0
         return int(at // self._t_refi)
 
-    def blackout_fraction(self) -> float:
-        return self._t_rfc / self._t_refi
-
 
 class RankActWindow:
     """Rank-level activation constraints: tFAW and tRRD.

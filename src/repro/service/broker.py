@@ -145,8 +145,7 @@ class SweepBroker:
         ``start=False`` leaves the job PENDING for :meth:`step` (tests
         and external schedulers); the default spawns the job thread.
         """
-        config = grid.resolved_config()  # raises if the spec has none
-        grid = grid.with_config(config)
+        grid.check_trackers()  # raises if the grid has no config
         job_id = self._new_job_id(grid)
         status = JobStatus(
             job_id=job_id,

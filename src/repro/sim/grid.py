@@ -90,21 +90,12 @@ class GridSpec:
         object.__setattr__(self, "trackers", tuple(self.trackers))
         object.__setattr__(self, "workloads", tuple(self.workloads))
         # Validate eagerly: an invalid tracker spec or workload fails
-        # here, before any work is enqueued or shipped to a broker. A
-        # spec that carries parameters is built once against the
-        # config, so a parameter its builder refuses
-        # (``hydra@gct_entries=1000``) fails here too; a plain name
-        # builds nothing. Spellings are *kept* as given — GridResult
-        # columns stay keyed by what the caller wrote — while
-        # ``canonical()`` / ``grid_key()`` provide the normalized
-        # identity.
+        # here, before any work is enqueued or shipped to a broker.
+        # Spellings are *kept* as given — GridResult columns stay
+        # keyed by what the caller wrote — while ``canonical()`` /
+        # ``grid_key()`` provide the normalized identity.
         for tracker in self.trackers:
-            spec = parse_spec(tracker)
-            if spec.params and self.config is not None:
-                try:
-                    build_tracker(spec, self.config)
-                except ValueError as exc:
-                    raise ValueError(f"tracker spec {tracker!r}: {exc}") from None
+            canonical_spec(tracker)
         known = set(all_names())
         for name in self.workloads:
             if name not in known:
@@ -124,6 +115,18 @@ class GridSpec:
                 " (with_config)"
             )
         return self.config
+
+    def check_trackers(self) -> None:
+        """Build each spec that carries parameters once against the
+        config, refusing one its builder refuses (naming the spec).
+        ``SweepBroker.submit`` calls it; constructing a grid does not."""
+        config = self.resolved_config()
+        for tracker in dict.fromkeys(self.trackers):
+            if parse_spec(tracker).params:
+                try:
+                    build_tracker(tracker, config)
+                except (ValueError, ArithmeticError) as exc:
+                    raise ValueError(f"tracker spec {tracker!r}: {exc}") from None
 
     def with_config(self, config: SystemConfig) -> "GridSpec":
         """The same grid pinned to an explicit config (service path)."""

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import Param, register_tracker
+from repro.trackers.registry import BANK_SIZE, Param, register_tracker
 
 if TYPE_CHECKING:
     from repro.sim.config import SystemConfig
@@ -172,7 +172,8 @@ class CatTracker(ActivationTracker):
             float, 0.25, "leaf-split threshold as a fraction of T_H"
         ),
         "counters_per_bank": Param(
-            int, help="tree counter budget per bank (default: Table 1)"
+            int, help="tree counter budget per bank (default: Table 1)",
+            bounds=BANK_SIZE,
         ),
     },
 )

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.dram.timing import DramGeometry
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import Param, register_tracker
+from repro.trackers.registry import BANK_SIZE, Param, register_tracker
 
 if TYPE_CHECKING:
     from repro.sim.config import SystemConfig
@@ -222,9 +222,10 @@ class CometTracker(ActivationTracker):
         "counters_per_hash": Param(
             int,
             help="CMS width per hash per bank (default: paper scaling)",
+            bounds=BANK_SIZE,
         ),
         "rat_entries": Param(
-            int, 32, "recent-aggressor table entries per bank"
+            int, 32, "recent-aggressor table entries per bank", bounds=BANK_SIZE
         ),
     },
 )

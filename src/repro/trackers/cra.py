@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.core.rct import RowCountTable
 from repro.dram.timing import DramGeometry
 from repro.trackers.base import ActivationTracker, MetaAccess, TrackerResponse
-from repro.trackers.registry import Param, register_tracker
+from repro.trackers.registry import KB_SIZE, SYSTEM_SIZE, Param, register_tracker
 
 if TYPE_CHECKING:
     from repro.sim.config import SystemConfig
@@ -39,7 +39,7 @@ class LineMetadataCache:
 
     def __init__(self, capacity_bytes: int, line_bytes: int = 64, ways: int = 16) -> None:
         lines = capacity_bytes // line_bytes
-        if lines < ways or lines % ways:
+        if ways < 1 or lines < ways or lines % ways:
             raise ValueError("capacity must hold a whole number of sets")
         self.sets = lines // ways
         self.ways = ways
@@ -50,10 +50,6 @@ class LineMetadataCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    @property
-    def capacity_lines(self) -> int:
-        return self.sets * self.ways
 
     def access(self, line_id: int, make_dirty: bool) -> Tuple[bool, Optional[int]]:
         """Touch a line (installing it on a miss).
@@ -237,8 +233,9 @@ class CraTracker(ActivationTracker):
             int,
             help="full-scale metadata cache size in KB (default 64,"
             " scaled with the system)",
+            bounds=KB_SIZE,
         ),
-        "cache_ways": Param(int, 16, "metadata cache associativity"),
+        "cache_ways": Param(int, 16, "cache associativity", bounds=SYSTEM_SIZE),
     },
 )
 def _cra_from_context(

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.dram.timing import DramTiming
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import Param, register_tracker
+from repro.trackers.registry import SYSTEM_SIZE, Param, register_tracker
 
 if TYPE_CHECKING:
     from repro.sim.config import SystemConfig
@@ -126,7 +126,8 @@ class DcbfTracker(ActivationTracker):
     security_class="rate-control",
     params={
         "counters_per_filter": Param(
-            int, help="CBF width (default: 2^18 scaled with the system)"
+            int, help="CBF width (default: 2^18 scaled with the system)",
+            bounds=SYSTEM_SIZE,
         ),
     },
 )

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Set
 from repro.core.config import MIN_TRH
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import Param, register_tracker
+from repro.trackers.registry import BANK_SIZE, Param, register_tracker
 
 if TYPE_CHECKING:
     from repro.sim.config import SystemConfig
@@ -175,7 +175,8 @@ class GrapheneTracker(ActivationTracker):
     summary="Misra-Gries frequent-row CAM per bank (MICRO 2020)",
     params={
         "entries_per_bank": Param(
-            int, help="table entries per bank (default: the §4.1 sizing)"
+            int, help="table entries per bank (default: the §4.1 sizing)",
+            bounds=BANK_SIZE,
         ),
     },
 )

@@ -35,7 +35,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import Param, register_tracker
+from repro.trackers.registry import BANK_SIZE, Param, register_tracker
 
 if TYPE_CHECKING:
     from repro.sim.config import SystemConfig
@@ -167,7 +167,7 @@ class ProhitTracker(ActivationTracker):
     summary="locality-adaptive probabilistic refresh (known-bypassable)",
     security_class="insecure",
     params={
-        "queue_entries": Param(int, 16, "recent-victim queue length"),
+        "queue_entries": Param(int, 16, "recent-victim queue length", bounds=BANK_SIZE),
         "base_probability": Param(float, 0.002, "baseline refresh probability"),
         "locality_boost": Param(float, 8.0, "probability boost while queued"),
         "seed": Param(int, 0x4D524C, "PRNG seed"),
@@ -193,8 +193,8 @@ def _mrloc_from_context(
     summary="probabilistic hot/cold tables (known-bypassable)",
     security_class="insecure",
     params={
-        "hot_entries": Param(int, 4, "hot-table entries"),
-        "cold_entries": Param(int, 8, "cold-table entries"),
+        "hot_entries": Param(int, 4, "hot-table entries", bounds=BANK_SIZE),
+        "cold_entries": Param(int, 8, "cold-table entries", bounds=BANK_SIZE),
         "insert_probability": Param(float, 0.01, "cold-insert probability"),
         "mitigation_interval": Param(
             int, 512, "activations between opportunistic mitigations"

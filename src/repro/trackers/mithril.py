@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import Param, register_tracker
+from repro.trackers.registry import BANK_SIZE, Param, register_tracker
 from repro.trackers.graphene import _SpaceSavingTable
 
 if TYPE_CHECKING:
@@ -103,7 +103,7 @@ class MithrilTracker(ActivationTracker):
             int, help="activations per RFM opportunity (default: T_H/8)"
         ),
         "entries_per_bank": Param(
-            int, help="table entries per bank (default: derived)"
+            int, help="table entries per bank (default: derived)", bounds=BANK_SIZE
         ),
     },
 )

@@ -38,7 +38,7 @@ from collections import deque
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.trackers.base import ActivationTracker, TrackerResponse
 from repro.trackers.mint import mint_interval_slots
-from repro.trackers.registry import Param, register_tracker
+from repro.trackers.registry import BANK_SIZE, Param, register_tracker
 
 if TYPE_CHECKING:
     from repro.sim.config import SystemConfig
@@ -146,7 +146,7 @@ class PtmpTracker(ActivationTracker):
     security_class="probabilistic",
     params={
         "entries": Param(
-            int, DEFAULT_PTMP_ENTRIES, "FIFO entries per bank"
+            int, DEFAULT_PTMP_ENTRIES, "FIFO entries per bank", bounds=BANK_SIZE
         ),
         "probability": Param(
             float,

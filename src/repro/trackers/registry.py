@@ -54,6 +54,7 @@ from typing import (
 )
 
 from repro.core.config import MIN_TRH  # noqa: F401  (re-exported)
+from repro.dram.timing import PAPER_GEOMETRY
 from repro.interfaces import ActivationTracker, NullTracker
 from repro.memctrl.base import normalize_engine
 from repro.sim.config import SystemConfig, check_trh
@@ -74,6 +75,13 @@ _BUILTIN_MODULES = tuple(
 #: Bytes per RCC entry (valid + tag + SRRIP + counter — Table 4).
 RCC_ENTRY_BYTES = 3
 
+#: ``Param.bounds`` of sizes: no tracker needs more entries than the
+#: full-scale system has rows (per bank, in all, or as 3-byte counters
+#: in KB), so a mistyped size cannot allocate gigabytes when built.
+BANK_SIZE = (1, PAPER_GEOMETRY.rows_per_bank)
+SYSTEM_SIZE = (1, PAPER_GEOMETRY.total_rows)
+KB_SIZE = (1, PAPER_GEOMETRY.total_rows * RCC_ENTRY_BYTES // 1024)
+
 # ----------------------------------------------------------------------
 # Registry entries
 # ----------------------------------------------------------------------
@@ -84,16 +92,17 @@ class Param:
     """One typed, documented spec parameter.
 
     ``default=None`` means the value is derived from the system the
-    entry is built for when not given explicitly. ``check``, when
-    set, validates the coerced value at parse time and returns it
-    (possibly normalized); its ``ValueError`` is reported with the
-    spec for context.
+    entry is built for when not given explicitly. ``bounds`` is the
+    inclusive range of the coerced value; ``check`` then validates it
+    and returns it (possibly normalized). Both are applied at parse
+    time, their ``ValueError`` reported with the spec for context.
     """
 
     type: type
     default: Any = None
     help: str = ""
     check: Optional[Callable[[Any], Any]] = None
+    bounds: Optional[Tuple[int, int]] = None
 
 
 #: Security classes a tracker may declare. The arena's oracle verdicts
@@ -204,6 +213,13 @@ def _coerce(spec: str, name: str, param: Param, raw: str) -> Any:
             f"bad value for {name!r} in spec {spec!r}: {raw!r} is not"
             f" {param.type.__name__}"
         ) from None
+    if param.bounds is not None:
+        low, high = param.bounds
+        if not low <= value <= high:
+            raise ValueError(
+                f"bad value for {name!r} in spec {spec!r}: {value} is not"
+                f" in [{low}, {high}]"
+            )
     if param.check is not None:
         try:
             value = param.check(value)

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.core.config import MIN_TRH
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import Param, register_tracker
+from repro.trackers.registry import BANK_SIZE, Param, register_tracker
 
 if TYPE_CHECKING:
     from repro.sim.config import SystemConfig
@@ -211,6 +211,7 @@ class StartTracker(ActivationTracker):
             int,
             help="per-row counter line budget per bank (default: paper"
             " sizing, min(ACT_max/esc, per-row footprint))",
+            bounds=BANK_SIZE,
         ),
     },
 )

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.trackers.base import ActivationTracker, TrackerResponse
-from repro.trackers.registry import Param, register_tracker
+from repro.trackers.registry import BANK_SIZE, Param, register_tracker
 
 if TYPE_CHECKING:
     from repro.sim.config import SystemConfig
@@ -153,7 +153,8 @@ class TwiceTracker(ActivationTracker):
     summary="pruned activation table in the buffer chip (TWiCe)",
     params={
         "entries_per_bank": Param(
-            int, help="table entries per bank (default: Table 1 sizing)"
+            int, help="table entries per bank (default: Table 1 sizing)",
+            bounds=BANK_SIZE,
         ),
         "prune_interval_acts": Param(
             int, 2048, "activations between pruning passes"

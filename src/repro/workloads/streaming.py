@@ -134,12 +134,6 @@ class _StreamingSourceBase(ChunkReplay):
 # ----------------------------------------------------------------------
 
 _SEGMENT_COLUMNS = ("gaps", "rows", "lines", "writes")
-_SEGMENT_DTYPES = {
-    "gaps": np.float64,
-    "rows": np.int64,
-    "lines": np.int32,
-    "writes": np.bool_,
-}
 
 
 class ChunkedTrace(_StreamingSourceBase):

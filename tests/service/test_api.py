@@ -87,8 +87,8 @@ class TestSweepFacade:
     def test_sweep_refuses_bad_tracker_parameter_before_any_cell(
         self, tmp_path, monkeypatch
     ):
-        """A spec parameter the builder refuses fails where the grid is
-        read, not in a worker after its retries."""
+        """A spec parameter the builder refuses fails when the grid is
+        submitted, not in a worker after its retries."""
         from repro.service import worker
 
         def refuse(*args, **kwargs):

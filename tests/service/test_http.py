@@ -88,6 +88,42 @@ class TestDispatch:
         jobs_dir = broker.store.jobs_dir
         assert not jobs_dir.exists() or not any(jobs_dir.iterdir())
 
+    def test_submit_rejects_out_of_bounds_size(self, service, broker):
+        """A size outside its bounds is refused when the payload is
+        parsed: a 400, not a dropped connection, and nothing built."""
+        grid = {**GRID.to_dict(), "trackers": ["cra@cache_ways=0"]}
+        body = json.dumps({"grid": grid}).encode()
+        status, payload = service.dispatch("POST", "/jobs", body)
+        assert status == 400
+        assert "cache_ways" in payload["error"]
+        assert broker.jobs() == []
+
+    def test_submit_builds_each_parametric_spec_once(
+        self, service, broker, monkeypatch
+    ):
+        """One submit builds a spec with parameters once (not per
+        derived grid), and reloading the job's spec builds nothing."""
+        from repro.sim import grid as grid_module
+
+        built = []
+        real = grid_module.build_tracker
+
+        def counting(spec, config):
+            built.append(spec)
+            return real(spec, config)
+
+        monkeypatch.setattr(grid_module, "build_tracker", counting)
+        grid = GridSpec(
+            trackers=("baseline", "hydra@rcc_kb=28"),
+            workloads=("leela",),
+            config=CONFIG,
+        )
+        status, payload = service.dispatch("POST", "/jobs", submit_body(grid))
+        assert status == 201
+        assert built == ["hydra@rcc_kb=28"]
+        broker.store.load_spec(payload["job_id"])
+        assert built == ["hydra@rcc_kb=28"]
+
     def test_status_and_list(self, service, broker):
         _, submitted = service.dispatch("POST", "/jobs", submit_body())
         job_id = submitted["job_id"]

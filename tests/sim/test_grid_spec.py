@@ -8,6 +8,7 @@ from repro.sim import grid as grid_module
 from repro.sim.config import SystemConfig
 from repro.sim.grid import GridSpec
 from repro.sim.sweep import ExperimentRunner, cell_key
+from repro.trackers.registry import BANK_SIZE
 from repro.workloads.characteristics import all_names
 
 CONFIG = SystemConfig(scale=1 / 256, n_windows=1)
@@ -30,27 +31,49 @@ class TestConstruction:
         "spec, reason",
         [
             ("hydra@gct_entries=1000", "power of two"),
-            ("hydra@rcc_kb=1,rcc_ways=0", "rcc_ways must be >= 1"),
             ("hydra@tg_fraction=2.0", "tg_fraction"),
+            ("cra@cache_kb=1,cache_ways=3", "whole number of sets"),
         ],
     )
     def test_refuses_a_parameter_its_builder_refuses(self, spec, reason):
-        """A spec with parameters is built once against the grid's
-        config, and the refusal names the spec and the reason."""
+        """``check_trackers`` builds a spec with parameters once against
+        the grid's config; the refusal names the spec and the reason."""
+        grid = GridSpec(trackers=("baseline", spec), config=CONFIG)
         with pytest.raises(ValueError, match=re.escape(f"tracker spec {spec!r}: ")):
-            GridSpec(trackers=("baseline", spec), config=CONFIG)
-        configless = GridSpec(trackers=(spec,))  # no config to build against
+            grid.check_trackers()
         with pytest.raises(ValueError, match=reason):
-            configless.with_config(CONFIG)
+            GridSpec(trackers=(spec,)).with_config(CONFIG).check_trackers()
 
-    def test_builds_only_specs_with_parameters(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "cra@cache_ways=0",
+            "hydra@rcc_kb=1,rcc_ways=0",
+            "dcbf@counters_per_filter=1000000000",
+            f"graphene@entries_per_bank={BANK_SIZE[1] + 1}",
+        ],
+    )
+    def test_refuses_a_size_out_of_bounds(self, spec):
+        """Sizes are bounded where the spec is parsed, so nothing is
+        built (or allocated) for them."""
+        with pytest.raises(ValueError, match=r"is not in \[1, \d+\]"):
+            GridSpec(trackers=(spec,), config=CONFIG)
+
+    def test_builds_once_and_only_when_checked(self, monkeypatch):
+        """Only ``check_trackers`` builds, once per distinct spec with
+        parameters; constructing, deriving and keying a grid build
+        nothing."""
         built = []
         monkeypatch.setattr(
             grid_module, "build_tracker", lambda spec, config: built.append(spec)
         )
-        GridSpec(trackers=("baseline", "hydra", "hydra@trh=500"), config=CONFIG)
-        GridSpec(trackers=("hydra@gct_entries=1000",))
-        assert [spec.canonical() for spec in built] == ["hydra@trh=500"]
+        trackers = ("baseline", "hydra", "hydra@trh=500", "hydra@trh=500")
+        grid = GridSpec(trackers=trackers, workloads=("leela",), config=CONFIG)
+        grid.with_config(CONFIG).canonical().grid_key()
+        GridSpec.from_json(grid.to_json())
+        assert built == []
+        grid.check_trackers()
+        assert built == ["hydra@trh=500"]
 
     def test_keeps_given_spellings(self):
         spec = GridSpec(trackers=("hydra@rcc_kb=28,trh=1000",))

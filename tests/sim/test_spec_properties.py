@@ -7,8 +7,6 @@ parameter (``engine``) and share one cache key. A
 grid must round-trip through JSON and keep its key under respelling.
 """
 
-from unittest import mock
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,19 +47,12 @@ UNIVERSAL_VALUES = {
 SPACE = st.sampled_from(["", " ", "  "])
 
 
-def _unbuilt():
-    """Grids made under this skip ``GridSpec``'s build-once check of
-    specs with parameters. Spellings draw sizes up to 10**9, which some
-    builders allocate in full (a D-CBF filter of 10**9 counters is
-    8 GB); the check has its own tests in ``tests/sim/test_grid_spec.py``."""
-    return mock.patch("repro.sim.grid.build_tracker", lambda spec, config: None)
-
-
 def _values(param):
     if param.type is bool:
         return st.booleans()
     if param.type is int:
-        return st.integers(min_value=0, max_value=10**9)
+        low, high = param.bounds or (0, 10**9)
+        return st.integers(min_value=low, max_value=high)
     assert param.type is float, param
     return st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -115,18 +106,17 @@ def test_respelt_spec_is_one_spec(pair):
     st.sampled_from(CONFIGS),
 )
 def test_grid_round_trips_and_keys_by_meaning(pairs, workloads, config):
-    with _unbuilt():
-        plain, respelt = (
-            GridSpec(
-                trackers=tuple(pair[side] for pair in pairs),
-                workloads=tuple(workloads),
-                config=config,
-            )
-            for side in (0, 1)
+    plain, respelt = (
+        GridSpec(
+            trackers=tuple(pair[side] for pair in pairs),
+            workloads=tuple(workloads),
+            config=config,
         )
-        for grid in (plain, respelt):
-            assert GridSpec.from_json(grid.to_json()) == grid
-        assert respelt.grid_key() == plain.grid_key()
+        for side in (0, 1)
+    )
+    for grid in (plain, respelt):
+        assert GridSpec.from_json(grid.to_json()) == grid
+    assert respelt.grid_key() == plain.grid_key()
 
 
 @settings(max_examples=50, deadline=None)
@@ -139,12 +129,11 @@ def test_grid_round_trips_and_keys_by_meaning(pairs, workloads, config):
 def test_grid_cell_keys_are_cell_keys(pairs, workloads, config, side):
     """``GridSpec.cells`` keys each column once, yet every key equals
     :func:`cell_key` of its cell, whatever the spelling."""
-    with _unbuilt():
-        grid = GridSpec(
-            trackers=tuple(pair[side] for pair in pairs),
-            workloads=tuple(workloads),
-            config=config,
-        )
+    grid = GridSpec(
+        trackers=tuple(pair[side] for pair in pairs),
+        workloads=tuple(workloads),
+        config=config,
+    )
     cells = list(grid.cells())
     assert len(cells) == grid.n_cells()
     for cell in cells:
