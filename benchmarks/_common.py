@@ -1,12 +1,14 @@
 """Shared infrastructure for the per-table/per-figure benchmarks.
 
-Every benchmark regenerates one table or figure of the paper. Where
-the paper's result has an entry in :mod:`repro.sim.experiments`, the
-benchmark runs that entry (the one definition of the payload), prints
-rows shaped like the paper's from it, asserts the *shape* of the
-result (who wins, by roughly what factor), and records it under
-``benchmarks/results/`` so EXPERIMENTS.md can cite the measured
-numbers. ``hydra-sim experiment NAME`` prints the same payload.
+Every benchmark regenerates one table or figure of the paper by
+running its entry of :mod:`repro.sim.experiments`, the one definition
+of the payload: :func:`run_entry` runs the entry at the benchmark
+config and writes the payload to the file the entry names under
+``benchmarks/results/``, which EXPERIMENTS.md cites. The benchmark
+then prints rows shaped like the paper's and asserts the *shape* of
+the result (who wins, by roughly what factor). ``hydra-sim experiment
+NAME`` prints the same payload. (``bench_parallel_speedup.py`` times
+the sweep layer instead, and records nothing.)
 
 Environment knobs:
 
@@ -19,26 +21,29 @@ Environment knobs:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.sim.config import SystemConfig, default_scale
+from repro.sim.experiments import RESULT_FILES, render, run_experiment
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def bench_config(**overrides) -> SystemConfig:
+def bench_config() -> SystemConfig:
     """The benchmark system: paper parameters at the default scale."""
-    params = dict(scale=default_scale())
-    params.update(overrides)
-    return SystemConfig(**params)
+    return SystemConfig(scale=default_scale())
 
 
-def record_result(name: str, payload) -> None:
-    """Persist one experiment's outcome for EXPERIMENTS.md."""
+def run_entry(benchmark, name: str) -> dict:
+    """Run registry entry ``name`` once at :func:`bench_config`, timed
+    by the ``benchmark`` fixture, and record its payload in the
+    entry's result file."""
+    payload = benchmark.pedantic(
+        run_experiment, args=(name, bench_config()), rounds=1, iterations=1
+    )
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    (RESULTS_DIR / f"{RESULT_FILES[name]}.json").write_text(render(payload))
+    return payload
 
 
 def print_comparison(column: dict, title: str) -> None:

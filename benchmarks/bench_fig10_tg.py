@@ -6,17 +6,14 @@ in a saturated group mitigates almost immediately. The paper selects
 80% (T_G = 200 for T_H = 250).
 """
 
-from _common import bench_config, print_slowdown_rows, record_result
+from _common import print_slowdown_rows, run_entry
 
-from repro.sim.experiments import run_experiment
 
 TG_FRACTIONS = (0.50, 0.65, 0.80, 0.95)
 
 
 def test_fig10_tg_threshold(benchmark):
-    payload = benchmark.pedantic(
-        run_experiment, args=("fig10", bench_config()), rounds=1, iterations=1
-    )
+    payload = run_entry(benchmark, "fig10")
 
     print("\n=== Figure 10: slowdown (%) vs T_G (as % of T_H) ===")
     print_slowdown_rows(
@@ -35,5 +32,3 @@ def test_fig10_tg_threshold(benchmark):
     assert (
         results[0.95]["PARSEC(7)"] >= results[0.80]["PARSEC(7)"] - 0.1
     )
-
-    record_result("fig10_tg_threshold", payload)

@@ -4,18 +4,14 @@ Regenerates the T_RH-over-time series the paper opens with, plus the
 log-linear projection motivating the ultra-low-threshold regime.
 """
 
-from _common import record_result
+from _common import run_entry
 
-from repro.analysis.trends import (
-    OBSERVATIONS,
-    projected_trh,
-    trend_rows,
-    years_until_threshold,
-)
+from repro.analysis.trends import OBSERVATIONS, projected_trh
 
 
 def test_fig1a_threshold_trend(benchmark):
-    rows = benchmark.pedantic(trend_rows, rounds=1, iterations=1)
+    payload = run_entry(benchmark, "fig1a")
+    rows = payload["rows"]
 
     print("\n=== Figure 1(a): Row-Hammer Threshold over time ===")
     print(f"{'year':<6} {'technology':<18} {'T_RH':>8}")
@@ -23,7 +19,7 @@ def test_fig1a_threshold_trend(benchmark):
         print(f"{row['year']:<6} {row['technology']:<18} {row['trh']:>8}")
     print(
         f"years until T_RH=500 (from {OBSERVATIONS[-1].year}): "
-        f"{years_until_threshold(500):.1f}"
+        f"{payload['years_until_trh500']:.1f}"
     )
 
     # Shape: strictly decreasing observations, >10x drop 2014->2020,
@@ -33,8 +29,3 @@ def test_fig1a_threshold_trend(benchmark):
     assert observed[0] / observed[-1] > 10
     assert rows[-1]["trh"] < 4800
     assert projected_trh(2030) < projected_trh(2024)
-
-    record_result(
-        "fig1a_trend",
-        {"rows": rows, "years_until_trh500": years_until_threshold(500)},
-    )

@@ -7,17 +7,14 @@ row-granular access streams have too little spatial locality for a
 line-granularity cache.
 """
 
-from _common import bench_config, print_comparison, record_result
+from _common import print_comparison, run_entry
 
-from repro.sim.experiments import run_experiment
 
 CACHE_SIZES_KB = (64, 128, 256)
 
 
 def test_fig2_cra_metadata_cache_sweep(benchmark):
-    payload = benchmark.pedantic(
-        run_experiment, args=("fig2", bench_config()), rounds=1, iterations=1
-    )
+    payload = run_entry(benchmark, "fig2")
 
     for size_kb in CACHE_SIZES_KB:
         print_comparison(
@@ -36,5 +33,3 @@ def test_fig2_cra_metadata_cache_sweep(benchmark):
     assert slowdowns[64] > 8.0
     assert slowdowns[64] >= slowdowns[128] >= slowdowns[256]
     assert slowdowns[256] > 3.0  # still far from free
-
-    record_result("fig2_cra_cache_sweep", payload)

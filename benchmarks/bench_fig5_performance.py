@@ -5,15 +5,11 @@ needs 680 KB of CAM, CRA needs only a cache but slows the system ~25%,
 and Hydra delivers ~0.7% average slowdown from 57 KB of SRAM.
 """
 
-from _common import bench_config, print_comparison, record_result
-
-from repro.sim.experiments import run_experiment
+from _common import print_comparison, run_entry
 
 
 def test_fig5_tracker_performance(benchmark):
-    payload = benchmark.pedantic(
-        run_experiment, args=("fig5", bench_config()), rounds=1, iterations=1
-    )
+    payload = run_entry(benchmark, "fig5")
 
     for name in ("graphene", "cra", "hydra"):
         print_comparison(payload[name], f"Figure 5: {name} normalized performance")
@@ -38,5 +34,3 @@ def test_fig5_tracker_performance(benchmark):
         hydra_rows, key=lambda w: hydra_rows[w]["normalized_performance"]
     )[:3]
     assert "xz" in worst_three
-
-    record_result("fig5_performance", payload)

@@ -6,15 +6,11 @@ are 90.7% / 9.0% / 0.3% — the GCT's filtering is what makes the
 DRAM-backed design viable.
 """
 
-from _common import bench_config, record_result
-
-from repro.sim.experiments import run_experiment
+from _common import run_entry
 
 
 def test_fig6_update_distribution(benchmark):
-    payload = benchmark.pedantic(
-        run_experiment, args=("fig6", bench_config()), rounds=1, iterations=1
-    )
+    payload = run_entry(benchmark, "fig6")
     distributions = payload["per_workload"]
     means = payload["averages"]
 
@@ -40,5 +36,3 @@ def test_fig6_update_distribution(benchmark):
     # deepsjeng (no hot rows, huge footprint) must not.
     assert distributions["parest"]["rcc_hit"] > 0.1
     assert distributions["deepsjeng"]["gct_only"] > 0.99
-
-    record_result("fig6_distribution", payload)

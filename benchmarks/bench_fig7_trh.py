@@ -5,17 +5,14 @@ grows — partly tracking, partly sheer mitigation activity. The paper
 reports 0.7% -> 1.6% -> 4% averages, with GUPS hit hardest.
 """
 
-from _common import bench_config, print_slowdown_rows, record_result
+from _common import print_slowdown_rows, run_entry
 
-from repro.sim.experiments import run_experiment
 
 THRESHOLDS = ("500", "250", "125")
 
 
 def test_fig7_trh_sensitivity(benchmark):
-    payload = benchmark.pedantic(
-        run_experiment, args=("fig7", bench_config()), rounds=1, iterations=1
-    )
+    payload = run_entry(benchmark, "fig7")
 
     print("\n=== Figure 7: slowdown (%) vs T_RH ===")
     print_slowdown_rows(payload, "T_RH", {trh: trh for trh in THRESHOLDS})
@@ -28,5 +25,3 @@ def test_fig7_trh_sensitivity(benchmark):
     assert all36[2] > 1.5
     # GUPS suffers more at 125 than at 500.
     assert payload["125"]["GUPS(1)"] > payload["500"]["GUPS(1)"]
-
-    record_result("fig7_trh_sensitivity", payload)

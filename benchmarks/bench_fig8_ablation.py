@@ -6,17 +6,14 @@ activation needs per-row state and the RCC thrashes (paper: 20%).
 The ordering NoGCT >> NoRCC >> Hydra is the design's justification.
 """
 
-from _common import bench_config, print_comparison, record_result
+from _common import print_comparison, run_entry
 
-from repro.sim.experiments import run_experiment
 
 VARIANTS = ("hydra", "hydra-norcc", "hydra-nogct")
 
 
 def test_fig8_gct_rcc_ablation(benchmark):
-    payload = benchmark.pedantic(
-        run_experiment, args=("fig8", bench_config()), rounds=1, iterations=1
-    )
+    payload = run_entry(benchmark, "fig8")
 
     for name in VARIANTS:
         print_comparison(payload[name], f"Figure 8: {name}")
@@ -32,5 +29,3 @@ def test_fig8_gct_rcc_ablation(benchmark):
     assert hydra < norcc < nogct
     assert norcc > 2.0
     assert nogct > 8.0
-
-    record_result("fig8_ablation", payload)

@@ -5,17 +5,14 @@ and more rows fall through to per-row tracking. The paper: 16K hurts
 (GUPS dramatically), 32K is the sweet spot, 64K buys little more.
 """
 
-from _common import bench_config, print_slowdown_rows, record_result
+from _common import print_slowdown_rows, run_entry
 
-from repro.sim.experiments import run_experiment
 
 GCT_SIZES = (16384, 32768, 65536)
 
 
 def test_fig9_gct_capacity(benchmark):
-    payload = benchmark.pedantic(
-        run_experiment, args=("fig9", bench_config()), rounds=1, iterations=1
-    )
+    payload = run_entry(benchmark, "fig9")
 
     print("\n=== Figure 9: slowdown (%) vs GCT entries (full-scale) ===")
     print_slowdown_rows(
@@ -27,5 +24,3 @@ def test_fig9_gct_capacity(benchmark):
     assert all36[16384] > all36[32768] >= all36[65536]
     assert all36[16384] > 1.5 * all36[32768]
     assert all36[32768] - all36[65536] < 1.0
-
-    record_result("fig9_gct_size", payload)

@@ -7,15 +7,13 @@ design performs within 0.1% of the static scheme." This benchmark
 reproduces that comparison on a representative workload slice.
 """
 
-from _common import bench_config, record_result
+from _common import run_entry
 
-from repro.sim.experiments import FN4_WORKLOADS, run_experiment
+from repro.sim.experiments import FN4_WORKLOADS
 
 
 def test_fn4_randomized_mapping(benchmark):
-    payload = benchmark.pedantic(
-        run_experiment, args=("fn4", bench_config()), rounds=1, iterations=1
-    )
+    payload = run_entry(benchmark, "fn4")
 
     print("\n=== Footnote 4: static vs randomized mapping ===")
     print(f"{'workload':<12} {'static':>9} {'randomized':>11}")
@@ -37,4 +35,3 @@ def test_fn4_randomized_mapping(benchmark):
         assert (
             payload[name]["randomized"] >= payload[name]["static"] - 0.005
         ), name
-    record_result("fn4_randomized_mapping", payload)

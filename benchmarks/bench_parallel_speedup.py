@@ -11,7 +11,7 @@ import os
 import tempfile
 import time
 
-from _common import bench_config, record_result
+from _common import bench_config
 
 from repro.sim.grid import GridSpec
 from repro.sim.simulator import trace_for_workload
@@ -62,17 +62,6 @@ def test_parallel_speedup(benchmark):
         f"serial   {serial_s:8.2f} s\n"
         f"parallel {parallel_s:8.2f} s\n"
         f"speedup  {speedup:8.2f} x"
-    )
-    record_result(
-        "parallel_speedup",
-        {
-            "grid": f"{len(TRACKERS)}x{len(WORKLOADS)}",
-            "jobs": JOBS,
-            "cpus": cpus,
-            "serial_seconds": round(serial_s, 3),
-            "parallel_seconds": round(parallel_s, 3),
-            "speedup": round(speedup, 2),
-        },
     )
     if cpus >= 4:
         assert speedup >= 2.0, (

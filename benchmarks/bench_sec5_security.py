@@ -5,17 +5,12 @@ discusses, at the benchmark scale, and reports verified activation
 throughput. All patterns must verify SECURE.
 """
 
-from _common import bench_config, record_result
-
-from repro.sim.experiments import run_experiment
+from _common import bench_config, run_entry
 
 
 def test_sec5_attack_verification(benchmark):
-    config = bench_config()
-    th = config.hydra_config().th
-    payload = benchmark.pedantic(
-        run_experiment, args=("sec5", config), rounds=1, iterations=1
-    )
+    th = bench_config().hydra_config().th
+    payload = run_entry(benchmark, "sec5")
 
     print("\n=== §5: Theorem-1 verification ===")
     print(
@@ -34,5 +29,3 @@ def test_sec5_attack_verification(benchmark):
     # Hammering patterns must actually draw mitigations.
     for name in ("single-sided", "double-sided", "half-double", "thrash"):
         assert payload[name]["mitigations"] > 0, name
-
-    record_result("sec5_security", payload)

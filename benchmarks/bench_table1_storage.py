@@ -9,9 +9,8 @@ earlier papers evaluated.
 
 import pytest
 
-from _common import bench_config, record_result
+from _common import run_entry
 
-from repro.sim.experiments import run_experiment
 
 #: The paper's published values (KB per rank), for comparison.
 PAPER_TABLE1 = {
@@ -23,9 +22,7 @@ PAPER_TABLE1 = {
 
 
 def test_table1_prior_tracker_storage(benchmark):
-    payload = benchmark.pedantic(
-        run_experiment, args=("table1", bench_config()), rounds=1, iterations=1
-    )
+    payload = run_entry(benchmark, "table1")
 
     print("\n=== Table 1: per-rank storage (KB) ===")
     schemes = list(next(iter(payload.values())))
@@ -45,5 +42,3 @@ def test_table1_prior_tracker_storage(benchmark):
             assert kib > 64, (trh, scheme)
     # And at the legacy T_RH=32K, SRAM trackers are far below OCPR.
     assert payload[32000]["Graphene"] < payload[32000]["OCPR"] / 100
-
-    record_result("table1_storage", payload)

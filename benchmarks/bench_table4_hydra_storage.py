@@ -7,15 +7,11 @@ GCT (32K x 8-bit) = 32 KB, RCC (8K x 24-bit) = 24 KB, RIT-ACT
 
 import pytest
 
-from _common import bench_config, record_result
-
-from repro.sim.experiments import run_experiment
+from _common import run_entry
 
 
 def test_table4_hydra_storage(benchmark):
-    payload = benchmark.pedantic(
-        run_experiment, args=("table4", bench_config()), rounds=1, iterations=1
-    )
+    payload = run_entry(benchmark, "table4")
 
     print("\n=== Table 4: Hydra storage overhead (32GB, 2 channels) ===")
     for name in ("gct", "rcc", "rit_act", "total"):
@@ -32,5 +28,3 @@ def test_table4_hydra_storage(benchmark):
     assert payload["total_kib"] == pytest.approx(56.5)
     assert payload["dram_reserved_mib"] == 4
     assert reserved_fraction < 0.0002
-
-    record_result("table4_hydra_storage", payload)

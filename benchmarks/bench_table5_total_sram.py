@@ -7,15 +7,11 @@ magnitude below every alternative on both technologies.
 
 import pytest
 
-from _common import bench_config, record_result
-
-from repro.sim.experiments import run_experiment
+from _common import run_entry
 
 
 def test_table5_total_sram(benchmark):
-    payload = benchmark.pedantic(
-        run_experiment, args=("table5", bench_config()), rounds=1, iterations=1
-    )
+    payload = run_entry(benchmark, "table5")
 
     print("\n=== Table 5: total SRAM, 32GB / 2 ranks (KB) ===")
     print(f"{'scheme':<12} {'DDR4':>10} {'DDR5':>10}")
@@ -32,5 +28,3 @@ def test_table5_total_sram(benchmark):
         assert ddr5[scheme] == ddr4[scheme]
     for scheme in ("Graphene", "TWiCE", "CAT", "D-CBF"):
         assert ddr4[scheme] > 10 * ddr4["Hydra"]
-
-    record_result("table5_total_sram", payload)

@@ -36,7 +36,8 @@ appends one :class:`~repro.obs.manifest.ArenaOracleRecord` line next
 to the grid's per-cell provenance records, so one JSON-lines file
 carries the full arena provenance.
 
-Entry points: ``hydra-sim arena`` and the ``arena`` named experiment.
+Entry point: ``hydra-sim arena``; ``--json-out`` writes the report's
+``to_dict()``.
 """
 
 from __future__ import annotations

@@ -173,8 +173,14 @@ def rcc_thrash_program(
     seed: int = 11,
 ) -> Program:
     """Memory performance attack on Hydra's RCC (§5.3)."""
+    population = geometry.total_rows // 2
+    if target_rows > population:
+        raise ValueError(
+            f"rcc_thrash needs {target_rows} distinct rows in the lower half"
+            f" of the geometry, which has only {geometry.total_rows} rows"
+        )
     rng = np.random.default_rng(seed)
-    rows = rng.choice(geometry.total_rows // 2, size=target_rows, replace=False)
+    rows = rng.choice(population, size=target_rows, replace=False)
     b = ProgramBuilder("rcc_thrash")
     for _ in range(rounds):
         rng.shuffle(rows)

@@ -20,9 +20,8 @@
 
 Resolving without a geometry skips the bounds check (the binding and
 normalization steps still run) — the original generators' historical
-behaviour, kept for the fixed-row batteries (the arena's aliases, the
-§5 patterns of ``hydra-sim security``) that must probe identically at
-every scale.
+behaviour, kept for the fixed-row batteries (the arena's aliases) that
+must probe identically at every scale.
 """
 
 from __future__ import annotations

@@ -152,8 +152,9 @@ def _experiment_name(value: str) -> str:
 
 
 def _input_error(message: object) -> NoReturn:
-    """Refuse a bad input file the way argparse refuses a bad option:
-    one line on stderr, exit 2."""
+    """Refuse a bad input file, or a system an experiment cannot be
+    built for, the way argparse refuses a bad option: one line on
+    stderr, exit 2."""
     sys.stderr.write(f"hydra-sim: error: {message}\n")
     raise SystemExit(2)
 
@@ -524,13 +525,24 @@ def _cmd_storage(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_security(args: argparse.Namespace) -> int:
+def _run_experiment(
+    name: str, config: "SystemConfig", jobs: Optional[int] = None
+) -> dict:
+    """Run one registry entry; an attack pattern or a table that does
+    not fit ``config`` (e.g. the §5 rows at a tiny scale) refuses it."""
     from repro.sim.experiments import run_experiment
 
+    try:
+        return run_experiment(name, config, jobs=jobs)
+    except ValueError as exc:
+        _input_error(f"experiment {name}: {exc}")
+
+
+def _cmd_security(args: argparse.Namespace) -> int:
     config = _config(args)
     threshold = config.hydra_config().th
     failures = 0
-    for name, row in run_experiment("sec5", config).items():
+    for name, row in _run_experiment("sec5", config).items():
         if not row["secure"]:
             failures += 1
         print(
@@ -703,16 +715,13 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.sim.experiments import available_experiments, run_experiment
+    from repro.sim.experiments import available_experiments, render
 
     if args.name == "list":
         for name in available_experiments():
             print(name)
         return 0
-    payload = run_experiment(args.name, _config(args), jobs=args.jobs)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(render(_run_experiment(args.name, _config(args), jobs=args.jobs)))
     return 0
 
 

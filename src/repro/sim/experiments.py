@@ -1,15 +1,17 @@
-"""Named-experiment registry: the one definition of each paper result.
+"""Named-experiment registry: one entry per committed paper result.
 
 Each entry computes one table, figure or section of the paper's
-evaluation and returns the payload committed under
-``benchmarks/results/`` (the file each entry names below). Everything
-that shows a result reads it from here:
+evaluation, and names the file under ``benchmarks/results/`` that
+holds its payload at the default config (1/32 scale, T_RH=500, fast
+engine). :func:`render` is the one serialization of a payload, so:
 
-- ``hydra-sim experiment NAME`` prints the payload as JSON, so at the
-  default config (1/32 scale, T_RH=500, fast engine) its output is
-  the committed file;
-- each ``benchmarks/bench_*.py`` runs the entry, prints its table,
-  asserts its shape and records it;
+- ``hydra-sim experiment NAME`` prints ``render(payload)``: at the
+  default options, the entry's committed file plus a final newline;
+- each entry's ``benchmarks/bench_*.py`` runs it
+  (``_common.run_entry`` writes the rendered payload to the entry's
+  file), then prints its table and asserts its shape;
+- CI's ``paper-results`` job diffs both against every file named in
+  :data:`RESULT_FILES`;
 - ``hydra-sim security`` prints the ``sec5`` battery.
 
 An entry is ``fn(runner) -> dict`` over one :class:`ExperimentRunner`;
@@ -18,6 +20,7 @@ simulated cells go through its result cache.
 
 from __future__ import annotations
 
+import json
 from typing import Callable, Dict, List, Optional
 
 from repro.sim.config import SystemConfig
@@ -27,10 +30,19 @@ ExperimentFn = Callable[[ExperimentRunner], dict]
 
 _REGISTRY: Dict[str, ExperimentFn] = {}
 
+#: Entry name -> stem of its committed ``benchmarks/results/<stem>.json``.
+RESULT_FILES: Dict[str, str] = {}
 
-def experiment(name: str) -> Callable[[ExperimentFn], ExperimentFn]:
+
+def experiment(
+    name: str, result_file: str
+) -> Callable[[ExperimentFn], ExperimentFn]:
+    """Register an entry as ``name``; its payload at the default config
+    is committed as ``benchmarks/results/<result_file>.json``."""
+
     def register(fn: ExperimentFn) -> ExperimentFn:
         _REGISTRY[name] = fn
+        RESULT_FILES[name] = result_file
         return fn
 
     return register
@@ -38,6 +50,11 @@ def experiment(name: str) -> Callable[[ExperimentFn], ExperimentFn]:
 
 def available_experiments() -> List[str]:
     return sorted(_REGISTRY)
+
+
+def render(payload: dict) -> str:
+    """A payload as its committed result file's text."""
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def run_experiment(
@@ -99,24 +116,28 @@ def _slowdown_sweep(runner: ExperimentRunner, spec: str, values) -> dict:
     }
 
 
-@experiment("fig2")
+@experiment("fig1a", "fig1a_trend")
+def fig1a_trend(runner: ExperimentRunner) -> dict:
+    from repro.analysis.trends import trend_rows, years_until_threshold
+
+    return {"rows": trend_rows(), "years_until_trh500": years_until_threshold(500)}
+
+
+@experiment("fig2", "fig2_cra_cache_sweep")
 def fig2_cra_cache_sweep(runner: ExperimentRunner) -> dict:
-    """``fig2_cra_cache_sweep.json``"""
     return {
         f"cra_{kb}kb": _comparison(runner, f"cra@cache_kb={kb}")
         for kb in (64, 128, 256)
     }
 
 
-@experiment("fig5")
+@experiment("fig5", "fig5_performance")
 def fig5_performance(runner: ExperimentRunner) -> dict:
-    """``fig5_performance.json``"""
     return _comparisons(runner, ("graphene", "cra", "hydra"))
 
 
-@experiment("fig6")
+@experiment("fig6", "fig6_distribution")
 def fig6_distribution(runner: ExperimentRunner) -> dict:
-    """``fig6_distribution.json``"""
     import numpy as np
 
     from repro.workloads.characteristics import all_names
@@ -138,29 +159,25 @@ def fig6_distribution(runner: ExperimentRunner) -> dict:
     }
 
 
-@experiment("fig7")
+@experiment("fig7", "fig7_trh_sensitivity")
 def fig7_trh_sensitivity(runner: ExperimentRunner) -> dict:
-    """``fig7_trh_sensitivity.json``"""
     return _slowdown_sweep(runner, "hydra@trh={}", (500, 250, 125))
 
 
-@experiment("fig8")
+@experiment("fig8", "fig8_ablation")
 def fig8_ablation(runner: ExperimentRunner) -> dict:
-    """``fig8_ablation.json``"""
     return _comparisons(runner, ("hydra", "hydra-norcc", "hydra-nogct"))
 
 
-@experiment("fig9")
+@experiment("fig9", "fig9_gct_size")
 def fig9_gct_size(runner: ExperimentRunner) -> dict:
-    """``fig9_gct_size.json``"""
     return _slowdown_sweep(
         runner, "hydra@gct_entries={}", (16384, 32768, 65536)
     )
 
 
-@experiment("fig10")
+@experiment("fig10", "fig10_tg_threshold")
 def fig10_tg(runner: ExperimentRunner) -> dict:
-    """``fig10_tg_threshold.json``"""
     return _slowdown_sweep(
         runner, "hydra@tg_fraction={}", (0.50, 0.65, 0.80, 0.95)
     )
@@ -174,9 +191,8 @@ FN4_WORKLOADS = (
 )
 
 
-@experiment("fn4")
+@experiment("fn4", "fn4_randomized_mapping")
 def fn4_randomized(runner: ExperimentRunner) -> dict:
-    """``fn4_randomized_mapping.json``"""
     static, randomized = (
         [c.normalized_performance for c in runner.compare(spec, FN4_WORKLOADS)]
         for spec in ("hydra", "hydra-randomized")
@@ -190,11 +206,11 @@ def fn4_randomized(runner: ExperimentRunner) -> dict:
     return payload
 
 
-@experiment("table1")
+@experiment("table1", "table1_storage")
 def table1_storage(runner: ExperimentRunner) -> dict:
-    """``table1_storage.json`` (int keys sort the T_RH rows numerically)"""
     from repro.trackers.storage import storage_table
 
+    # Int keys sort the T_RH rows numerically.
     return {
         row.trh: {
             scheme: round(size / 1024, 1)
@@ -204,9 +220,30 @@ def table1_storage(runner: ExperimentRunner) -> dict:
     }
 
 
-@experiment("table4")
+@experiment("table3", "table3_workloads")
+def table3_workloads(runner: ExperimentRunner) -> dict:
+    """Per-window statistics of every synthetic trace, over one
+    window whatever the config's ``n_windows``."""
+    from dataclasses import replace
+
+    from repro.sim.simulator import trace_for_workload
+    from repro.workloads.characteristics import all_names
+    from repro.workloads.trace import characterize
+
+    config = replace(runner.config, n_windows=1)
+    payload = {}
+    for name in all_names():
+        stats = characterize(trace_for_workload(config, name))
+        payload[name] = {
+            "unique_rows": stats.unique_rows,
+            "act250_rows": stats.act250_rows,
+            "acts_per_row": round(stats.acts_per_row, 2),
+        }
+    return payload
+
+
+@experiment("table4", "table4_hydra_storage")
 def table4_hydra_storage(runner: ExperimentRunner) -> dict:
-    """``table4_hydra_storage.json``"""
     from repro.core.storage import hydra_storage
 
     report = hydra_storage(SystemConfig().with_trh(runner.config.trh).hydra_config())
@@ -219,9 +256,8 @@ def table4_hydra_storage(runner: ExperimentRunner) -> dict:
     }
 
 
-@experiment("table5")
+@experiment("table5", "table5_total_sram")
 def table5_total_sram(runner: ExperimentRunner) -> dict:
-    """``table5_total_sram.json``"""
     from repro.trackers.storage import total_sram_table
 
     return {
@@ -260,20 +296,16 @@ def build_patterns(config: SystemConfig) -> dict:
         "rcc-thrash": rcc_thrash_program(geometry, 2000, 30),
         "rct-region": rct_region_program(geometry, 20 * th),
     }
-    # Patterns derived from the geometry are checked against it.
-    checked = {"rcc-thrash", "rct-region"}
     return {
-        name: compile_program(
-            resolve(program, geometry=geometry if name in checked else None)
-        )
+        name: compile_program(resolve(program, geometry=geometry))
         for name, program in programs.items()
     }
 
 
-@experiment("sec5")
+@experiment("sec5", "sec5_security")
 def sec5_security(runner: ExperimentRunner) -> dict:
-    """``sec5_security.json``: the Theorem-1 oracle on a fresh Hydra
-    per pattern of :func:`build_patterns`."""
+    """The Theorem-1 oracle on a fresh Hydra per pattern of
+    :func:`build_patterns`."""
     from repro.analysis.security import verify_tracker
     from repro.core.hydra import HydraTracker
 
@@ -293,12 +325,78 @@ def sec5_security(runner: ExperimentRunner) -> dict:
     return payload
 
 
-@experiment("arena")
-def arena_pareto(runner: ExperimentRunner) -> dict:
-    """Tracker arena: every registered tracker raced down the T_RH
-    ladder on slowdown / storage / security (see
-    :mod:`repro.analysis.arena`). The config's own ``trh`` is ignored
-    — the ladder spans the full range."""
-    from repro.analysis.arena import run_arena
+@experiment("sec68", "sec68_power")
+def sec68_power(runner: ExperimentRunner) -> dict:
+    """Hydra's DRAM power overhead per workload, and the GCT's and
+    RCC's SRAM power at the full-size design point."""
+    import numpy as np
 
-    return run_arena(runner.config, jobs=runner.jobs).to_dict()
+    from repro.analysis.sram_power import hydra_sram_power
+    from repro.core.config import HydraConfig
+    from repro.workloads.characteristics import all_names
+
+    overheads = {}
+    for name in all_names():
+        base = runner.run("baseline", name)
+        hydra = runner.run("hydra", name)
+        if base.dram_power_w > 0:
+            overheads[name] = 100.0 * (hydra.dram_power_w / base.dram_power_w - 1.0)
+    gct, rcc = hydra_sram_power(HydraConfig())
+    return {
+        "dram_overhead_percent": {k: round(v, 4) for k, v in overheads.items()},
+        "dram_overhead_mean_percent": round(
+            float(np.mean(list(overheads.values()))), 4
+        ),
+        "gct_mw": round(gct.total_mw, 2),
+        "rcc_mw": round(rcc.total_mw, 2),
+    }
+
+
+@experiment("sec73_para", "sec73_para_scaling")
+def sec73_para_scaling(runner: ExperimentRunner) -> dict:
+    """PARA's mitigation probability per T_RH."""
+    from repro.trackers.para import para_probability
+
+    payload = {}
+    for trh in (32000, 4000, 1000, 500, 250, 125):
+        p = para_probability(trh)
+        payload[str(trh)] = {"p": p, "mitigations_per_1m_acts": p * 1_000_000}
+    return payload
+
+
+@experiment("sec73_insecurity", "sec73_insecurity")
+def sec73_insecurity(runner: ExperimentRunner) -> dict:
+    """Whether the Theorem-1 oracle breaks MRLOC and ProHIT under any
+    of 40 seeds, and Hydra's violations (the control) over 5 runs."""
+    from repro.analysis.security import verify_tracker
+    from repro.attacks import compile_program, resolve
+    from repro.attacks.programs import many_sided_program, single_sided_program
+    from repro.core.hydra import HydraTracker
+    from repro.trackers.insecure import MrlocTracker, ProhitTracker
+
+    geometry = runner.config.geometry
+    hydra_config = runner.config.hydra_config()
+    th = hydra_config.th
+    single = compile_program(resolve(single_sided_program(5, th + 25)))
+    many = compile_program(resolve(many_sided_program(list(range(100, 164)), th + 10)))
+    hammer = compile_program(resolve(single_sided_program(5, 4 * th)))
+
+    def violated(make_tracker, sequence) -> bool:
+        return any(
+            not verify_tracker(make_tracker(seed), geometry, sequence, th).secure
+            for seed in range(40)
+        )
+
+    return {
+        "mrloc_violated": violated(
+            lambda seed: MrlocTracker(base_probability=0.002, seed=seed), single
+        ),
+        "prohit_violated": violated(lambda seed: ProhitTracker(seed=seed), many),
+        "hydra_violations": sum(
+            len(
+                verify_tracker(HydraTracker(hydra_config), geometry, hammer, th)
+                .violations
+            )
+            for _ in range(5)
+        ),
+    }

@@ -281,10 +281,3 @@ class TestRunArena:
     def test_default_ladder_spans_the_paper_range(self):
         assert DEFAULT_TRH_LADDER[0] == 139_000
         assert DEFAULT_TRH_LADDER[-1] == 500
-
-
-class TestExperimentRegistration:
-    def test_arena_is_a_named_experiment(self):
-        from repro.sim.experiments import available_experiments
-
-        assert "arena" in available_experiments()

@@ -167,6 +167,21 @@ class TestSecurityCommand:
         assert "VIOLATED" not in out
         assert "rct-region" in out
 
+    @pytest.mark.parametrize("denominator", ["1024", "4096"])
+    def test_battery_that_does_not_fit_is_a_usage_error(
+        self, denominator, capsys
+    ):
+        # 1/1024 has too few rows for the fixed thrash rows, 1/4096
+        # too few for the rcc-thrash pattern's 2,000 distinct rows.
+        with pytest.raises(SystemExit) as info:
+            main(["security", "--scale-denominator", denominator])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("hydra-sim: error: experiment sec5: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestExperimentCommand:
     def test_list_names(self, capsys):
