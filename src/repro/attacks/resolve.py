@@ -54,7 +54,17 @@ BOUNDS_POLICIES = ("raise", "clamp")
 
 
 class AttackBoundsError(ValueError):
-    """An attack program targets a row outside the DRAM geometry."""
+    """An attack program targets a row outside the DRAM geometry.
+
+    ``detail`` names the operand and the geometry's limit. The message
+    adds ``hint`` where :func:`resolve` offers a remedy (its
+    ``bounds=`` policy); front ends that expose no bounds policy
+    report ``detail`` with a remedy of their own.
+    """
+
+    def __init__(self, detail: str, hint: str = "") -> None:
+        super().__init__(f"{detail}; {hint}" if hint else detail)
+        self.detail = detail
 
 
 class UnboundPlaceholderError(ValueError):
@@ -94,8 +104,8 @@ def _check_row(
     if bounds == "clamp":
         return min(max(row, 0), limit - 1)
     raise AttackBoundsError(
-        f"{what} {row} outside geometry (0..{limit - 1});"
-        " pass bounds='clamp' to clamp instead"
+        f"{what} {row} outside geometry (0..{limit - 1})",
+        "pass bounds='clamp' to clamp instead",
     )
 
 

@@ -535,7 +535,17 @@ def _run_experiment(
     try:
         return run_experiment(name, config, jobs=jobs)
     except ValueError as exc:
-        _input_error(f"experiment {name}: {exc}")
+        from repro.attacks.resolve import AttackBoundsError
+
+        reason: object = exc
+        if isinstance(exc, AttackBoundsError):
+            # No command takes a bounds policy: name the remedy it has.
+            reason = (
+                f"{exc.detail}; the geometry at this scale is too small"
+                " for the attack: use a larger scale (a smaller"
+                " --scale-denominator)"
+            )
+        _input_error(f"experiment {name}: {reason}")
 
 
 def _cmd_security(args: argparse.Namespace) -> int:

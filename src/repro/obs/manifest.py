@@ -20,7 +20,9 @@ import json
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 #: Bump when a record gains/changes meaning; readers keep loading old
 #: versions (missing keys take field defaults).
@@ -31,8 +33,30 @@ MANIFEST_SCHEMA_VERSION = 1
 MANIFEST_ENV_VAR = "REPRO_MANIFEST"
 
 
+class _Record:
+    """The serialization every kind of manifest line shares."""
+
+    #: The kind's field names in declaration order, and sorted (set
+    #: once per kind below, after the dataclass fields exist).
+    _names: ClassVar[Tuple[str, ...]] = ()
+    _sorted_names: ClassVar[Tuple[str, ...]] = ()
+
+    def to_dict(self) -> Dict[str, Any]:
+        # Field order, as ``asdict`` gives it, without its deep copy.
+        return {name: getattr(self, name) for name in self._names}
+
+    def to_line(self) -> str:
+        """The record's manifest line, byte for byte
+        ``json.dumps(self.to_dict(), sort_keys=True)``: the dict is
+        built in sorted key order, so the dump needs no sort and runs
+        on ``json``'s shared default encoder."""
+        return json.dumps(
+            {name: getattr(self, name) for name in self._sorted_names}
+        )
+
+
 @dataclass(frozen=True)
-class ManifestRecord:
+class ManifestRecord(_Record):
     """One grid cell's provenance line."""
 
     cache_key: str
@@ -59,17 +83,13 @@ class ManifestRecord:
     #: ``"arena-oracle"`` lines); readers dispatch on it.
     kind: str = "cell"
 
-    def to_dict(self) -> Dict[str, Any]:
-        # Field order, as ``asdict`` gives it, without its deep copy.
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
-
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "ManifestRecord":
         return _load_record(ManifestRecord, data)
 
 
 @dataclass(frozen=True)
-class ArenaOracleRecord:
+class ArenaOracleRecord(_Record):
     """One arena security-oracle verdict: (tracker, T_RH, sequence).
 
     Appended to the same JSON-lines manifest as grid-cell records
@@ -93,16 +113,13 @@ class ArenaOracleRecord:
     schema_version: int = MANIFEST_SCHEMA_VERSION
     kind: str = "arena-oracle"
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
-
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "ArenaOracleRecord":
         return _load_record(ArenaOracleRecord, data)
 
 
 @dataclass(frozen=True)
-class FuzzOracleRecord:
+class FuzzOracleRecord(_Record):
     """One fuzzer verdict: (tracker, T_RH, generated program).
 
     The attack fuzzer (:mod:`repro.attacks.fuzz`) drives every
@@ -126,9 +143,6 @@ class FuzzOracleRecord:
     exercised: bool
     schema_version: int = MANIFEST_SCHEMA_VERSION
     kind: str = "fuzz-oracle"
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "FuzzOracleRecord":
@@ -171,12 +185,9 @@ class ManifestWriter:
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
 
-    def append(self, records: Iterable[ManifestRecord]) -> int:
+    def append(self, records: Iterable[_Record]) -> int:
         """Append records (one JSON line each); returns lines written."""
-        lines = [
-            json.dumps(record.to_dict(), sort_keys=True)
-            for record in records
-        ]
+        lines = [record.to_line() for record in records]
         if not lines:
             return 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -191,6 +202,11 @@ RECORD_KINDS = {
     "arena-oracle": ArenaOracleRecord,
     "fuzz-oracle": FuzzOracleRecord,
 }
+
+for _kind in RECORD_KINDS.values():
+    _kind._names = tuple(spec.name for spec in fields(_kind))
+    _kind._sorted_names = tuple(sorted(_kind._names))
+del _kind
 
 
 def _load_record(record_class: Any, data: Dict[str, Any]) -> Any:

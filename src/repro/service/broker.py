@@ -146,11 +146,12 @@ class SweepBroker:
         and external schedulers); the default spawns the job thread.
         """
         grid.check_trackers()  # raises if the grid has no config
-        job_id = self._new_job_id(grid)
+        grid_key = grid.grid_key()
+        job_id = f"{grid_key[:8]}-{os.urandom(4).hex()}"
         status = JobStatus(
             job_id=job_id,
             state=PENDING,
-            grid_key=grid.grid_key(),
+            grid_key=grid_key,
             total_cells=grid.n_cells(),
             created_at=self._clock(),
             updated_at=self._clock(),
@@ -407,9 +408,6 @@ class SweepBroker:
         finished only in memory."""
         with self._lock:
             return self._jobs.get(job_id)
-
-    def _new_job_id(self, grid: GridSpec) -> str:
-        return f"{grid.grid_key()[:8]}-{os.urandom(4).hex()}"
 
     def _set_state(self, job: _Job, state: str) -> None:
         job.status.state = state

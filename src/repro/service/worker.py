@@ -48,7 +48,6 @@ from repro.sim.cache import DEFAULT_LEASE_TTL_S, ResultCache
 from repro.sim.config import SystemConfig
 from repro.sim.grid import GridCell, cell_key
 from repro.sim.results import RunResult
-from repro.trackers.registry import canonical_spec
 
 #: How often a worker that lost the lease re-polls the cache for the
 #: winner's entry.
@@ -74,7 +73,7 @@ def validated_entry(
         return None
     try:
         result = RunResult.from_dict(payload)
-    except (TypeError, KeyError):
+    except TypeError:
         cache._evict(cache.path_for(key))
         return None
     return payload, result
@@ -102,7 +101,7 @@ def cell_record(outcome: CellOutcome, job_id: str = "") -> ManifestRecord:
     cell, result = outcome.cell, outcome.result
     return make_record(
         cache_key=cell.key,
-        spec=canonical_spec(cell.tracker),
+        spec=cell.spec,
         workload=cell.workload,
         engine=result.engine,
         from_cache=outcome.from_cache,

@@ -78,9 +78,10 @@ class ResultCache:
 
     def __init__(self, directory: Path) -> None:
         self.directory = Path(directory)
-        #: ``directory`` as a string: a hit joins and opens plain
-        #: strings, building no ``Path`` per key.
-        self._directory = os.fspath(self.directory)
+        #: ``directory`` as a string ending in a separator: an entry's
+        #: path is ``prefix + key + suffix``, with no ``Path`` and no
+        #: ``os.path.join`` per key.
+        self._prefix = os.path.join(os.fspath(self.directory), "")
         #: Corrupt entries evicted by this process (observability).
         self.evictions = 0
         #: Payloads written by this process (the service's dedup
@@ -100,7 +101,7 @@ class ResultCache:
         unlinked so the next fill replaces it. An unreadable path (a
         directory, say) is a miss.
         """
-        path = os.path.join(self._directory, key + ".json")
+        path = self._prefix + key + ".json"
         data = read_bytes(path)
         if data is None:
             return None
@@ -190,7 +191,7 @@ class ResultCache:
         return None if data is None else _parse_lease(key, data)
 
     def _lease_file(self, key: str) -> str:
-        return os.path.join(self._directory, key + ".lease")
+        return self._prefix + key + ".lease"
 
     @staticmethod
     def _try_create_lease(

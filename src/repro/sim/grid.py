@@ -74,6 +74,8 @@ class GridCell:
     #: identical cells — across jobs, brokers, and machines sharing a
     #: cache directory — collide here on purpose.
     key: str
+    #: ``tracker``'s canonical spec (what manifests record).
+    spec: str
 
 
 @dataclass(frozen=True)
@@ -167,6 +169,7 @@ class GridSpec:
                     workload=workload,
                     config=config,
                     key=_format_key(config_key, spec, workload),
+                    spec=spec,
                 )
 
     # ------------------------------------------------------------------

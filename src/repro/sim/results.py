@@ -20,7 +20,6 @@ byte-identical whether a run was observed or not.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, fields
 from typing import (
     TYPE_CHECKING,
@@ -119,27 +118,58 @@ class RunResult:
     def to_dict(self) -> Dict[str, Any]:
         """The serialized payload, in :data:`PAYLOAD_FIELDS` order.
 
-        Every field but ``extra`` is an immutable scalar, so only
-        ``extra`` is deep-copied: mutating the payload never reaches
-        this result.
+        Every field but ``extra`` is an immutable scalar. ``extra`` is
+        JSON-shaped (trackers and engines write dicts of numbers and
+        nested dicts), so it is copied as JSON: dicts and lists
+        recursively, scalars shared. Mutating the payload never
+        reaches this result, and the copy costs a fraction of a
+        ``copy.deepcopy``.
         """
         data = {name: getattr(self, name) for name in PAYLOAD_FIELDS}
-        data["extra"] = copy.deepcopy(self.extra)
+        data["extra"] = _copy_json(self.extra)
         return data
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "RunResult":
         """Load a serialized payload, tolerating version drift.
 
-        Pre-redesign payloads carry no ``schema_version`` and load
-        unchanged; payloads from newer writers may carry keys this
-        build does not know, which are dropped (the cache layer
-        validates by round-tripping through this constructor, so a
-        payload missing *required* fields is still rejected).
+        Equal to ``RunResult(**payload)`` over the payload's known
+        keys, without binding 16 keywords: pre-engine payloads (no
+        ``engine`` or ``extra``) take the field defaults, and keys
+        from newer writers are ignored. A payload missing a *required*
+        field raises :class:`TypeError`, as ``__init__`` would (the
+        cache layer validates by building through here, and evicts
+        such an entry).
+
+        The attributes are set one by one in field order, as
+        ``__init__`` sets them, so every instance keeps sharing its
+        class's attribute-key table; an instance whose ``__dict__`` is
+        filled wholesale gets a private one twice the size.
         """
-        if not data.keys() <= _PAYLOAD_FIELD_SET:
-            data = {k: v for k, v in data.items() if k in _PAYLOAD_FIELD_SET}
-        return RunResult(**data)
+        result = object.__new__(RunResult)
+        try:
+            result.workload = data["workload"]
+            result.tracker = data["tracker"]
+            result.end_time_ns = data["end_time_ns"]
+            result.requests = data["requests"]
+            result.average_latency_ns = data["average_latency_ns"]
+            result.demand_line_transfers = data["demand_line_transfers"]
+            result.meta_accesses = data["meta_accesses"]
+            result.meta_line_transfers = data["meta_line_transfers"]
+            result.victim_refreshes = data["victim_refreshes"]
+            result.mitigations = data["mitigations"]
+            result.window_resets = data["window_resets"]
+            result.activations = data["activations"]
+            result.bus_utilization = data["bus_utilization"]
+            result.dram_power_w = data["dram_power_w"]
+        except KeyError as exc:
+            raise TypeError(
+                f"RunResult payload is missing required field {exc}"
+            ) from None
+        result.engine = data["engine"] if "engine" in data else "fast"
+        result.extra = data["extra"] if "extra" in data else {}
+        result.observability = None
+        return result
 
     # -- typed accessors over well-known extras ------------------------
 
@@ -187,7 +217,16 @@ class RunResult:
 PAYLOAD_FIELDS = tuple(
     spec.name for spec in fields(RunResult) if spec.name != "observability"
 )
-_PAYLOAD_FIELD_SET = frozenset(PAYLOAD_FIELDS)
+
+
+def _copy_json(value: Any) -> Any:
+    """A copy of a JSON-shaped value: dicts and lists are copied
+    recursively, everything else (numbers, strings) is shared."""
+    if isinstance(value, dict):
+        return {key: _copy_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copy_json(item) for item in value]
+    return value
 
 
 @dataclass(frozen=True)

@@ -277,3 +277,40 @@ class TestToDictMatchesAsdict:
         assert store.status_path(status.job_id).read_bytes() == json.dumps(
             asdict(status), sort_keys=True
         ).encode("utf-8")
+
+
+class TestLinesArePreSortedDumps:
+    """``ManifestWriter`` dumps a dict built in sorted key order; every
+    kind's line must equal the sort-keys dump of its ``to_dict``."""
+
+    def _records(self):
+        from repro.obs.manifest import FuzzOracleRecord
+
+        return [
+            record(job_id="jöb-1", wall_time_s=1e-5, from_cache=True),
+            record(spec="comet@counters_per_hash=512,trh=1000", end_time_ns=0.1),
+            arena_record(sequence="rcc-thrash", secure=False, violations=3),
+            FuzzOracleRecord(
+                spec="mint", trh=250, security_class="probabilistic",
+                program="loop 3 { act r1; nop 2 }", program_seed=7,
+                verdict="violated", secure=False, violations=1,
+                max_unmitigated=251, mitigations=0, activations=1e3,
+                exercised=True,
+            ),
+        ]
+
+    def test_every_kind_is_covered(self):
+        from repro.obs.manifest import RECORD_KINDS
+
+        assert {rec.kind for rec in self._records()} == set(RECORD_KINDS)
+
+    def test_written_lines_equal_sort_keys_dumps(self, tmp_path):
+        records = self._records()
+        path = tmp_path / "manifest.jsonl"
+        ManifestWriter(path).append(records)
+        lines = path.read_bytes().split(b"\n")
+        assert lines[-1] == b""
+        assert lines[:-1] == [
+            json.dumps(rec.to_dict(), sort_keys=True).encode("utf-8")
+            for rec in records
+        ]

@@ -1,6 +1,7 @@
 """Broker tests: kill/resume, in-flight dedup, retry/backoff, leases."""
 
 import json
+import re
 import threading
 
 import pytest
@@ -564,3 +565,22 @@ class TestJobFiles:
         store.status_path("bad").write_bytes(content)
         assert store.load_status("bad") is None
         assert [s.job_id for s in broker.jobs()] == [good]
+
+
+class TestSubmitHashesOnce:
+    def test_grid_is_hashed_once_and_names_the_job(self, tmp_path, monkeypatch):
+        calls = []
+        grid_key = GridSpec.grid_key
+
+        def counting(grid):
+            calls.append(grid)
+            return grid_key(grid)
+
+        monkeypatch.setattr(GridSpec, "grid_key", counting)
+        broker = make_broker(tmp_path)
+        job_id = broker.submit(GRID, start=False)
+        assert len(calls) == 1
+        status = broker.status(job_id)
+        assert status.grid_key == grid_key(GRID)
+        assert re.fullmatch(r"[0-9a-f]{8}-[0-9a-f]{8}", job_id)
+        assert job_id.startswith(status.grid_key[:8])

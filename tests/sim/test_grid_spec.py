@@ -206,3 +206,21 @@ class TestRunnerIntegration:
         )
         with pytest.raises(TypeError, match="spec string"):
             runner.compare(spec)
+
+
+class TestCellSpec:
+    def test_each_cell_carries_its_canonical_spec(self):
+        from repro.trackers.registry import canonical_spec
+
+        spelled = "comet @ trh = 1000, counters_per_hash = 512"
+        grid = GridSpec(
+            trackers=("hydra", spelled),
+            workloads=("leela", "gcc"),
+            config=SystemConfig(scale=1 / 256),
+        )
+        cells = list(grid.cells())
+        assert [cell.spec for cell in cells] == [
+            canonical_spec(cell.tracker) for cell in cells
+        ]
+        assert cells[-1].tracker == spelled
+        assert cells[-1].spec == "comet@counters_per_hash=512,trh=1000"

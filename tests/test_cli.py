@@ -182,6 +182,18 @@ class TestSecurityCommand:
         assert captured.err.startswith("hydra-sim: error: experiment sec5: ")
         assert captured.err.count("\n") == 1
 
+    def test_bounds_refusal_names_the_scale_not_a_bounds_policy(self, capsys):
+        # No command takes a bounds policy: the line names the geometry
+        # limit and the remedy the command line has.
+        with pytest.raises(SystemExit) as info:
+            main(["security", "--scale-denominator", "1024"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "bounds=" not in err
+        assert "outside geometry (0..4095)" in err
+        assert "smaller --scale-denominator" in err
+        assert err.count("\n") == 1
+
 
 class TestExperimentCommand:
     def test_list_names(self, capsys):
